@@ -118,10 +118,7 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     x = _initial_field(basis, cfg.options.get("initial", {}), cfg.seed, "ic")
     path = nz.make_path(cfg.seed, params.dt_path, 0.0, params.t_final,
                         params.noise, basis)
-    cursor = nz.OUCursor(path, params.chi, params.nu)
-    v0 = sp.SpectralField(basis, x.coeffs - cursor.advance_to(0.0))
-    traj = it.solve_transformed(v0, path, params,
-                                record_every=cfg.options.get("record_every", 1))
+    traj = it.solve(x, path, params, record_every=cfg.options.get("record_every", 1))
     csv_path = os.path.join(out, "trajectory.csv")
     with open(csv_path, "w") as fh:
         traj.ledger.to_csv(fh)

@@ -8,7 +8,6 @@ outputs byte-for-byte.  Validation failures carry the offending field name.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .experiments import stability_threshold
@@ -75,6 +74,26 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (bool subclasses int in Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class _NonFinite(str):
+    """What JSON parsing leaves in place of a NaN/Infinity/-Infinity literal."""
+
+
+def _reject_non_finite(node, where: str = "") -> None:
+    _require(not isinstance(node, _NonFinite), f"field '{where}' is {node}; non-finite "
+             "numbers are not allowed (write \"inf\" for no cutoff level)")
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        _reject_non_finite(child, f"{where}.{key}" if where else str(key))
+
+
 def resolve_config(raw: dict) -> RunConfig:
     """Fill defaults, cross-validate, and build the typed configuration."""
     unknown = set(raw) - {
@@ -88,13 +107,13 @@ def resolve_config(raw: dict) -> RunConfig:
         f"field 'experiment' must be one of {EXPERIMENTS}, got {experiment!r}",
     )
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2**64,
+    _require(_is_int(seed) and 0 <= seed < 2**64,
              f"field 'seed' must be a 64-bit unsigned integer, got {seed!r}")
     ensemble = raw.get("ensemble", 64)
-    _require(isinstance(ensemble, int) and ensemble >= 1,
+    _require(_is_int(ensemble) and ensemble >= 1,
              f"field 'ensemble' must be a positive integer, got {ensemble!r}")
     threads = raw.get("threads", 1)
-    _require(isinstance(threads, int) and threads >= 1,
+    _require(_is_int(threads) and threads >= 1,
              f"field 'threads' must be a positive integer, got {threads!r}")
     mode = raw.get("assertion_mode", "strict")
     _require(mode in ("strict", "exploratory"),
@@ -115,6 +134,8 @@ def resolve_config(raw: dict) -> RunConfig:
         else:
             pd[key] = value
 
+    _require(_is_int(pd["kmax"]),
+             f"field 'params.kmax' must be an integer, got {pd['kmax']!r}")
     noise = pd["noise"]
     if noise["s"] <= MIN_REGULARITY and not noise["allow_rough"]:
         raise ConfigError(
@@ -122,20 +143,8 @@ def resolve_config(raw: dict) -> RunConfig:
             f"requirement s > {MIN_REGULARITY}; set params.noise.allow_rough "
             "to override at finite truncation"
         )
-    dt, dt_path = pd["dt"], pd["dt_path"]
-    if dt_path is not None:
-        m = dt / dt_path
-        if not (m >= 1 and abs(m - round(m)) <= 1e-9):
-            raise ConfigError(
-                f"field 'params.dt' = {dt} is not a positive integer multiple "
-                f"of 'params.dt_path' = {dt_path}"
-            )
-    if pd["level"] == "inf":
-        pd["level"] = math.inf
     try:
-        params = SimParams.from_dict(
-            {k: v for k, v in pd.items()} | {"level": pd["level"] if pd["level"] != math.inf else "inf"}
-        )
+        params = SimParams.from_dict(pd)
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
 
@@ -172,12 +181,13 @@ def parse_config(path: str) -> RunConfig:
     """Read and validate a configuration file."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_NonFinite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not well-formed JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    _reject_non_finite(raw)
     return resolve_config(raw)
 
 

@@ -27,11 +27,13 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .spectral import (
+    GalerkinBasis,
     SpectralField,
     _check_same_basis,
     inner_H,
-    nonlinear_B,
     norm_H,
     norm_L4,
     norm_V,
@@ -91,13 +93,21 @@ def cutoff_lipschitz_sides(
     return lhs, rhs
 
 
+def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float):
+    """(B_F(w), |w|_L4, F) for a coefficient array; the one B_F kernel of the
+    field API and the stepper, with the L4 norm from the advection's grid."""
+    wg, dw = basis.synthesize_with_jacobian(w)
+    l4 = basis.l4_norm(wg)
+    f = cutoff_factor(l4, level)
+    out = basis.analyze(np.einsum("axyz,acxyz->cxyz", wg, dw))
+    if f != 1.0:
+        out *= f
+    return out, l4, f
+
+
 def cutoff_advection(u: SpectralField, level: float) -> SpectralField:
     """B_F(u) = F(|u|_L4) * B(u, u); satisfies <B_F(u), u> = 0."""
-    f = cutoff_factor(norm_L4(u), level)
-    bu = nonlinear_B(u, u)
-    if f == 1.0:
-        return bu
-    return bu * f
+    return SpectralField(u.basis, cutoff_advection_coeffs(u.basis, u.coeffs, level)[0])
 
 
 def drift_apply(v: SpectralField, z: SpectralField, params: CutoffParams) -> SpectralField:

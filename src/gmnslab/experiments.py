@@ -283,11 +283,7 @@ def _member_diff_sq(args):
                         spectrum, basis)
     trajs = []
     for x in (x1, x2):
-        cursor = nz.OUCursor(path, params.chi, params.nu)
-        z0 = cursor.advance_to(0.0)
-        v0 = sp.SpectralField(basis, x.coeffs - z0)
-        trajs.append(it.solve_transformed(v0, path, params,
-                                          record_every=record_every))
+        trajs.append(it.solve(x, path, params, record_every=record_every))
     # u1 - u2 = v1 - v2: the z layer cancels for a shared path
     diff = trajs[0].v_coeffs - trajs[1].v_coeffs
     return (diff.real**2 + diff.imag**2).sum(axis=(1, 2)), trajs[0].record_times
@@ -404,11 +400,7 @@ def pullback_absorption(
     margins = []
     for tm in tms:
         for name, x in x_family.items():
-            cursor = nz.OUCursor(path, params.chi, params.nu)
-            z_start = cursor.advance_to(-tm)
-            v0 = sp.SpectralField(basis, x.coeffs - z_start)
-            traj = it.solve_transformed(v0, path, params, t0=-tm, t_final=tm,
-                                        record_every=1 << 30)
+            traj = it.solve(x, path, params, t0=-tm, t_final=tm, record_every=1 << 30)
             u0 = traj.u_field(traj.n_records - 1)
             radii[name].append(sp.norm_H(u0))
             margins.append(it.pullback_inequality_margin(params, traj.ledger))
@@ -628,9 +620,7 @@ def invariant_measure_sampler(
         member_seed = derive_key(seed, f"measure-{idx}")
         p = replace(params, t_final=burn_in + horizon)
         path = nz.make_path(member_seed, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
-        cursor = nz.OUCursor(path, p.chi, p.nu)
-        v0 = sp.SpectralField(x.basis, x.coeffs - cursor.advance_to(0.0))
-        traj = it.solve_transformed(v0, path, p, record_every=1 << 30)
+        traj = it.solve(x, path, p, record_every=1 << 30)
         led = traj.ledger
         keep = led.t >= burn_in - 1e-12
         series = {
@@ -684,9 +674,7 @@ def ergodicity_check(
     long_p = replace(params, t_final=burn_in + horizon)
     long_path = nz.make_path(derive_key(seed, "ergodic-long"), long_p.dt_path,
                              0.0, long_p.t_final, long_p.noise, basis)
-    cursor = nz.OUCursor(long_path, long_p.chi, long_p.nu)
-    v0 = sp.SpectralField(basis, x.coeffs - cursor.advance_to(0.0))
-    traj = it.solve_transformed(v0, long_path, long_p, record_every=1 << 30)
+    traj = it.solve(x, long_path, long_p, record_every=1 << 30)
     keep = traj.ledger.t >= burn_in - 1e-12
     series = traj.ledger.u_H2[keep]
     time_avg = float(series.mean())
@@ -698,9 +686,7 @@ def ergodicity_check(
     for m in range(n_members):
         path = nz.make_path(derive_key(seed, f"ergodic-{m}"), short_p.dt_path,
                             0.0, short_p.t_final, short_p.noise, basis)
-        cur = nz.OUCursor(path, short_p.chi, short_p.nu)
-        v0m = sp.SpectralField(basis, x.coeffs - cur.advance_to(0.0))
-        tm = it.solve_transformed(v0m, path, short_p, record_every=1 << 30)
+        tm = it.solve(x, path, short_p, record_every=1 << 30)
         values.append(float(tm.ledger.u_H2[-1]))
     ens_avg = float(np.mean(values))
     ens_se = float(np.std(values, ddof=1) / math.sqrt(n_members))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cutoff import cutoff_factor
+from .cutoff import cutoff_advection_coeffs
 from .noise import NoiseSpectrum, OUCursor, OUState, WienerPath
 from .spectral import (
     GalerkinBasis,
@@ -83,10 +83,15 @@ class SimParams:
     instability_factor: float = 1e6
 
     def __post_init__(self):
-        if self.nu <= 0 or self.level <= 0 or self.chi < 0:
-            raise ValueError("need nu > 0, level > 0, chi >= 0")
-        if self.dt <= 0 or self.t_final < self.dt:
-            raise ValueError("need dt > 0 and t_final >= dt")
+        # NaN fails every test; level = inf means no cutoff
+        for name, ok in (("nu", self.nu > 0 and math.isfinite(self.nu)),
+                         ("level", self.level > 0),
+                         ("chi", self.chi >= 0 and math.isfinite(self.chi))):
+            if not ok:
+                raise ValueError(f"{name}={getattr(self, name)} is invalid: need finite "
+                                 "nu > 0, level > 0 (inf: no cutoff), finite chi >= 0")
+        if not (self.dt > 0 and math.isfinite(self.t_final) and self.t_final >= self.dt):
+            raise ValueError("need dt > 0 and finite t_final >= dt")
         if self.dt_path is None:
             object.__setattr__(self, "dt_path", self.dt)
         m = self.dt / self.dt_path
@@ -119,7 +124,7 @@ class SimParams:
         return 0.0 if self.forcing is None else norm_dual(self.forcing)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "nu": self.nu,
             "level": self.level if math.isfinite(self.level) else "inf",
             "chi": self.chi,
@@ -139,7 +144,6 @@ class SimParams:
             if self.forcing is None
             else base64.b64encode(field_to_bytes(self.forcing)).decode(),
         }
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "SimParams":
@@ -199,9 +203,6 @@ class EnergyLedger:
     u_H2: np.ndarray
     u_V2: np.ndarray
     residual: np.ndarray
-
-    def final_residual(self) -> float:
-        return float(abs(self.residual[-1]))
 
     def max_residual(self) -> float:
         return float(np.abs(self.residual).max())
@@ -278,23 +279,9 @@ class _Stepper:
         self.hphi2 = dt * np.where(small, phi2_series, phi2)
         self.f_coeffs = params.forcing_coeffs(basis)
 
-    def cutoff_advection(self, w: np.ndarray):
-        """B_F(w) coefficients plus the L4 norm and cutoff factor of w."""
-        basis = self.basis
-        wg = basis.synthesize(w)
-        sq = np.einsum("cxyz,cxyz->xyz", wg, wg)
-        l4 = basis.quadrature(sq * sq) ** 0.25
-        f = cutoff_factor(l4, self.params.level)
-        dw = basis.synthesize_gradient(w)
-        adv = np.einsum("axyz,acxyz->cxyz", wg, dw)
-        out = basis.analyze(adv)
-        if f != 1.0:
-            out *= f
-        return out, l4, f
-
     def drift(self, v: np.ndarray, z: np.ndarray):
         """G(v, z) = -B_F(v+z) + chi*z + f, plus ledger quantities."""
-        bf, l4, fac = self.cutoff_advection(v + z)
+        bf, l4, fac = cutoff_advection_coeffs(self.basis, v + z, self.params.level)
         g = -bf
         if self.params.chi != 0.0:
             g = g + self.params.chi * z
@@ -318,12 +305,6 @@ def _h2(c: np.ndarray) -> float:
 def _v2(basis: GalerkinBasis, c: np.ndarray) -> float:
     lam = basis.eigenvalues.astype(np.float64)[:, None]
     return float((lam * (c.real**2 + c.imag**2)).sum())
-
-
-def _l4_of_coeffs(basis: GalerkinBasis, c: np.ndarray) -> float:
-    g = basis.synthesize(c)
-    sq = np.einsum("cxyz,cxyz->xyz", g, g)
-    return basis.quadrature(sq * sq) ** 0.25
 
 
 # ---- public operations ----------------------------------------------------
@@ -399,9 +380,13 @@ def solve_transformed(
     v_snap = np.empty((len(rec_idx), basis.n_half_modes, 2), dtype=np.complex128)
     z_snap = np.empty_like(v_snap)
 
-    ceiling = params.instability_factor * max(1.0, norm_H(v0))
     v = v0.coeffs.copy()
     z = cursor.field_coeffs()
+    # non-finite input is a data error, not a step-size blow-up
+    for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
+        if not np.isfinite(c).all():
+            raise ValueError(f"{name} is not finite")
+    ceiling = params.instability_factor * max(1.0, norm_H(v0))
     flux_acc = 0.0
     prev_flux = None
     h2_0 = _h2(v)
@@ -417,7 +402,7 @@ def solve_transformed(
         led["f_pairing"][k] = _inner(stepper.f_coeffs, v)
         led["z_pairing"][k] = _inner(z, v)
         led["z_H2"][k] = _h2(z)
-        led["z_L4"][k] = _l4_of_coeffs(basis, z)
+        led["z_L4"][k] = basis.l4_norm(basis.synthesize(z))
         u_c = v + z
         led["u_H2"][k] = _h2(u_c)
         led["u_V2"][k] = _v2(basis, u_c)
@@ -455,6 +440,14 @@ def solve_transformed(
     return Trajectory(params, t0, record_times, v_snap, z_snap, ledger, basis)
 
 
+def solve(x: SpectralField, path: WienerPath, params: SimParams, t0: float = 0.0,
+          t_final: float | None = None, record_every: int = 1) -> Trajectory:
+    """solve_transformed from the velocity x at t0, i.e. from v0 = x - z(t0)."""
+    z0 = OUCursor(path, params.chi, params.nu).advance_to(t0)
+    return solve_transformed(SpectralField(x.basis, x.coeffs - z0), path, params,
+                             t0, t_final, record_every)
+
+
 def doss_sussman_recover(traj: Trajectory) -> list[SpectralField]:
     """u(t) = v(t) + z(t) at the trajectory's record times."""
     return [traj.u_field(i) for i in range(traj.n_records)]
@@ -477,11 +470,8 @@ def cocycle_apply(
         raise ValueError("cocycle time must be nonnegative")
     if t == 0.0:
         return x
-    cursor = OUCursor(path, params.chi, params.nu)
-    z0 = cursor.advance_to(0.0)
-    v0 = SpectralField(x.basis, x.coeffs - z0)
-    traj = solve_transformed(v0, path, params, t0=0.0, t_final=t,
-                             record_every=max(1, int(round(t / params.dt))))
+    traj = solve(x, path, params, t_final=t,
+                 record_every=max(1, int(round(t / params.dt))))
     return traj.u_field(traj.n_records - 1)
 
 
@@ -498,13 +488,7 @@ def chi_independence_sup(
     measured difference is pure discretization error and decreases at the
     scheme's order under dt refinement.
     """
-    trajs = []
-    for chi in (chi1, chi2):
-        p = replace(params, chi=chi)
-        cursor = OUCursor(path, chi, p.nu)
-        z0 = cursor.advance_to(0.0)
-        v0 = SpectralField(x.basis, x.coeffs - z0)
-        trajs.append(solve_transformed(v0, path, p, record_every=1))
+    trajs = [solve(x, path, replace(params, chi=chi)) for chi in (chi1, chi2)]
     diff = (trajs[0].v_coeffs + trajs[0].z_coeffs) - (
         trajs[1].v_coeffs + trajs[1].z_coeffs
     )
@@ -525,25 +509,14 @@ def data_continuity_gap(
     Both solves share the path and z realization; the Gronwall structure of
     the continuity estimate makes the gap shrink with the data perturbation.
     """
-    base = solve_transformed_from_data(x, f, path, params)
-    pert = solve_transformed_from_data(x_n, f_n, path, params)
+    base = solve(x, path, replace(params, forcing=f))
+    pert = solve(x_n, path, replace(params, forcing=f_n))
     diff = pert.v_coeffs - base.v_coeffs
     h = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(1, 2)))
     lam = base.basis.eigenvalues.astype(np.float64)[None, :, None]
     v2 = (lam * (diff.real**2 + diff.imag**2)).sum(axis=(1, 2))
     int_v2 = float(np.trapezoid(v2, base.record_times))
     return float(h.max()), int_v2
-
-
-def solve_transformed_from_data(
-    x: SpectralField, f: SpectralField | None, path: WienerPath, params: SimParams
-) -> Trajectory:
-    """Convenience: solve with initial velocity x (v0 = x - z(0)) and forcing f."""
-    p = replace(params, forcing=f)
-    cursor = OUCursor(path, p.chi, p.nu)
-    z0 = cursor.advance_to(0.0)
-    v0 = SpectralField(x.basis, x.coeffs - z0)
-    return solve_transformed(v0, path, p, record_every=1)
 
 
 # ---- energy inequalities with explicit constants ---------------------------

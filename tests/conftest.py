@@ -19,6 +19,17 @@ def basis2():
     return sp.build_basis(2)
 
 
+@pytest.fixture(scope="session")
+def basis3():
+    return sp.build_basis(3)
+
+
+@pytest.fixture(scope="session")
+def basis2_even():
+    # even grid: the half spectrum has a Nyquist plane the basis never fills
+    return sp.build_basis(2, grid_size=10)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -61,6 +62,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(write_config(
                 tmp_path, {"experiment": "check", "params": {"zeta": 2}}, "d.json"))
+
+    def test_non_finite_params_rejected(self):
+        for key in ("nu", "level", "chi"):
+            with pytest.raises(ConfigError, match=key):
+                resolve_config({"experiment": "simulate", "params": {key: math.nan}})
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -136,10 +142,24 @@ class TestRegistry:
 
 
 class TestModesAndExitCodes:
-    def test_config_error_exit(self, tmp_path):
+    def test_config_error_exit(self, tmp_path, capsys):
         bad = write_config(tmp_path, {"experiment": "simulate",
                                       "params": {"noise": {"s": 0.2}}})
         assert cli.main(["simulate", "--config", bad]) == cli.EXIT_CONFIG
+        # booleans are not integers; json.dumps writes NaN/Infinity literals
+        cases = [
+            ({"seed": True}, "'seed'"),
+            ({"ensemble": True}, "'ensemble'"),
+            ({"threads": True}, "'threads'"),
+            ({"params": {"kmax": True}}, "'params.kmax'"),
+            ({"params": {"nu": math.nan}}, "'params.nu'"),
+            ({"params": {"level": math.inf}}, "'params.level'"),
+            ({"params": {"noise": {"amplitude": -math.inf}}}, "'params.noise.amplitude'"),
+        ]
+        for i, (fields, name) in enumerate(cases):
+            bad = write_config(tmp_path, {"experiment": "simulate", **fields}, f"b{i}.json")
+            assert cli.main(["simulate", "--config", bad]) == cli.EXIT_CONFIG
+            assert name in capsys.readouterr().err
 
     def test_command_config_mismatch(self, tmp_path):
         cfg_file = write_config(tmp_path, SMALL_SIM)

@@ -26,6 +26,14 @@ class TestSimParams:
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, dt_path=1 / 256)
         assert p.substeps == 4
 
+    def test_non_finite_scalars_rejected(self):
+        for field, value in (("nu", math.nan), ("nu", math.inf), ("level", math.nan),
+                             ("chi", math.nan), ("chi", math.inf)):
+            kw = {"nu": 1.0, "level": 1.0, field: value}
+            with pytest.raises(ValueError, match=field):
+                it.SimParams(**kw)
+        assert it.SimParams(nu=1.0, level=math.inf).level == math.inf
+
     def test_poincare_constant_checked(self):
         p = it.SimParams(nu=1.0, level=1.0, lambda_p=2.0)
         with pytest.raises(ValueError):
@@ -68,6 +76,13 @@ class TestRhs:
                 + sp.inner_H(f, v)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+            # the stepper's B_F is the field API's kernel, bit for bit, on
+            # both sides of the cutoff
+            for level in (p.level, 0.01):
+                q = it.SimParams(nu=p.nu, level=level, noise=NOISY)
+                _, bf, _, fac = it._Stepper(q, basis2, q.dt).drift(v.coeffs, z.coeffs)
+                assert (fac < 1.0) == (level < p.level)
+                assert np.array_equal(bf, cutoff_advection(v + z, level).coeffs)
 
 
 class TestStepAndSolve:
@@ -152,6 +167,16 @@ class TestStepAndSolve:
                          kmax=1, noise=QUIET, instability_factor=10.0)
         path = make_setup(basis1, p)
         with pytest.raises(it.InstabilityError):
+            it.solve_transformed(v0, path, p)
+
+
+    def test_non_finite_initial_field_is_not_an_instability(self, basis1):
+        p = it.SimParams(nu=1.0, level=1.0, dt=1 / 16, t_final=0.25, kmax=1,
+                         noise=QUIET)
+        path = make_setup(basis1, p)
+        v0, _ = single_mode_field(basis1, (1, 0, 0), coeff=complex(math.nan, 0.0))
+        # ValueError, not InstabilityError (a RuntimeError blaming dt)
+        with pytest.raises(ValueError, match="v0"):
             it.solve_transformed(v0, path, p)
 
 

@@ -6,7 +6,12 @@ import pytest
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
-from oracles import norm_h_oracle, norm_l4_oracle, trilinear_oracle
+from oracles import norm_h_oracle, norm_l4_oracle, synth_direct, trilinear_oracle
+
+# single modes on the k3 = 0 plane (stored at both +k and -k in the half
+# spectrum) and with k3 < 0 (stored conjugated at -k)
+PLANE_MODES = ((1, 0, 0), (0, 1, 0), (1, -1, 0), (2, -1, 0), (0, 2, 0))
+FLIPPED_MODES = ((0, 1, -1), (1, 1, -2), (2, -1, -1))
 
 
 class TestBasisConstruction:
@@ -85,22 +90,33 @@ class TestNormsAndParseval:
             u = sp.random_field(basis2, rng, norm=rng.uniform(0.01, 10.0))
             assert sp.norm_H(u) <= sp.norm_V(u) * (1 + 1e-14)
 
-    def test_l4_closed_form_sine_sheet(self, basis1):
+    def test_l4_closed_form_sine_sheet(self, basis1, basis3, basis2_even, rng):
         # u = (sin x2, 0, 0): int sin^4 over the box is (3/8)*2pi per axis,
         # constant in the others, so |u|_L4^4 = 3 pi^3
-        m = basis1.grid_size
-        x = 2 * np.pi * np.arange(m) / m
-        grid = np.zeros((3, m, m, m))
-        grid[0] = np.sin(x)[None, :, None]
-        u = sp.field_from_grid(basis1, grid)
-        assert np.abs(u.grid_values() - grid).max() < 1e-13
-        assert sp.norm_L4(u) ** 4 == pytest.approx(3 * math.pi**3, rel=1e-12)
+        for basis in (basis1, basis3, basis2_even):
+            m = basis.grid_size
+            x = 2 * np.pi * np.arange(m) / m
+            grid = np.zeros((3, m, m, m))
+            grid[0] = np.sin(x)[None, :, None]
+            u = sp.field_from_grid(basis, grid)
+            assert np.abs(u.grid_values() - grid).max() < 1e-13
+            assert sp.norm_L4(u) ** 4 == pytest.approx(3 * math.pi**3, rel=1e-12)
+            # coefficients -> grid -> coefficients
+            w = sp.random_field(basis, rng)
+            again = sp.field_from_grid(basis, w.grid_values())
+            assert np.abs(again.coeffs - w.coeffs).max() < 1e-13
 
-    def test_l4_against_oracle(self, basis2, rng):
-        for _ in range(10):
-            u = sp.random_field(basis2, rng, norm=rng.uniform(0.5, 2.0))
-            assert sp.norm_L4(u) == pytest.approx(norm_l4_oracle(u), rel=1e-12)
-            assert sp.norm_H(u) == pytest.approx(norm_h_oracle(u), rel=1e-12)
+    def test_l4_against_oracle(self, basis2, basis3, basis2_even, rng):
+        for basis in (basis2, basis3, basis2_even):
+            for _ in range(10):
+                u = sp.random_field(basis, rng, norm=rng.uniform(0.5, 2.0))
+                assert sp.norm_L4(u) == pytest.approx(norm_l4_oracle(u), rel=1e-12)
+                assert sp.norm_H(u) == pytest.approx(norm_h_oracle(u), rel=1e-12)
+            for k in PLANE_MODES + FLIPPED_MODES:
+                u, _ = single_mode_field(basis, k, pol=1, coeff=0.8 - 0.6j)
+                g = synth_direct(u, basis.grid_size)
+                assert np.abs(u.grid_values() - g).max() < 1e-14
+                assert sp.norm_L4(u) == pytest.approx(norm_l4_oracle(u), rel=1e-12)
 
 
 class TestTrilinearForm:
@@ -117,12 +133,24 @@ class TestTrilinearForm:
             cap = 1e-12 * sp.norm_V(u) * sp.norm_V(v) * sp.norm_V(w)
             assert abs(sp.trilinear_b(u, v, w) + sp.trilinear_b(u, w, v)) <= cap
 
-    def test_against_quadrature_oracle(self, basis2, rng):
-        for _ in range(20):
-            u, v, w = (sp.random_field(basis2, rng) for _ in range(3))
-            got = sp.trilinear_b(u, v, w)
-            want = trilinear_oracle(u, v, w)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    def test_against_quadrature_oracle(self, basis2, basis3, basis2_even, rng):
+        for basis, cases in ((basis2, 20), (basis3, 5), (basis2_even, 5)):
+            for _ in range(cases):
+                u, v, w = (sp.random_field(basis, rng) for _ in range(3))
+                got = sp.trilinear_b(u, v, w)
+                want = trilinear_oracle(u, v, w)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+            # single-mode triples k + q = p across the k3 = 0 plane
+            for k, pu, q, pv, p in (((1, 0, 0), 1, (0, 1, 0), 1, (1, 1, 0)),
+                                    ((1, -1, 0), 0, (0, 1, -1), 0, (1, 0, -1)),
+                                    ((1, 1, 0), 0, (1, -1, 0), 1, (2, 0, 0)),
+                                    ((1, -1, 0), 1, (1, 0, -1), 0, (2, -1, -1))):
+                u, _ = single_mode_field(basis, k, pol=pu, coeff=1.0 + 0.3j)
+                v, _ = single_mode_field(basis, q, pol=pv, coeff=0.5 - 1.2j)
+                w, _ = single_mode_field(basis, p, pol=0, coeff=-0.4 + 0.8j)
+                want = trilinear_oracle(u, v, w)
+                assert abs(want) > 1e-3
+                assert sp.trilinear_b(u, v, w) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_explicit_two_mode_pair(self, basis1):
         u, _ = single_mode_field(basis1, (1, 0, 0), pol=0, coeff=1.0 + 0.3j)
