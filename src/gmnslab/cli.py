@@ -147,7 +147,7 @@ def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     x2 = _initial_field(basis, cfg.options.get("x2", {"norm": 0.5}), cfg.seed, "x2")
     rep = ex.contraction_experiment(
         params, x1, x2, ensemble=cfg.ensemble, seed=cfg.seed,
-        record_every=cfg.options.get("record_every", 4), threads=cfg.threads,
+        record_every=cfg.options.get("record_every", 4),
         enforce_threshold=cfg.strict,
     )
     csv_path = os.path.join(out, "contraction.csv")
@@ -312,7 +312,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="override the root seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="ensemble worker threads")
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--strict", action="store_true",
                           help="assertions enforced (default)")
@@ -332,8 +331,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = default_config(args.command)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.strict:
             cfg.assertion_mode = "strict"
         if args.exploratory:

@@ -8,11 +8,13 @@ outputs byte-for-byte.  Validation failures carry the offending field name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .experiments import stability_threshold
 from .integrate import SimParams
-from .noise import MIN_REGULARITY
+from .noise import MIN_REGULARITY, PATH_TABLE_CEILING, path_table_bytes
+from .spectral import KMAX_CEILING
 
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
 
@@ -31,6 +33,12 @@ PARAM_DEFAULTS = {
 }
 
 
+# params fields that must be finite numbers ("inf" is also legal for level,
+# null for dt_path)
+_NUMERIC_PARAMS = ("nu", "level", "chi", "lambda_p", "dt", "t_final", "dt_path",
+                   "instability_factor")
+
+
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
@@ -40,7 +48,6 @@ class RunConfig:
     experiment: str
     seed: int = 0
     ensemble: int = 64
-    threads: int = 1
     assertion_mode: str = "strict"
     out: str | None = None
     params: SimParams = None
@@ -55,18 +62,15 @@ class RunConfig:
             "experiment": self.experiment,
             "seed": self.seed,
             "ensemble": self.ensemble,
-            "threads": self.threads,
             "assertion_mode": self.assertion_mode,
             "params": self.params.to_dict(),
             "options": self.options,
         }
 
     def canonical_json(self) -> str:
-        """Deterministic serialization; excludes out/threads, which must not
+        """Deterministic serialization; excludes out, which must not
         influence artifact bytes."""
-        d = self.to_dict()
-        d.pop("threads")
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -77,6 +81,10 @@ def _require(cond: bool, message: str) -> None:
 def _is_int(x) -> bool:
     """An integer that is not a bool (bool subclasses int in Python)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, float) or _is_int(x)
 
 
 class _NonFinite(str):
@@ -97,8 +105,7 @@ def _reject_non_finite(node, where: str = "") -> None:
 def resolve_config(raw: dict) -> RunConfig:
     """Fill defaults, cross-validate, and build the typed configuration."""
     unknown = set(raw) - {
-        "experiment", "seed", "ensemble", "threads", "assertion_mode",
-        "out", "params", "options",
+        "experiment", "seed", "ensemble", "assertion_mode", "out", "params", "options",
     }
     _require(not unknown, f"unknown top-level field(s): {sorted(unknown)}")
     experiment = raw.get("experiment")
@@ -112,9 +119,6 @@ def resolve_config(raw: dict) -> RunConfig:
     ensemble = raw.get("ensemble", 64)
     _require(_is_int(ensemble) and ensemble >= 1,
              f"field 'ensemble' must be a positive integer, got {ensemble!r}")
-    threads = raw.get("threads", 1)
-    _require(_is_int(threads) and threads >= 1,
-             f"field 'threads' must be a positive integer, got {threads!r}")
     mode = raw.get("assertion_mode", "strict")
     _require(mode in ("strict", "exploratory"),
              f"field 'assertion_mode' must be 'strict' or 'exploratory', got {mode!r}")
@@ -134,9 +138,17 @@ def resolve_config(raw: dict) -> RunConfig:
         else:
             pd[key] = value
 
-    _require(_is_int(pd["kmax"]),
-             f"field 'params.kmax' must be an integer, got {pd['kmax']!r}")
+    _require(_is_int(pd["kmax"]) and 1 <= pd["kmax"] <= KMAX_CEILING,
+             f"field 'params.kmax' must be an integer in [1, {KMAX_CEILING}], "
+             f"got {pd['kmax']!r}")
     noise = pd["noise"]
+    for name, value in [(k, pd[k]) for k in _NUMERIC_PARAMS] + [
+            (f"noise.{k}", noise[k]) for k in ("s", "amplitude", "delta")]:
+        ok = _is_number(value) and (-math.inf < value < math.inf
+                                    or (name, value) == ("level", math.inf))
+        _require(ok or (name, value) in (("level", "inf"), ("dt_path", None)),
+                 f"field 'params.{name}' must be a finite number"
+                 + (' or "inf"' if name == "level" else "") + f", got {value!r}")
     if noise["s"] <= MIN_REGULARITY and not noise["allow_rough"]:
         raise ConfigError(
             f"field 'params.noise.s' = {noise['s']} violates the regularity "
@@ -152,8 +164,8 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(isinstance(options, dict), "field 'options' must be an object")
 
     cfg = RunConfig(
-        experiment=experiment, seed=seed, ensemble=ensemble, threads=threads,
-        assertion_mode=mode, out=raw.get("out"), params=params, options=options,
+        experiment=experiment, seed=seed, ensemble=ensemble, assertion_mode=mode,
+        out=raw.get("out"), params=params, options=options,
     )
     _validate_experiment(cfg)
     return cfg
@@ -161,6 +173,15 @@ def resolve_config(raw: dict) -> RunConfig:
 
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
+    if cfg.experiment in ("simulate", "contract", "nse-limit"):
+        # these runs draw their path over [0, t_final]
+        nbytes = path_table_bytes(p.t_final / p.dt_path, p.kmax)
+        _require(
+            nbytes <= PATH_TABLE_CEILING,
+            f"field 'params.t_final' = {p.t_final} needs a path table of "
+            f"{nbytes / 2**30:.3g} GiB at dt_path={p.dt_path}, kmax={p.kmax}, "
+            f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
+        )
     if cfg.experiment in ("contract", "measure") and cfg.strict:
         thr = stability_threshold(p.level, p.lambda_p)
         _require(

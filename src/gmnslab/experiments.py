@@ -12,7 +12,6 @@ and reports pass/fail per assertion plus plot-ready series.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -276,14 +275,10 @@ class ContractionReport:
         }
 
 
-def _member_diff_sq(args):
-    (x1, x2, params, basis, member_seed, record_every) = args
-    spectrum = params.noise
+def _member_diff_sq(x1, x2, params, member_seed, record_every):
     path = nz.make_path(member_seed, params.dt_path, 0.0, params.t_final,
-                        spectrum, basis)
-    trajs = []
-    for x in (x1, x2):
-        trajs.append(it.solve(x, path, params, record_every=record_every))
+                        params.noise, x1.basis)
+    trajs = [it.solve(x, path, params, record_every=record_every) for x in (x1, x2)]
     # u1 - u2 = v1 - v2: the z layer cancels for a shared path
     diff = trajs[0].v_coeffs - trajs[1].v_coeffs
     return (diff.real**2 + diff.imag**2).sum(axis=(1, 2)), trajs[0].record_times
@@ -296,7 +291,6 @@ def contraction_experiment(
     ensemble: int = 64,
     seed: int = 0,
     record_every: int = 4,
-    threads: int = 1,
     enforce_threshold: bool = True,
 ) -> ContractionReport:
     """Coupled two-solution decay along shared paths, against the envelope
@@ -312,17 +306,11 @@ def contraction_experiment(
             f"nu={params.nu} is not above the stability threshold {thr:.6g}; "
             "run in exploratory mode to bypass the assertion variant"
         )
-    basis = x1.basis
     rate = contraction_rate(params.nu, params.level, params.lambda_p)
-    jobs = [
-        (x1, x2, params, basis, derive_key(seed, f"member-{m}"), record_every)
+    results = [
+        _member_diff_sq(x1, x2, params, derive_key(seed, f"member-{m}"), record_every)
         for m in range(ensemble)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_member_diff_sq, jobs))
-    else:
-        results = [_member_diff_sq(j) for j in jobs]
     sq = np.stack([r[0] for r in results])
     times = results[0][1]
     mean_sq = sq.mean(axis=0)

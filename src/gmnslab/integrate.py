@@ -50,8 +50,11 @@ from .spectral import (
     build_basis,
     field_from_bytes,
     field_to_bytes,
+    h2_coeffs,
+    inner_coeffs,
     norm_dual,
     norm_H,
+    v2_coeffs,
 )
 
 
@@ -94,6 +97,8 @@ class SimParams:
             raise ValueError("need dt > 0 and finite t_final >= dt")
         if self.dt_path is None:
             object.__setattr__(self, "dt_path", self.dt)
+        if not (self.dt_path > 0 and math.isfinite(self.dt_path)):
+            raise ValueError(f"dt_path={self.dt_path} is invalid: need finite dt_path > 0")
         m = self.dt / self.dt_path
         if abs(m - round(m)) > 1e-9 or round(m) < 1:
             raise ValueError(
@@ -175,10 +180,6 @@ class TrajectoryState:
     time: float
     v: SpectralField
     ou: OUState
-
-    def velocity(self) -> SpectralField:
-        """u = v + z (the substitution inverted)."""
-        return self.v + self.ou.z
 
 
 @dataclass
@@ -265,7 +266,6 @@ class _Stepper:
     def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float):
         self.params = params
         self.basis = basis
-        self.dt = dt
         lam = basis.eigenvalues.astype(np.float64)[:, None]
         zh = params.nu * lam * dt
         self.E = np.exp(-zh)
@@ -294,19 +294,6 @@ class _Stepper:
         return a + self.hphi2 * (g_a - g_n)
 
 
-def _inner(c1: np.ndarray, c2: np.ndarray) -> float:
-    return float(np.real(c1 * np.conj(c2)).sum())
-
-
-def _h2(c: np.ndarray) -> float:
-    return float((c.real**2 + c.imag**2).sum())
-
-
-def _v2(basis: GalerkinBasis, c: np.ndarray) -> float:
-    lam = basis.eigenvalues.astype(np.float64)[:, None]
-    return float((lam * (c.real**2 + c.imag**2)).sum())
-
-
 # ---- public operations ----------------------------------------------------
 
 
@@ -319,27 +306,6 @@ def rhs_transformed(
     g, _, _, _ = stepper.drift(v.coeffs, z.coeffs)
     lam = basis.eigenvalues.astype(np.float64)[:, None]
     return SpectralField(basis, g - params.nu * lam * v.coeffs)
-
-
-def step(
-    state: TrajectoryState, dt: float, path: WienerPath, params: SimParams
-) -> TrajectoryState:
-    """One ETD2 step; dt must be aligned with the path grid."""
-    basis = state.v.basis
-    stepper = _Stepper(params, basis, dt)
-    cursor = OUCursor.from_state(path, state.ou)
-    g_n, _, _, _ = stepper.drift(state.v.coeffs, state.ou.z.coeffs)
-    z_next = cursor.advance_to(state.time + dt)
-    v_next = stepper.advance(state.v.coeffs, g_n, z_next)
-    ceiling = params.instability_factor * max(1.0, norm_H(state.v))
-    if not np.isfinite(v_next).all() or _h2(v_next) > ceiling**2:
-        raise InstabilityError(
-            f"|v|_H exceeded {ceiling:.3g} during a step of dt={dt}; "
-            "the step size is too large for this configuration"
-        )
-    return TrajectoryState(
-        state.time + dt, SpectralField(basis, v_next), cursor.state()
-    )
 
 
 def solve_transformed(
@@ -366,7 +332,6 @@ def solve_transformed(
 
     stepper = _Stepper(params, basis, params.dt)
     cursor = OUCursor(path, params.chi, params.nu)
-    cursor.advance_to(t0)
 
     led = {
         name: np.empty(n_steps + 1)
@@ -381,7 +346,7 @@ def solve_transformed(
     z_snap = np.empty_like(v_snap)
 
     v = v0.coeffs.copy()
-    z = cursor.field_coeffs()
+    z = cursor.advance_to(t0)
     # non-finite input is a data error, not a step-size blow-up
     for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
         if not np.isfinite(c).all():
@@ -389,23 +354,23 @@ def solve_transformed(
     ceiling = params.instability_factor * max(1.0, norm_H(v0))
     flux_acc = 0.0
     prev_flux = None
-    h2_0 = _h2(v)
+    h2_0 = h2_coeffs(v)
 
     def record_row(k, v, z, bf, l4, fac):
         t_k = t0 + k * params.dt
         led["t"][k] = t_k
-        led["v_H2"][k] = _h2(v)
-        led["v_V2"][k] = _v2(basis, v)
+        led["v_H2"][k] = h2_coeffs(v)
+        led["v_V2"][k] = v2_coeffs(basis, v)
         led["u_L4"][k] = l4
         led["cutoff"][k] = fac
-        led["bn_pairing"][k] = _inner(bf, v)
-        led["f_pairing"][k] = _inner(stepper.f_coeffs, v)
-        led["z_pairing"][k] = _inner(z, v)
-        led["z_H2"][k] = _h2(z)
+        led["bn_pairing"][k] = inner_coeffs(bf, v)
+        led["f_pairing"][k] = inner_coeffs(stepper.f_coeffs, v)
+        led["z_pairing"][k] = inner_coeffs(z, v)
+        led["z_H2"][k] = h2_coeffs(z)
         led["z_L4"][k] = basis.l4_norm(basis.synthesize(z))
         u_c = v + z
-        led["u_H2"][k] = _h2(u_c)
-        led["u_V2"][k] = _v2(basis, u_c)
+        led["u_H2"][k] = h2_coeffs(u_c)
+        led["u_V2"][k] = v2_coeffs(basis, u_c)
         # energy flux 2nu|v|_V^2 + 2<B_F, v> - 2<f, v> - 2chi(z, v)
         return (
             2.0 * params.nu * led["v_V2"][k]
@@ -429,7 +394,7 @@ def solve_transformed(
         z_next = cursor.advance_to(t0 + (k + 1) * params.dt)
         v = stepper.advance(v, g_n, z_next)
         z = z_next
-        if not np.isfinite(v).all() or _h2(v) > ceiling**2:
+        if not np.isfinite(v).all() or h2_coeffs(v) > ceiling**2:
             raise InstabilityError(
                 f"|v|_H exceeded {ceiling:.3g} at t={t0 + (k + 1) * params.dt}; "
                 f"dt={params.dt} is too large for this configuration"

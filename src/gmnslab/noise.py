@@ -37,6 +37,15 @@ from .seeding import labeled_generator
 # gamma-radonifying regularity floor for the noise spectrum (see NoiseSpectrum).
 MIN_REGULARITY = 0.75
 
+# Resource guard: the largest path table (float64 draws) a path may hold.
+PATH_TABLE_CEILING = 2**30
+
+
+def path_table_bytes(steps: float, kmax: int) -> float:
+    """Bytes of the path table: one float64 per grid cell and real basis
+    coordinate, 4 per half-space mode, ((2*kmax+1)^3 - 1) / 2 modes."""
+    return 8 * steps * 2 * ((2 * kmax + 1) ** 3 - 1)
+
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
@@ -104,6 +113,12 @@ class WienerPath:
             raise ValueError("path bounds must be finite")
         if self.dt_path <= 0 or self.steps < 1:
             raise ValueError("need dt_path > 0 and at least one step")
+        nbytes = path_table_bytes(self.steps, self.basis.kmax)
+        if nbytes > PATH_TABLE_CEILING:
+            raise ValueError(
+                f"a path table of {self.steps} steps at kmax={self.basis.kmax} needs "
+                f"{nbytes / 2**30:.3g} GiB, over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB"
+            )
         object.__setattr__(self, "_rows", {})
         object.__setattr__(self, "_table", None)
 
@@ -328,42 +343,27 @@ def ou_initial_state(path: WienerPath, chi: float, nu: float) -> OUState:
 def ou_evolve(state: OUState, path: WienerPath, t_target: float) -> OUState:
     """Advance z to t_target (>= state.time, both on the path grid) using the
     exact per-mode transition; consumes one table column per dt_path cell."""
-    n0 = path.index_of(state.time)
-    n1 = path.index_of(t_target)
-    if n1 < n0:
-        raise ValueError("ou_evolve cannot run backwards in time")
-    if n1 == n0:
-        return replace(state, time=t_target)
-    decay, gain = _ou_step_tables(path, state.chi, state.nu)
-    coords = _field_to_coords(state.z)
-    draws = path.normals(n0, n1 - n0)
-    for row in draws:
-        coords = decay * coords + gain * row
-    return OUState(t_target, _coords_to_field(path.basis, coords), state.chi, state.nu)
+    cursor = OUCursor(path, state.chi, state.nu, state)
+    cursor.advance_to(t_target)
+    return OUState(t_target, cursor.field(), state.chi, state.nu)
 
 
 class OUCursor:
     """Forward-only cursor over the z realization attached to a path.
 
-    Wraps the pure ou_evolve with in-place arithmetic for the solver hot
-    loop; anchored at the path window start by the stationary draw.
+    Holds the exact transition loop (ou_evolve is its pure wrapper);
+    anchored at the path window start by the stationary draw.
     """
 
     def __init__(self, path: WienerPath, chi: float, nu: float,
                  state: OUState | None = None):
         self.path = path
-        self.chi = chi
-        self.nu = nu
         if state is None:
             state = ou_initial_state(path, chi, nu)
         self._coords = _field_to_coords(state.z)
         self._index = path.index_of(state.time)
         self._decay, self._gain = _ou_step_tables(path, chi, nu)
         self._silent = path.spectrum.amplitude == 0.0
-
-    @classmethod
-    def from_state(cls, path: WienerPath, state: OUState) -> "OUCursor":
-        return cls(path, state.chi, state.nu, state)
 
     @property
     def time(self) -> float:
@@ -372,7 +372,7 @@ class OUCursor:
     def advance_to(self, t: float) -> np.ndarray:
         n1 = self.path.index_of(t)
         if n1 < self._index:
-            raise ValueError("OU cursor cannot run backwards")
+            raise ValueError("the OU layer cannot run backwards in time")
         if n1 > self._index:
             if self._silent and not self._coords.any():
                 # zero noise amplitude with zero state: nothing evolves and
@@ -394,9 +394,6 @@ class OUCursor:
 
     def field(self) -> SpectralField:
         return _coords_to_field(self.path.basis, self._coords)
-
-    def state(self) -> OUState:
-        return OUState(self.time, self.field(), self.chi, self.nu)
 
 
 def ou_shift_covariance_pair(

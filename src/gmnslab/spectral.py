@@ -314,23 +314,36 @@ def random_field(
 # ---- norms and inner products -------------------------------------------
 
 
+def h2_coeffs(c: np.ndarray) -> float:
+    """|u|_H^2 = sum |c|^2 of a coefficient array (Parseval)."""
+    return float((c.real**2 + c.imag**2).sum())
+
+
+def v2_coeffs(basis: GalerkinBasis, c: np.ndarray) -> float:
+    """|u|_V^2 = sum |k|^2 |c|^2 of a coefficient array."""
+    lam = basis.eigenvalues.astype(np.float64)
+    return float((lam[:, None] * (c.real**2 + c.imag**2)).sum())
+
+
+def inner_coeffs(c1: np.ndarray, c2: np.ndarray) -> float:
+    """(u, w) = sum Re(c1 * conj(c2)) of two coefficient arrays (Parseval)."""
+    return float(np.real(c1 * np.conj(c2)).sum())
+
+
 def inner_H(u: SpectralField, w: SpectralField) -> float:
     """L2 inner product (u, w) via Parseval."""
     _check_same_basis(u, w)
-    return float(np.real(u.coeffs * np.conj(w.coeffs)).sum())
+    return inner_coeffs(u.coeffs, w.coeffs)
 
 
 def norm_H(u: SpectralField) -> float:
     """|u|_H = sqrt(int |u|^2 dx)."""
-    c = u.coeffs
-    return float(np.sqrt((c.real**2 + c.imag**2).sum()))
+    return float(np.sqrt(h2_coeffs(u.coeffs)))
 
 
 def norm_V(u: SpectralField) -> float:
     """|u|_V = sqrt(int |grad u|^2 dx) = sqrt(sum |k|^2 |c|^2)."""
-    c = u.coeffs
-    lam = u.basis.eigenvalues.astype(np.float64)
-    return float(np.sqrt((lam[:, None] * (c.real**2 + c.imag**2)).sum()))
+    return float(np.sqrt(v2_coeffs(u.basis, u.coeffs)))
 
 
 def norm_dual(u: SpectralField) -> float:

@@ -66,9 +66,7 @@ def test_c04_energy_equality_refinement():
     for dt in dts:
         p = it.SimParams(nu=1.0, level=1.0, chi=1.0, dt=dt, t_final=horizon,
                          kmax=2, noise=spec, dt_path=dts[-1])
-        cur = nz.OUCursor(path, p.chi, p.nu)
-        v0 = sp.SpectralField(basis, x.coeffs - cur.advance_to(0.0))
-        traj = it.solve_transformed(v0, path, p, record_every=1 << 30)
+        traj = it.solve(x, path, p, record_every=1 << 30)
         residuals.append(abs(traj.ledger.residual[-1]))
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     ok = all(3.2 <= r <= 4.8 for r in ratios)
@@ -92,12 +90,7 @@ def test_c05_chi_independence_refinement():
                          noise=spec, dt_path=dt)
         sups.append(it.chi_independence_sup(x, path, 0.0, 1.0, p))
         if dt == dts[-1]:
-            traj = it.solve_transformed(
-                sp.SpectralField(
-                    basis,
-                    x.coeffs - nz.OUCursor(path, 0.0, p.nu).advance_to(0.0),
-                ),
-                path, p, record_every=1 << 30)
+            traj = it.solve(x, path, p, record_every=1 << 30)
             u_scale = math.sqrt(float(traj.ledger.u_H2.max()))
     ratios = [sups[i] / sups[i + 1] for i in range(len(sups) - 1)]
     order = float(np.mean(np.log2(ratios)))

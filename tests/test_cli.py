@@ -155,11 +155,26 @@ class TestModesAndExitCodes:
             ({"params": {"nu": math.nan}}, "'params.nu'"),
             ({"params": {"level": math.inf}}, "'params.level'"),
             ({"params": {"noise": {"amplitude": -math.inf}}}, "'params.noise.amplitude'"),
+            ({"params": {"level": "abc"}}, "'params.level'"),
+            ({"params": {"nu": "1"}}, "'params.nu'"),
+            ({"params": {"dt": "x"}}, "'params.dt'"),
+            ({"params": {"dt_path": 0}}, "dt_path"),
         ]
         for i, (fields, name) in enumerate(cases):
             bad = write_config(tmp_path, {"experiment": "simulate", **fields}, f"b{i}.json")
             assert cli.main(["simulate", "--config", bad]) == cli.EXIT_CONFIG
             assert name in capsys.readouterr().err
+
+    def test_path_table_ceiling_exit(self, tmp_path, capsys):
+        # a 1e9 horizon needs a multi-TiB path table: rejected at config
+        # time, before anything is allocated
+        for name in ("simulate", "contract", "nse-limit"):
+            raw = {"experiment": name, "assertion_mode": "exploratory",
+                   "params": {"t_final": 1e9}}
+            bad = write_config(tmp_path, raw, f"{name}.json")
+            out = str(tmp_path / name)
+            assert cli.main([name, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
+            assert "'params.t_final'" in capsys.readouterr().err
 
     def test_command_config_mismatch(self, tmp_path):
         cfg_file = write_config(tmp_path, SMALL_SIM)
@@ -227,28 +242,6 @@ class TestCheckCommand:
         assert summary["passed"] is True
         assert len(summary["checks"]) == 5
         assert os.path.exists(os.path.join(out, "fuzz_cutoff_lemma.csv"))
-
-
-class TestThreads:
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        raw = {
-            "experiment": "contract",
-            "seed": 5,
-            "ensemble": 6,
-            "assertion_mode": "exploratory",
-            "params": {"nu": 4.0, "level": 1.0, "dt": 1 / 32, "t_final": 0.5,
-                       "kmax": 1, "noise": {"amplitude": 0.5}},
-        }
-        cfg_file = write_config(tmp_path, raw)
-        out1 = str(tmp_path / "t1")
-        out4 = str(tmp_path / "t4")
-        assert cli.main(["contract", "--config", cfg_file, "--out", out1,
-                         "--threads", "1"]) == 0
-        assert cli.main(["contract", "--config", cfg_file, "--out", out4,
-                         "--threads", "4"]) == 0
-        with open(os.path.join(out1, "contraction.csv"), "rb") as fa, \
-             open(os.path.join(out4, "contraction.csv"), "rb") as fb:
-            assert fa.read() == fb.read()
 
 
 class TestExperimentDefaults:

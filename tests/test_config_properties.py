@@ -1,0 +1,103 @@
+"""Property tests of the config boundary: every valid configuration survives
+the round trip through its resolved dictionary, and every bad scalar is
+rejected with a ConfigError that names its field."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmnslab.config import EXPERIMENTS, ConfigError, resolve_config
+from gmnslab.experiments import stability_threshold
+
+SCALARS = ("nu", "level", "chi", "lambda_p", "dt", "t_final", "dt_path",
+           "instability_factor", "noise.s", "noise.amplitude", "noise.delta")
+
+
+@st.composite
+def valid_configs(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    mode = draw(st.sampled_from(("strict", "exploratory")))
+    # strict contract/measure runs demand nu above the stability threshold
+    gated = mode == "strict" and experiment in ("contract", "measure")
+    finite_level = st.floats(0.01, 100.0)
+    level = draw(finite_level if gated
+                 else st.one_of(finite_level, st.just("inf"), st.just(math.inf)))
+    lambda_p = draw(st.floats(0.1, 10.0))
+    if gated:
+        nu = stability_threshold(level, lambda_p) * draw(st.floats(1.01, 10.0))
+    else:
+        nu = draw(st.floats(0.01, 100.0))
+    # exact step ratios: dt = 2^-j, dt_path = dt / m, t_final = n * dt; the
+    # sizes keep the path table under its ceiling at every kmax
+    dt = 2.0 ** -draw(st.integers(3, 10))
+    rough = draw(st.booleans())
+    params = {
+        "nu": nu, "level": level, "lambda_p": lambda_p, "dt": dt,
+        "chi": draw(st.floats(0.0, 10.0)),
+        "t_final": dt * draw(st.integers(1, 1024)),
+        "kmax": draw(st.integers(1, 8)),
+        "instability_factor": draw(st.floats(1.0, 1e9)),
+        "noise": {
+            "s": draw(st.floats(0.3 if rough else 0.76, 3.0)),
+            "amplitude": draw(st.floats(0.0, 10.0)),
+            "delta": draw(st.floats(0.01, 0.29)),
+            "allow_rough": rough,
+        },
+    }
+    if draw(st.booleans()):
+        params["dt_path"] = dt / draw(st.integers(1, 4))
+    min_ensemble = 32 if gated and experiment == "contract" else 1
+    return {
+        "experiment": experiment,
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "ensemble": draw(st.integers(min_ensemble, 10_000)),
+        "assertion_mode": mode,
+        "params": params,
+        "options": draw(st.one_of(st.just({}),
+                                  st.builds(dict, record_every=st.integers(1, 64)))),
+    }
+
+
+def _with_field(raw: dict, name: str, value) -> dict:
+    params = dict(raw["params"], noise=dict(raw["params"]["noise"]))
+    if name.startswith("noise."):
+        params["noise"][name.split(".", 1)[1]] = value
+    else:
+        params[name] = value
+    return dict(raw, params=params)
+
+
+def bad_values(name: str):
+    # level = inf means no cutoff and is legal
+    non_finite = (math.nan, -math.inf) + (() if name == "level" else (math.inf,))
+    bad = [st.sampled_from(non_finite), st.booleans(),
+           st.text(max_size=8).filter(lambda s: s != "inf")]
+    if name in ("nu", "dt_path"):
+        bad += [st.sampled_from((0, 0.0, -0.0)),
+                st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+                st.integers(max_value=0)]
+    return st.one_of(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_configs())
+def test_valid_config_round_trips(raw):
+    cfg = resolve_config(raw)
+    again = resolve_config(cfg.to_dict())
+    assert again == cfg
+    assert again.canonical_json() == cfg.canonical_json()
+
+
+@pytest.mark.parametrize("name", SCALARS)
+@settings(max_examples=40, deadline=None)
+@given(raw=valid_configs(), data=st.data())
+def test_bad_scalar_rejected_naming_field(name, raw, data):
+    value = data.draw(bad_values(name), label=name)
+    with pytest.raises(ConfigError) as err:
+        resolve_config(_with_field(raw, name, value))
+    message = str(err.value)
+    # type and finiteness errors name the dotted field; the sign checks of
+    # SimParams name the parameter as name=value
+    assert f"'params.{name}'" in message or f"{name}=" in message, message

@@ -123,9 +123,7 @@ class TestStepAndSolve:
         for dt in dts:
             p = it.SimParams(nu=1.0, level=1.0, chi=1.0, dt=dt, t_final=2.0,
                              noise=NOISY, dt_path=dts[-1])
-            cur = nz.OUCursor(path, p.chi, p.nu)
-            v0 = sp.SpectralField(basis2, x.coeffs - cur.advance_to(0.0))
-            traj = it.solve_transformed(v0, path, p, record_every=1 << 20)
+            traj = it.solve(x, path, p, record_every=1 << 20)
             res.append(abs(traj.ledger.residual[-1]))
         ratios = [res[i] / res[i + 1] for i in range(len(res) - 1)]
         assert all(3.2 <= r <= 4.8 for r in ratios), ratios
@@ -146,19 +144,6 @@ class TestStepAndSolve:
         x = sp.random_field(basis2, rng, norm=2.0)
         traj = it.solve_transformed(x, path, p)
         assert np.all(np.diff(traj.ledger.v_H2) < 0.0)
-
-    def test_single_step_matches_solver(self, basis2, rng):
-        p = it.SimParams(nu=1.0, level=1.0, chi=1.0, dt=1 / 64, t_final=1 / 64,
-                         noise=NOISY)
-        path = make_setup(basis2, p)
-        cur = nz.OUCursor(path, p.chi, p.nu)
-        z0 = cur.advance_to(0.0)
-        x = sp.random_field(basis2, rng)
-        v0 = sp.SpectralField(basis2, x.coeffs - z0)
-        state = it.TrajectoryState(0.0, v0, nz.OUState(0.0, sp.SpectralField(basis2, z0), p.chi, p.nu))
-        stepped = it.step(state, p.dt, path, p)
-        traj = it.solve_transformed(v0, path, p)
-        assert np.array_equal(stepped.v.coeffs, traj.v_coeffs[-1])
 
     def test_instability_guard_trips(self, basis1):
         v0, _ = single_mode_field(basis1, (1, 0, 0), coeff=1e-3 + 0j)
@@ -194,10 +179,7 @@ class TestDossSussman:
                          noise=NOISY)
         path = make_setup(basis2, p)
         x = sp.random_field(basis2, rng)
-        cur = nz.OUCursor(path, p.chi, p.nu)
-        z0 = cur.advance_to(0.0)
-        v0 = sp.SpectralField(basis2, x.coeffs - z0)
-        traj = it.solve_transformed(v0, path, p)
+        traj = it.solve(x, path, p)
         u0 = traj.u_field(0)
         assert np.abs(u0.coeffs - x.coeffs).max() < 1e-15
 
@@ -335,11 +317,9 @@ class TestCheckpoint:
                          noise=NOISY)
         path = make_setup(basis2, p, seed=41)
         x = sp.random_field(basis2, rng)
-        cur = nz.OUCursor(path, p.chi, p.nu)
-        v0 = sp.SpectralField(basis2, x.coeffs - cur.advance_to(0.0))
-        full = it.solve_transformed(v0, path, p, record_every=16)
+        full = it.solve(x, path, p, record_every=16)
 
-        half = it.solve_transformed(v0, path, p, t_final=0.5, record_every=16)
+        half = it.solve(x, path, p, t_final=0.5, record_every=16)
         blob = it.checkpoint_dump(half.final_state(), path, p)
         state, path2, p2 = it.checkpoint_load(blob)
         resumed = it.resume(state, path2, p2, t_final=1.0)

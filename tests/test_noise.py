@@ -59,6 +59,17 @@ class TestWienerPath:
         with pytest.raises(ValueError):
             nz.make_path(1, 1 / 64, 0.0, math.inf, spectrum, basis1)
 
+    def test_table_size_ceiling(self, basis1, spectrum):
+        # checked when the path is built, before any draw materializes
+        with pytest.raises(ValueError, match="ceiling"):
+            nz.make_path(0, 1 / 256, 0.0, 1e9, spectrum, basis1)
+        row_bytes = 8 * 4 * basis1.n_half_modes
+        assert nz.path_table_bytes(1, basis1.kmax) == row_bytes
+        steps = nz.PATH_TABLE_CEILING // row_bytes
+        assert nz.make_path(0, 1.0, 0.0, steps, spectrum, basis1).steps == steps
+        with pytest.raises(ValueError, match="ceiling"):
+            nz.make_path(0, 1.0, 0.0, steps + 1, spectrum, basis1)
+
     def test_two_sided_window(self, basis1, spectrum):
         p = nz.make_path(1, 1 / 32, -4.0, 2.0, spectrum, basis1)
         assert p.t_min == -4.0 and p.t_max == 2.0
