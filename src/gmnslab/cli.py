@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -163,9 +162,7 @@ def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
 def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     params = cfg.params
     basis = params.basis()
-    rate = params.nu * params.lambda_p
-    default_times = [m / rate for m in (1, 2, 4, 8, 16, 32)]
-    times = cfg.options.get("pullback_times", default_times)
+    times = cfg.option("pullback_times")
     fam_spec = cfg.options.get(
         "families", {"small": {"norm": 1.0}, "large": {"norm": 100.0}}
     )
@@ -191,13 +188,11 @@ def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
 
 
 def _run_nse_limit(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
-    params = replace(cfg.params, chi=0.0,
-                     noise=replace(cfg.params.noise, amplitude=0.0))
-    basis = params.basis()
+    basis = cfg.params.basis()
     x = _initial_field(basis, cfg.options.get("initial", {"norm": 2.0}),
                        cfg.seed, "nse-ic")
     rep = ex.nse_limit_experiment(
-        x, params, multipliers=tuple(cfg.options.get(
+        x, cfg.params, multipliers=tuple(cfg.options.get(
             "multipliers", (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)))
     )
     csv_path = os.path.join(out, "nse_limit.csv")
@@ -212,9 +207,7 @@ def _run_nse_limit(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
 def _run_measure(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     params = cfg.params
     basis = params.basis()
-    rate = params.nu * params.lambda_p
-    burn_in = cfg.options.get("burn_in", 5.0 / rate)
-    horizon = cfg.options.get("horizon", 200.0 / rate)
+    burn_in, horizon = cfg.option("burn_in"), cfg.option("horizon")
     ic_spec = cfg.options.get(
         "initial_set", {"zero": {"kind": "zero"}, "big": {"norm": 10.0}}
     )

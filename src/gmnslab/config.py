@@ -57,6 +57,15 @@ class RunConfig:
     def strict(self) -> bool:
         return self.assertion_mode == "strict"
 
+    def option(self, name: str):
+        """options[name] for the horizon options whose defaults scale with
+        the relaxation time 1/(nu*lambda_p); the runners and the config-time
+        path-table bound both read them here."""
+        rate = self.params.nu * self.params.lambda_p
+        defaults = {"pullback_times": [m / rate for m in (1, 2, 4, 8, 16, 32)],
+                    "burn_in": 5.0 / rate, "horizon": 200.0 / rate}
+        return self.options.get(name, defaults[name])
+
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
@@ -123,15 +132,18 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(mode in ("strict", "exploratory"),
              f"field 'assertion_mode' must be 'strict' or 'exploratory', got {mode!r}")
 
+    raw_params = raw.get("params", {})
+    _require(isinstance(raw_params, dict), "field 'params' must be an object")
     pd = dict(PARAM_DEFAULTS)
     pd["noise"] = dict(PARAM_DEFAULTS["noise"])
-    if experiment in ("contract", "measure") and "nu" not in raw.get("params", {}):
+    if experiment in ("contract", "measure") and "nu" not in raw_params:
         # default viscosity above the stability threshold of the default
         # cutoff level, so the strict variants of these experiments run
         pd["nu"] = 4.0
-    for key, value in raw.get("params", {}).items():
+    for key, value in raw_params.items():
         _require(key in pd, f"unknown field 'params.{key}'")
         if key == "noise":
+            _require(isinstance(value, dict), "field 'params.noise' must be an object")
             for nk, nv in value.items():
                 _require(nk in pd["noise"], f"unknown field 'params.noise.{nk}'")
                 pd["noise"][nk] = nv
@@ -149,6 +161,10 @@ def resolve_config(raw: dict) -> RunConfig:
         _require(ok or (name, value) in (("level", "inf"), ("dt_path", None)),
                  f"field 'params.{name}' must be a finite number"
                  + (' or "inf"' if name == "level" else "") + f", got {value!r}")
+    # the smallest Stokes eigenvalue is |k|^2 = 1 at k = (0, 0, 1) for every kmax
+    _require(pd["lambda_p"] == 1.0,
+             "field 'params.lambda_p' must equal the Poincare constant 1.0 of the "
+             f"basis, got {pd['lambda_p']!r}")
     if noise["s"] <= MIN_REGULARITY and not noise["allow_rough"]:
         raise ConfigError(
             f"field 'params.noise.s' = {noise['s']} violates the regularity "
@@ -171,14 +187,38 @@ def resolve_config(raw: dict) -> RunConfig:
     return cfg
 
 
+def _path_span(cfg: RunConfig) -> tuple[str, float]:
+    """The time span of the path table a run draws, and the field(s) that
+    set it; the horizon options are validated on the way."""
+    p = cfg.params
+    if cfg.experiment == "pullback":
+        times = cfg.option("pullback_times")
+        _require(isinstance(times, list) and times
+                 and all(_is_number(t) and 0 < t < math.inf for t in times),
+                 "field 'options.pullback_times' must be a non-empty list of finite "
+                 f"numbers > 0, got {times!r}")
+        # one path over [-max(times), dt]
+        return "field 'options.pullback_times'", max(times) + p.dt
+    if cfg.experiment == "measure":
+        burn_in, horizon = cfg.option("burn_in"), cfg.option("horizon")
+        _require(_is_number(burn_in) and 0 <= burn_in < math.inf,
+                 f"field 'options.burn_in' must be a finite number >= 0, got {burn_in!r}")
+        _require(_is_number(horizon) and 0 < horizon < math.inf,
+                 f"field 'options.horizon' must be a finite number > 0, got {horizon!r}")
+        # one path per initial state over [0, burn_in + horizon]
+        return "fields 'options.burn_in' + 'options.horizon'", burn_in + horizon
+    # the remaining runs draw their paths over [0, t_final]
+    return "field 'params.t_final'", p.t_final
+
+
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
-    if cfg.experiment in ("simulate", "contract", "nse-limit"):
-        # these runs draw their path over [0, t_final]
-        nbytes = path_table_bytes(p.t_final / p.dt_path, p.kmax)
+    if cfg.experiment != "check":
+        name, span = _path_span(cfg)
+        nbytes = path_table_bytes(span / p.dt_path, p.kmax)
         _require(
             nbytes <= PATH_TABLE_CEILING,
-            f"field 'params.t_final' = {p.t_final} needs a path table of "
+            f"{name} = {span} needs a path table of "
             f"{nbytes / 2**30:.3g} GiB at dt_path={p.dt_path}, kmax={p.kmax}, "
             f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
         )

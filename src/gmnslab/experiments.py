@@ -166,22 +166,18 @@ def check_ou_stationarity(
     E|z|_H^2 against the closed-form mode sum, and monotonicity in chi."""
     basis = sp.build_basis(1)
     spectrum = nz.NoiseSpectrum()
-    # decorrelated sampling: one exact transition per sample at lag 2.5/mu
+    # decorrelated sampling: the solver's own transition, one path cell of
+    # lag 2.5/mu per sample, read at the cos coordinate of the first
+    # polarization of the first half-space mode (0,0,1), where |k|^2 = 1
     mu = nu * 1.0 + chi
     lag = 2.5 / mu
     path = nz.make_path(seed, lag, 0.0, (n_samples + 1) * lag, spectrum, basis)
-    alpha = 0  # first coordinate of the first half-space mode (0,0,1), |k|^2 = 1
-    draws = path.normals_row(alpha, 0, n_samples)
-    a = math.exp(-mu * lag)
-    gain = math.sqrt((1.0 - a * a) / (2.0 * mu))
-    series = np.empty(n_samples)
-    zval = 0.0
-    for i in range(n_samples):
-        zval = a * zval + gain * draws[i]
-        series[i] = zval
+    cursor = nz.OUCursor(path, chi, nu)
+    series = np.array([cursor.advance_to(i * lag)[0, 0].real
+                       for i in range(1, n_samples + 1)])
     var_emp = float(series.var())
     var_true = 1.0 / (2.0 * mu)
-    rho = a
+    rho = math.exp(-mu * lag)
     # variance-estimator stderr for a Gaussian AR(1) sequence
     se = var_true * math.sqrt(2.0 * (1.0 + rho * rho) / (1.0 - rho * rho) / n_samples)
     ok_var = abs(var_emp - var_true) <= 5.0 * se
@@ -378,8 +374,7 @@ def pullback_absorption(
     tms = sorted(pullback_times)
     basis = next(iter(x_family.values())).basis
     t_far = max(tms)
-    n_steps_far = int(round(t_far / params.dt))
-    if abs(n_steps_far * params.dt - t_far) > 1e-9:
+    if abs(round(t_far / params.dt) * params.dt - t_far) > 1e-9:
         raise ValueError("pullback times must be multiples of dt")
     path = nz.make_path(seed, params.dt_path, -t_far, params.dt, params.noise, basis)
     rate = params.nu * params.lambda_p
@@ -394,28 +389,14 @@ def pullback_absorption(
             margins.append(it.pullback_inequality_margin(params, traj.ledger))
 
     # absorbing bound kappa11 + kappa12 from the discrete analogues of the
-    # radius functionals on the far window
-    cursor = nz.OUCursor(path, params.chi, params.nu)
-    z_h2, z_l4 = [], []
-    grid = np.arange(-n_steps_far, 1) * params.dt
-    for t in grid:
-        zc = cursor.advance_to(float(t))
-        zf = sp.SpectralField(basis, zc)
-        z_h2.append(sp.norm_H(zf) ** 2)
-        z_l4.append(sp.norm_L4(zf) ** 2)
-    z_h2 = np.array(z_h2)
-    z_l4 = np.array(z_l4)
-    w = np.exp(rate * grid)
-    nu, lam, chi = params.nu, params.lambda_p, params.chi
-    dens = (
-        (2.0 / nu) * params.level**2 * z_l4
-        + (4.0 * chi**2 / (nu * lam)) * z_h2
-        + (4.0 / nu) * params.forcing_dual_norm() ** 2
+    # radius functionals on the far window (the last solve ran over it)
+    led = traj.ledger
+    w = np.exp(rate * led.t)
+    dens = it.dissipation_forcing_density(params, led)
+    kappa11_sq = 2.0 + 2.0 * float((led.z_H2 * w).max()) + float(
+        np.trapezoid(dens * w, led.t)
     )
-    kappa11_sq = 2.0 + 2.0 * float((z_h2 * w).max()) + float(
-        np.trapezoid(dens * w, grid)
-    )
-    kappa12 = math.sqrt(z_h2[-1])
+    kappa12 = math.sqrt(led.z_H2[-1])
     bound = math.sqrt(kappa11_sq) + kappa12
 
     names = list(x_family)
@@ -469,13 +450,18 @@ class NseLimitReport:
         }
 
 
+def _solve_noise_free(x: sp.SpectralField, params: it.SimParams,
+                      level: float) -> it.Trajectory:
+    """Deterministic run at cutoff `level`: noise and damping shift off."""
+    p = replace(params, level=level, chi=0.0,
+                noise=replace(params.noise, amplitude=0.0))
+    path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
+    return it.solve_transformed(x, path, p, record_every=1)
+
+
 def solve_nse(x: sp.SpectralField, params: it.SimParams) -> it.Trajectory:
     """Unmodified truncated Navier-Stokes run: cutoff disabled, noise off."""
-    p = replace(params, level=math.inf, chi=0.0,
-                noise=replace(params.noise, amplitude=0.0))
-    basis = x.basis
-    path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, basis)
-    return it.solve_transformed(x, path, p, record_every=1)
+    return _solve_noise_free(x, params, math.inf)
 
 
 def nse_limit_experiment(
@@ -500,10 +486,7 @@ def nse_limit_experiment(
 
     i_ns, bounds, ints, ints_p, errs = [], [], [], [], []
     for level in levels:
-        p = replace(params, level=level, chi=0.0,
-                    noise=replace(params.noise, amplitude=0.0))
-        path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
-        traj = it.solve_transformed(x, path, p, record_every=1)
+        traj = _solve_noise_free(x, params, level)
         led = traj.ledger
         i_n = params.dt * float((led.u_L4 >= level).sum())
         i_ns.append(i_n)

@@ -30,9 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .seeding import derive_key, philox
+from .seeding import derive_key, labeled_generator, philox
 from .spectral import GalerkinBasis, SpectralField
-from .seeding import labeled_generator
 
 # gamma-radonifying regularity floor for the noise spectrum (see NoiseSpectrum).
 MIN_REGULARITY = 0.75
@@ -82,22 +81,20 @@ class NoiseSpectrum:
         lam = basis.eigenvalues.astype(np.float64)
         return self.amplitude * lam ** (-self.s)
 
-    def coordinate_amplitudes(self, basis: GalerkinBasis) -> np.ndarray:
-        """sigma per real coordinate (mode, polarization, cos/sin) in the
-        flat layout used by the path table, shape (4 * n_half_modes,)."""
-        return np.repeat(self.mode_amplitudes(basis), 4)
-
 
 @dataclass(frozen=True)
 class WienerPath:
     """Seeded two-sided increment table on a uniform grid.
 
     The table holds standard normal draws xi[n, alpha] for grid cells
-    [t(n), t(n) + dt_path), one column per real basis coordinate.  Rows are
-    generated lazily, one keyed Philox stream per coordinate, so parallel
-    materialization and partial access are reproducible.  `offset` implements
-    the time-shift map: draw(n) of a shifted path reads the parent table at
-    n + offset, and the valid time window moves accordingly.
+    [t(n), t(n) + dt_path), one column per real basis coordinate.  It is
+    built once, on first access, column by column: column alpha is drawn
+    from its own keyed Philox stream, so each draw depends only on (seed,
+    alpha, n).  The coordinate order (mode, polarization, cos/sin) is the
+    float64 memory of a C-contiguous complex (n_half_modes, 2) coefficient
+    array, so a row is a field's coefficients viewed as reals.  `offset`
+    implements the time-shift map: draw(n) of a shifted path reads the
+    parent table at n + offset, and the valid time window moves accordingly.
     """
 
     seed: int
@@ -119,7 +116,6 @@ class WienerPath:
                 f"a path table of {self.steps} steps at kmax={self.basis.kmax} needs "
                 f"{nbytes / 2**30:.3g} GiB, over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB"
             )
-        object.__setattr__(self, "_rows", {})
         object.__setattr__(self, "_table", None)
 
     # ---- window bookkeeping -------------------------------------------
@@ -154,28 +150,12 @@ class WienerPath:
 
     # ---- draws ----------------------------------------------------------
 
-    def _row(self, alpha: int) -> np.ndarray:
-        rows = self._rows
-        row = rows.get(alpha)
-        if row is None:
-            gen = philox(derive_key(self.seed, "wiener-table"), alpha)
-            row = gen.standard_normal(self.steps)
-            row.setflags(write=False)
-            rows[alpha] = row
-        return row
-
     def normals(self, n_start: int, count: int) -> np.ndarray:
         """Standard normal draws for grid cells n_start .. n_start+count-1,
         shape (count, n_coordinates)."""
         j0 = self._table_index(n_start)
         self._table_index(n_start + count - 1)
         return self._full_table()[j0 : j0 + count]
-
-    def normals_row(self, alpha: int, n_start: int, count: int) -> np.ndarray:
-        """Draws of a single coordinate (cheap: only that row materializes)."""
-        j0 = self._table_index(n_start)
-        self._table_index(n_start + count - 1)
-        return self._row(alpha)[j0 : j0 + count]
 
     def increments(self, n_start: int, count: int) -> np.ndarray:
         """Wiener increments (normal draws scaled by sqrt(dt_path))."""
@@ -184,8 +164,9 @@ class WienerPath:
     def _full_table(self) -> np.ndarray:
         if self._table is None:
             table = np.empty((self.steps, self.n_coordinates))
+            key = derive_key(self.seed, "wiener-table")
             for alpha in range(self.n_coordinates):
-                table[:, alpha] = self._row(alpha)
+                table[:, alpha] = philox(key, alpha).standard_normal(self.steps)
             table.setflags(write=False)
             object.__setattr__(self, "_table", table)
         return self._table
@@ -280,40 +261,23 @@ class OUState:
             raise ValueError("need chi >= 0 and nu > 0")
 
 
-def _ou_step_tables(path: WienerPath, chi: float, nu: float):
-    """Per-coordinate decay and noise-gain vectors for one dt_path step."""
-    lam = path.basis.eigenvalues.astype(np.float64)
-    mu = np.repeat(nu * lam + chi, 4)
-    sigma = path.spectrum.coordinate_amplitudes(path.basis)
-    decay = np.exp(-mu * path.dt_path)
-    gain = sigma * np.sqrt(-np.expm1(-2.0 * mu * path.dt_path) / (2.0 * mu))
-    return decay, gain
+def _ou_rates(spectrum: NoiseSpectrum, chi: float, nu: float, basis: GalerkinBasis):
+    """Per-coordinate damping mu = nu*|k|^2 + chi and noise amplitude sigma,
+    in the path table's flat layout, shape (4 * n_half_modes,) each."""
+    lam = basis.eigenvalues.astype(np.float64)
+    return np.repeat(nu * lam + chi, 4), np.repeat(spectrum.mode_amplitudes(basis), 4)
 
 
 def stationary_std(spectrum: NoiseSpectrum, chi: float, nu: float, basis: GalerkinBasis):
     """Per-coordinate stationary standard deviation sigma / sqrt(2*mu)."""
-    lam = basis.eigenvalues.astype(np.float64)
-    mu = np.repeat(nu * lam + chi, 4)
-    return spectrum.coordinate_amplitudes(basis) / np.sqrt(2.0 * mu)
+    mu, sigma = _ou_rates(spectrum, chi, nu, basis)
+    return sigma / np.sqrt(2.0 * mu)
 
 
 def stationary_mean_H2(spectrum: NoiseSpectrum, chi: float, nu: float, basis: GalerkinBasis) -> float:
     """Closed-form E|z|_H^2 = sum over (modes, polarizations) of
     sigma_k^2 / (2 (nu |k|^2 + chi)); the sum runs over the full lattice."""
     return float((stationary_std(spectrum, chi, nu, basis) ** 2).sum())
-
-
-def _coords_to_field(basis: GalerkinBasis, coords: np.ndarray) -> SpectralField:
-    quad = coords.reshape(basis.n_half_modes, 2, 2)
-    return SpectralField(basis, quad[:, :, 0] + 1j * quad[:, :, 1])
-
-
-def _field_to_coords(z: SpectralField) -> np.ndarray:
-    c = z.coeffs
-    quad = np.empty((c.shape[0], 2, 2))
-    quad[:, :, 0] = c.real
-    quad[:, :, 1] = c.imag
-    return quad.reshape(-1)
 
 
 def ou_stationary_sample(
@@ -325,7 +289,11 @@ def ou_stationary_sample(
 ) -> SpectralField:
     """Draw z from its stationary law (per-mode variance sigma^2/(2*mu))."""
     std = stationary_std(spectrum, chi, nu, basis)
-    return _coords_to_field(basis, std * rng.standard_normal(std.shape))
+    # + 0.0 turns the -0.0 of a zero amplitude times a negative draw into
+    # +0.0, so a zero-noise z is +0.0 in every coordinate and its bytes do
+    # not depend on the signs of the draws
+    coords = std * rng.standard_normal(std.shape) + 0.0
+    return SpectralField(basis, coords.view(np.complex128).reshape(-1, 2))
 
 
 def ou_initial_state(path: WienerPath, chi: float, nu: float) -> OUState:
@@ -342,17 +310,18 @@ def ou_initial_state(path: WienerPath, chi: float, nu: float) -> OUState:
 
 def ou_evolve(state: OUState, path: WienerPath, t_target: float) -> OUState:
     """Advance z to t_target (>= state.time, both on the path grid) using the
-    exact per-mode transition; consumes one table column per dt_path cell."""
-    cursor = OUCursor(path, state.chi, state.nu, state)
-    cursor.advance_to(t_target)
-    return OUState(t_target, cursor.field(), state.chi, state.nu)
+    exact per-mode transition; consumes one table row per dt_path cell."""
+    z = OUCursor(path, state.chi, state.nu, state).advance_to(t_target)
+    return OUState(t_target, SpectralField(path.basis, z), state.chi, state.nu)
 
 
 class OUCursor:
     """Forward-only cursor over the z realization attached to a path.
 
     Holds the exact transition loop (ou_evolve is its pure wrapper);
-    anchored at the path window start by the stationary draw.
+    anchored at the path window start by the stationary draw.  The state is
+    kept as the real coordinates of the table layout, so a row of draws
+    updates it directly.
     """
 
     def __init__(self, path: WienerPath, chi: float, nu: float,
@@ -360,9 +329,12 @@ class OUCursor:
         self.path = path
         if state is None:
             state = ou_initial_state(path, chi, nu)
-        self._coords = _field_to_coords(state.z)
+        self._coords = np.ascontiguousarray(state.z.coeffs).view(np.float64).reshape(-1)
         self._index = path.index_of(state.time)
-        self._decay, self._gain = _ou_step_tables(path, chi, nu)
+        mu, sigma = _ou_rates(path.spectrum, chi, nu, path.basis)
+        h = path.dt_path
+        self._decay = np.exp(-mu * h)
+        self._gain = sigma * np.sqrt(-np.expm1(-2.0 * mu * h) / (2.0 * mu))
         self._silent = path.spectrum.amplitude == 0.0
 
     @property
@@ -370,6 +342,7 @@ class OUCursor:
         return self.path.t_origin + self._index * self.path.dt_path
 
     def advance_to(self, t: float) -> np.ndarray:
+        """z at time t as a read-only complex (n_half_modes, 2) view."""
         n1 = self.path.index_of(t)
         if n1 < self._index:
             raise ValueError("the OU layer cannot run backwards in time")
@@ -386,14 +359,9 @@ class OUCursor:
                     coords = decay * coords + gain * row
                 self._coords = coords
                 self._index = n1
-        return self.field_coeffs()
-
-    def field_coeffs(self) -> np.ndarray:
-        quad = self._coords.reshape(-1, 2, 2)
-        return quad[:, :, 0] + 1j * quad[:, :, 1]
-
-    def field(self) -> SpectralField:
-        return _coords_to_field(self.path.basis, self._coords)
+        z = self._coords.view(np.complex128).reshape(-1, 2)
+        z.setflags(write=False)
+        return z
 
 
 def ou_shift_covariance_pair(

@@ -413,11 +413,8 @@ _HEADER = struct.Struct("<BII")
 def field_to_bytes(u: SpectralField) -> bytes:
     """Versioned flat binary record: header byte, kmax, coefficient count,
     then little-endian float64 (re, im) pairs in basis order."""
-    c = np.ascontiguousarray(u.coeffs)
-    payload = np.empty((c.shape[0], 2, 2), dtype="<f8")
-    payload[:, :, 0] = c.real
-    payload[:, :, 1] = c.imag
-    return _HEADER.pack(_FORMAT_VERSION, u.basis.kmax, c.shape[0] * 2) + payload.tobytes()
+    payload = np.ascontiguousarray(u.coeffs, dtype="<c16")
+    return _HEADER.pack(_FORMAT_VERSION, u.basis.kmax, payload.size) + payload.tobytes()
 
 
 def field_from_bytes(data: bytes, basis: GalerkinBasis | None = None) -> SpectralField:
@@ -430,6 +427,5 @@ def field_from_bytes(data: bytes, basis: GalerkinBasis | None = None) -> Spectra
         raise ValueError(f"field was serialized on kmax={kmax}, basis has {basis.kmax}")
     if npairs != basis.n_coeffs:
         raise ValueError("coefficient count does not match the basis")
-    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    pairs = flat.reshape(basis.n_half_modes, 2, 2)
-    return SpectralField(basis, pairs[:, :, 0] + 1j * pairs[:, :, 1])
+    coeffs = np.frombuffer(data, dtype="<c16", offset=_HEADER.size)
+    return SpectralField(basis, coeffs.reshape(basis.n_half_modes, 2))

@@ -159,22 +159,38 @@ class TestModesAndExitCodes:
             ({"params": {"nu": "1"}}, "'params.nu'"),
             ({"params": {"dt": "x"}}, "'params.dt'"),
             ({"params": {"dt_path": 0}}, "dt_path"),
+            ({"params": []}, "'params'"),
+            ({"params": {"noise": []}}, "'params.noise'"),
+            ({"params": {"lambda_p": -1}}, "'params.lambda_p'"),
+            ({"params": {"lambda_p": 2.0}}, "'params.lambda_p'"),
+            ({"experiment": "pullback", "options": {"pullback_times": ["1"]}},
+             "'options.pullback_times'"),
+            ({"experiment": "pullback", "options": {"pullback_times": 4.0}},
+             "'options.pullback_times'"),
+            ({"experiment": "measure", "options": {"burn_in": True}}, "'options.burn_in'"),
+            ({"experiment": "measure", "options": {"horizon": "x"}}, "'options.horizon'"),
         ]
         for i, (fields, name) in enumerate(cases):
-            bad = write_config(tmp_path, {"experiment": "simulate", **fields}, f"b{i}.json")
-            assert cli.main(["simulate", "--config", bad]) == cli.EXIT_CONFIG
+            raw = {"experiment": "simulate", **fields}
+            bad = write_config(tmp_path, raw, f"b{i}.json")
+            assert cli.main([raw["experiment"], "--config", bad]) == cli.EXIT_CONFIG
             assert name in capsys.readouterr().err
 
     def test_path_table_ceiling_exit(self, tmp_path, capsys):
         # a 1e9 horizon needs a multi-TiB path table: rejected at config
         # time, before anything is allocated
-        for name in ("simulate", "contract", "nse-limit"):
-            raw = {"experiment": name, "assertion_mode": "exploratory",
-                   "params": {"t_final": 1e9}}
+        cases = [(name, {"params": {"t_final": 1e9}}, "'params.t_final'")
+                 for name in ("simulate", "contract", "nse-limit")] + [
+            ("pullback", {"options": {"pullback_times": [1.0, 1e9]}},
+             "'options.pullback_times'"),
+            ("measure", {"options": {"horizon": 1e9}}, "'options.horizon'"),
+        ]
+        for name, fields, field in cases:
+            raw = {"experiment": name, "assertion_mode": "exploratory", **fields}
             bad = write_config(tmp_path, raw, f"{name}.json")
             out = str(tmp_path / name)
             assert cli.main([name, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
-            assert "'params.t_final'" in capsys.readouterr().err
+            assert field in capsys.readouterr().err
 
     def test_command_config_mismatch(self, tmp_path):
         cfg_file = write_config(tmp_path, SMALL_SIM)

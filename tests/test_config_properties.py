@@ -24,7 +24,8 @@ def valid_configs(draw):
     finite_level = st.floats(0.01, 100.0)
     level = draw(finite_level if gated
                  else st.one_of(finite_level, st.just("inf"), st.just(math.inf)))
-    lambda_p = draw(st.floats(0.1, 10.0))
+    # the Poincare constant of the basis is 1 at every kmax
+    lambda_p = 1.0
     if gated:
         nu = stability_threshold(level, lambda_p) * draw(st.floats(1.01, 10.0))
     else:
@@ -49,14 +50,23 @@ def valid_configs(draw):
     if draw(st.booleans()):
         params["dt_path"] = dt / draw(st.integers(1, 4))
     min_ensemble = 32 if gated and experiment == "contract" else 1
+    options = draw(st.one_of(st.just({}),
+                             st.builds(dict, record_every=st.integers(1, 64))))
+    # the default pullback and measure horizons scale with 1/nu and can
+    # exceed the path-table ceiling; these keep it like t_final does
+    if experiment == "pullback":
+        options["pullback_times"] = [dt * n for n in
+                                     draw(st.lists(st.integers(1, 1024), min_size=1))]
+    if experiment == "measure":
+        options["burn_in"] = dt * draw(st.integers(0, 512))
+        options["horizon"] = dt * draw(st.integers(1, 512))
     return {
         "experiment": experiment,
         "seed": draw(st.integers(0, 2**64 - 1)),
         "ensemble": draw(st.integers(min_ensemble, 10_000)),
         "assertion_mode": mode,
         "params": params,
-        "options": draw(st.one_of(st.just({}),
-                                  st.builds(dict, record_every=st.integers(1, 64)))),
+        "options": options,
     }
 
 
@@ -74,6 +84,8 @@ def bad_values(name: str):
     non_finite = (math.nan, -math.inf) + (() if name == "level" else (math.inf,))
     bad = [st.sampled_from(non_finite), st.booleans(),
            st.text(max_size=8).filter(lambda s: s != "inf")]
+    if name == "lambda_p":
+        bad.append(st.floats(-10.0, 10.0).filter(lambda x: x != 1.0))
     if name in ("nu", "dt_path"):
         bad += [st.sampled_from((0, 0.0, -0.0)),
                 st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),

@@ -124,6 +124,16 @@ class TestPullback:
         assert rep.family_gap <= 1e-6
         assert rep.extra["within_bound"]
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5])
+    def test_infinite_level_bound_is_finite(self, basis2, rng, amplitude):
+        # without the cutoff the bound drops its level^2 |z|_L4^2 term
+        p = it.SimParams(nu=1.0, level=math.inf, dt=1 / 32, t_final=1.0,
+                         noise=nz.NoiseSpectrum(amplitude=amplitude))
+        fam = {"one": sp.random_field(basis2, rng, norm=1.0)}
+        rep = ex.pullback_absorption(p, [1.0, 2.0, 4.0, 8.0, 16.0], fam, seed=6)
+        assert math.isfinite(rep.absorbing_bound)
+        assert rep.extra["within_bound"] and rep.passed
+
 
 class TestNseLimit:
     def test_infinite_level_matches_plain_solver(self, basis2, rng):

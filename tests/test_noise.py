@@ -6,6 +6,7 @@ import pytest
 
 from gmnslab import noise as nz
 from gmnslab import spectral as sp
+from gmnslab.seeding import derive_key, philox
 
 from oracles import ou_moments
 
@@ -86,10 +87,21 @@ class TestWienerPath:
 
     def test_mode_independence(self, basis1, spectrum):
         p = nz.make_path(12, 1 / 64, 0.0, 64.0, spectrum, basis1)
-        a = p.normals_row(0, 0, p.steps)
-        b = p.normals_row(5, 0, p.steps)
+        a = p.normals(0, p.steps)[:, 0]
+        b = p.normals(0, p.steps)[:, 5]
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) <= 5.0 / math.sqrt(p.steps)
+
+    def test_column_is_its_keyed_stream(self, path):
+        # column alpha of the table is the whole keyed stream of coordinate
+        # alpha, on the path and on a shifted view of it
+        sh = nz.shift_path(path, 1.5)
+        n0 = sh.index_of(sh.t_min)
+        for alpha in (0, path.n_coordinates - 1):
+            gen = philox(derive_key(path.seed, "wiener-table"), alpha)
+            want = gen.standard_normal(path.steps)
+            assert np.array_equal(path.normals(0, path.steps)[:, alpha], want)
+            assert np.array_equal(sh.normals(n0, sh.steps)[:, alpha], want)
 
     def test_off_grid_time_rejected(self, path):
         with pytest.raises(ValueError):
@@ -160,7 +172,7 @@ class TestOUEvolution:
         mu, sigma, t = 2.0, 1.0, 0.75
         n = 20_000
         p = nz.make_path(9, t, 0.0, (n + 1) * t, spectrum, basis1)
-        draws = p.normals_row(0, 0, n)
+        draws = p.normals(0, n)[:, 0]
         a = math.exp(-mu * t)
         gain = sigma * math.sqrt((1 - a * a) / (2 * mu))
         z0 = 1.2
@@ -181,6 +193,20 @@ class TestOUEvolution:
         assert a2 * a2 == pytest.approx(a1, rel=1e-15)
         assert a2 * a2 * g2_sq + g2_sq == pytest.approx(g1_sq, rel=1e-14)
 
+    def test_zero_amplitude_state_has_no_negative_zero(self, basis1):
+        p = nz.make_path(5, 1 / 64, 0.0, 1.0, nz.NoiseSpectrum(amplitude=0.0), basis1)
+        z = nz.ou_initial_state(p, 0.5, 1.0).z.coeffs.view(np.float64)
+        assert not z.any()
+        assert not np.signbit(z).any()
+
+    def test_advance_returns_read_only_view(self, path):
+        cursor = nz.OUCursor(path, 0.5, 1.0)
+        for t in (0.0, 1.0):
+            z = cursor.advance_to(t)
+            assert z.shape == (path.basis.n_half_modes, 2) and not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[0, 0] = 1.0
+
     def test_backwards_rejected(self, path):
         state = nz.ou_initial_state(path, 0.0, 1.0)
         moved = nz.ou_evolve(state, path, 1.0)
@@ -198,7 +224,7 @@ class TestOUEvolution:
         lag = 2.5 / mu
         n = 50_000
         p = nz.make_path(77, lag, 0.0, (n + 1) * lag, spectrum, basis1)
-        draws = p.normals_row(0, 0, n)
+        draws = p.normals(0, n)[:, 0]
         a = math.exp(-mu * lag)
         gain = math.sqrt((1 - a * a) / (2 * mu))
         z = np.empty(n)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -212,6 +213,13 @@ class TestSerialization:
         again = sp.field_from_bytes(sp.field_to_bytes(u))
         assert np.array_equal(again.coeffs, u.coeffs)
         assert again.basis.kmax == basis2.kmax
+
+    def test_payload_is_little_endian_re_im_pairs(self, basis1, rng):
+        u = sp.random_field(basis1, rng)
+        header = struct.pack("<BII", 1, basis1.kmax, basis1.n_coeffs)
+        pairs = b"".join(struct.pack("<dd", c.real, c.imag)
+                         for mode in u.coeffs for c in mode)
+        assert sp.field_to_bytes(u) == header + pairs
 
     def test_header_versioned(self, basis2, rng):
         u = sp.random_field(basis2, rng)

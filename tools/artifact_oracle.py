@@ -1,0 +1,107 @@
+"""Refactor oracle: do small runs reproduce a reference revision's bytes?
+
+Exports a reference revision of this repository with `git archive` into a
+temporary directory, runs a fixed list of small configurations there, then
+re-runs the same configurations from the working tree into the same output
+directories.  Each re-run checks its artifacts against the run registry, so a
+re-run that exits 7 (registry divergence) produced different bytes.  Prints
+each re-run's exit code and the registry's list of changed artifacts, and
+exits 1 if any re-run exits 7.
+
+    python tools/artifact_oracle.py [--rev HEAD~1]
+
+Nothing is written to `.git` and nothing is fetched.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXIT_DIVERGENCE = 7
+
+_SMALL = {"kmax": 1, "dt": 1 / 32, "t_final": 0.5}
+
+# (name, config); every run is exploratory, so a small ensemble is legal and
+# an assertion outcome never decides the exit code
+CONFIGS = [
+    ("simulate", {"experiment": "simulate", "seed": 11,
+                  "params": {"kmax": 2, "dt": 1 / 64, "t_final": 0.5,
+                             "noise": {"amplitude": 0.5}}}),
+    ("simulate-zero-noise", {"experiment": "simulate", "seed": 12,
+                             "params": {"kmax": 2, "dt": 1 / 64, "t_final": 0.5,
+                                        "noise": {"amplitude": 0.0}}}),
+    ("contract", {"experiment": "contract", "seed": 13, "ensemble": 4,
+                  "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5})}),
+    ("nse-limit", {"experiment": "nse-limit", "seed": 14,
+                   "params": dict(_SMALL, dt=1 / 64)}),
+    ("pullback", {"experiment": "pullback", "seed": 15,
+                  "params": dict(_SMALL, noise={"amplitude": 0.5}),
+                  "options": {"pullback_times": [1.0, 2.0, 4.0]}}),
+    ("measure", {"experiment": "measure", "seed": 16,
+                 "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5}),
+                 "options": {"burn_in": 0.5, "horizon": 20.0}}),
+    ("check", {"experiment": "check", "seed": 17, "params": {"kmax": 1},
+               "options": {"cutoff_pairs": 200, "trilinear_triples": 40,
+                           "monotonicity_triples": 10, "ou_samples": 5000,
+                           "shift_pairs": 10}}),
+]
+
+
+def export(rev: str, dest: str) -> None:
+    """Unpack the tree of `rev` into dest (git archive, read-only on .git)."""
+    blob = subprocess.run(["git", "archive", "--format=tar", rev], cwd=REPO,
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run(src: str, command: str, config: str, out: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "gmnslab.cli", command, "--config", config,
+         "--out", out],
+        env=env, capture_output=True, text=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rev", default="HEAD",
+                        help="reference revision to export (default: HEAD)")
+    args = parser.parse_args(argv)
+
+    diverged = []
+    with tempfile.TemporaryDirectory(prefix="artifact-oracle-") as tmp:
+        ref = os.path.join(tmp, "ref")
+        export(args.rev, ref)
+        print(f"reference {args.rev} exported; working tree {REPO}")
+        for name, raw in CONFIGS:
+            config = os.path.join(tmp, f"{name}.json")
+            with open(config, "w") as fh:
+                json.dump(dict(raw, assertion_mode="exploratory"), fh)
+            out = os.path.join(tmp, "out", name)
+            first = run(os.path.join(ref, "src"), raw["experiment"], config, out)
+            again = run(os.path.join(REPO, "src"), raw["experiment"], config, out)
+            changed = re.search(r"changed: (\[.*\])", again.stderr)
+            print(f"{name:20s} reference exit {first.returncode}, "
+                  f"re-run exit {again.returncode}"
+                  + (f", changed: {changed.group(1)}" if changed else ""))
+            for proc in (first, again):
+                if proc.returncode not in (0, EXIT_DIVERGENCE):
+                    print(proc.stderr.strip(), file=sys.stderr)
+            if again.returncode == EXIT_DIVERGENCE:
+                diverged.append(name)
+    print(f"diverged: {diverged}" if diverged else "all re-runs byte-identical")
+    return 1 if diverged else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
