@@ -81,24 +81,23 @@ def _initial_field(basis, spec: dict, seed: int, label: str) -> sp.SpectralField
 
 
 def _run_check(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
-    o = cfg.options
     kmax = cfg.params.kmax
     reports = [
         ex.check_cutoff_lemma(
-            kmax=kmax, n_pairs=o.get("cutoff_pairs", 10_000), seed=cfg.seed,
+            kmax=kmax, n_pairs=cfg.option("cutoff_pairs"), seed=cfg.seed,
             level=cfg.params.level if math.isfinite(cfg.params.level) else 1.0,
         ),
         ex.check_trilinear(
-            kmax=kmax, n_triples=o.get("trilinear_triples", 1000), seed=cfg.seed + 1
+            kmax=kmax, n_triples=cfg.option("trilinear_triples"), seed=cfg.seed + 1
         ),
         ex.check_monotonicity(
-            kmax=kmax, n_triples=o.get("monotonicity_triples", 1000), seed=cfg.seed + 2
+            kmax=kmax, n_triples=cfg.option("monotonicity_triples"), seed=cfg.seed + 2
         ),
         ex.check_ou_stationarity(
-            seed=cfg.seed + 3, n_samples=o.get("ou_samples", 100_000),
-            nu=cfg.params.nu, chi=o.get("ou_chi", 1.0),
+            seed=cfg.seed + 3, n_samples=cfg.option("ou_samples"),
+            nu=cfg.params.nu, chi=cfg.option("ou_chi"),
         ),
-        ex.check_shift_covariance(seed=cfg.seed + 4, n_pairs=o.get("shift_pairs", 100)),
+        ex.check_shift_covariance(seed=cfg.seed + 4, n_pairs=cfg.option("shift_pairs")),
     ]
     artifacts = []
     for rep in reports:

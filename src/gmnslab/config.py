@@ -58,12 +58,16 @@ class RunConfig:
         return self.assertion_mode == "strict"
 
     def option(self, name: str):
-        """options[name] for the horizon options whose defaults scale with
-        the relaxation time 1/(nu*lambda_p); the runners and the config-time
-        path-table bound both read them here."""
+        """options[name], or its default: the sizes of the `check` suites, and
+        the horizon options, whose defaults scale with the relaxation time
+        1/(nu*lambda_p).  The runners and the config-time checks both read
+        them here."""
         rate = self.params.nu * self.params.lambda_p
         defaults = {"pullback_times": [m / rate for m in (1, 2, 4, 8, 16, 32)],
-                    "burn_in": 5.0 / rate, "horizon": 200.0 / rate}
+                    "burn_in": 5.0 / rate, "horizon": 200.0 / rate,
+                    "cutoff_pairs": 10_000, "trilinear_triples": 1000,
+                    "monotonicity_triples": 1000, "ou_samples": 100_000,
+                    "ou_chi": 1.0, "shift_pairs": 100}
         return self.options.get(name, defaults[name])
 
     def to_dict(self) -> dict:
@@ -187,41 +191,59 @@ def resolve_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def _path_span(cfg: RunConfig) -> tuple[str, float]:
-    """The time span of the path table a run draws, and the field(s) that
-    set it; the horizon options are validated on the way."""
+def _path_table(cfg: RunConfig) -> tuple[str, float, float]:
+    """The field(s) that set the size of the largest path table a run draws,
+    their value, and the table's bytes; the options that set it are
+    validated on the way."""
     p = cfg.params
+    if cfg.experiment == "check":
+        for name in ("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
+                     "shift_pairs", "ou_samples"):
+            # a variance needs two samples
+            least = 2 if name == "ou_samples" else 1
+            n = cfg.option(name)
+            _require(_is_int(n) and n >= least,
+                     f"field 'options.{name}' must be an integer >= {least}, got {n!r}")
+        chi = cfg.option("ou_chi")
+        _require(_is_number(chi) and 0 <= chi < math.inf,
+                 f"field 'options.ou_chi' must be a finite number >= 0, got {chi!r}")
+        # c06 samples one kmax=1 path of ou_samples + 1 cells
+        n = cfg.option("ou_samples")
+        return "field 'options.ou_samples'", n, path_table_bytes(n + 1, 1)
     if cfg.experiment == "pullback":
         times = cfg.option("pullback_times")
         _require(isinstance(times, list) and times
                  and all(_is_number(t) and 0 < t < math.inf for t in times),
                  "field 'options.pullback_times' must be a non-empty list of finite "
                  f"numbers > 0, got {times!r}")
+        # the tolerance of experiments.pullback_absorption
+        _require(all(abs(round(t / p.dt) * p.dt - t) <= 1e-9 for t in times),
+                 f"field 'options.pullback_times' must hold multiples of "
+                 f"params.dt = {p.dt}, got {times!r}")
         # one path over [-max(times), dt]
-        return "field 'options.pullback_times'", max(times) + p.dt
-    if cfg.experiment == "measure":
+        name, span = "field 'options.pullback_times'", max(times) + p.dt
+    elif cfg.experiment == "measure":
         burn_in, horizon = cfg.option("burn_in"), cfg.option("horizon")
         _require(_is_number(burn_in) and 0 <= burn_in < math.inf,
                  f"field 'options.burn_in' must be a finite number >= 0, got {burn_in!r}")
         _require(_is_number(horizon) and 0 < horizon < math.inf,
                  f"field 'options.horizon' must be a finite number > 0, got {horizon!r}")
         # one path per initial state over [0, burn_in + horizon]
-        return "fields 'options.burn_in' + 'options.horizon'", burn_in + horizon
-    # the remaining runs draw their paths over [0, t_final]
-    return "field 'params.t_final'", p.t_final
+        name, span = "fields 'options.burn_in' + 'options.horizon'", burn_in + horizon
+    else:
+        # the remaining runs draw their paths over [0, t_final]
+        name, span = "field 'params.t_final'", p.t_final
+    return name, span, path_table_bytes(span / p.dt_path, p.kmax)
 
 
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
-    if cfg.experiment != "check":
-        name, span = _path_span(cfg)
-        nbytes = path_table_bytes(span / p.dt_path, p.kmax)
-        _require(
-            nbytes <= PATH_TABLE_CEILING,
-            f"{name} = {span} needs a path table of "
-            f"{nbytes / 2**30:.3g} GiB at dt_path={p.dt_path}, kmax={p.kmax}, "
-            f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
-        )
+    name, value, nbytes = _path_table(cfg)
+    _require(
+        nbytes <= PATH_TABLE_CEILING,
+        f"{name} = {value} needs a path table of {nbytes / 2**30:.3g} GiB, "
+        f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
+    )
     if cfg.experiment in ("contract", "measure") and cfg.strict:
         thr = stability_threshold(p.level, p.lambda_p)
         _require(

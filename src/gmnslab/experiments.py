@@ -374,7 +374,7 @@ def pullback_absorption(
     tms = sorted(pullback_times)
     basis = next(iter(x_family.values())).basis
     t_far = max(tms)
-    if abs(round(t_far / params.dt) * params.dt - t_far) > 1e-9:
+    if any(abs(round(t / params.dt) * params.dt - t) > 1e-9 for t in tms):
         raise ValueError("pullback times must be multiples of dt")
     path = nz.make_path(seed, params.dt_path, -t_far, params.dt, params.noise, basis)
     rate = params.nu * params.lambda_p

@@ -26,16 +26,29 @@ have degree <= 3*kmax, so with this grid both the convolution (after
 projection back to the truncated basis) and the L4 quadrature are exact up to
 rounding: the grid plays the role of a zero-padded (3/2-rule) dealiasing grid.
 
-Grid fields are real, so transforms are real-to-complex (`irfftn`/`rfftn`)
-on the half spectrum, last axis 0..M//2.  A mode sits at +k if k3 >= 0, else
-conjugated at -k; a k3 = 0 mode also fills -k, as that plane holds both
-members of each Hermitian pair.  The half spectrum fixes the same real field,
-so quadrature and projection stay exact.  `synthesize_with_jacobian` scatters
-once and gives grid values and Jacobian from one batched transform; the
-advection and B_F (with its L4 norm) are built on it.  The advection keeps
-the convective form u_a d_a u_c: the divergence form d_a(u_a u_c) made B_F
-3.3x faster at kmax=3, but for the single mode k = (1, 0, 0), where every
-convective term is an exact zero, it leaves |B(u, u)|_H = 2.3e-18, not 0.0.
+Grid fields are real, and only the truncated frequencies are ever filled or
+read, so the transforms are exact DFTs on the half cube |k1|, |k2| <= kmax,
+0 <= k3 <= kmax, shape (2*kmax+1, 2*kmax+1, kmax+1).  A mode sits at +k if
+k3 >= 0, else conjugated at -k; a k3 = 0 mode also fills -k, as that plane
+holds both members of each Hermitian pair.  Each transform is sum-factorized
+into three 1-D dense matrix products, one per axis (Deville, Fischer & Mund
+2002, sec. 4): complex exp(i*x*k) along axes 1 and 2, then a real matrix
+along axis 3 that maps the [Re, Im] pairs of k3 >= 0 to grid values with
+weight 2 for k3 > 0 (the Hermitian half).  The projection runs the adjoint
+products and computes only the half cube it gathers.  At the grid sizes
+used here (M = 4*kmax + 1 = 5 to 33, often prime) a full-grid FFT spends
+most of its work on frequencies that are zero or discarded, so the small
+products are faster at every kmax up to the ceiling.  Exactness of
+quadrature and projection still rests on M >= 4*kmax + 1, not on the
+transform: the products are the exact DFT restricted to the truncated
+frequencies.
+
+`synthesize_with_jacobian` scatters once and gives grid values and Jacobian
+from one batched transform; the advection and B_F (with its L4 norm) are
+built on it.  The advection keeps the convective form u_a d_a u_c: the
+divergence form d_a(u_a u_c) made B_F 3.3x faster at kmax=3, but for the
+single mode k = (1, 0, 0), where every convective term is an exact zero, it
+leaves |B(u, u)|_H = 2.3e-18, not 0.0.
 """
 
 from __future__ import annotations
@@ -122,18 +135,26 @@ class GalerkinBasis:
         for name in ("modes", "polarizations", "polarizations_int", "eigenvalues"):
             getattr(self, name).setflags(write=False)
 
-        # Half-spectrum scatter targets (mode n -> dst, conjugated where sign
-        # is -1; see the module docstring) and wavenumbers, cached per basis.
-        M = self.grid_size
-        half = (M, M, M // 2 + 1)
+        # Half-cube scatter targets (mode n -> dst, conjugated where sign is
+        # -1; see the module docstring), wavenumbers and 1-D DFT matrices,
+        # cached per basis.  Phases are reduced mod M in integers, so every
+        # entry is an exact M-th root of unity up to one rounding.
+        K, M = self.kmax, self.grid_size
         mirror = np.flatnonzero(modes[:, 2] == 0)
         src = np.concatenate([np.arange(len(modes)), mirror])
         sign = np.concatenate([np.where(modes[:, 2] < 0, -1, 1), -np.ones_like(mirror)])
-        dst = np.ravel_multi_index(tuple((sign[:, None] * modes[src]).T % M), half)
-        kline = np.fft.fftfreq(M, d=1.0 / M)
-        ik = 1j * np.array(np.meshgrid(kline, kline, kline[: half[2]], indexing="ij"))
-        for name, value in (("_half_shape", half), ("_src", src), ("_dst", dst),
-                            ("_sign", sign), ("_ik", ik[:, None])):
+        dst = np.ravel_multi_index(tuple((sign[:, None] * modes[src] + (K, K, 0)).T),
+                                   (2 * K + 1, 2 * K + 1, K + 1))
+        k = np.arange(-K, K + 1)
+        root = np.exp(2j * np.pi * (np.outer(np.arange(M), k) % M) / M)  # (M, 2K+1)
+        weight = np.where(k[K:] == 0, 1.0, 2.0)[:, None] * root[:, K:].T
+        synth3 = np.stack([weight.real, -weight.imag], axis=1).reshape(2 * K + 2, M)
+        proj3 = np.ascontiguousarray(np.conj(root[:, K:]) / M).view(np.float64)
+        ik = 1j * np.array(np.meshgrid(k, k, k[K:], indexing="ij"))
+        for name, value in (("_src", src), ("_dst", dst), ("_sign", sign),
+                            ("_ik", ik[:, None]), ("_synth12", root),
+                            ("_synth3", synth3), ("_proj12", np.conj(root.T) / M),
+                            ("_proj3", proj3)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_synth_scale", 1.0 / np.sqrt(2.0 * BOX_VOLUME))
 
@@ -165,19 +186,29 @@ class GalerkinBasis:
     # ---- transforms --------------------------------------------------
 
     def _spectrum(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients -> half spectrum of the real grid field, (3, M, M, M//2+1)."""
+        """Coefficients -> half cube of the real grid field, (3, 2K+1, 2K+1, K+1)."""
         uhat = np.einsum("np,npc->nc", np.conj(coeffs), self.polarizations)
         uhat *= self._synth_scale
         vals = uhat[self._src]
         vals.imag *= self._sign[:, None]
-        spec = np.zeros((3,) + self._half_shape, dtype=np.complex128)
+        K = self.kmax
+        spec = np.zeros((3, 2 * K + 1, 2 * K + 1, K + 1), dtype=np.complex128)
         spec.reshape(3, -1)[:, self._dst] = vals.T
         return spec
 
+    def _to_grid(self, spec: np.ndarray) -> np.ndarray:
+        """Half cubes (..., 2K+1, 2K+1, K+1) -> real grids (..., M, M, M):
+        the DFT along axis 2, then axis 1, then the real map along axis 3."""
+        *lead, a, b, c = spec.shape
+        M = self.grid_size
+        g = self._synth12 @ spec.reshape(-1, b, c)
+        g = self._synth12 @ g.reshape(-1, a, M * c)
+        g = g.view(np.float64).reshape(-1, 2 * c) @ self._synth3
+        return g.reshape(*lead, M, M, M)
+
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical grid values, shape (3, M, M, M), real."""
-        return np.fft.irfftn(self._spectrum(coeffs), s=(self.grid_size,) * 3,
-                             axes=(1, 2, 3), norm="forward")
+        return self._to_grid(self._spectrum(coeffs))
 
     def synthesize_with_jacobian(
         self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None
@@ -186,9 +217,7 @@ class GalerkinBasis:
         `grad_coeffs`, default the same field (scattered once), (3, 3, M, M, M)."""
         spec = self._spectrum(coeffs)
         dspec = spec if grad_coeffs is None else self._spectrum(grad_coeffs)
-        stack = np.concatenate([spec[None], self._ik * dspec])
-        grids = np.fft.irfftn(stack, s=(self.grid_size,) * 3, axes=(2, 3, 4),
-                              norm="forward")
+        grids = self._to_grid(np.concatenate([spec[None], self._ik * dspec]))
         return grids[0], grids[1:]
 
     def analyze(self, grid: np.ndarray) -> np.ndarray:
@@ -199,7 +228,11 @@ class GalerkinBasis:
         orthogonal projection onto divergence-free fields.
         """
         n = self.n_half_modes
-        spec = np.fft.rfftn(grid, axes=(1, 2, 3), norm="forward")
+        M, K = self.grid_size, self.kmax
+        # the adjoint of _to_grid: axis 3 (real in, [Re, Im] out), 2, then 1
+        spec = (grid.reshape(-1, M) @ self._proj3).view(np.complex128)
+        spec = self._proj12 @ spec.reshape(-1, M, K + 1)
+        spec = self._proj12 @ spec.reshape(3, M, -1)
         uhat = spec.reshape(3, -1)[:, self._dst[:n]].T
         uhat.imag *= self._sign[:n, None]
         coeffs = np.conj(np.einsum("nc,npc->np", uhat, self.polarizations))

@@ -26,7 +26,8 @@ def basis3():
 
 @pytest.fixture(scope="session")
 def basis2_even():
-    # even grid: the half spectrum has a Nyquist plane the basis never fills
+    # even grid above the 4*kmax+1 floor, with a Nyquist frequency the basis
+    # never fills
     return sp.build_basis(2, grid_size=10)
 
 

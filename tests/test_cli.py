@@ -169,6 +169,24 @@ class TestModesAndExitCodes:
              "'options.pullback_times'"),
             ({"experiment": "measure", "options": {"burn_in": True}}, "'options.burn_in'"),
             ({"experiment": "measure", "options": {"horizon": "x"}}, "'options.horizon'"),
+            ({"experiment": "pullback", "options": {"pullback_times": [0.3]}},
+             "'options.pullback_times'"),
+            ({"experiment": "pullback", "options": {"pullback_times": [1.0, 0.3]}},
+             "'options.pullback_times'"),
+            ({"experiment": "check", "options": {"cutoff_pairs": "x"}},
+             "'options.cutoff_pairs'"),
+            ({"experiment": "check", "options": {"trilinear_triples": True}},
+             "'options.trilinear_triples'"),
+            ({"experiment": "check", "options": {"monotonicity_triples": 0}},
+             "'options.monotonicity_triples'"),
+            ({"experiment": "check", "options": {"shift_pairs": 2.5}},
+             "'options.shift_pairs'"),
+            ({"experiment": "check", "options": {"ou_samples": 1e9}},
+             "'options.ou_samples'"),
+            ({"experiment": "check", "options": {"ou_samples": 1}},
+             "'options.ou_samples'"),
+            ({"experiment": "check", "options": {"ou_chi": -1.0}}, "'options.ou_chi'"),
+            ({"experiment": "check", "options": {"ou_chi": "x"}}, "'options.ou_chi'"),
         ]
         for i, (fields, name) in enumerate(cases):
             raw = {"experiment": "simulate", **fields}
@@ -184,6 +202,7 @@ class TestModesAndExitCodes:
             ("pullback", {"options": {"pullback_times": [1.0, 1e9]}},
              "'options.pullback_times'"),
             ("measure", {"options": {"horizon": 1e9}}, "'options.horizon'"),
+            ("check", {"options": {"ou_samples": 10**9}}, "'options.ou_samples'"),
         ]
         for name, fields, field in cases:
             raw = {"experiment": name, "assertion_mode": "exploratory", **fields}

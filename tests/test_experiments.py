@@ -134,6 +134,13 @@ class TestPullback:
         assert math.isfinite(rep.absorbing_bound)
         assert rep.extra["within_bound"] and rep.passed
 
+    def test_every_time_must_be_a_multiple_of_dt(self, basis2, rng):
+        # the largest time is on the grid; 0.3 is not
+        p = it.SimParams(nu=1.0, level=1.0, dt=1 / 32, t_final=1.0)
+        fam = {"one": sp.random_field(basis2, rng, norm=1.0)}
+        with pytest.raises(ValueError, match="multiples of dt"):
+            ex.pullback_absorption(p, [1.0, 0.3], fam, seed=7)
+
 
 class TestNseLimit:
     def test_infinite_level_matches_plain_solver(self, basis2, rng):

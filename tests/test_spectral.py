@@ -7,10 +7,11 @@ import pytest
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
-from oracles import norm_h_oracle, norm_l4_oracle, synth_direct, trilinear_oracle
+from oracles import (grad_direct, norm_h_oracle, norm_l4_oracle, synth_direct,
+                     trilinear_oracle)
 
 # single modes on the k3 = 0 plane (stored at both +k and -k in the half
-# spectrum) and with k3 < 0 (stored conjugated at -k)
+# cube) and with k3 < 0 (stored conjugated at -k)
 PLANE_MODES = ((1, 0, 0), (0, 1, 0), (1, -1, 0), (2, -1, 0), (0, 2, 0))
 FLIPPED_MODES = ((0, 1, -1), (1, 1, -2), (2, -1, -1))
 
@@ -120,6 +121,19 @@ class TestNormsAndParseval:
                 assert sp.norm_L4(u) == pytest.approx(norm_l4_oracle(u), rel=1e-12)
 
 
+class TestTransforms:
+    def test_synthesis_and_jacobian_against_oracle(self, basis1, basis3, basis2_even,
+                                                   rng):
+        # distinct fields in the two slots: the grid values must come from c
+        # and the Jacobian from g; odd grid 11 is above the 4*kmax+1 floor
+        for basis in (basis1, basis3, basis2_even, sp.build_basis(2, grid_size=11)):
+            for _ in range(3):
+                c, g = (sp.random_field(basis, rng) for _ in range(2))
+                values, jac = basis.synthesize_with_jacobian(c.coeffs, g.coeffs)
+                assert np.abs(values - synth_direct(c, basis.grid_size)).max() < 1e-13
+                assert np.abs(jac - grad_direct(g, basis.grid_size)).max() < 1e-13
+
+
 class TestTrilinearForm:
     def test_skew_symmetry(self, basis2, rng):
         for _ in range(100):
@@ -169,12 +183,14 @@ class TestTrilinearForm:
 
 
 class TestProjectedAdvection:
-    def test_duality_with_trilinear(self, basis2, rng):
-        for _ in range(20):
-            u, v, w = (sp.random_field(basis2, rng) for _ in range(3))
-            assert sp.inner_H(sp.nonlinear_B(u, v), w) == pytest.approx(
-                sp.trilinear_b(u, v, w), rel=1e-12, abs=1e-14
-            )
+    def test_duality_with_trilinear(self, basis2, basis3, basis2_even, rng):
+        # the projection of a degree-2*kmax product must be exact on every grid
+        for basis, cases in ((basis2, 20), (basis3, 5), (basis2_even, 5)):
+            for _ in range(cases):
+                u, v, w = (sp.random_field(basis, rng) for _ in range(3))
+                assert sp.inner_H(sp.nonlinear_B(u, v), w) == pytest.approx(
+                    sp.trilinear_b(u, v, w), rel=1e-12, abs=1e-14
+                )
 
     def test_energy_conservation_pairing(self, basis2, rng):
         for _ in range(50):

@@ -6,7 +6,10 @@ re-runs the same configurations from the working tree into the same output
 directories.  Each re-run checks its artifacts against the run registry, so a
 re-run that exits 7 (registry divergence) produced different bytes.  Prints
 each re-run's exit code and the registry's list of changed artifacts, and
-exits 1 if any re-run exits 7.
+exits 1 if any re-run exits 7.  For each changed CSV or JSON artifact it also
+prints how far the numbers moved: the worst numeric CSV column or JSON leaf
+(a list of numbers counts as one column), measured as max |ref - new| over
+that column's largest |ref|.
 
     python tools/artifact_oracle.py [--rev HEAD~1]
 
@@ -16,10 +19,14 @@ Nothing is written to `.git` and nothing is fetched.
 from __future__ import annotations
 
 import argparse
+import ast
+import csv
 import io
 import json
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -72,6 +79,61 @@ def run(src: str, command: str, config: str, out: str) -> subprocess.CompletedPr
         env=env, capture_output=True, text=True)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _csv_columns(path: str) -> dict[str, list]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    columns = {}
+    for i, name in enumerate(rows[0] if rows else []):
+        try:
+            columns[name] = [float(row[i]) for row in rows[1:]]
+        except ValueError:
+            continue
+    return columns
+
+
+def _json_columns(node, where: str = "", columns: dict | None = None) -> dict[str, list]:
+    columns = {} if columns is None else columns
+    if _is_number(node):
+        columns[where] = [float(node)]
+    elif isinstance(node, list) and node and all(_is_number(x) for x in node):
+        columns[where] = [float(x) for x in node]
+    elif isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            _json_columns(child, f"{where}.{key}" if where else str(key), columns)
+    return columns
+
+
+def _columns(path: str) -> dict[str, list]:
+    if path.endswith(".csv"):
+        return _csv_columns(path)
+    with open(path) as fh:
+        return _json_columns(json.load(fh))
+
+
+def worst_divergence(ref_path: str, new_path: str) -> tuple[str, float] | None:
+    """The numeric column (CSV) or leaf (JSON) of an artifact whose values
+    moved most, relative to the column's largest |ref|; inf where a column
+    appeared, vanished, changed length or moved off an all-zero reference."""
+    ref, new = _columns(ref_path), _columns(new_path)
+    worst = None
+    for name in sorted(set(ref) | set(new)):
+        r, n = ref.get(name), new.get(name)
+        if r is None or n is None or len(r) != len(n):
+            rel = math.inf
+        else:
+            diff = max((abs(a - b) for a, b in zip(r, n)), default=0.0)
+            scale = max((abs(a) for a in r), default=0.0)
+            rel = diff / scale if scale else (0.0 if diff == 0.0 else math.inf)
+        if worst is None or rel > worst[1]:
+            worst = (name, rel)
+    return worst
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD",
@@ -89,11 +151,21 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(dict(raw, assertion_mode="exploratory"), fh)
             out = os.path.join(tmp, "out", name)
             first = run(os.path.join(ref, "src"), raw["experiment"], config, out)
+            ref_out = os.path.join(tmp, "ref-out", name)
+            if os.path.isdir(out):
+                shutil.copytree(out, ref_out)
             again = run(os.path.join(REPO, "src"), raw["experiment"], config, out)
             changed = re.search(r"changed: (\[.*\])", again.stderr)
             print(f"{name:20s} reference exit {first.returncode}, "
                   f"re-run exit {again.returncode}"
                   + (f", changed: {changed.group(1)}" if changed else ""))
+            for artifact in ast.literal_eval(changed.group(1)) if changed else []:
+                if artifact.endswith((".csv", ".json")):
+                    worst = worst_divergence(os.path.join(ref_out, artifact),
+                                             os.path.join(out, artifact))
+                    print(f"{'':20s}   {artifact}: "
+                          + (f"worst '{worst[0]}' {worst[1]:.3g}" if worst and worst[1]
+                             else "numbers equal, non-numeric content differs"))
             for proc in (first, again):
                 if proc.returncode not in (0, EXIT_DIVERGENCE):
                     print(proc.stderr.strip(), file=sys.stderr)
