@@ -116,7 +116,7 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     x = _initial_field(basis, cfg.options.get("initial", {}), cfg.seed, "ic")
     path = nz.make_path(cfg.seed, params.dt_path, 0.0, params.t_final,
                         params.noise, basis)
-    traj = it.solve(x, path, params, record_every=cfg.options.get("record_every", 1))
+    traj = it.solve(x, path, params, record_every=cfg.option("record_every"))
     csv_path = os.path.join(out, "trajectory.csv")
     with open(csv_path, "w") as fh:
         traj.ledger.to_csv(fh)
@@ -145,7 +145,7 @@ def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     x2 = _initial_field(basis, cfg.options.get("x2", {"norm": 0.5}), cfg.seed, "x2")
     rep = ex.contraction_experiment(
         params, x1, x2, ensemble=cfg.ensemble, seed=cfg.seed,
-        record_every=cfg.options.get("record_every", 4),
+        record_every=cfg.option("record_every"),
         enforce_threshold=cfg.strict,
     )
     csv_path = os.path.join(out, "contraction.csv")

@@ -58,16 +58,17 @@ class RunConfig:
         return self.assertion_mode == "strict"
 
     def option(self, name: str):
-        """options[name], or its default: the sizes of the `check` suites, and
-        the horizon options, whose defaults scale with the relaxation time
-        1/(nu*lambda_p).  The runners and the config-time checks both read
-        them here."""
+        """options[name], or its default: the sizes of the `check` suites, the
+        snapshot stride, and the horizon options, whose defaults scale with
+        the relaxation time 1/(nu*lambda_p).  The runners and the config-time
+        checks both read them here."""
         rate = self.params.nu * self.params.lambda_p
         defaults = {"pullback_times": [m / rate for m in (1, 2, 4, 8, 16, 32)],
                     "burn_in": 5.0 / rate, "horizon": 200.0 / rate,
                     "cutoff_pairs": 10_000, "trilinear_triples": 1000,
                     "monotonicity_triples": 1000, "ou_samples": 100_000,
-                    "ou_chi": 1.0, "shift_pairs": 100}
+                    "ou_chi": 1.0, "shift_pairs": 100,
+                    "record_every": 4 if self.experiment == "contract" else 1}
         return self.options.get(name, defaults[name])
 
     def to_dict(self) -> dict:
@@ -244,6 +245,13 @@ def _validate_experiment(cfg: RunConfig) -> None:
         f"{name} = {value} needs a path table of {nbytes / 2**30:.3g} GiB, "
         f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
     )
+    if cfg.experiment in ("simulate", "contract"):
+        n = cfg.option("record_every")
+        _require(_is_int(n) and n >= 1,
+                 f"field 'options.record_every' must be an integer >= 1, got {n!r}")
+    if cfg.experiment == "contract":
+        _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
+                 "for contract (the standard error needs two members)")
     if cfg.experiment in ("contract", "measure") and cfg.strict:
         thr = stability_threshold(p.level, p.lambda_p)
         _require(

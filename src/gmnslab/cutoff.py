@@ -95,13 +95,20 @@ def cutoff_lipschitz_sides(
 
 def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float):
     """(B_F(w), |w|_L4, F) for a coefficient array; the one B_F kernel of the
-    field API and the stepper, with the L4 norm from the advection's grid."""
+    field API and the stepper, with the L4 norm from the advection's grid.
+    For a stack of arrays (leading axis) the norm and F are arrays with one
+    entry per member, each computed as for that member alone."""
     wg, dw = basis.synthesize_with_jacobian(w)
     l4 = basis.l4_norm(wg)
-    f = cutoff_factor(l4, level)
-    out = basis.analyze(np.einsum("axyz,acxyz->cxyz", wg, dw))
-    if f != 1.0:
-        out *= f
+    out = basis.analyze(np.einsum("...axyz,...acxyz->...cxyz", wg, dw))
+    if w.ndim == 2:
+        f = cutoff_factor(l4, level)
+        if f != 1.0:
+            out *= f
+        return out, l4, f
+    f = np.array([cutoff_factor(r, level) for r in l4])
+    # x * 1.0 is x bit for bit, so members with F = 1 are left as they are
+    out *= f[:, None, None]
     return out, l4, f
 
 

@@ -256,7 +256,7 @@ class ContractionReport:
     stderr: np.ndarray
     envelope: np.ndarray
     rate: float
-    fitted_slope: float
+    fitted_slope: float | None  # None: fewer than two record times to fit
     passed: bool
     extra: dict = field(default_factory=dict)
 
@@ -274,10 +274,10 @@ class ContractionReport:
 def _member_diff_sq(x1, x2, params, member_seed, record_every):
     path = nz.make_path(member_seed, params.dt_path, 0.0, params.t_final,
                         params.noise, x1.basis)
-    trajs = [it.solve(x, path, params, record_every=record_every) for x in (x1, x2)]
+    times, v = it.solve_coupled((x1, x2), path, params, record_every=record_every)
     # u1 - u2 = v1 - v2: the z layer cancels for a shared path
-    diff = trajs[0].v_coeffs - trajs[1].v_coeffs
-    return (diff.real**2 + diff.imag**2).sum(axis=(1, 2)), trajs[0].record_times
+    diff = v[0] - v[1]
+    return (diff.real**2 + diff.imag**2).sum(axis=(1, 2)), times
 
 
 def contraction_experiment(
@@ -295,6 +295,7 @@ def contraction_experiment(
     The ensemble mean must stay below envelope + 3 stderr at every recorded
     time and the fitted log-slope over the second half of the horizon must
     be at least as negative as the theoretical rate (up to fit error).
+    The standard error needs ensemble >= 2.
     """
     thr = stability_threshold(params.level, params.lambda_p)
     if enforce_threshold and params.nu <= thr:
@@ -302,6 +303,8 @@ def contraction_experiment(
             f"nu={params.nu} is not above the stability threshold {thr:.6g}; "
             "run in exploratory mode to bypass the assertion variant"
         )
+    if ensemble < 2:
+        raise ValueError(f"ensemble={ensemble}: the standard error needs >= 2 members")
     rate = contraction_rate(params.nu, params.level, params.lambda_p)
     results = [
         _member_diff_sq(x1, x2, params, derive_key(seed, f"member-{m}"), record_every)
@@ -316,17 +319,23 @@ def contraction_experiment(
     # envelope exactly up to the rounding of the layer subtraction
     below = bool(np.all(mean_sq <= envelope * (1.0 + 1e-12) + 3.0 * stderr))
 
-    # decay slope from the second half of the horizon
+    # decay slope from the second half of the horizon; with fewer than two
+    # record times there is no slope, and the slope check fails
     half = times >= 0.5 * times[-1]
-    logm = np.log(np.maximum(mean_sq[half], 1e-300))
-    slope, intercept = np.polyfit(times[half], logm, 1)
-    fit_res = logm - (slope * times[half] + intercept)
-    t_c = times[half] - times[half].mean()
-    slope_se = float(np.sqrt((fit_res**2).sum() / max(1, len(logm) - 2) / (t_c**2).sum()))
-    slope_ok = bool(slope <= -rate + max(3.0 * slope_se, 0.05 * abs(rate)))
+    slope = slope_se = None
+    slope_ok = False
+    if half.sum() >= 2:
+        logm = np.log(np.maximum(mean_sq[half], 1e-300))
+        slope, intercept = np.polyfit(times[half], logm, 1)
+        fit_res = logm - (slope * times[half] + intercept)
+        t_c = times[half] - times[half].mean()
+        slope_se = float(np.sqrt((fit_res**2).sum() / max(1, len(logm) - 2)
+                                 / (t_c**2).sum()))
+        slope = float(slope)
+        slope_ok = bool(slope <= -rate + max(3.0 * slope_se, 0.05 * abs(rate)))
     passed = below and slope_ok
     return ContractionReport(
-        ensemble, times, mean_sq, stderr, envelope, rate, float(slope), passed,
+        ensemble, times, mean_sq, stderr, envelope, rate, slope, passed,
         extra={"threshold": thr, "below_envelope": below,
                "slope_ok": bool(slope_ok), "slope_se": slope_se},
     )

@@ -18,7 +18,17 @@ z is advanced by its exact transition through every path cell inside the
 step, so the realized z trajectory is independent of the solver step size;
 only the v-integration error refines.
 
-Along each run an energy ledger records the terms of the energy balance
+There is one march of this scheme, over a stack of fields that share one
+path and one OU cursor.  `solve_transformed` (and `solve`, its start from a
+velocity) marches a single field and keeps the energy ledger below.
+`solve_coupled` marches several solutions driven by the same noise, such as
+a contraction pair, as one stack on one cursor, so they see the identical z;
+it keeps only their snapshots and no ledger.  Each member's drift, L4 norm
+and cutoff factor are computed as if it were alone, so a stacked member is
+bit for bit its single solve.
+
+Along each ledger-keeping run an energy ledger records the terms of the
+energy balance
 
     |v(t)|_H^2 + 2 nu int |v|_V^2 + 2 int <B_F(v+z), v>
         = |v(t0)|_H^2 + 2 int <f, v> + 2 chi int (z, v),
@@ -53,7 +63,6 @@ from .spectral import (
     h2_coeffs,
     inner_coeffs,
     norm_dual,
-    norm_H,
     v2_coeffs,
 )
 
@@ -280,7 +289,8 @@ class _Stepper:
         self.f_coeffs = params.forcing_coeffs(basis)
 
     def drift(self, v: np.ndarray, z: np.ndarray):
-        """G(v, z) = -B_F(v+z) + chi*z + f, plus ledger quantities."""
+        """G(v, z) = -B_F(v+z) + chi*z + f, plus ledger quantities; v may be
+        a stack of fields (leading axis) sharing one z."""
         bf, l4, fac = cutoff_advection_coeffs(self.basis, v + z, self.params.level)
         g = -bf
         if self.params.chi != 0.0:
@@ -292,6 +302,59 @@ class _Stepper:
         a = self.E * v + self.hphi1 * g_n
         g_a, _, _, _ = self.drift(a, z_next)
         return a + self.hphi2 * (g_a - g_n)
+
+
+def _n_steps(params: SimParams, basis: GalerkinBasis, t_final: float | None) -> int:
+    if basis.kmax != params.kmax:
+        raise ValueError("initial data basis does not match params.kmax")
+    horizon = params.t_final if t_final is None else t_final
+    n_steps = int(round(horizon / params.dt))
+    if abs(n_steps * params.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
+        raise ValueError("t_final must be a positive integer multiple of dt")
+    return n_steps
+
+
+def _records(params: SimParams, t0: float, n_steps: int, record_every: int):
+    """{solver step: snapshot slot} every record_every steps plus the final
+    step, and the record times."""
+    rec_idx = sorted({*range(0, n_steps + 1, record_every), n_steps})
+    return ({k: i for i, k in enumerate(rec_idx)},
+            np.array([t0 + k * params.dt for k in rec_idx]))
+
+
+def _march(stepper: _Stepper, cursor: OUCursor, v: np.ndarray, t0: float, n_steps: int):
+    """The ETD2 march of a stack of fields v (S, n_half_modes, 2) on one z path.
+
+    Yields (k, v, z, drift) at t0 + k*dt for k = 0..n_steps, where drift is
+    stepper.drift(v, z) with one row per member, and None at the final time,
+    where no step needs it.  Raises InstabilityError as soon as one member's
+    |v|_H crosses its own ceiling, instability_factor * max(1, |v0|_H).
+    """
+    params = stepper.params
+    z = cursor.advance_to(t0)
+    # non-finite input is a data error, not a step-size blow-up
+    for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
+        if not np.isfinite(c).all():
+            raise ValueError(f"{name} is not finite")
+    ceiling = np.array([params.instability_factor * max(1.0, math.sqrt(h2_coeffs(m)))
+                        for m in v])
+    for k in range(n_steps):
+        drift = stepper.drift(v, z)
+        yield k, v, z, drift
+        z_next = cursor.advance_to(t0 + (k + 1) * params.dt)
+        v = stepper.advance(v, drift[0], z_next)
+        z = z_next
+        # NaN fails the comparison too
+        within = (v.real**2 + v.imag**2).sum(axis=(1, 2)) <= ceiling**2
+        if not within.all():
+            i = int(np.argmin(within))
+            who = f" of member {i}" if len(v) > 1 else ""
+            raise InstabilityError(
+                f"|v|_H{who} exceeded {ceiling[i]:.3g} at "
+                f"t={t0 + (k + 1) * params.dt}; dt={params.dt} is too large "
+                "for this configuration"
+            )
+    yield n_steps, v, z, None
 
 
 # ---- public operations ----------------------------------------------------
@@ -315,23 +378,20 @@ def solve_transformed(
     t0: float = 0.0,
     t_final: float | None = None,
     record_every: int = 1,
+    cursor: OUCursor | None = None,
 ) -> Trajectory:
     """Integrate the transformed system on [t0, t0 + T] along one path.
 
     Deterministic in (path seed, params): repeated calls are bit-identical.
     The ledger is recorded on every solver step; field snapshots every
     `record_every` steps (the initial and final states are always kept).
+    `cursor` is the z layer of `path` at or before t0 (default: a new one).
     """
     basis = v0.basis
-    if basis.kmax != params.kmax:
-        raise ValueError("initial data basis does not match params.kmax")
-    horizon = params.t_final if t_final is None else t_final
-    n_steps = int(round(horizon / params.dt))
-    if abs(n_steps * params.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
-        raise ValueError("t_final must be a positive integer multiple of dt")
-
+    n_steps = _n_steps(params, basis, t_final)
     stepper = _Stepper(params, basis, params.dt)
-    cursor = OUCursor(path, params.chi, params.nu)
+    if cursor is None:
+        cursor = OUCursor(path, params.chi, params.nu)
 
     led = {
         name: np.empty(n_steps + 1)
@@ -340,21 +400,13 @@ def solve_transformed(
             "z_H2 z_L4 u_H2 u_V2 residual"
         ).split()
     }
-    rec_idx = sorted({k for k in range(0, n_steps + 1, record_every)} | {n_steps})
-    rec_pos = {k: i for i, k in enumerate(rec_idx)}
-    v_snap = np.empty((len(rec_idx), basis.n_half_modes, 2), dtype=np.complex128)
+    rec_pos, record_times = _records(params, t0, n_steps, record_every)
+    v_snap = np.empty((len(rec_pos), basis.n_half_modes, 2), dtype=np.complex128)
     z_snap = np.empty_like(v_snap)
 
-    v = v0.coeffs.copy()
-    z = cursor.advance_to(t0)
-    # non-finite input is a data error, not a step-size blow-up
-    for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
-        if not np.isfinite(c).all():
-            raise ValueError(f"{name} is not finite")
-    ceiling = params.instability_factor * max(1.0, norm_H(v0))
     flux_acc = 0.0
     prev_flux = None
-    h2_0 = h2_coeffs(v)
+    h2_0 = h2_coeffs(v0.coeffs)
 
     def record_row(k, v, z, bf, l4, fac):
         t_k = t0 + k * params.dt
@@ -379,8 +431,10 @@ def solve_transformed(
             - 2.0 * params.chi * led["z_pairing"][k]
         )
 
-    for k in range(n_steps + 1):
-        g_n, bf, l4, fac = stepper.drift(v, z)
+    for k, v, z, drift in _march(stepper, cursor, v0.coeffs[None], t0, n_steps):
+        # the stack's one member; the final time has no step drift to reuse
+        v = v[0]
+        _, bf, l4, fac = stepper.drift(v, z) if drift is None else [d[0] for d in drift]
         flux = record_row(k, v, z, bf, l4, fac)
         if prev_flux is not None:
             flux_acc += 0.5 * params.dt * (flux + prev_flux)
@@ -389,28 +443,39 @@ def solve_transformed(
         if k in rec_pos:
             v_snap[rec_pos[k]] = v
             z_snap[rec_pos[k]] = z
-        if k == n_steps:
-            break
-        z_next = cursor.advance_to(t0 + (k + 1) * params.dt)
-        v = stepper.advance(v, g_n, z_next)
-        z = z_next
-        if not np.isfinite(v).all() or h2_coeffs(v) > ceiling**2:
-            raise InstabilityError(
-                f"|v|_H exceeded {ceiling:.3g} at t={t0 + (k + 1) * params.dt}; "
-                f"dt={params.dt} is too large for this configuration"
-            )
 
     ledger = EnergyLedger(**led)
-    record_times = np.array([t0 + k * params.dt for k in rec_idx])
     return Trajectory(params, t0, record_times, v_snap, z_snap, ledger, basis)
 
 
 def solve(x: SpectralField, path: WienerPath, params: SimParams, t0: float = 0.0,
           t_final: float | None = None, record_every: int = 1) -> Trajectory:
     """solve_transformed from the velocity x at t0, i.e. from v0 = x - z(t0)."""
-    z0 = OUCursor(path, params.chi, params.nu).advance_to(t0)
-    return solve_transformed(SpectralField(x.basis, x.coeffs - z0), path, params,
-                             t0, t_final, record_every)
+    cursor = OUCursor(path, params.chi, params.nu)
+    v0 = SpectralField(x.basis, x.coeffs - cursor.advance_to(t0))
+    return solve_transformed(v0, path, params, t0, t_final, record_every, cursor)
+
+
+def solve_coupled(xs, path: WienerPath, params: SimParams, t0: float = 0.0,
+                  t_final: float | None = None, record_every: int = 1):
+    """Solutions from each velocity in xs at t0, marched as one stack along
+    one path and one z realization; no ledger.
+
+    Returns (record_times, v) with v of shape (len(xs), n_records,
+    n_half_modes, 2): v[i] is bit for bit the v_coeffs of
+    solve(xs[i], path, params, t0, t_final, record_every).
+    """
+    basis = xs[0].basis
+    n_steps = _n_steps(params, basis, t_final)
+    cursor = OUCursor(path, params.chi, params.nu)
+    v0 = np.stack([x.coeffs for x in xs]) - cursor.advance_to(t0)
+    rec_pos, record_times = _records(params, t0, n_steps, record_every)
+    v_snap = np.empty((len(xs), len(rec_pos), basis.n_half_modes, 2),
+                      dtype=np.complex128)
+    for k, v, _, _ in _march(_Stepper(params, basis, params.dt), cursor, v0, t0, n_steps):
+        if k in rec_pos:
+            v_snap[:, rec_pos[k]] = v
+    return record_times, v_snap
 
 
 def doss_sussman_recover(traj: Trajectory) -> list[SpectralField]:

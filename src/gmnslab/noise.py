@@ -164,9 +164,15 @@ class WienerPath:
     def _full_table(self) -> np.ndarray:
         if self._table is None:
             table = np.empty((self.steps, self.n_coordinates))
-            key = derive_key(self.seed, "wiener-table")
+            # one generator, re-keyed to (key, alpha) with a zero counter
+            # before each column: the stream philox(key, alpha) draws,
+            # without building a generator (and its entropy seeding) per column
+            gen = philox(derive_key(self.seed, "wiener-table"))
+            state = gen.bit_generator.state
             for alpha in range(self.n_coordinates):
-                table[:, alpha] = philox(key, alpha).standard_normal(self.steps)
+                state["state"]["key"][1] = alpha
+                gen.bit_generator.state = state
+                table[:, alpha] = gen.standard_normal(self.steps)
             table.setflags(write=False)
             object.__setattr__(self, "_table", table)
         return self._table

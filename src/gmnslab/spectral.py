@@ -186,14 +186,15 @@ class GalerkinBasis:
     # ---- transforms --------------------------------------------------
 
     def _spectrum(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients -> half cube of the real grid field, (3, 2K+1, 2K+1, K+1)."""
-        uhat = np.einsum("np,npc->nc", np.conj(coeffs), self.polarizations)
+        """Coefficients (..., n, 2) -> half cubes of the real grid fields,
+        (..., 3, 2K+1, 2K+1, K+1); leading axes are a stack of fields."""
+        uhat = np.einsum("...np,npc->...nc", np.conj(coeffs), self.polarizations)
         uhat *= self._synth_scale
-        vals = uhat[self._src]
+        vals = uhat.take(self._src, axis=-2)
         vals.imag *= self._sign[:, None]
-        K = self.kmax
-        spec = np.zeros((3, 2 * K + 1, 2 * K + 1, K + 1), dtype=np.complex128)
-        spec.reshape(3, -1)[:, self._dst] = vals.T
+        K, lead = self.kmax, coeffs.shape[:-2]
+        spec = np.zeros((*lead, 3, 2 * K + 1, 2 * K + 1, K + 1), dtype=np.complex128)
+        spec.reshape(*lead, 3, -1)[..., self._dst] = vals.swapaxes(-1, -2)
         return spec
 
     def _to_grid(self, spec: np.ndarray) -> np.ndarray:
@@ -213,29 +214,32 @@ class GalerkinBasis:
     def synthesize_with_jacobian(
         self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Grid values of `coeffs` (3, M, M, M) and the Jacobian dv_c/dx_a of
-        `grad_coeffs`, default the same field (scattered once), (3, 3, M, M, M)."""
-        spec = self._spectrum(coeffs)
-        dspec = spec if grad_coeffs is None else self._spectrum(grad_coeffs)
-        grids = self._to_grid(np.concatenate([spec[None], self._ik * dspec]))
-        return grids[0], grids[1:]
+        """Grid values of `coeffs` (..., 3, M, M, M) and the Jacobian dv_c/dx_a
+        of `grad_coeffs`, default the same field (scattered once),
+        (..., 3, 3, M, M, M); leading axes are a stack of fields."""
+        spec = self._spectrum(coeffs)[..., None, :, :, :, :]
+        dspec = spec if grad_coeffs is None else (
+            self._spectrum(grad_coeffs)[..., None, :, :, :, :])
+        grids = self._to_grid(np.concatenate([spec, self._ik * dspec], axis=-5))
+        return grids[..., 0, :, :, :, :], grids[..., 1:, :, :, :, :]
 
     def analyze(self, grid: np.ndarray) -> np.ndarray:
-        """Project physical grid values onto the basis (Leray + truncation).
+        """Project physical grid values (..., 3, M, M, M) onto the basis
+        (Leray + truncation); leading axes are a stack of fields.
 
         The component of each Fourier amplitude parallel to k is discarded by
         expanding only on the polarization vectors, which realizes the
         orthogonal projection onto divergence-free fields.
         """
         n = self.n_half_modes
-        M, K = self.grid_size, self.kmax
+        M, K, lead = self.grid_size, self.kmax, grid.shape[:-4]
         # the adjoint of _to_grid: axis 3 (real in, [Re, Im] out), 2, then 1
         spec = (grid.reshape(-1, M) @ self._proj3).view(np.complex128)
         spec = self._proj12 @ spec.reshape(-1, M, K + 1)
-        spec = self._proj12 @ spec.reshape(3, M, -1)
-        uhat = spec.reshape(3, -1)[:, self._dst[:n]].T
+        spec = self._proj12 @ spec.reshape(-1, M, (2 * K + 1) * (K + 1))
+        uhat = spec.reshape(*lead, 3, -1).take(self._dst[:n], axis=-1).swapaxes(-1, -2)
         uhat.imag *= self._sign[:n, None]
-        coeffs = np.conj(np.einsum("nc,npc->np", uhat, self.polarizations))
+        coeffs = np.conj(np.einsum("...nc,npc->...np", uhat, self.polarizations))
         coeffs /= self._synth_scale
         return coeffs
 
@@ -244,10 +248,14 @@ class GalerkinBasis:
         polynomials of degree < grid_size)."""
         return float(values.sum() * (BOX_VOLUME / values.size))
 
-    def l4_norm(self, grid: np.ndarray) -> float:
-        """|u|_L4 from grid values (3, M, M, M) by exact quadrature of |u|^4."""
-        sq = np.einsum("cxyz,cxyz->xyz", grid, grid)
-        return self.quadrature(sq * sq) ** 0.25
+    def l4_norm(self, grid: np.ndarray):
+        """|u|_L4 from grid values (3, M, M, M) by exact quadrature of |u|^4;
+        for a stack (S, 3, M, M, M), an array of S norms, each computed as
+        for one field."""
+        sq = np.einsum("...cxyz,...cxyz->...xyz", grid, grid)
+        if sq.ndim == 3:
+            return self.quadrature(sq * sq) ** 0.25
+        return np.array([self.quadrature(s * s) ** 0.25 for s in sq])
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,14 @@ class TestModesAndExitCodes:
              "'options.ou_samples'"),
             ({"experiment": "check", "options": {"ou_chi": -1.0}}, "'options.ou_chi'"),
             ({"experiment": "check", "options": {"ou_chi": "x"}}, "'options.ou_chi'"),
+            ({"options": {"record_every": 0}}, "'options.record_every'"),
+            ({"options": {"record_every": True}}, "'options.record_every'"),
+            ({"experiment": "contract", "options": {"record_every": 0}},
+             "'options.record_every'"),
+            ({"experiment": "contract", "options": {"record_every": 2.0}},
+             "'options.record_every'"),
+            ({"experiment": "contract", "assertion_mode": "exploratory", "ensemble": 1},
+             "'ensemble'"),
         ]
         for i, (fields, name) in enumerate(cases):
             raw = {"experiment": "simulate", **fields}
@@ -231,6 +239,24 @@ class TestModesAndExitCodes:
         assert cli.main(["contract", "--config", cfg_file, "--out", out]) == 0
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert "passed" in summary
+
+    def test_contract_without_slope_fit_fails(self, tmp_path):
+        # 16 steps recorded every 32: the second half of the horizon holds one
+        # record time, so there is no slope to check and the run must not pass
+        raw = {"experiment": "contract", "seed": 3, "ensemble": 32,
+               "params": {"t_final": 0.0625}, "options": {"record_every": 32}}
+        cfg_file = write_config(tmp_path, raw)
+        out = str(tmp_path / "s")
+        assert cli.main(["contract", "--config", cfg_file, "--out", out]) == \
+            cli.EXIT_ASSERTION
+
+        def reject(literal):
+            raise ValueError(f"non-standard JSON literal {literal}")
+
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh, parse_constant=reject)
+        assert summary["slope_ok"] is False and summary["passed"] is False
+        assert summary["slope_se"] is None
 
     def test_instability_exit_code(self, tmp_path):
         raw = {

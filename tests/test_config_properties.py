@@ -49,7 +49,8 @@ def valid_configs(draw):
     }
     if draw(st.booleans()):
         params["dt_path"] = dt / draw(st.integers(1, 4))
-    min_ensemble = 32 if gated and experiment == "contract" else 1
+    # contract needs two members for its standard error, 32 when strict
+    min_ensemble = {"contract": 32 if gated else 2}.get(experiment, 1)
     options = draw(st.one_of(st.just({}),
                              st.builds(dict, record_every=st.integers(1, 64))))
     # the default pullback and measure horizons scale with 1/nu and can

@@ -79,6 +79,12 @@ class TestContraction:
         with pytest.raises(ValueError):
             ex.contraction_experiment(p, x, x, ensemble=2, seed=1)
 
+    def test_single_member_rejected(self, basis2, rng):
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=0.5)
+        x = sp.random_field(basis2, rng)
+        with pytest.raises(ValueError, match="ensemble"):
+            ex.contraction_experiment(p, x, x, ensemble=1, seed=1)
+
     def test_small_ensemble_below_envelope(self, basis2, rng):
         p = it.SimParams(nu=4.0, level=1.0, dt=1 / 64, t_final=1.0,
                          noise=nz.NoiseSpectrum(amplitude=1.0))

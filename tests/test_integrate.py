@@ -165,6 +165,44 @@ class TestStepAndSolve:
             it.solve_transformed(v0, path, p)
 
 
+class TestCoupledSolve:
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    @pytest.mark.parametrize("chi", [0.0, 1.5])
+    def test_equals_separate_solves(self, kmax, chi):
+        # |x1|_L4 is above the level and |x2|_L4 below it, so F < 1 for the
+        # first member only while the pair shares one path
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(100 * kmax + int(chi))
+        x1 = sp.random_field(basis, rng, norm=3.0)
+        x2 = sp.random_field(basis, rng, norm=0.2)
+        level = 0.5 * (sp.norm_L4(x1) + sp.norm_L4(x2))
+        p = it.SimParams(nu=2.0, level=level, chi=chi, dt=1 / 64, t_final=0.25,
+                         kmax=kmax, noise=NOISY)
+        path = make_setup(basis, p, seed=kmax)
+        times, v = it.solve_coupled((x1, x2), path, p, record_every=3)
+        for i, x in enumerate((x1, x2)):
+            traj = it.solve(x, path, p, record_every=3)
+            assert np.array_equal(times, traj.record_times)
+            assert np.array_equal(v[i], traj.v_coeffs)
+            # the cutoff acts on the first member only
+            assert (traj.ledger.cutoff[0] < 1.0) == (i == 0)
+
+    def test_one_member_over_its_ceiling_raises(self, basis1, rng):
+        # without noise or forcing the zero field stays zero; the large one
+        # blows up at this step size, and the stack must not hide that
+        p = it.SimParams(nu=1e-3, level=math.inf, dt=0.5, t_final=8.0, kmax=1,
+                         noise=QUIET, instability_factor=10.0)
+        path = make_setup(basis1, p)
+        zero = sp.zero_field(basis1)
+        big = sp.random_field(basis1, rng, norm=100.0)
+        with pytest.raises(it.InstabilityError):
+            it.solve(big, path, p)
+        _, v = it.solve_coupled((zero, zero), path, p)
+        assert not v.any()
+        with pytest.raises(it.InstabilityError, match="member 1"):
+            it.solve_coupled((zero, big), path, p)
+
+
 class TestDossSussman:
     def test_noise_off_identity(self, basis2, rng):
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=0.5, noise=QUIET)

@@ -92,16 +92,21 @@ class TestWienerPath:
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) <= 5.0 / math.sqrt(p.steps)
 
-    def test_column_is_its_keyed_stream(self, path):
-        # column alpha of the table is the whole keyed stream of coordinate
-        # alpha, on the path and on a shifted view of it
-        sh = nz.shift_path(path, 1.5)
-        n0 = sh.index_of(sh.t_min)
-        for alpha in (0, path.n_coordinates - 1):
-            gen = philox(derive_key(path.seed, "wiener-table"), alpha)
-            want = gen.standard_normal(path.steps)
-            assert np.array_equal(path.normals(0, path.steps)[:, alpha], want)
-            assert np.array_equal(sh.normals(n0, sh.steps)[:, alpha], want)
+    def test_column_is_its_keyed_stream(self, path, basis1, spectrum):
+        # every column alpha of the table is the whole keyed stream of
+        # coordinate alpha, on the path and on a shifted view of it, for
+        # tables shorter and longer than one Philox block of 4 words
+        for steps in (1, 16, 17, 1024):
+            p = nz.make_path(path.seed, path.dt_path, 0.0, steps * path.dt_path,
+                             spectrum, basis1)
+            assert p.steps == steps
+            sh = nz.shift_path(p, path.dt_path)
+            n0 = sh.index_of(sh.t_min)
+            for alpha in range(p.n_coordinates):
+                gen = philox(derive_key(p.seed, "wiener-table"), alpha)
+                want = gen.standard_normal(steps)
+                assert np.array_equal(p.normals(0, steps)[:, alpha], want)
+                assert np.array_equal(sh.normals(n0, steps)[:, alpha], want)
 
     def test_off_grid_time_rejected(self, path):
         with pytest.raises(ValueError):

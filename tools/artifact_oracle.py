@@ -9,7 +9,11 @@ each re-run's exit code and the registry's list of changed artifacts, and
 exits 1 if any re-run exits 7.  For each changed CSV or JSON artifact it also
 prints how far the numbers moved: the worst numeric CSV column or JSON leaf
 (a list of numbers counts as one column), measured as max |ref - new| over
-that column's largest |ref|.
+that column's largest |ref|, with max |ref - new| next to it.  A column whose
+largest |ref| is below ROUNDING_FLOOR holds rounding error by construction
+(an identity that is zero in exact arithmetic), so its relative change says
+nothing; such columns are listed apart as rounding-level, with their absolute
+change only.
 
     python tools/artifact_oracle.py [--rev HEAD~1]
 
@@ -34,6 +38,11 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXIT_DIVERGENCE = 7
+
+# Below this largest |ref| a column is rounding-level: it holds the rounding
+# error of an identity (the trilinear fuzz report's lhs is <= 4.6e-18), while
+# the quantities these artifacts measure are many orders of magnitude larger.
+ROUNDING_FLOOR = 1e-12
 
 _SMALL = {"kmax": 1, "dt": 1 / 32, "t_final": 0.5}
 
@@ -115,23 +124,39 @@ def _columns(path: str) -> dict[str, list]:
         return _json_columns(json.load(fh))
 
 
-def worst_divergence(ref_path: str, new_path: str) -> tuple[str, float] | None:
-    """The numeric column (CSV) or leaf (JSON) of an artifact whose values
-    moved most, relative to the column's largest |ref|; inf where a column
+def divergences(ref_path: str, new_path: str) -> list[tuple[str, float, float, bool]]:
+    """(name, max |ref - new| over the column's largest |ref|, max |ref - new|,
+    rounding-level) for each numeric column (CSV) or leaf (JSON) of an
+    artifact whose values moved; the relative change is inf where a column
     appeared, vanished, changed length or moved off an all-zero reference."""
     ref, new = _columns(ref_path), _columns(new_path)
-    worst = None
+    moved = []
     for name in sorted(set(ref) | set(new)):
         r, n = ref.get(name), new.get(name)
         if r is None or n is None or len(r) != len(n):
-            rel = math.inf
-        else:
-            diff = max((abs(a - b) for a, b in zip(r, n)), default=0.0)
-            scale = max((abs(a) for a in r), default=0.0)
-            rel = diff / scale if scale else (0.0 if diff == 0.0 else math.inf)
-        if worst is None or rel > worst[1]:
-            worst = (name, rel)
-    return worst
+            moved.append((name, math.inf, math.inf, False))
+            continue
+        diff = max((abs(a - b) for a, b in zip(r, n)), default=0.0)
+        scale = max((abs(a) for a in r), default=0.0)
+        if diff:
+            rel = diff / scale if scale else math.inf
+            moved.append((name, rel, diff, 0.0 < scale < ROUNDING_FLOOR))
+    return moved
+
+
+def _describe(moved: list[tuple[str, float, float, bool]]) -> str:
+    if not moved:
+        return "numbers equal, non-numeric content differs"
+    parts = []
+    real = [m for m in moved if not m[3]]
+    if real:
+        name, rel, diff, _ = max(real, key=lambda m: m[1])
+        parts.append(f"worst '{name}' {rel:.3g} (abs {diff:.3g})")
+    rounding = [f"'{name}' abs {diff:.3g}" for name, _, diff, low in moved if low]
+    if rounding:
+        parts.append(f"rounding-level (largest |ref| < {ROUNDING_FLOOR:g}): "
+                     + ", ".join(rounding))
+    return "; ".join(parts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,11 +186,9 @@ def main(argv: list[str] | None = None) -> int:
                   + (f", changed: {changed.group(1)}" if changed else ""))
             for artifact in ast.literal_eval(changed.group(1)) if changed else []:
                 if artifact.endswith((".csv", ".json")):
-                    worst = worst_divergence(os.path.join(ref_out, artifact),
-                                             os.path.join(out, artifact))
-                    print(f"{'':20s}   {artifact}: "
-                          + (f"worst '{worst[0]}' {worst[1]:.3g}" if worst and worst[1]
-                             else "numbers equal, non-numeric content differs"))
+                    moved = divergences(os.path.join(ref_out, artifact),
+                                        os.path.join(out, artifact))
+                    print(f"{'':20s}   {artifact}: " + _describe(moved))
             for proc in (first, again):
                 if proc.returncode not in (0, EXIT_DIVERGENCE):
                     print(proc.stderr.strip(), file=sys.stderr)
