@@ -48,13 +48,7 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
 
 
 def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.bool_, np.integer, np.floating, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
@@ -66,15 +60,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _initial_field(basis, spec: dict, seed: int, label: str) -> sp.SpectralField:
-    kind = spec.get("kind", "random")
-    if kind == "zero":
+    """The field of an initial-field spec (validated by the config)."""
+    if spec.get("kind", "random") == "zero":
         return sp.zero_field(basis)
-    if kind == "random":
-        rng = labeled_generator(seed, spec.get("label", label))
-        return sp.random_field(
-            basis, rng, decay=spec.get("decay", 2.0), norm=spec.get("norm", 1.0)
-        )
-    raise ConfigError(f"unknown initial-condition kind {kind!r} for '{label}'")
+    rng = labeled_generator(seed, spec.get("label", label))
+    return sp.random_field(basis, rng, decay=spec.get("decay", 2.0),
+                           norm=spec.get("norm", 1.0))
 
 
 # ---- experiment runners -----------------------------------------------------
@@ -113,7 +104,7 @@ def _run_check(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
 def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     params = cfg.params
     basis = params.basis()
-    x = _initial_field(basis, cfg.options.get("initial", {}), cfg.seed, "ic")
+    x = _initial_field(basis, cfg.option("initial"), cfg.seed, "ic")
     path = nz.make_path(cfg.seed, params.dt_path, 0.0, params.t_final,
                         params.noise, basis)
     traj = it.solve(x, path, params, record_every=cfg.option("record_every"))
@@ -141,8 +132,8 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
 def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     params = cfg.params
     basis = params.basis()
-    x1 = _initial_field(basis, cfg.options.get("x1", {"norm": 1.0}), cfg.seed, "x1")
-    x2 = _initial_field(basis, cfg.options.get("x2", {"norm": 0.5}), cfg.seed, "x2")
+    x1 = _initial_field(basis, cfg.option("x1"), cfg.seed, "x1")
+    x2 = _initial_field(basis, cfg.option("x2"), cfg.seed, "x2")
     rep = ex.contraction_experiment(
         params, x1, x2, ensemble=cfg.ensemble, seed=cfg.seed,
         record_every=cfg.option("record_every"),
@@ -162,16 +153,13 @@ def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     params = cfg.params
     basis = params.basis()
     times = cfg.option("pullback_times")
-    fam_spec = cfg.options.get(
-        "families", {"small": {"norm": 1.0}, "large": {"norm": 100.0}}
-    )
     family = {
         name: _initial_field(basis, spec, cfg.seed, f"pullback-{name}")
-        for name, spec in fam_spec.items()
+        for name, spec in cfg.option("families").items()
     }
     rep = ex.pullback_absorption(
         params, times, family, seed=cfg.seed,
-        family_tol=cfg.options.get("family_tol", 1e-6),
+        family_tol=cfg.option("family_tol"),
     )
     csv_path = os.path.join(out, "pullback.csv")
     names = list(rep.radii)
@@ -188,12 +176,9 @@ def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
 
 def _run_nse_limit(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     basis = cfg.params.basis()
-    x = _initial_field(basis, cfg.options.get("initial", {"norm": 2.0}),
-                       cfg.seed, "nse-ic")
-    rep = ex.nse_limit_experiment(
-        x, cfg.params, multipliers=tuple(cfg.options.get(
-            "multipliers", (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)))
-    )
+    x = _initial_field(basis, cfg.option("initial"), cfg.seed, "nse-ic")
+    rep = ex.nse_limit_experiment(x, cfg.params,
+                                  multipliers=tuple(cfg.option("multipliers")))
     csv_path = os.path.join(out, "nse_limit.csv")
     _write_csv(
         csv_path,
@@ -207,28 +192,18 @@ def _run_measure(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
     params = cfg.params
     basis = params.basis()
     burn_in, horizon = cfg.option("burn_in"), cfg.option("horizon")
-    ic_spec = cfg.options.get(
-        "initial_set", {"zero": {"kind": "zero"}, "big": {"norm": 10.0}}
-    )
     ics = {
         name: _initial_field(basis, spec, cfg.seed, f"measure-{name}")
-        for name, spec in ic_spec.items()
+        for name, spec in cfg.option("initial_set").items()
     }
     rep = ex.invariant_measure_sampler(
         params, ics, burn_in=burn_in, horizon=horizon, seed=cfg.seed,
         enforce_threshold=cfg.strict,
     )
     csv_path = os.path.join(out, "measure.csv")
-    names = list(ics)
-    rows_obs, rows_ic, rows_avg, rows_se = [], [], [], []
-    for obs in rep.observables:
-        for name in names:
-            rows_obs.append(obs)
-            rows_ic.append(name)
-            rows_avg.append(rep.averages[obs][name])
-            rows_se.append(rep.stderrs[obs][name])
-    _write_csv(csv_path, ["observable", "initial", "average", "stderr"],
-               [rows_obs, rows_ic, rows_avg, rows_se])
+    rows = [(obs, name, rep.averages[obs][name], rep.stderrs[obs][name])
+            for obs in rep.observables for name in ics]
+    _write_csv(csv_path, ["observable", "initial", "average", "stderr"], list(zip(*rows)))
     return rep.summary(), [csv_path], rep.passed
 
 

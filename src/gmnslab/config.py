@@ -59,16 +59,23 @@ class RunConfig:
 
     def option(self, name: str):
         """options[name], or its default: the sizes of the `check` suites, the
-        snapshot stride, and the horizon options, whose defaults scale with
-        the relaxation time 1/(nu*lambda_p).  The runners and the config-time
-        checks both read them here."""
+        snapshot stride, the initial-field specs, the tolerances, and the
+        horizon options, whose defaults scale with the relaxation time
+        1/(nu*lambda_p).  The runners and the config-time checks both read
+        them here."""
         rate = self.params.nu * self.params.lambda_p
         defaults = {"pullback_times": [m / rate for m in (1, 2, 4, 8, 16, 32)],
                     "burn_in": 5.0 / rate, "horizon": 200.0 / rate,
                     "cutoff_pairs": 10_000, "trilinear_triples": 1000,
                     "monotonicity_triples": 1000, "ou_samples": 100_000,
                     "ou_chi": 1.0, "shift_pairs": 100,
-                    "record_every": 4 if self.experiment == "contract" else 1}
+                    "record_every": 4 if self.experiment == "contract" else 1,
+                    "initial": {"norm": 2.0} if self.experiment == "nse-limit" else {},
+                    "x1": {"norm": 1.0}, "x2": {"norm": 0.5},
+                    "families": {"small": {"norm": 1.0}, "large": {"norm": 100.0}},
+                    "family_tol": 1e-6,
+                    "initial_set": {"zero": {"kind": "zero"}, "big": {"norm": 10.0}},
+                    "multipliers": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]}
         return self.options.get(name, defaults[name])
 
     def to_dict(self) -> dict:
@@ -192,45 +199,74 @@ def resolve_config(raw: dict) -> RunConfig:
     return cfg
 
 
+def _finite(x) -> bool:
+    """A finite number that is not a bool."""
+    return _is_number(x) and -math.inf < x < math.inf
+
+
+def _is_field_spec(spec) -> bool:
+    """An initial-field spec (see cli._initial_field)."""
+    if not isinstance(spec, dict) or set(spec) - {"kind", "norm", "decay", "label"}:
+        return False
+    norm, decay = spec.get("norm", 1.0), spec.get("decay", 2.0)
+    return (spec.get("kind", "random") in ("random", "zero")
+            and (norm is None or _finite(norm) and norm > 0)
+            and _finite(decay) and isinstance(spec.get("label", ""), str))
+
+
+_FIELD_SPEC = ('an initial-field spec: an object with kind "random" or "zero", '
+               "norm a finite number > 0 or null, decay a finite number, label a "
+               "string and no other key")
+
+# option -> (validator, what it must be)
+_OPTION_RULES = {
+    **{name: (lambda n: _is_int(n) and n >= 1, "an integer >= 1")
+       for name in ("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
+                    "shift_pairs", "record_every")},
+    # a variance needs two samples
+    "ou_samples": (lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
+    **{name: (lambda x: _finite(x) and x >= 0, "a finite number >= 0")
+       for name in ("ou_chi", "burn_in", "family_tol")},
+    "horizon": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
+    **{name: (lambda xs: isinstance(xs, list) and xs
+              and all(_finite(x) and x > 0 for x in xs),
+              "a non-empty list of finite numbers > 0")
+       for name in ("pullback_times", "multipliers")},
+    **{name: (_is_field_spec, _FIELD_SPEC) for name in ("initial", "x1", "x2")},
+    **{name: (lambda d: isinstance(d, dict) and d
+              and all(map(_is_field_spec, d.values())),
+              f"a non-empty object whose every entry is {_FIELD_SPEC}")
+       for name in ("families", "initial_set")},
+}
+
+# the options each experiment reads
+_EXPERIMENT_OPTIONS = {
+    "check": ("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
+              "shift_pairs", "ou_samples", "ou_chi"),
+    "simulate": ("record_every", "initial"),
+    "contract": ("record_every", "x1", "x2"),
+    "pullback": ("pullback_times", "families", "family_tol"),
+    "nse-limit": ("initial", "multipliers"),
+    "measure": ("burn_in", "horizon", "initial_set"),
+}
+
+
 def _path_table(cfg: RunConfig) -> tuple[str, float, float]:
     """The field(s) that set the size of the largest path table a run draws,
-    their value, and the table's bytes; the options that set it are
-    validated on the way."""
+    their value, and the table's bytes."""
     p = cfg.params
     if cfg.experiment == "check":
-        for name in ("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
-                     "shift_pairs", "ou_samples"):
-            # a variance needs two samples
-            least = 2 if name == "ou_samples" else 1
-            n = cfg.option(name)
-            _require(_is_int(n) and n >= least,
-                     f"field 'options.{name}' must be an integer >= {least}, got {n!r}")
-        chi = cfg.option("ou_chi")
-        _require(_is_number(chi) and 0 <= chi < math.inf,
-                 f"field 'options.ou_chi' must be a finite number >= 0, got {chi!r}")
         # c06 samples one kmax=1 path of ou_samples + 1 cells
         n = cfg.option("ou_samples")
         return "field 'options.ou_samples'", n, path_table_bytes(n + 1, 1)
     if cfg.experiment == "pullback":
-        times = cfg.option("pullback_times")
-        _require(isinstance(times, list) and times
-                 and all(_is_number(t) and 0 < t < math.inf for t in times),
-                 "field 'options.pullback_times' must be a non-empty list of finite "
-                 f"numbers > 0, got {times!r}")
-        # the tolerance of experiments.pullback_absorption
-        _require(all(abs(round(t / p.dt) * p.dt - t) <= 1e-9 for t in times),
-                 f"field 'options.pullback_times' must hold multiples of "
-                 f"params.dt = {p.dt}, got {times!r}")
         # one path over [-max(times), dt]
-        name, span = "field 'options.pullback_times'", max(times) + p.dt
+        name = "field 'options.pullback_times'"
+        span = max(cfg.option("pullback_times")) + p.dt
     elif cfg.experiment == "measure":
-        burn_in, horizon = cfg.option("burn_in"), cfg.option("horizon")
-        _require(_is_number(burn_in) and 0 <= burn_in < math.inf,
-                 f"field 'options.burn_in' must be a finite number >= 0, got {burn_in!r}")
-        _require(_is_number(horizon) and 0 < horizon < math.inf,
-                 f"field 'options.horizon' must be a finite number > 0, got {horizon!r}")
         # one path per initial state over [0, burn_in + horizon]
-        name, span = "fields 'options.burn_in' + 'options.horizon'", burn_in + horizon
+        name = "fields 'options.burn_in' + 'options.horizon'"
+        span = cfg.option("burn_in") + cfg.option("horizon")
     else:
         # the remaining runs draw their paths over [0, t_final]
         name, span = "field 'params.t_final'", p.t_final
@@ -239,16 +275,22 @@ def _path_table(cfg: RunConfig) -> tuple[str, float, float]:
 
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
+    for option in _EXPERIMENT_OPTIONS[cfg.experiment]:
+        valid, what = _OPTION_RULES[option]
+        value = cfg.option(option)
+        _require(valid(value), f"field 'options.{option}' must be {what}, got {value!r}")
+    if cfg.experiment == "pullback":
+        # the tolerance of experiments.pullback_absorption
+        times = cfg.option("pullback_times")
+        _require(all(abs(round(t / p.dt) * p.dt - t) <= 1e-9 for t in times),
+                 f"field 'options.pullback_times' must hold multiples of "
+                 f"params.dt = {p.dt}, got {times!r}")
     name, value, nbytes = _path_table(cfg)
     _require(
         nbytes <= PATH_TABLE_CEILING,
         f"{name} = {value} needs a path table of {nbytes / 2**30:.3g} GiB, "
         f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
     )
-    if cfg.experiment in ("simulate", "contract"):
-        n = cfg.option("record_every")
-        _require(_is_int(n) and n >= 1,
-                 f"field 'options.record_every' must be an integer >= 1, got {n!r}")
     if cfg.experiment == "contract":
         _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
                  "for contract (the standard error needs two members)")

@@ -39,6 +39,11 @@ def contraction_rate(nu: float, level: float, lambda_p: float) -> float:
     return nu * lambda_p - 7.0**7 * level**8 / (2.0**12 * nu**7)
 
 
+def _fields_and_extra(report) -> dict:
+    """A report's fields but `extra`, then the entries of `extra`."""
+    return {**{k: v for k, v in vars(report).items() if k != "extra"}, **report.extra}
+
+
 # ---- property-check suites --------------------------------------------------
 
 
@@ -445,18 +450,7 @@ class NseLimitReport:
     extra: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "name": "nse_limit",
-            "levels": list(self.levels),
-            "i_n": list(self.i_n),
-            "i_n_bound": list(self.i_n_bound),
-            "int_one_minus_f": list(self.int_one_minus_f),
-            "l2_err": list(self.l2_err),
-            "k_t": self.k_t,
-            "l4_scale": self.l4_scale,
-            "passed": self.passed,
-            **self.extra,
-        }
+        return {"name": "nse_limit", **_fields_and_extra(self)}
 
 
 def _solve_noise_free(x: sp.SpectralField, params: it.SimParams,
@@ -541,17 +535,7 @@ class MeasureReport:
     extra: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "name": "invariant_measure",
-            "observables": list(self.observables),
-            "burn_in": self.burn_in,
-            "horizon": self.horizon,
-            "averages": self.averages,
-            "stderrs": self.stderrs,
-            "autocorr_times": self.autocorr_times,
-            "passed": self.passed,
-            **self.extra,
-        }
+        return {"name": "invariant_measure", **_fields_and_extra(self)}
 
 
 def _integrated_autocorr(series: np.ndarray, dt: float) -> float:

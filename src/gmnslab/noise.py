@@ -31,13 +31,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .seeding import derive_key, labeled_generator, philox
-from .spectral import GalerkinBasis, SpectralField
+from .spectral import GalerkinBasis, SpectralField, build_basis
 
 # gamma-radonifying regularity floor for the noise spectrum (see NoiseSpectrum).
 MIN_REGULARITY = 0.75
 
 # Resource guard: the largest path table (float64 draws) a path may hold.
 PATH_TABLE_CEILING = 2**30
+
+# Columns of the path table drawn per block (see WienerPath._full_table);
+# the draws do not depend on it.
+_TABLE_BLOCK = 16
 
 
 def path_table_bytes(steps: float, kmax: int) -> float:
@@ -165,14 +169,18 @@ class WienerPath:
         if self._table is None:
             table = np.empty((self.steps, self.n_coordinates))
             # one generator, re-keyed to (key, alpha) with a zero counter
-            # before each column: the stream philox(key, alpha) draws,
-            # without building a generator (and its entropy seeding) per column
+            # before each column: the stream philox(key, alpha), drawn into
+            # a row of a block that goes into the table in one transposed copy
             gen = philox(derive_key(self.seed, "wiener-table"))
             state = gen.bit_generator.state
-            for alpha in range(self.n_coordinates):
-                state["state"]["key"][1] = alpha
-                gen.bit_generator.state = state
-                table[:, alpha] = gen.standard_normal(self.steps)
+            block = np.empty((_TABLE_BLOCK, self.steps))
+            for a0 in range(0, self.n_coordinates, _TABLE_BLOCK):
+                width = min(_TABLE_BLOCK, self.n_coordinates - a0)
+                for j in range(width):
+                    state["state"]["key"][1] = a0 + j
+                    gen.bit_generator.state = state
+                    gen.standard_normal(out=block[j])
+                table[:, a0:a0 + width] = block[:width].T
             table.setflags(write=False)
             object.__setattr__(self, "_table", table)
         return self._table
@@ -218,8 +226,6 @@ def make_path(
 def path_from_manifest(manifest: dict, basis: GalerkinBasis | None = None) -> WienerPath:
     spec = NoiseSpectrum(**manifest["spectrum"])
     if basis is None:
-        from .spectral import build_basis
-
         basis = build_basis(manifest["kmax"])
     dt_path = manifest["dt_path"]
     offset = manifest.get("offset", 0)

@@ -43,6 +43,9 @@ quadrature and projection still rests on M >= 4*kmax + 1, not on the
 transform: the products are the exact DFT restricted to the truncated
 frequencies.
 
+`build_basis` builds one basis per (kmax, grid_size) and process, in integer
+array arithmetic; every caller shares it, so all of its arrays are read-only.
+
 `synthesize_with_jacobian` scatters once and gives grid values and Jacobian
 from one batched transform; the advection and B_F (with its L4 norm) are
 built on it.  The advection keeps the convective form u_a d_a u_c: the
@@ -53,6 +56,8 @@ leaves |B(u, u)|_H = 2.3e-18, not 0.0.
 
 from __future__ import annotations
 
+import functools
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -64,21 +69,6 @@ KMAX_CEILING = 8
 BOX_VOLUME = (2.0 * np.pi) ** 3
 
 _FORMAT_VERSION = 1
-
-
-def _polarization_pair(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two integer vectors orthogonal to k and to each other.
-
-    Built from cross products of integer vectors, so orthogonality holds in
-    exact integer arithmetic (the divergence-free constraint is structural,
-    not approximate).
-    """
-    axis = int(np.argmin(np.abs(k)))
-    e = np.zeros(3, dtype=np.int64)
-    e[axis] = 1
-    p1 = np.cross(k, e)
-    p2 = np.cross(k, p1)
-    return p1, p2
 
 
 @dataclass(frozen=True)
@@ -111,50 +101,44 @@ class GalerkinBasis:
         if self.grid_size < 4 * self.kmax + 1:
             raise ValueError("grid_size must be at least 4*kmax + 1 for exact quadrature")
 
-        rng = range(-self.kmax, self.kmax + 1)
-        modes = [
-            (k1, k2, k3)
-            for k1 in rng
-            for k2 in rng
-            for k3 in rng
-            if (k1, k2, k3) > (0, 0, 0)
-        ]
-        modes = np.array(sorted(modes), dtype=np.int64)
+        # the lattice [-K, K]^3 in lexicographic order; the rows after its
+        # centre are the half space (k1, k2, k3) > (0, 0, 0)
+        K, M = self.kmax, self.grid_size
+        k = np.arange(-K, K + 1)
+        lattice = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)
+        modes = lattice[len(lattice) // 2 + 1:]
 
-        pol_int = np.empty((len(modes), 2, 3), dtype=np.int64)
-        for i, k in enumerate(modes):
-            p1, p2 = _polarization_pair(k)
-            pol_int[i, 0] = p1
-            pol_int[i, 1] = p2
+        # two integer vectors orthogonal to k and to each other: cross
+        # products with the unit vector along the smallest |k_i|, so the
+        # divergence-free constraint holds in exact integer arithmetic
+        e = np.eye(3, dtype=np.int64)[np.argmin(np.abs(modes), axis=1)]
+        p1 = np.cross(modes, e)
+        pol_int = np.stack([p1, np.cross(modes, p1)], axis=1)
         pol = pol_int / np.linalg.norm(pol_int, axis=2, keepdims=True)
-
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "polarizations", pol)
-        object.__setattr__(self, "polarizations_int", pol_int)
-        object.__setattr__(self, "eigenvalues", np.einsum("ni,ni->n", modes, modes))
-        for name in ("modes", "polarizations", "polarizations_int", "eigenvalues"):
-            getattr(self, name).setflags(write=False)
 
         # Half-cube scatter targets (mode n -> dst, conjugated where sign is
         # -1; see the module docstring), wavenumbers and 1-D DFT matrices,
         # cached per basis.  Phases are reduced mod M in integers, so every
         # entry is an exact M-th root of unity up to one rounding.
-        K, M = self.kmax, self.grid_size
         mirror = np.flatnonzero(modes[:, 2] == 0)
         src = np.concatenate([np.arange(len(modes)), mirror])
         sign = np.concatenate([np.where(modes[:, 2] < 0, -1, 1), -np.ones_like(mirror)])
         dst = np.ravel_multi_index(tuple((sign[:, None] * modes[src] + (K, K, 0)).T),
                                    (2 * K + 1, 2 * K + 1, K + 1))
-        k = np.arange(-K, K + 1)
         root = np.exp(2j * np.pi * (np.outer(np.arange(M), k) % M) / M)  # (M, 2K+1)
         weight = np.where(k[K:] == 0, 1.0, 2.0)[:, None] * root[:, K:].T
         synth3 = np.stack([weight.real, -weight.imag], axis=1).reshape(2 * K + 2, M)
         proj3 = np.ascontiguousarray(np.conj(root[:, K:]) / M).view(np.float64)
         ik = 1j * np.array(np.meshgrid(k, k, k[K:], indexing="ij"))
-        for name, value in (("_src", src), ("_dst", dst), ("_sign", sign),
+        # the basis is shared (see build_basis), so every array is read-only
+        for name, value in (("modes", modes), ("polarizations", pol),
+                            ("polarizations_int", pol_int),
+                            ("eigenvalues", np.einsum("ni,ni->n", modes, modes)),
+                            ("_src", src), ("_dst", dst), ("_sign", sign),
                             ("_ik", ik[:, None]), ("_synth12", root),
                             ("_synth3", synth3), ("_proj12", np.conj(root.T) / M),
                             ("_proj3", proj3)):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_synth_scale", 1.0 / np.sqrt(2.0 * BOX_VOLUME))
 
@@ -316,8 +300,13 @@ def _check_same_basis(*fields: SpectralField) -> GalerkinBasis:
 
 
 def build_basis(kmax: int, grid_size: int | None = None) -> GalerkinBasis:
-    """Build the truncated basis; rejects kmax = 0 and kmax above the ceiling."""
-    return GalerkinBasis(kmax, grid_size or 0)
+    """The truncated basis, built once per (kmax, grid_size) and process and
+    shared by every caller; rejects kmax = 0 and kmax above the ceiling on
+    every call, and a non-integer kmax or grid_size with TypeError."""
+    return _basis(operator.index(kmax), operator.index(grid_size or 0))
+
+
+_basis = functools.cache(GalerkinBasis)
 
 
 def zero_field(basis: GalerkinBasis) -> SpectralField:

@@ -11,6 +11,31 @@ import numpy as np
 VOLUME = (2.0 * np.pi) ** 3
 
 
+def polarization_pair(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two integer vectors orthogonal to k and to each other, from cross
+    products with the unit vector along the smallest |k_i|."""
+    axis = int(np.argmin(np.abs(k)))
+    e = np.zeros(3, dtype=np.int64)
+    e[axis] = 1
+    p1 = np.cross(k, e)
+    p2 = np.cross(k, p1)
+    return p1, p2
+
+
+def basis_reference(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-space modes (sorted tuples > (0, 0, 0)), integer and unit
+    polarizations of the truncated basis, built one mode at a time."""
+    rng = range(-kmax, kmax + 1)
+    modes = sorted((k1, k2, k3) for k1 in rng for k2 in rng for k3 in rng
+                   if (k1, k2, k3) > (0, 0, 0))
+    modes = np.array(modes, dtype=np.int64)
+    pol_int = np.empty((len(modes), 2, 3), dtype=np.int64)
+    for i, k in enumerate(modes):
+        pol_int[i] = polarization_pair(k)
+    pol = pol_int / np.linalg.norm(pol_int, axis=2, keepdims=True)
+    return modes, pol_int, pol
+
+
 def axes_grid(m: int) -> np.ndarray:
     x = 2.0 * np.pi * np.arange(m) / m
     return np.array(np.meshgrid(x, x, x, indexing="ij"))

@@ -195,6 +195,37 @@ class TestModesAndExitCodes:
              "'options.record_every'"),
             ({"experiment": "contract", "assertion_mode": "exploratory", "ensemble": 1},
              "'ensemble'"),
+            ({"options": {"initial": {"norm": "x"}}}, "'options.initial'"),
+            ({"options": {"initial": {"decay": "x"}}}, "'options.initial'"),
+            ({"options": {"initial": {"norm": -1.0}}}, "'options.initial'"),
+            ({"options": {"initial": {"norm": 0}}}, "'options.initial'"),
+            ({"options": {"initial": {"decay": True}}}, "'options.initial'"),
+            ({"options": {"initial": {"kind": "ones"}}}, "'options.initial'"),
+            ({"options": {"initial": {"label": 3}}}, "'options.initial'"),
+            ({"options": {"initial": {"nrom": 1.0}}}, "'options.initial'"),
+            ({"options": {"initial": []}}, "'options.initial'"),
+            ({"experiment": "nse-limit", "options": {"initial": {"norm": -2.0}}},
+             "'options.initial'"),
+            ({"experiment": "nse-limit", "options": {"multipliers": []}},
+             "'options.multipliers'"),
+            ({"experiment": "nse-limit", "options": {"multipliers": [-1]}},
+             "'options.multipliers'"),
+            ({"experiment": "nse-limit", "options": {"multipliers": "ab"}},
+             "'options.multipliers'"),
+            ({"experiment": "nse-limit", "options": {"multipliers": [1.0, True]}},
+             "'options.multipliers'"),
+            ({"experiment": "contract", "options": {"x1": {"norm": "x"}}}, "'options.x1'"),
+            ({"experiment": "contract", "options": {"x2": {"kind": None}}}, "'options.x2'"),
+            ({"experiment": "pullback", "options": {"families": {}}}, "'options.families'"),
+            ({"experiment": "pullback", "options": {"families": {"a": {"norm": "x"}}}},
+             "'options.families'"),
+            ({"experiment": "pullback", "options": {"family_tol": -1.0}},
+             "'options.family_tol'"),
+            ({"experiment": "measure", "options": {"initial_set": []}},
+             "'options.initial_set'"),
+            ({"experiment": "measure",
+              "options": {"initial_set": {"z": {"kind": "zero", "x": 1}}}},
+             "'options.initial_set'"),
         ]
         for i, (fields, name) in enumerate(cases):
             raw = {"experiment": "simulate", **fields}

@@ -114,3 +114,49 @@ def test_bad_scalar_rejected_naming_field(name, raw, data):
     # type and finiteness errors name the dotted field; the sign checks of
     # SimParams name the parameter as name=value
     assert f"'params.{name}'" in message or f"{name}=" in message, message
+
+
+FIELD_SPECS = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(("random", "zero")),
+    "norm": st.one_of(st.none(), st.floats(1e-6, 1e6)),
+    "decay": st.floats(-10.0, 10.0),
+    "label": st.text(max_size=8),
+})
+
+BAD_SPEC_VALUES = {
+    "kind": st.one_of(st.none(), st.text(max_size=8).filter(
+        lambda s: s not in ("random", "zero"))),
+    "norm": st.one_of(st.booleans(), st.text(max_size=8),
+                      st.floats().filter(lambda x: not 0 < x < math.inf)),
+    "decay": st.one_of(st.none(), st.booleans(), st.text(max_size=8),
+                       st.sampled_from((math.nan, math.inf, -math.inf))),
+    "label": st.one_of(st.none(), st.booleans(), st.integers()),
+    "nrom": st.floats(1e-6, 1e6),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=FIELD_SPECS, data=st.data())
+def test_initial_field_spec_checked_naming_field(spec, data):
+    raw = {"experiment": "simulate", "options": {"initial": spec}}
+    assert resolve_config(raw).option("initial") == spec
+    key = data.draw(st.sampled_from(sorted(BAD_SPEC_VALUES)), label="key")
+    bad = dict(spec, **{key: data.draw(BAD_SPEC_VALUES[key], label=key)})
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"experiment": "simulate", "options": {"initial": bad}})
+    assert "'options.initial'" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8), data=st.data())
+def test_multipliers_checked_naming_field(mult, data):
+    raw = {"experiment": "nse-limit", "options": {"multipliers": mult}}
+    assert resolve_config(raw).option("multipliers") == mult
+    bad = data.draw(st.one_of(
+        st.just([]), st.text(max_size=4),
+        st.lists(st.one_of(st.booleans(), st.text(max_size=4),
+                           st.floats().filter(lambda x: not 0 < x < math.inf)),
+                 min_size=1, max_size=3).map(lambda xs: mult + xs)))
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"experiment": "nse-limit", "options": {"multipliers": bad}})
+    assert "'options.multipliers'" in str(err.value)

@@ -7,8 +7,8 @@ import pytest
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
-from oracles import (grad_direct, norm_h_oracle, norm_l4_oracle, synth_direct,
-                     trilinear_oracle)
+from oracles import (basis_reference, grad_direct, norm_h_oracle, norm_l4_oracle,
+                     synth_direct, trilinear_oracle)
 
 # single modes on the k3 = 0 plane (stored at both +k and -k in the half
 # cube) and with k3 < 0 (stored conjugated at -k)
@@ -26,10 +26,37 @@ class TestBasisConstruction:
         assert b2.lattice_size == 124
 
     def test_rejects_degenerate_kmax(self):
-        with pytest.raises(ValueError):
-            sp.build_basis(0)
-        with pytest.raises(ValueError):
-            sp.build_basis(9)
+        # rejected on every call, not only on the first
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sp.build_basis(0)
+            with pytest.raises(ValueError):
+                sp.build_basis(9)
+        with pytest.raises(TypeError):
+            sp.build_basis(2.0)
+
+    def test_matches_per_mode_reference(self):
+        for kmax in range(1, sp.KMAX_CEILING + 1):
+            b = sp.build_basis(kmax)
+            modes, pol_int, pol = basis_reference(kmax)
+            for got, want in ((b.modes, modes), (b.polarizations_int, pol_int),
+                              (b.polarizations, pol)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_built_once_per_process(self):
+        assert sp.build_basis(2) is sp.build_basis(2)
+        assert sp.build_basis(np.int64(2)) is sp.build_basis(2)
+        assert sp.build_basis(2, grid_size=10) is sp.build_basis(2, grid_size=10)
+
+    def test_shared_arrays_read_only(self, basis2):
+        names = ("modes", "polarizations", "polarizations_int", "eigenvalues",
+                 "_src", "_dst", "_sign", "_ik", "_synth12", "_synth3",
+                 "_proj12", "_proj3")
+        for name in names:
+            arr = getattr(basis2, name)
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
 
     def test_polarizations_orthogonal_to_mode_exactly(self, basis2):
         # integer cross products: orthogonality in exact integer arithmetic
