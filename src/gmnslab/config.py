@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .experiments import stability_threshold
 from .integrate import SimParams
-from .noise import MIN_REGULARITY, PATH_TABLE_CEILING, path_table_bytes
+from .noise import MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes
 from .spectral import KMAX_CEILING
 
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
@@ -28,7 +28,7 @@ PARAM_DEFAULTS = {
     "kmax": 2,
     "dt_path": None,
     "instability_factor": 1e6,
-    "noise": {"s": 1.0, "amplitude": 1.0, "delta": 0.25, "allow_rough": False},
+    "noise": asdict(NoiseSpectrum()),
     "forcing": None,
 }
 
@@ -275,10 +275,21 @@ def _path_table(cfg: RunConfig) -> tuple[str, float, float]:
 
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
-    for option in _EXPERIMENT_OPTIONS[cfg.experiment]:
+    read = _EXPERIMENT_OPTIONS[cfg.experiment]
+    for option in sorted(cfg.options):
+        _require(option in read, f"field 'options.{option}' is not an option of "
+                 f"'{cfg.experiment}', which reads {list(read)}")
+    for option in read:
         valid, what = _OPTION_RULES[option]
         value = cfg.option(option)
         _require(valid(value), f"field 'options.{option}' must be {what}, got {value!r}")
+    if cfg.experiment == "nse-limit":
+        # the unmodified run from a zero field without forcing stays at 0,
+        # and so would the cutoff levels, which scale with its L4 norm
+        _require(cfg.option("initial").get("kind") != "zero" or p.forcing is not None,
+                 "field 'options.initial' must not be the zero field for nse-limit "
+                 "while params.forcing is null: the cutoff levels scale with the "
+                 "L4 norm of the unmodified run, which stays 0")
     if cfg.experiment == "pullback":
         # the tolerance of experiments.pullback_absorption
         times = cfg.option("pullback_times")

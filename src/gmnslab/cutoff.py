@@ -37,7 +37,6 @@ from .spectral import (
     norm_H,
     norm_L4,
     norm_V,
-    stokes_apply,
 )
 
 
@@ -115,12 +114,6 @@ def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float):
 def cutoff_advection(u: SpectralField, level: float) -> SpectralField:
     """B_F(u) = F(|u|_L4) * B(u, u); satisfies <B_F(u), u> = 0."""
     return SpectralField(u.basis, cutoff_advection_coeffs(u.basis, u.coeffs, level)[0])
-
-
-def drift_apply(v: SpectralField, z: SpectralField, params: CutoffParams) -> SpectralField:
-    """G(v) = nu * A v + B_F(v + z)."""
-    _check_same_basis(v, z)
-    return params.nu * stokes_apply(v) + cutoff_advection(v + z, params.level)
 
 
 def monotonicity_gap(

@@ -39,9 +39,10 @@ def contraction_rate(nu: float, level: float, lambda_p: float) -> float:
     return nu * lambda_p - 7.0**7 * level**8 / (2.0**12 * nu**7)
 
 
-def _fields_and_extra(report) -> dict:
-    """A report's fields but `extra`, then the entries of `extra`."""
-    return {**{k: v for k, v in vars(report).items() if k != "extra"}, **report.extra}
+def _fields_and_extra(report, *omit: str) -> dict:
+    """A report's fields but `extra` and `omit`, then the entries of `extra`."""
+    return {**{k: v for k, v in vars(report).items() if k not in ("extra", *omit)},
+            **report.extra}
 
 
 # ---- property-check suites --------------------------------------------------
@@ -58,14 +59,7 @@ class CheckReport:
     extra: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "passed": self.passed,
-            **self.extra,
-        }
+        return _fields_and_extra(self, "rows")
 
 
 def check_cutoff_lemma(
@@ -266,14 +260,8 @@ class ContractionReport:
     extra: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "name": "contraction",
-            "ensemble": self.ensemble,
-            "rate_theoretical": self.rate,
-            "fitted_slope": self.fitted_slope,
-            "passed": self.passed,
-            **self.extra,
-        }
+        return {"name": "contraction", "rate_theoretical": self.rate,
+                **_fields_and_extra(self, "times", "mean_sq", "stderr", "envelope", "rate")}
 
 
 def _member_diff_sq(x1, x2, params, member_seed, record_every):
@@ -360,15 +348,7 @@ class PullbackReport:
     extra: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "name": "pullback_absorption",
-            "pullback_times": list(self.pullback_times),
-            "radii": {k: list(v) for k, v in self.radii.items()},
-            "absorbing_bound": self.absorbing_bound,
-            "family_gap": self.family_gap,
-            "passed": self.passed,
-            **self.extra,
-        }
+        return {"name": "pullback_absorption", **_fields_and_extra(self, "ic_terms")}
 
 
 def pullback_absorption(
@@ -481,6 +461,11 @@ def nse_limit_experiment(
     """
     star = solve_nse(x, params)
     l4_scale = float(star.ledger.u_L4.max())
+    if l4_scale == 0.0:
+        raise ValueError(
+            "the unmodified run stays at the zero field (zero initial field and "
+            "no forcing), so there is no L4 scale to set the cutoff levels by"
+        )
     levels = [m * l4_scale for m in multipliers]
     T = params.t_final
     k_t = max(1.0, 1.0 / params.nu) * (

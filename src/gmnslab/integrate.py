@@ -35,7 +35,13 @@ energy balance
 
 with trapezoidal quadrature on the solver grid (same order as the stepper);
 the cumulative defect of this identity is the scheme's convergence
-diagnostic and decreases at second order under step refinement.
+diagnostic and decreases at second order under step refinement.  Its
+columns per step are t, |v|_H^2, |v|_V^2, |u|_L4, the cutoff factor F,
+|z|_H^2, |z|_L4, |u|_H^2, |u|_V^2 and the residual; the three pairings of
+the flux are summed into the residual and not kept.
+
+A checkpoint holds (time, v, z); `resume` starts its OU cursor from the
+saved z, so the continued run is bit for bit the uninterrupted one.
 
 The a priori bound and the pullback energy inequality are checked with the
 explicit constants produced by the Young splits of the corresponding
@@ -48,12 +54,12 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .cutoff import cutoff_advection_coeffs
-from .noise import NoiseSpectrum, OUCursor, OUState, WienerPath
+from .noise import NoiseSpectrum, OUCursor, WienerPath, path_from_manifest
 from .spectral import (
     GalerkinBasis,
     SpectralField,
@@ -138,48 +144,24 @@ class SimParams:
         return 0.0 if self.forcing is None else norm_dual(self.forcing)
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "level": self.level if math.isfinite(self.level) else "inf",
-            "chi": self.chi,
-            "lambda_p": self.lambda_p,
-            "dt": self.dt,
-            "t_final": self.t_final,
-            "kmax": self.kmax,
-            "dt_path": self.dt_path,
-            "instability_factor": self.instability_factor,
-            "noise": {
-                "s": self.noise.s,
-                "amplitude": self.noise.amplitude,
-                "delta": self.noise.delta,
-                "allow_rough": self.noise.allow_rough,
-            },
-            "forcing": None
-            if self.forcing is None
-            else base64.b64encode(field_to_bytes(self.forcing)).decode(),
-        }
+        """Every field, with level inf as "inf" and the forcing as base64 bytes."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["level"] = self.level if math.isfinite(self.level) else "inf"
+        d["noise"] = asdict(self.noise)
+        if self.forcing is not None:
+            d["forcing"] = base64.b64encode(field_to_bytes(self.forcing)).decode()
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "SimParams":
-        level = d["level"]
-        if level == "inf":
-            level = math.inf
-        forcing = d.get("forcing")
-        if forcing is not None:
-            forcing = field_from_bytes(base64.b64decode(forcing))
-        return SimParams(
-            nu=d["nu"],
-            level=level,
-            chi=d.get("chi", 0.0),
-            lambda_p=d.get("lambda_p", 1.0),
-            forcing=forcing,
-            dt=d["dt"],
-            t_final=d["t_final"],
-            kmax=d.get("kmax", 2),
-            noise=NoiseSpectrum(**d.get("noise", {})),
-            dt_path=d.get("dt_path"),
-            instability_factor=d.get("instability_factor", 1e6),
-        )
+        """Inverse of to_dict; an omitted key takes the field's default."""
+        kw = {f.name: d[f.name] for f in fields(SimParams) if f.name in d}
+        if kw.get("level") == "inf":
+            kw["level"] = math.inf
+        if kw.get("forcing") is not None:
+            kw["forcing"] = field_from_bytes(base64.b64decode(kw["forcing"]))
+        kw["noise"] = NoiseSpectrum(**kw.get("noise", {}))
+        return SimParams(**kw)
 
 
 @dataclass(frozen=True)
@@ -188,7 +170,7 @@ class TrajectoryState:
 
     time: float
     v: SpectralField
-    ou: OUState
+    z: SpectralField
 
 
 @dataclass
@@ -205,9 +187,6 @@ class EnergyLedger:
     v_V2: np.ndarray
     u_L4: np.ndarray
     cutoff: np.ndarray
-    bn_pairing: np.ndarray
-    f_pairing: np.ndarray
-    z_pairing: np.ndarray
     z_H2: np.ndarray
     z_L4: np.ndarray
     u_H2: np.ndarray
@@ -260,10 +239,8 @@ class Trajectory:
 
     def final_state(self) -> TrajectoryState:
         t = float(self.record_times[-1])
-        return TrajectoryState(
-            t, self.v_field(self.n_records - 1),
-            OUState(t, self.z_field(self.n_records - 1), self.params.chi, self.params.nu),
-        )
+        return TrajectoryState(t, self.v_field(self.n_records - 1),
+                               self.z_field(self.n_records - 1))
 
 
 # ---- stepper kernel -------------------------------------------------------
@@ -393,13 +370,8 @@ def solve_transformed(
     if cursor is None:
         cursor = OUCursor(path, params.chi, params.nu)
 
-    led = {
-        name: np.empty(n_steps + 1)
-        for name in (
-            "t v_H2 v_V2 u_L4 cutoff bn_pairing f_pairing z_pairing "
-            "z_H2 z_L4 u_H2 u_V2 residual"
-        ).split()
-    }
+    led = {name: np.empty(n_steps + 1)
+           for name in "t v_H2 v_V2 u_L4 cutoff z_H2 z_L4 u_H2 u_V2 residual".split()}
     rec_pos, record_times = _records(params, t0, n_steps, record_every)
     v_snap = np.empty((len(rec_pos), basis.n_half_modes, 2), dtype=np.complex128)
     z_snap = np.empty_like(v_snap)
@@ -409,15 +381,11 @@ def solve_transformed(
     h2_0 = h2_coeffs(v0.coeffs)
 
     def record_row(k, v, z, bf, l4, fac):
-        t_k = t0 + k * params.dt
-        led["t"][k] = t_k
+        led["t"][k] = t0 + k * params.dt
         led["v_H2"][k] = h2_coeffs(v)
         led["v_V2"][k] = v2_coeffs(basis, v)
         led["u_L4"][k] = l4
         led["cutoff"][k] = fac
-        led["bn_pairing"][k] = inner_coeffs(bf, v)
-        led["f_pairing"][k] = inner_coeffs(stepper.f_coeffs, v)
-        led["z_pairing"][k] = inner_coeffs(z, v)
         led["z_H2"][k] = h2_coeffs(z)
         led["z_L4"][k] = basis.l4_norm(basis.synthesize(z))
         u_c = v + z
@@ -426,9 +394,9 @@ def solve_transformed(
         # energy flux 2nu|v|_V^2 + 2<B_F, v> - 2<f, v> - 2chi(z, v)
         return (
             2.0 * params.nu * led["v_V2"][k]
-            + 2.0 * led["bn_pairing"][k]
-            - 2.0 * led["f_pairing"][k]
-            - 2.0 * params.chi * led["z_pairing"][k]
+            + 2.0 * inner_coeffs(bf, v)
+            - 2.0 * inner_coeffs(stepper.f_coeffs, v)
+            - 2.0 * params.chi * inner_coeffs(z, v)
         )
 
     for k, v, z, drift in _march(stepper, cursor, v0.coeffs[None], t0, n_steps):
@@ -625,14 +593,12 @@ def checkpoint_dump(state: TrajectoryState, path: WienerPath, params: SimParams)
         "path": path.manifest(),
         "time": state.time,
         "v": base64.b64encode(field_to_bytes(state.v)).decode(),
-        "z": base64.b64encode(field_to_bytes(state.ou.z)).decode(),
+        "z": base64.b64encode(field_to_bytes(state.z)).decode(),
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def checkpoint_load(text: str) -> tuple[TrajectoryState, WienerPath, SimParams]:
-    from .noise import path_from_manifest
-
     d = json.loads(text)
     if d.get("format") != 1:
         raise ValueError("unsupported checkpoint format")
@@ -641,15 +607,15 @@ def checkpoint_load(text: str) -> tuple[TrajectoryState, WienerPath, SimParams]:
     path = path_from_manifest(d["path"], basis)
     v = field_from_bytes(base64.b64decode(d["v"]), basis)
     z = field_from_bytes(base64.b64decode(d["z"]), basis)
-    state = TrajectoryState(d["time"], v, OUState(d["time"], z, params.chi, params.nu))
-    return state, path, params
+    return TrajectoryState(d["time"], v, z), path, params
 
 
 def resume(state: TrajectoryState, path: WienerPath, params: SimParams,
            t_final: float, record_every: int = 1) -> Trajectory:
-    """Continue a checkpointed run to t_final; bit-identical to an
-    uninterrupted solve over the same window."""
-    return solve_transformed(
-        state.v, path, params, t0=state.time,
-        t_final=t_final - state.time, record_every=record_every,
-    )
+    """Continue a checkpointed run to t_final, with z starting from the
+    state's saved z; bit-identical to an uninterrupted solve over the same
+    window."""
+    cursor = OUCursor(path, params.chi, params.nu, start=(state.time, state.z.coeffs))
+    return solve_transformed(state.v, path, params, t0=state.time,
+                             t_final=t_final - state.time,
+                             record_every=record_every, cursor=cursor)

@@ -8,25 +8,27 @@ A path is a table of standard normal draws on a uniform grid of resolution
 dt_path; the time-shift map is a view of the same table with relabeled time
 indices, so shifted and unshifted paths consume literally identical draws.
 
-The stochastic layer z solves dz + (nu*A + chi*I) z dt = dW and is advanced
-mode-by-mode with the exact one-step transition
+The stochastic layer z solves dz + (nu*A + chi*I) z dt = dW.  One object
+realizes it: `OUCursor`, which advances z mode-by-mode with the exact
+one-step transition
 
     z <- exp(-mu*h) z + sigma * sqrt((1 - exp(-2*mu*h)) / (2*mu)) * xi,
 
 mu = nu*|k|^2 + chi, using the path's draws xi, so there is no
-time-discretization bias at any resolution; the stationary law (per-mode
-variance sigma^2 / (2*mu)) is available for exact initialization, which
-replaces an infinite burn-in.  Runs are anchored at the start of the path
-window; under the index relabeling of the shift map this start is invariant,
-which makes the shift covariance z(shifted path)(t) = z(path)(t+s) hold
-bit-exactly rather than statistically.
+time-discretization bias at any resolution.  A cursor starts either from a
+given (time, z), such as a checkpoint's, or by default from the stationary
+law (per-mode variance sigma^2 / (2*mu)) at the start of the path window,
+which replaces an infinite burn-in.  Under the index relabeling of the shift
+map that start is invariant, which makes the shift covariance
+z(shifted path)(t) = z(path)(t+s) hold bit-exactly rather than
+statistically.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -195,12 +197,7 @@ class WienerPath:
             "t_min": self.t_min,
             "t_max": self.t_max,
             "offset": self.offset,
-            "spectrum": {
-                "s": self.spectrum.s,
-                "amplitude": self.spectrum.amplitude,
-                "delta": self.spectrum.delta,
-                "allow_rough": self.spectrum.allow_rough,
-            },
+            "spectrum": asdict(self.spectrum),
             "kmax": self.basis.kmax,
         }
 
@@ -259,20 +256,6 @@ def shift_path(path: WienerPath, shift_s: float) -> WienerPath:
 # ---- Ornstein-Uhlenbeck layer ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class OUState:
-    """Stochastic layer z at one instant, with its damping parameters."""
-
-    time: float
-    z: SpectralField
-    chi: float
-    nu: float
-
-    def __post_init__(self):
-        if self.chi < 0 or self.nu <= 0:
-            raise ValueError("need chi >= 0 and nu > 0")
-
-
 def _ou_rates(spectrum: NoiseSpectrum, chi: float, nu: float, basis: GalerkinBasis):
     """Per-coordinate damping mu = nu*|k|^2 + chi and noise amplitude sigma,
     in the path table's flat layout, shape (4 * n_half_modes,) each."""
@@ -308,41 +291,31 @@ def ou_stationary_sample(
     return SpectralField(basis, coords.view(np.complex128).reshape(-1, 2))
 
 
-def ou_initial_state(path: WienerPath, chi: float, nu: float) -> OUState:
-    """Stationary z at the start of the path window.
-
-    The draw is keyed by the path seed alone, so shifted views of one path
-    share it; combined with the shift-invariant window start this makes the
-    realized z a deterministic function of the underlying path.
-    """
-    rng = labeled_generator(path.seed, "ou-init")
-    z = ou_stationary_sample(path.spectrum, chi, nu, path.basis, rng)
-    return OUState(path.t_min, z, chi, nu)
-
-
-def ou_evolve(state: OUState, path: WienerPath, t_target: float) -> OUState:
-    """Advance z to t_target (>= state.time, both on the path grid) using the
-    exact per-mode transition; consumes one table row per dt_path cell."""
-    z = OUCursor(path, state.chi, state.nu, state).advance_to(t_target)
-    return OUState(t_target, SpectralField(path.basis, z), state.chi, state.nu)
-
-
 class OUCursor:
-    """Forward-only cursor over the z realization attached to a path.
+    """Forward-only cursor over the z realization attached to a path: the one
+    representation of the OU layer.
 
-    Holds the exact transition loop (ou_evolve is its pure wrapper);
-    anchored at the path window start by the stationary draw.  The state is
-    kept as the real coordinates of the table layout, so a row of draws
-    updates it directly.
+    With no `start`, z begins at the path window start with the stationary
+    draw keyed by the path seed alone, so shifted views of one path share
+    it; combined with the shift-invariant window start this makes the
+    realized z a deterministic function of the underlying path.  `start` =
+    (time, z coefficients) begins it from a given state instead, such as a
+    checkpoint's.  The state is kept as the real coordinates of the table
+    layout, so a row of draws updates it directly.
     """
 
     def __init__(self, path: WienerPath, chi: float, nu: float,
-                 state: OUState | None = None):
+                 start: tuple[float, np.ndarray] | None = None):
+        if chi < 0 or nu <= 0:
+            raise ValueError("need chi >= 0 and nu > 0")
         self.path = path
-        if state is None:
-            state = ou_initial_state(path, chi, nu)
-        self._coords = np.ascontiguousarray(state.z.coeffs).view(np.float64).reshape(-1)
-        self._index = path.index_of(state.time)
+        if start is None:
+            rng = labeled_generator(path.seed, "ou-init")
+            z0 = ou_stationary_sample(path.spectrum, chi, nu, path.basis, rng)
+            start = (path.t_min, z0.coeffs)
+        t0, z0 = start
+        self._coords = np.ascontiguousarray(z0).view(np.float64).reshape(-1)
+        self._index = path.index_of(t0)
         mu, sigma = _ou_rates(path.spectrum, chi, nu, path.basis)
         h = path.dt_path
         self._decay = np.exp(-mu * h)
@@ -384,7 +357,6 @@ def ou_shift_covariance_pair(
     Both runs are anchored at the same underlying table start and consume
     identical draws, so the two fields agree bit-for-bit.
     """
-    shifted = shift_path(path, s)
-    lhs = ou_evolve(ou_initial_state(shifted, chi, nu), shifted, t).z
-    rhs = ou_evolve(ou_initial_state(path, chi, nu), path, t + s).z
-    return lhs, rhs
+    lhs = OUCursor(shift_path(path, s), chi, nu).advance_to(t)
+    rhs = OUCursor(path, chi, nu).advance_to(t + s)
+    return SpectralField(path.basis, lhs), SpectralField(path.basis, rhs)

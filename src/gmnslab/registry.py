@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 REGISTRY_NAME = "registry.jsonl"
 
@@ -29,16 +29,7 @@ class RunRecord:
     timestamp: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "experiment": self.experiment,
-                "outputs": self.outputs,
-                "passed": self.passed,
-                "timestamp": self.timestamp,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def config_hash(canonical_json: str) -> str:

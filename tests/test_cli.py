@@ -226,6 +226,13 @@ class TestModesAndExitCodes:
             ({"experiment": "measure",
               "options": {"initial_set": {"z": {"kind": "zero", "x": 1}}}},
              "'options.initial_set'"),
+            # the cutoff levels of nse-limit scale with the L4 norm of the
+            # unmodified run, which stays 0 from a zero field without forcing
+            ({"experiment": "nse-limit", "options": {"initial": {"kind": "zero"}}},
+             "'options.initial'"),
+            # options the experiment does not read
+            ({"options": {"recrd_every": 4}}, "'options.recrd_every'"),
+            ({"options": {"multipliers": [1.0]}}, "'options.multipliers'"),
         ]
         for i, (fields, name) in enumerate(cases):
             raw = {"experiment": "simulate", **fields}

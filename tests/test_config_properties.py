@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmnslab.config import EXPERIMENTS, ConfigError, resolve_config
+from gmnslab.config import (_EXPERIMENT_OPTIONS, _OPTION_RULES, EXPERIMENTS, ConfigError,
+                            resolve_config)
 from gmnslab.experiments import stability_threshold
 
 SCALARS = ("nu", "level", "chi", "lambda_p", "dt", "t_final", "dt_path",
@@ -51,8 +52,11 @@ def valid_configs(draw):
         params["dt_path"] = dt / draw(st.integers(1, 4))
     # contract needs two members for its standard error, 32 when strict
     min_ensemble = {"contract": 32 if gated else 2}.get(experiment, 1)
-    options = draw(st.one_of(st.just({}),
-                             st.builds(dict, record_every=st.integers(1, 64))))
+    # only options the experiment reads: any other exits 2
+    options = {}
+    if experiment in ("simulate", "contract"):
+        options = draw(st.one_of(st.just({}),
+                                 st.builds(dict, record_every=st.integers(1, 64))))
     # the default pullback and measure horizons scale with 1/nu and can
     # exceed the path-table ceiling; these keep it like t_final does
     if experiment == "pullback":
@@ -101,6 +105,19 @@ def test_valid_config_round_trips(raw):
     again = resolve_config(cfg.to_dict())
     assert again == cfg
     assert again.canonical_json() == cfg.canonical_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=valid_configs(), data=st.data())
+def test_unread_option_rejected_naming_field(raw, data):
+    read = _EXPERIMENT_OPTIONS[raw["experiment"]]
+    name = data.draw(st.one_of(
+        st.sampled_from(sorted(set(_OPTION_RULES) - set(read))),
+        st.text(min_size=1, max_size=8).filter(lambda s: s not in _OPTION_RULES)),
+        label="option")
+    with pytest.raises(ConfigError) as err:
+        resolve_config(dict(raw, options=dict(raw["options"], **{name: 1})))
+    assert f"'options.{name}'" in str(err.value)
 
 
 @pytest.mark.parametrize("name", SCALARS)

@@ -121,33 +121,6 @@ class TestCutoffAdvection:
         assert np.allclose(got.coeffs, expected, rtol=1e-12, atol=1e-14)
 
 
-class TestDriftOperator:
-    def test_zero_inputs(self, basis2):
-        z = sp.zero_field(basis2)
-        out = co.drift_apply(z, z, co.CutoffParams(1.0, 0.8))
-        assert sp.norm_H(out) == 0.0
-
-    def test_single_mode_reduces_to_stokes(self, basis1):
-        from conftest import single_mode_field
-
-        v, _ = single_mode_field(basis1, (1, 0, 0), coeff=0.5 + 0.1j)
-        out = co.drift_apply(v, sp.zero_field(basis1), co.CutoffParams(1.0, 0.8))
-        # advection truncates away for one mode at kmax=1 (oracle-checked in
-        # the spectral tests), leaving nu*A v = nu*v for |k|^2 = 1
-        assert np.allclose(out.coeffs, 0.8 * v.coeffs, rtol=1e-14)
-
-    def test_duality_decomposition(self, basis2, rng):
-        params = co.CutoffParams(1.0, 1.3)
-        for _ in range(20):
-            v = sp.random_field(basis2, rng)
-            z = sp.random_field(basis2, rng, norm=0.7)
-            lhs = sp.inner_H(co.drift_apply(v, z, params), v)
-            rhs = params.nu * sp.norm_V(v) ** 2 + sp.inner_H(
-                co.cutoff_advection(v + z, params.level), v
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
-
-
 class TestMonotonicityGap:
     def test_equal_arguments_vanish(self, basis2, rng):
         v = sp.random_field(basis2, rng)

@@ -175,6 +175,9 @@ class TestNseLimit:
                          noise=nz.NoiseSpectrum(amplitude=0.0))
         star = ex.solve_nse(sp.zero_field(basis2), p)
         assert np.abs(star.v_coeffs).max() == 0.0
+        # the sweep scales its cutoff levels by the run's L4 norm, here 0
+        with pytest.raises(ValueError, match="no L4 scale"):
+            ex.nse_limit_experiment(sp.zero_field(basis2), p)
 
     def test_sweep_report(self, basis2):
         x = sp.random_field(basis2, labeled_generator(2, "nse-ic"), norm=2.0)

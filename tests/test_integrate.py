@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 
 import numpy as np
@@ -46,6 +48,10 @@ class TestSimParams:
         q = it.SimParams.from_dict(p.to_dict())
         assert q.level == math.inf and q.chi == 2.0
         assert np.array_equal(q.forcing.coeffs, f.coeffs)
+        # omitted keys take the dataclass defaults
+        short = it.SimParams.from_dict({"nu": 1.0, "level": 1.0, "dt": 1 / 256,
+                                        "t_final": 1.0})
+        assert short == it.SimParams(nu=1.0, level=1.0)
 
 
 class TestRhs:
@@ -363,6 +369,23 @@ class TestCheckpoint:
         resumed = it.resume(state, path2, p2, t_final=1.0)
         assert np.array_equal(resumed.v_coeffs[-1], full.v_coeffs[-1])
         assert np.array_equal(resumed.z_coeffs[-1], full.z_coeffs[-1])
+
+    def test_resume_starts_from_the_saved_z(self, basis2, rng):
+        p = it.SimParams(nu=1.0, level=1.0, chi=1.0, dt=1 / 64, t_final=1.0,
+                         noise=NOISY)
+        path = make_setup(basis2, p, seed=41)
+        x = sp.random_field(basis2, rng)
+        full = it.solve(x, path, p, record_every=16)
+        half = it.solve(x, path, p, t_final=0.5, record_every=16)
+        blob = json.loads(it.checkpoint_dump(half.final_state(), path, p))
+        z = sp.field_from_bytes(base64.b64decode(blob["z"]), basis2).coeffs.copy()
+        z[0, 0] += 0.25
+        blob["z"] = base64.b64encode(sp.field_to_bytes(sp.SpectralField(basis2, z))).decode()
+        state, path2, p2 = it.checkpoint_load(json.dumps(blob))
+        assert np.array_equal(state.z.coeffs, z)
+        resumed = it.resume(state, path2, p2, t_final=1.0)
+        assert np.array_equal(resumed.z_coeffs[0], z)
+        assert not np.array_equal(resumed.z_coeffs[-1], full.z_coeffs[-1])
 
     def test_trajectory_csv_columns(self, basis2, rng, tmp_path):
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=0.25, noise=NOISY)

@@ -167,11 +167,10 @@ class TestOUEvolution:
         p = nz.make_path(3, 1 / 64, 0.0, 2.0, spec0, basis1)
         c = np.zeros((basis1.n_half_modes, 2), complex)
         c[0, 0] = 1.5 - 0.5j
-        state = nz.OUState(0.0, sp.SpectralField(basis1, c), 0.5, 1.0)
-        out = nz.ou_evolve(state, p, 1.5)
+        out = nz.OUCursor(p, 0.5, 1.0, start=(0.0, c)).advance_to(1.5)
         mu = 1.0 * 1 + 0.5
         want = (1.5 - 0.5j) * math.exp(-mu * 1.5)
-        assert out.z.coeffs[0, 0] == pytest.approx(want, rel=1e-14)
+        assert out[0, 0] == pytest.approx(want, rel=1e-14)
 
     def test_transition_matches_scalar_oracle_moments(self, basis1, spectrum):
         # distribution of z at fixed time from fixed start: mean/variance of
@@ -202,7 +201,7 @@ class TestOUEvolution:
 
     def test_zero_amplitude_state_has_no_negative_zero(self, basis1):
         p = nz.make_path(5, 1 / 64, 0.0, 1.0, nz.NoiseSpectrum(amplitude=0.0), basis1)
-        z = nz.ou_initial_state(p, 0.5, 1.0).z.coeffs.view(np.float64)
+        z = nz.OUCursor(p, 0.5, 1.0).advance_to(p.t_min).view(np.float64)
         assert not z.any()
         assert not np.signbit(z).any()
 
@@ -215,10 +214,15 @@ class TestOUEvolution:
                 z[0, 0] = 1.0
 
     def test_backwards_rejected(self, path):
-        state = nz.ou_initial_state(path, 0.0, 1.0)
-        moved = nz.ou_evolve(state, path, 1.0)
+        cursor = nz.OUCursor(path, 0.0, 1.0)
+        cursor.advance_to(1.0)
         with pytest.raises(ValueError):
-            nz.ou_evolve(moved, path, 0.5)
+            cursor.advance_to(0.5)
+
+    def test_damping_parameters_checked(self, path):
+        for chi, nu in ((-0.5, 1.0), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="chi >= 0 and nu > 0"):
+                nz.OUCursor(path, chi, nu)
 
     def test_stationary_variance_low_mode(self, basis1, spectrum):
         # nu = 1, chi = 1, |k|^2 = 1, sigma = 1: variance 1/4
