@@ -18,6 +18,11 @@ from .spectral import KMAX_CEILING
 
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
 
+# Resource guard beside noise.PATH_TABLE_CEILING: the most member-steps
+# (ensemble x solver steps per solve) a contract run may march.  Acceptance
+# criterion c08 marches 64 x 1,024 = 65,536.
+MEMBER_STEP_CEILING = 2**22
+
 PARAM_DEFAULTS = {
     "nu": 1.0,
     "level": 1.0,
@@ -305,6 +310,11 @@ def _validate_experiment(cfg: RunConfig) -> None:
     if cfg.experiment == "contract":
         _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
                  "for contract (the standard error needs two members)")
+        steps = round(p.t_final / p.dt)
+        _require(cfg.ensemble * steps <= MEMBER_STEP_CEILING,
+                 f"field 'ensemble' = {cfg.ensemble} at {steps} steps per solve is "
+                 f"{cfg.ensemble * steps} member-steps, over the ceiling of "
+                 f"{MEMBER_STEP_CEILING}")
     if cfg.experiment in ("contract", "measure") and cfg.strict:
         thr = stability_threshold(p.level, p.lambda_p)
         _require(

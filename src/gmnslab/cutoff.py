@@ -92,22 +92,28 @@ def cutoff_lipschitz_sides(
     return lhs, rhs
 
 
-def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float):
+def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float,
+                            work: dict | None = None):
     """(B_F(w), |w|_L4, F) for a coefficient array; the one B_F kernel of the
     field API and the stepper, with the L4 norm from the advection's grid.
-    For a stack of arrays (leading axis) the norm and F are arrays with one
-    entry per member, each computed as for that member alone."""
-    wg, dw = basis.synthesize_with_jacobian(w)
+    For a stack of arrays (leading axes) the norm and F are arrays with one
+    entry per member, each computed as for that member alone.  `work`, from
+    `basis.work_arrays(w.shape[:-2])` (new by default), holds the large
+    intermediates, so a caller that evaluates B_F over and over allocates
+    them once."""
+    work = work or basis.work_arrays(w.shape[:-2])
+    wg, dw = basis.synthesize_with_jacobian(w, work=work)
     l4 = basis.l4_norm(wg)
-    out = basis.analyze(np.einsum("...axyz,...acxyz->...cxyz", wg, dw))
+    adv = np.einsum("...axyz,...acxyz->...cxyz", wg, dw, out=work["advection"])
+    out = basis.analyze(adv, work["analysis"])
     if w.ndim == 2:
         f = cutoff_factor(l4, level)
         if f != 1.0:
             out *= f
         return out, l4, f
-    f = np.array([cutoff_factor(r, level) for r in l4])
+    f = np.array([cutoff_factor(r, level) for r in l4.reshape(-1)]).reshape(l4.shape)
     # x * 1.0 is x bit for bit, so members with F = 1 are left as they are
-    out *= f[:, None, None]
+    out *= f[..., None, None]
     return out, l4, f
 
 

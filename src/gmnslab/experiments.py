@@ -264,13 +264,18 @@ class ContractionReport:
                 **_fields_and_extra(self, "times", "mean_sq", "stderr", "envelope", "rate")}
 
 
-def _member_diff_sq(x1, x2, params, member_seed, record_every):
-    path = nz.make_path(member_seed, params.dt_path, 0.0, params.t_final,
-                        params.noise, x1.basis)
-    times, v = it.solve_coupled((x1, x2), path, params, record_every=record_every)
-    # u1 - u2 = v1 - v2: the z layer cancels for a shared path
-    diff = v[0] - v[1]
-    return (diff.real**2 + diff.imag**2).sum(axis=(1, 2)), times
+# Byte budget of one tile's stacked grids and Jacobians (12 real M^3 grids
+# per field, 2 fields per member): contraction members march in tiles of as
+# many members as fit, at least one.  Measured per-member B_F cost against
+# the stack size (CHANGES.md): it falls down to 8 fields at kmax 2 (560 KB
+# of grids, so 4 members per tile), keeps falling to 16 and more at kmax 1
+# (27 per tile) and is flat at kmax 3 (1 per tile).
+TILE_GRID_BYTES = 640 * 2**10
+
+
+def contraction_tile(basis: sp.GalerkinBasis) -> int:
+    """Members per tile of the contraction march on this basis."""
+    return max(1, TILE_GRID_BYTES // (2 * 12 * 8 * basis.grid_size**3))
 
 
 def contraction_experiment(
@@ -299,12 +304,22 @@ def contraction_experiment(
     if ensemble < 2:
         raise ValueError(f"ensemble={ensemble}: the standard error needs >= 2 members")
     rate = contraction_rate(params.nu, params.level, params.lambda_p)
-    results = [
-        _member_diff_sq(x1, x2, params, derive_key(seed, f"member-{m}"), record_every)
-        for m in range(ensemble)
-    ]
-    sq = np.stack([r[0] for r in results])
-    times = results[0][1]
+    tile = contraction_tile(x1.basis)
+    sq = []
+    for m0 in range(0, ensemble, tile):
+        # each tile's paths are built here and dropped with the tile
+        paths = [nz.make_path(derive_key(seed, f"member-{m}"), params.dt_path, 0.0,
+                              params.t_final, params.noise, x1.basis)
+                 for m in range(m0, min(ensemble, m0 + tile))]
+        try:
+            times, v = it.solve_coupled((x1, x2), paths, params, record_every=record_every)
+        except it.InstabilityError as exc:
+            exc.member += m0  # the ensemble member, not its place in the tile
+            raise
+        # u1 - u2 = v1 - v2: the z layer cancels for a shared path
+        diff = v[:, 0] - v[:, 1]
+        sq.append((diff.real**2 + diff.imag**2).sum(axis=(2, 3)))
+    sq = np.concatenate(sq)
     mean_sq = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / math.sqrt(ensemble)
     envelope = sp.norm_H(x1 - x2) ** 2 * np.exp(-rate * times)

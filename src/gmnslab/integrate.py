@@ -18,14 +18,16 @@ z is advanced by its exact transition through every path cell inside the
 step, so the realized z trajectory is independent of the solver step size;
 only the v-integration error refines.
 
-There is one march of this scheme, over a stack of fields that share one
-path and one OU cursor.  `solve_transformed` (and `solve`, its start from a
-velocity) marches a single field and keeps the energy ledger below.
-`solve_coupled` marches several solutions driven by the same noise, such as
-a contraction pair, as one stack on one cursor, so they see the identical z;
-it keeps only their snapshots and no ledger.  Each member's drift, L4 norm
-and cutoff factor are computed as if it were alone, so a stacked member is
-bit for bit its single solve.
+There is one march of this scheme, over a stack of G groups of P fields:
+each group has its own path and OU cursor, and the P fields of a group share
+its z.  `solve_transformed` (and `solve`, its start from a velocity) marches
+one group of one field and keeps the energy ledger below.  `solve_coupled`
+marches the same P starting velocities, such as a contraction pair, along
+each of G paths at once; it keeps only the snapshots and no ledger.  Each
+field's drift, L4 norm and cutoff factor are computed as if it were alone,
+so a stacked field is bit for bit its single solve.  The stepper keeps the
+large intermediates of the stacked drift in work arrays for its stack shape,
+so a march allocates them once.
 
 Along each ledger-keeping run an energy ledger records the terms of the
 energy balance
@@ -74,7 +76,18 @@ from .spectral import (
 
 
 class InstabilityError(RuntimeError):
-    """Raised when |v|_H exceeds the configured ceiling (dt too large)."""
+    """Raised when |v|_H exceeds the configured ceiling (dt too large).
+    In a march of several fields, `member` (the group) and `field` locate
+    the one that crossed it; a caller may renumber `member`."""
+
+    def __init__(self, message: str, member: int | None = None, field: int = 0):
+        super().__init__(message)
+        self.message, self.member, self.field = message, member, field
+
+    def __str__(self) -> str:
+        if self.member is None:
+            return self.message
+        return f"member {self.member}, field {self.field}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -247,7 +260,8 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed ETD2 tables and the drift evaluation for one (params, basis)."""
+    """Precomputed ETD2 tables and the drift evaluation for one (params,
+    basis), with the B_F work arrays of each stack shape it has evaluated."""
 
     def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float):
         self.params = params
@@ -264,11 +278,17 @@ class _Stepper:
         self.hphi1 = dt * np.where(small, phi1_series, phi1)
         self.hphi2 = dt * np.where(small, phi2_series, phi2)
         self.f_coeffs = params.forcing_coeffs(basis)
+        self._work = {}
 
     def drift(self, v: np.ndarray, z: np.ndarray):
-        """G(v, z) = -B_F(v+z) + chi*z + f, plus ledger quantities; v may be
-        a stack of fields (leading axis) sharing one z."""
-        bf, l4, fac = cutoff_advection_coeffs(self.basis, v + z, self.params.level)
+        """G(v, z) = -B_F(v+z) + chi*z + f, plus ledger quantities; v and z
+        may be stacks of fields (leading axes) that broadcast together."""
+        w = v + z
+        lead = w.shape[:-2]
+        if lead not in self._work:
+            self._work[lead] = self.basis.work_arrays(lead)
+        bf, l4, fac = cutoff_advection_coeffs(self.basis, w, self.params.level,
+                                              self._work[lead])
         g = -bf
         if self.params.chi != 0.0:
             g = g + self.params.chi * z
@@ -299,38 +319,46 @@ def _records(params: SimParams, t0: float, n_steps: int, record_every: int):
             np.array([t0 + k * params.dt for k in rec_idx]))
 
 
-def _march(stepper: _Stepper, cursor: OUCursor, v: np.ndarray, t0: float, n_steps: int):
-    """The ETD2 march of a stack of fields v (S, n_half_modes, 2) on one z path.
+def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
+           n_steps: int):
+    """The ETD2 march of a stack v (G, P, n_half_modes, 2): G groups of P
+    fields, group g on the z path of cursors[g].
 
-    Yields (k, v, z, drift) at t0 + k*dt for k = 0..n_steps, where drift is
-    stepper.drift(v, z) with one row per member, and None at the final time,
-    where no step needs it.  Raises InstabilityError as soon as one member's
-    |v|_H crosses its own ceiling, instability_factor * max(1, |v0|_H).
+    Yields (k, v, z, drift) at t0 + k*dt for k = 0..n_steps, with z of shape
+    (G, 1, n_half_modes, 2) and drift = stepper.drift(v, z) with one entry
+    per field, or None at the final time, where no step needs it.  Raises
+    InstabilityError as soon as one field's |v|_H crosses its own ceiling,
+    instability_factor * max(1, |v0|_H).
     """
     params = stepper.params
-    z = cursor.advance_to(t0)
+
+    def z_at(t):
+        # a single group's z stays a view of its cursor: no copy per step
+        if len(cursors) == 1:
+            return cursors[0].advance_to(t)[None, None]
+        return np.stack([c.advance_to(t) for c in cursors])[:, None]
+
+    z = z_at(t0)
     # non-finite input is a data error, not a step-size blow-up
     for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
         if not np.isfinite(c).all():
             raise ValueError(f"{name} is not finite")
     ceiling = np.array([params.instability_factor * max(1.0, math.sqrt(h2_coeffs(m)))
-                        for m in v])
+                        for m in v.reshape(-1, *v.shape[2:])]).reshape(v.shape[:2])
     for k in range(n_steps):
         drift = stepper.drift(v, z)
         yield k, v, z, drift
-        z_next = cursor.advance_to(t0 + (k + 1) * params.dt)
+        z_next = z_at(t0 + (k + 1) * params.dt)
         v = stepper.advance(v, drift[0], z_next)
         z = z_next
         # NaN fails the comparison too
-        within = (v.real**2 + v.imag**2).sum(axis=(1, 2)) <= ceiling**2
+        within = (v.real**2 + v.imag**2).sum(axis=(2, 3)) <= ceiling**2
         if not within.all():
-            i = int(np.argmin(within))
-            who = f" of member {i}" if len(v) > 1 else ""
+            g, p = np.unravel_index(np.argmin(within), within.shape)
+            where = (int(g), int(p)) if within.size > 1 else (None, 0)
             raise InstabilityError(
-                f"|v|_H{who} exceeded {ceiling[i]:.3g} at "
-                f"t={t0 + (k + 1) * params.dt}; dt={params.dt} is too large "
-                "for this configuration"
-            )
+                f"|v|_H exceeded {ceiling[g, p]:.3g} at t={t0 + (k + 1) * params.dt}; "
+                f"dt={params.dt} is too large for this configuration", *where)
     yield n_steps, v, z, None
 
 
@@ -399,10 +427,10 @@ def solve_transformed(
             - 2.0 * params.chi * inner_coeffs(z, v)
         )
 
-    for k, v, z, drift in _march(stepper, cursor, v0.coeffs[None], t0, n_steps):
-        # the stack's one member; the final time has no step drift to reuse
-        v = v[0]
-        _, bf, l4, fac = stepper.drift(v, z) if drift is None else [d[0] for d in drift]
+    for k, v, z, drift in _march(stepper, [cursor], v0.coeffs[None, None], t0, n_steps):
+        # the stack's one field; the final time has no step drift to reuse
+        v, z = v[0, 0], z[0, 0]
+        _, bf, l4, fac = stepper.drift(v, z) if drift is None else [d[0, 0] for d in drift]
         flux = record_row(k, v, z, bf, l4, fac)
         if prev_flux is not None:
             flux_acc += 0.5 * params.dt * (flux + prev_flux)
@@ -424,25 +452,27 @@ def solve(x: SpectralField, path: WienerPath, params: SimParams, t0: float = 0.0
     return solve_transformed(v0, path, params, t0, t_final, record_every, cursor)
 
 
-def solve_coupled(xs, path: WienerPath, params: SimParams, t0: float = 0.0,
+def solve_coupled(xs, paths: list[WienerPath], params: SimParams, t0: float = 0.0,
                   t_final: float | None = None, record_every: int = 1):
-    """Solutions from each velocity in xs at t0, marched as one stack along
-    one path and one z realization; no ledger.
+    """The solutions from each velocity in xs at t0 along each of the paths,
+    marched as one stack of len(paths) groups of len(xs) fields; the fields
+    of a group share its path's z realization.  No ledger.
 
-    Returns (record_times, v) with v of shape (len(xs), n_records,
-    n_half_modes, 2): v[i] is bit for bit the v_coeffs of
-    solve(xs[i], path, params, t0, t_final, record_every).
+    Returns (record_times, v) with v of shape (len(paths), len(xs),
+    n_records, n_half_modes, 2): v[g, i] is bit for bit the v_coeffs of
+    solve(xs[i], paths[g], params, t0, t_final, record_every).
     """
     basis = xs[0].basis
     n_steps = _n_steps(params, basis, t_final)
-    cursor = OUCursor(path, params.chi, params.nu)
-    v0 = np.stack([x.coeffs for x in xs]) - cursor.advance_to(t0)
+    cursors = [OUCursor(path, params.chi, params.nu) for path in paths]
+    x0 = np.stack([x.coeffs for x in xs])
+    v0 = np.stack([x0 - c.advance_to(t0) for c in cursors])
     rec_pos, record_times = _records(params, t0, n_steps, record_every)
-    v_snap = np.empty((len(xs), len(rec_pos), basis.n_half_modes, 2),
+    v_snap = np.empty((*v0.shape[:2], len(rec_pos), basis.n_half_modes, 2),
                       dtype=np.complex128)
-    for k, v, _, _ in _march(_Stepper(params, basis, params.dt), cursor, v0, t0, n_steps):
+    for k, v, _, _ in _march(_Stepper(params, basis, params.dt), cursors, v0, t0, n_steps):
         if k in rec_pos:
-            v_snap[:, rec_pos[k]] = v
+            v_snap[:, :, rec_pos[k]] = v
     return record_times, v_snap
 
 

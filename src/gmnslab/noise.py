@@ -337,11 +337,13 @@ class OUCursor:
                 # no draws need materializing
                 self._index = n1
             else:
-                draws = self.path.normals(self._index, n1 - self._index)
-                coords = self._coords
-                decay, gain = self._decay, self._gain
-                for row in draws:
-                    coords = decay * coords + gain * row
+                # decay * coords + gain * row with the same two roundings, on
+                # a copy: a z returned earlier is a view of the old state
+                steps = self._gain * self.path.normals(self._index, n1 - self._index)
+                coords = self._coords.copy()
+                for row in steps:
+                    coords *= self._decay
+                    coords += row
                 self._coords = coords
                 self._index = n1
         z = self._coords.view(np.complex128).reshape(-1, 2)

@@ -57,6 +57,7 @@ leaves |B(u, u)|_H = 2.3e-18, not 0.0.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -169,47 +170,78 @@ class GalerkinBasis:
 
     # ---- transforms --------------------------------------------------
 
-    def _spectrum(self, coeffs: np.ndarray) -> np.ndarray:
+    def _spectrum(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Coefficients (..., n, 2) -> half cubes of the real grid fields,
-        (..., 3, 2K+1, 2K+1, K+1); leading axes are a stack of fields."""
+        (..., 3, 2K+1, 2K+1, K+1); leading axes are a stack of fields.  Only
+        the scatter targets are written, so a reused `out` keeps the zero
+        padding it was allocated with."""
         uhat = np.einsum("...np,npc->...nc", np.conj(coeffs), self.polarizations)
         uhat *= self._synth_scale
         vals = uhat.take(self._src, axis=-2)
         vals.imag *= self._sign[:, None]
         K, lead = self.kmax, coeffs.shape[:-2]
-        spec = np.zeros((*lead, 3, 2 * K + 1, 2 * K + 1, K + 1), dtype=np.complex128)
+        spec = out if out is not None else np.zeros(
+            (*lead, 3, 2 * K + 1, 2 * K + 1, K + 1), dtype=np.complex128)
         spec.reshape(*lead, 3, -1)[..., self._dst] = vals.swapaxes(-1, -2)
         return spec
 
-    def _to_grid(self, spec: np.ndarray) -> np.ndarray:
+    def _to_grid(self, spec: np.ndarray, out: tuple | None = None) -> np.ndarray:
         """Half cubes (..., 2K+1, 2K+1, K+1) -> real grids (..., M, M, M):
-        the DFT along axis 2, then axis 1, then the real map along axis 3."""
+        the DFT along axis 2, then axis 1, then the real map along axis 3,
+        each product written into its entry of `out` when given."""
         *lead, a, b, c = spec.shape
-        M = self.grid_size
-        g = self._synth12 @ spec.reshape(-1, b, c)
-        g = self._synth12 @ g.reshape(-1, a, M * c)
-        g = g.view(np.float64).reshape(-1, 2 * c) @ self._synth3
+        M, out = self.grid_size, out or (None,) * 3
+        g = np.matmul(self._synth12, spec.reshape(-1, b, c), out=out[0])
+        g = np.matmul(self._synth12, g.reshape(-1, a, M * c), out=out[1])
+        g = np.matmul(g.view(np.float64).reshape(-1, 2 * c), self._synth3, out=out[2])
         return g.reshape(*lead, M, M, M)
+
+    def work_arrays(self, lead: tuple[int, ...]) -> dict:
+        """Work arrays of one B_F evaluation on a stack of leading shape
+        `lead`: the half cubes of the field and its gradient (zero, see
+        `_spectrum`), the three synthesis products, the advection grid and
+        the three analysis products, each of the shape it would be
+        allocated with, so reusing them changes no bit of the result."""
+        K, M = self.kmax, self.grid_size
+        a, c = 2 * K + 1, K + 1
+        comps = 3 * math.prod(lead)
+        cubes = 4 * comps  # the field and its 3 derivatives
+        return {
+            "cubes": np.zeros((*lead, 4, 3, a, a, c), dtype=np.complex128),
+            "synth": (np.empty((cubes * a, M, c), dtype=np.complex128),
+                      np.empty((cubes, M, M * c), dtype=np.complex128),
+                      np.empty((cubes * M * M, M))),
+            "advection": np.empty((*lead, 3, M, M, M)),
+            "analysis": (np.empty((comps * M * M, 2 * c)),
+                         np.empty((comps * M, a, c), dtype=np.complex128),
+                         np.empty((comps, a, a * c), dtype=np.complex128)),
+        }
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical grid values, shape (3, M, M, M), real."""
         return self._to_grid(self._spectrum(coeffs))
 
     def synthesize_with_jacobian(
-        self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None
+        self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None,
+        work: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Grid values of `coeffs` (..., 3, M, M, M) and the Jacobian dv_c/dx_a
         of `grad_coeffs`, default the same field (scattered once),
-        (..., 3, 3, M, M, M); leading axes are a stack of fields."""
-        spec = self._spectrum(coeffs)[..., None, :, :, :, :]
-        dspec = spec if grad_coeffs is None else (
+        (..., 3, 3, M, M, M); leading axes are a stack of fields.  The cubes
+        and grids are written into `work` (new by default, see `work_arrays`)."""
+        work = work or self.work_arrays(coeffs.shape[:-2])
+        cubes = work["cubes"]
+        self._spectrum(coeffs, out=cubes[..., 0, :, :, :, :])
+        dspec = cubes[..., :1, :, :, :, :] if grad_coeffs is None else (
             self._spectrum(grad_coeffs)[..., None, :, :, :, :])
-        grids = self._to_grid(np.concatenate([spec, self._ik * dspec], axis=-5))
+        np.multiply(self._ik, dspec, out=cubes[..., 1:, :, :, :, :])
+        grids = self._to_grid(cubes, work["synth"])
         return grids[..., 0, :, :, :, :], grids[..., 1:, :, :, :, :]
 
-    def analyze(self, grid: np.ndarray) -> np.ndarray:
+    def analyze(self, grid: np.ndarray, out: tuple | None = None) -> np.ndarray:
         """Project physical grid values (..., 3, M, M, M) onto the basis
-        (Leray + truncation); leading axes are a stack of fields.
+        (Leray + truncation); leading axes are a stack of fields.  The three
+        transform products go into `out` when given (see `work_arrays`).
 
         The component of each Fourier amplitude parallel to k is discarded by
         expanding only on the polarization vectors, which realizes the
@@ -217,10 +249,12 @@ class GalerkinBasis:
         """
         n = self.n_half_modes
         M, K, lead = self.grid_size, self.kmax, grid.shape[:-4]
+        out = out or (None,) * 3
         # the adjoint of _to_grid: axis 3 (real in, [Re, Im] out), 2, then 1
-        spec = (grid.reshape(-1, M) @ self._proj3).view(np.complex128)
-        spec = self._proj12 @ spec.reshape(-1, M, K + 1)
-        spec = self._proj12 @ spec.reshape(-1, M, (2 * K + 1) * (K + 1))
+        spec = np.matmul(grid.reshape(-1, M), self._proj3, out=out[0]).view(np.complex128)
+        spec = np.matmul(self._proj12, spec.reshape(-1, M, K + 1), out=out[1])
+        spec = np.matmul(self._proj12, spec.reshape(-1, M, (2 * K + 1) * (K + 1)),
+                         out=out[2])
         uhat = spec.reshape(*lead, 3, -1).take(self._dst[:n], axis=-1).swapaxes(-1, -2)
         uhat.imag *= self._sign[:n, None]
         coeffs = np.conj(np.einsum("...nc,npc->...np", uhat, self.polarizations))
@@ -234,12 +268,14 @@ class GalerkinBasis:
 
     def l4_norm(self, grid: np.ndarray):
         """|u|_L4 from grid values (3, M, M, M) by exact quadrature of |u|^4;
-        for a stack (S, 3, M, M, M), an array of S norms, each computed as
-        for one field."""
+        for a stack (..., 3, M, M, M), an array of norms of the leading
+        shape, each computed as for one field."""
         sq = np.einsum("...cxyz,...cxyz->...xyz", grid, grid)
         if sq.ndim == 3:
             return self.quadrature(sq * sq) ** 0.25
-        return np.array([self.quadrature(s * s) ** 0.25 for s in sq])
+        M = self.grid_size
+        return np.array([self.quadrature(s * s) ** 0.25
+                         for s in sq.reshape(-1, M, M, M)]).reshape(sq.shape[:-3])
 
 
 @dataclass(frozen=True)

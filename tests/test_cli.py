@@ -5,7 +5,8 @@ import os
 import pytest
 
 from gmnslab import cli
-from gmnslab.config import ConfigError, default_config, parse_config, resolve_config
+from gmnslab.config import (MEMBER_STEP_CEILING, ConfigError, default_config, parse_config,
+                            resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
 
 
@@ -256,6 +257,21 @@ class TestModesAndExitCodes:
             out = str(tmp_path / name)
             assert cli.main([name, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
             assert field in capsys.readouterr().err
+
+    def test_member_step_ceiling_exit(self, tmp_path, capsys):
+        # 1e8 members x 256 steps is rejected at config time, before any
+        # member is marched; c08's 64 x 1,024 sits well inside the ceiling
+        c08 = {"experiment": "contract", "ensemble": 64,
+               "params": {"nu": 4.0, "t_final": 4.0, "dt": 1 / 256}}
+        assert 64 * 1024 * 16 <= MEMBER_STEP_CEILING
+        assert resolve_config(c08).ensemble == 64
+        raw = {"experiment": "contract", "ensemble": 100_000_000,
+               "assertion_mode": "exploratory"}
+        bad = write_config(tmp_path, raw)
+        out = str(tmp_path / "run")
+        assert cli.main(["contract", "--config", bad, "--out", out]) == cli.EXIT_CONFIG
+        assert "field 'ensemble'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_command_config_mismatch(self, tmp_path):
         cfg_file = write_config(tmp_path, SMALL_SIM)

@@ -121,6 +121,28 @@ class TestCutoffAdvection:
         assert np.allclose(got.coeffs, expected, rtol=1e-12, atol=1e-14)
 
 
+class TestBufferedKernel:
+    @pytest.mark.parametrize("lead", [(), (1, 1), (3, 2)])
+    def test_reused_work_arrays_equal_fresh_calls(self, basis2, rng, lead):
+        work = basis2.work_arrays(lead)
+        level = 1.0
+        for norm in (3.0, 0.1, 2.0):
+            w = np.stack([sp.random_field(basis2, rng, norm=norm).coeffs
+                          for _ in range(max(1, np.prod(lead, dtype=int)))])
+            w = w.reshape(*lead, *w.shape[-2:])
+            got = co.cutoff_advection_coeffs(basis2, w, level, work)
+            want = co.cutoff_advection_coeffs(basis2, w, level)
+            for g, f in zip(got, want):
+                assert np.array_equal(g, f)
+                assert np.asarray(g).tobytes() == np.asarray(f).tobytes()
+            # only the scatter targets of the half cubes are ever written
+            cubes = work["cubes"].reshape(*lead, 4, 3, -1)
+            pad = np.ones(cubes.shape[-1], dtype=bool)
+            pad[basis2._dst] = False
+            assert not cubes[..., pad].view(np.float64).any()
+            assert not np.signbit(cubes[..., pad].view(np.float64)).any()
+
+
 class TestMonotonicityGap:
     def test_equal_arguments_vanish(self, basis2, rng):
         v = sp.random_field(basis2, rng)

@@ -7,7 +7,7 @@ from gmnslab import experiments as ex
 from gmnslab import integrate as it
 from gmnslab import noise as nz
 from gmnslab import spectral as sp
-from gmnslab.seeding import labeled_generator
+from gmnslab.seeding import derive_key, labeled_generator
 
 
 class TestClosedFormConstants:
@@ -106,6 +106,47 @@ class TestContraction:
         rep = ex.contraction_experiment(p, x1, x2, ensemble=2, seed=3)
         assert rep.fitted_slope == pytest.approx(-2 * p.nu, rel=1e-6)
         assert rep.passed
+
+    def test_tiles_equal_member_solves(self, basis2):
+        # 7 members in tiles of 4 at kmax 2: the last tile holds 3; F < 1
+        # on the first field while |u|_L4 is above the level
+        x1 = sp.random_field(basis2, labeled_generator(5, "x1"), norm=3.0)
+        x2 = sp.random_field(basis2, labeled_generator(5, "x2"), norm=0.2)
+        p = it.SimParams(nu=4.0, level=0.5 * sp.norm_L4(x1), dt=1 / 64, t_final=0.25,
+                         noise=nz.NoiseSpectrum(amplitude=1.0))
+        assert ex.contraction_tile(basis2) == 4
+        rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2,
+                                        enforce_threshold=False)
+        sq = []
+        for m in range(7):
+            path = nz.make_path(derive_key(4, f"member-{m}"), p.dt_path, 0.0,
+                                p.t_final, p.noise, basis2)
+            a, b = (it.solve(x, path, p, record_every=2) for x in (x1, x2))
+            assert a.ledger.cutoff[0] < 1.0
+            diff = a.v_coeffs - b.v_coeffs
+            sq.append((diff.real**2 + diff.imag**2).sum(axis=(1, 2)))
+        assert np.array_equal(rep.mean_sq, np.stack(sq).mean(axis=0))
+
+    def test_instability_names_the_ensemble_member(self, basis1, monkeypatch):
+        # member 3 sits second in the second tile of two; its loud path
+        # drives it over the ceiling, and the error must name member 3
+        loud = nz.NoiseSpectrum(amplitude=1e12)
+        make_path = nz.make_path
+
+        def path_of(seed, dt_path, t_min, t_max, spectrum, basis):
+            if seed == derive_key(6, "member-3"):
+                spectrum = loud
+            return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
+
+        monkeypatch.setattr(ex, "contraction_tile", lambda basis: 2)
+        monkeypatch.setattr(ex.nz, "make_path", path_of)
+        p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=0.25, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
+        x = sp.random_field(basis1, labeled_generator(6, "x"))
+        with pytest.raises(it.InstabilityError, match="member 3, field") as err:
+            ex.contraction_experiment(p, x, sp.zero_field(basis1), ensemble=6, seed=6,
+                                      enforce_threshold=False)
+        assert err.value.member == 3
 
 
 class TestPullback:

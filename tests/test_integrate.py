@@ -174,9 +174,10 @@ class TestStepAndSolve:
 class TestCoupledSolve:
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     @pytest.mark.parametrize("chi", [0.0, 1.5])
-    def test_equals_separate_solves(self, kmax, chi):
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_equals_separate_solves(self, kmax, chi, groups):
         # |x1|_L4 is above the level and |x2|_L4 below it, so F < 1 for the
-        # first member only while the pair shares one path
+        # first field only while each pair shares its group's path
         basis = sp.build_basis(kmax)
         rng = np.random.default_rng(100 * kmax + int(chi))
         x1 = sp.random_field(basis, rng, norm=3.0)
@@ -184,14 +185,16 @@ class TestCoupledSolve:
         level = 0.5 * (sp.norm_L4(x1) + sp.norm_L4(x2))
         p = it.SimParams(nu=2.0, level=level, chi=chi, dt=1 / 64, t_final=0.25,
                          kmax=kmax, noise=NOISY)
-        path = make_setup(basis, p, seed=kmax)
-        times, v = it.solve_coupled((x1, x2), path, p, record_every=3)
-        for i, x in enumerate((x1, x2)):
-            traj = it.solve(x, path, p, record_every=3)
-            assert np.array_equal(times, traj.record_times)
-            assert np.array_equal(v[i], traj.v_coeffs)
-            # the cutoff acts on the first member only
-            assert (traj.ledger.cutoff[0] < 1.0) == (i == 0)
+        paths = [make_setup(basis, p, seed=10 * kmax + g) for g in range(groups)]
+        times, v = it.solve_coupled((x1, x2), paths, p, record_every=3)
+        assert v.shape[:2] == (groups, 2)
+        for g, path in enumerate(paths):
+            for i, x in enumerate((x1, x2)):
+                traj = it.solve(x, path, p, record_every=3)
+                assert np.array_equal(times, traj.record_times)
+                assert np.array_equal(v[g, i], traj.v_coeffs)
+                # the cutoff acts on the first field only
+                assert (traj.ledger.cutoff[0] < 1.0) == (i == 0)
 
     def test_one_member_over_its_ceiling_raises(self, basis1, rng):
         # without noise or forcing the zero field stays zero; the large one
@@ -201,12 +204,13 @@ class TestCoupledSolve:
         path = make_setup(basis1, p)
         zero = sp.zero_field(basis1)
         big = sp.random_field(basis1, rng, norm=100.0)
-        with pytest.raises(it.InstabilityError):
+        with pytest.raises(it.InstabilityError) as single:
             it.solve(big, path, p)
-        _, v = it.solve_coupled((zero, zero), path, p)
+        assert single.value.member is None and "member" not in str(single.value)
+        _, v = it.solve_coupled((zero, zero), [path, path], p)
         assert not v.any()
-        with pytest.raises(it.InstabilityError, match="member 1"):
-            it.solve_coupled((zero, big), path, p)
+        with pytest.raises(it.InstabilityError, match="member 0, field 1"):
+            it.solve_coupled((zero, big), [path], p)
 
 
 class TestDossSussman:

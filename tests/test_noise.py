@@ -213,6 +213,15 @@ class TestOUEvolution:
             with pytest.raises(ValueError):
                 z[0, 0] = 1.0
 
+    def test_returned_z_unchanged_by_later_advances(self, path):
+        cursor = nz.OUCursor(path, 0.5, 1.0)
+        seen = [(cursor.advance_to(t), t) for t in (0.0, 0.25, 0.25, 1.0)]
+        kept = [z.copy() for z, _ in seen]
+        cursor.advance_to(4.0)
+        for (z, t), before in zip(seen, kept):
+            assert np.array_equal(z, before)
+            assert np.array_equal(z, nz.OUCursor(path, 0.5, 1.0).advance_to(t))
+
     def test_backwards_rejected(self, path):
         cursor = nz.OUCursor(path, 0.0, 1.0)
         cursor.advance_to(1.0)

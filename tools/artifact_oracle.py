@@ -57,6 +57,12 @@ CONFIGS = [
                                         "noise": {"amplitude": 0.0}}}),
     ("contract", {"experiment": "contract", "seed": 13, "ensemble": 4,
                   "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5})}),
+    # kmax 2 marches contraction members in tiles of 4, so 7 members leave a
+    # partial last tile; x1's cutoff factor is below 1 on 12 of its 17 steps
+    ("contract-tiles", {"experiment": "contract", "seed": 18, "ensemble": 7,
+                        "params": {"kmax": 2, "dt": 1 / 32, "t_final": 0.5, "nu": 4.0,
+                                   "level": 0.3, "noise": {"amplitude": 0.5}},
+                        "options": {"x1": {"norm": 3.0}}}),
     ("nse-limit", {"experiment": "nse-limit", "seed": 14,
                    "params": dict(_SMALL, dt=1 / 64)}),
     ("pullback", {"experiment": "pullback", "seed": 15,
