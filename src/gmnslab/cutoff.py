@@ -165,7 +165,7 @@ def advection_lipschitz_ratio(u: SpectralField, v: SpectralField,
 def write_fuzz_report(path, rows) -> None:
     """CSV fuzz report: one row per case (case id, seed, lhs, rhs, margin)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["case", "seed", "lhs", "rhs", "margin"])
         for case, seed, lhs, rhs, margin in rows:
             writer.writerow(

@@ -197,3 +197,10 @@ class TestFuzzReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "case,seed,lhs,rhs,margin"
         assert lines[1].startswith("0,42,1,2,1")
+
+
+def test_fuzz_report_lines_end_in_lf(tmp_path):
+    # the same line ending as every other CSV artifact
+    path = tmp_path / "fuzz.csv"
+    co.write_fuzz_report(path, [(0, 7, 1.0, 2.0, 1.0)])
+    assert path.read_bytes() == b"case,seed,lhs,rhs,margin\n0,7,1,2,1\n"
