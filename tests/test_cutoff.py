@@ -128,7 +128,7 @@ class TestBufferedKernel:
         level = 1.0
         for norm in (3.0, 0.1, 2.0):
             w = np.stack([sp.random_field(basis2, rng, norm=norm).coeffs
-                          for _ in range(max(1, np.prod(lead, dtype=int)))])
+                          for _ in range(math.prod(lead))])
             w = w.reshape(*lead, *w.shape[-2:])
             got = co.cutoff_advection_coeffs(basis2, w, level, work)
             want = co.cutoff_advection_coeffs(basis2, w, level)
