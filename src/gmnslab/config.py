@@ -18,10 +18,14 @@ from .spectral import KMAX_CEILING
 
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
 
-# Resource guard beside noise.PATH_TABLE_CEILING: the most member-steps
-# (ensemble x solver steps per solve) a contract run may march.  Acceptance
-# criterion c08 marches 64 x 1,024 = 65,536.
-MEMBER_STEP_CEILING = 2**22
+# Resource guard beside noise.PATH_TABLE_CEILING: the most work a contract
+# run may do, counted in grid points.  One member-step (a solver step of a
+# member's two fields) costs about grid_size^3 + 1024 points, the 1024 being
+# the fixed cost of its calls, and 1/256 of that again for each path cell
+# its cursor crosses (measured at kmax 1-8, about 0.38 us a point on a
+# 2-core VM, so the ceiling is about an hour).  Acceptance criterion c08
+# does 64 x 1,024 member-steps of 1,760 points, 2^26.8.
+CONTRACT_WORK_CEILING = 2**33
 
 PARAM_DEFAULTS = {
     "nu": 1.0,
@@ -278,6 +282,13 @@ def _path_table(cfg: RunConfig) -> tuple[str, float, float]:
     return name, span, path_table_bytes(span / p.dt_path, p.kmax)
 
 
+def contract_work(p: SimParams, ensemble: int) -> tuple[int, float]:
+    """Solver steps per solve and the grid points of work of a contract run."""
+    steps = round(p.t_final / p.dt)
+    per_step = ((4 * p.kmax + 1) ** 3 + 1024) * (1 + p.substeps / 256)
+    return steps, ensemble * steps * per_step
+
+
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
     read = _EXPERIMENT_OPTIONS[cfg.experiment]
@@ -310,11 +321,11 @@ def _validate_experiment(cfg: RunConfig) -> None:
     if cfg.experiment == "contract":
         _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
                  "for contract (the standard error needs two members)")
-        steps = round(p.t_final / p.dt)
-        _require(cfg.ensemble * steps <= MEMBER_STEP_CEILING,
-                 f"field 'ensemble' = {cfg.ensemble} at {steps} steps per solve is "
-                 f"{cfg.ensemble * steps} member-steps, over the ceiling of "
-                 f"{MEMBER_STEP_CEILING}")
+        steps, work = contract_work(p, cfg.ensemble)
+        _require(work <= CONTRACT_WORK_CEILING,
+                 f"field 'ensemble' = {cfg.ensemble} at {steps} steps per solve and "
+                 f"kmax {p.kmax} needs {work:.3g} grid points of work, over the "
+                 f"ceiling of {CONTRACT_WORK_CEILING:.3g}")
     if cfg.experiment in ("contract", "measure") and cfg.strict:
         thr = stability_threshold(p.level, p.lambda_p)
         _require(

@@ -98,14 +98,14 @@ def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float,
     field API and the stepper, with the L4 norm from the advection's grid.
     For a stack of arrays (leading axes) the norm and F are arrays with one
     entry per member, each computed as for that member alone.  `work`, from
-    `basis.work_arrays(w.shape[:-2])` (new by default), holds the large
-    intermediates, so a caller that evaluates B_F over and over allocates
-    them once."""
-    work = work or basis.work_arrays(w.shape[:-2])
+    `basis.work_arrays(w.shape[:-2])`, holds the large intermediates, so a
+    caller that evaluates B_F over and over allocates them once; without it
+    they are allocated as they are needed."""
     wg, dw = basis.synthesize_with_jacobian(w, work=work)
     l4 = basis.l4_norm(wg)
-    adv = np.einsum("...axyz,...acxyz->...cxyz", wg, dw, out=work["advection"])
-    out = basis.analyze(adv, work["analysis"])
+    adv = np.einsum("...axyz,...acxyz->...cxyz", wg, dw,
+                    out=work["advection"] if work else None)
+    out = basis.analyze(adv, work["analysis"] if work else None)
     if w.ndim == 2:
         f = cutoff_factor(l4, level)
         if f != 1.0:

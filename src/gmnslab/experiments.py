@@ -273,9 +273,14 @@ class ContractionReport:
 TILE_GRID_BYTES = 640 * 2**10
 
 
-def contraction_tile(basis: sp.GalerkinBasis) -> int:
-    """Members per tile of the contraction march on this basis."""
-    return max(1, TILE_GRID_BYTES // (2 * 12 * 8 * basis.grid_size**3))
+def contraction_tile(basis: sp.GalerkinBasis, path_steps: int) -> int:
+    """Members per tile of the contraction march on this basis, for paths
+    of path_steps cells: as many as fit in TILE_GRID_BYTES of grids, and no
+    more than fit in noise.PATH_TABLE_CEILING of the path tables that the
+    tile's cursors hold at once; at least one."""
+    grids = TILE_GRID_BYTES // (2 * 12 * 8 * basis.grid_size**3)
+    tables = nz.PATH_TABLE_CEILING // nz.path_table_bytes(path_steps, basis.kmax)
+    return max(1, min(grids, int(tables)))
 
 
 def contraction_experiment(
@@ -304,15 +309,22 @@ def contraction_experiment(
     if ensemble < 2:
         raise ValueError(f"ensemble={ensemble}: the standard error needs >= 2 members")
     rate = contraction_rate(params.nu, params.level, params.lambda_p)
-    tile = contraction_tile(x1.basis)
+
+    def member_path(m):
+        return nz.make_path(derive_key(seed, f"member-{m}"), params.dt_path, 0.0,
+                            params.t_final, params.noise, x1.basis)
+
+    tile = contraction_tile(x1.basis, member_path(0).steps)
+    # one stepper for every tile: its work arrays are allocated once for the
+    # full tiles and once more for a partial last tile
+    stepper = it._Stepper(params, x1.basis, params.dt)
     sq = []
     for m0 in range(0, ensemble, tile):
         # each tile's paths are built here and dropped with the tile
-        paths = [nz.make_path(derive_key(seed, f"member-{m}"), params.dt_path, 0.0,
-                              params.t_final, params.noise, x1.basis)
-                 for m in range(m0, min(ensemble, m0 + tile))]
+        paths = [member_path(m) for m in range(m0, min(ensemble, m0 + tile))]
         try:
-            times, v = it.solve_coupled((x1, x2), paths, params, record_every=record_every)
+            times, v = it.solve_coupled((x1, x2), paths, params,
+                                        record_every=record_every, stepper=stepper)
         except it.InstabilityError as exc:
             exc.member += m0  # the ensemble member, not its place in the tile
             raise

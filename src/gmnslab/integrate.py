@@ -261,7 +261,7 @@ class Trajectory:
 
 class _Stepper:
     """Precomputed ETD2 tables and the drift evaluation for one (params,
-    basis), with the B_F work arrays of each stack shape it has evaluated."""
+    basis), with the B_F work arrays of the stack shape it last evaluated."""
 
     def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float):
         self.params = params
@@ -278,17 +278,18 @@ class _Stepper:
         self.hphi1 = dt * np.where(small, phi1_series, phi1)
         self.hphi2 = dt * np.where(small, phi2_series, phi2)
         self.f_coeffs = params.forcing_coeffs(basis)
-        self._work = {}
+        self._lead = self._work = None
 
     def drift(self, v: np.ndarray, z: np.ndarray):
         """G(v, z) = -B_F(v+z) + chi*z + f, plus ledger quantities; v and z
         may be stacks of fields (leading axes) that broadcast together."""
         w = v + z
-        lead = w.shape[:-2]
-        if lead not in self._work:
-            self._work[lead] = self.basis.work_arrays(lead)
+        if w.shape[:-2] != self._lead:
+            # a march keeps one stack shape; a new shape replaces the set
+            self._lead = w.shape[:-2]
+            self._work = self.basis.work_arrays(self._lead)
         bf, l4, fac = cutoff_advection_coeffs(self.basis, w, self.params.level,
-                                              self._work[lead])
+                                              self._work)
         g = -bf
         if self.params.chi != 0.0:
             g = g + self.params.chi * z
@@ -428,9 +429,10 @@ def solve_transformed(
         )
 
     for k, v, z, drift in _march(stepper, [cursor], v0.coeffs[None, None], t0, n_steps):
-        # the stack's one field; the final time has no step drift to reuse
+        # the final time has no step drift to reuse: evaluate it on the
+        # march's stack shape, then take the stack's one field
+        _, bf, l4, fac = [d[0, 0] for d in drift or stepper.drift(v, z)]
         v, z = v[0, 0], z[0, 0]
-        _, bf, l4, fac = stepper.drift(v, z) if drift is None else [d[0, 0] for d in drift]
         flux = record_row(k, v, z, bf, l4, fac)
         if prev_flux is not None:
             flux_acc += 0.5 * params.dt * (flux + prev_flux)
@@ -453,24 +455,28 @@ def solve(x: SpectralField, path: WienerPath, params: SimParams, t0: float = 0.0
 
 
 def solve_coupled(xs, paths: list[WienerPath], params: SimParams, t0: float = 0.0,
-                  t_final: float | None = None, record_every: int = 1):
+                  t_final: float | None = None, record_every: int = 1,
+                  stepper: _Stepper | None = None):
     """The solutions from each velocity in xs at t0 along each of the paths,
     marched as one stack of len(paths) groups of len(xs) fields; the fields
     of a group share its path's z realization.  No ledger.
 
     Returns (record_times, v) with v of shape (len(paths), len(xs),
     n_records, n_half_modes, 2): v[g, i] is bit for bit the v_coeffs of
-    solve(xs[i], paths[g], params, t0, t_final, record_every).
+    solve(xs[i], paths[g], params, t0, t_final, record_every).  `stepper`,
+    from an earlier call with the same params and basis, lends its work
+    arrays to the march (default: a new one).
     """
     basis = xs[0].basis
     n_steps = _n_steps(params, basis, t_final)
+    stepper = stepper or _Stepper(params, basis, params.dt)
     cursors = [OUCursor(path, params.chi, params.nu) for path in paths]
     x0 = np.stack([x.coeffs for x in xs])
     v0 = np.stack([x0 - c.advance_to(t0) for c in cursors])
     rec_pos, record_times = _records(params, t0, n_steps, record_every)
     v_snap = np.empty((*v0.shape[:2], len(rec_pos), basis.n_half_modes, 2),
                       dtype=np.complex128)
-    for k, v, _, _ in _march(_Stepper(params, basis, params.dt), cursors, v0, t0, n_steps):
+    for k, v, _, _ in _march(stepper, cursors, v0, t0, n_steps):
         if k in rec_pos:
             v_snap[:, :, rec_pos[k]] = v
     return record_times, v_snap

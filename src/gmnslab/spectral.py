@@ -207,7 +207,7 @@ class GalerkinBasis:
         comps = 3 * math.prod(lead)
         cubes = 4 * comps  # the field and its 3 derivatives
         return {
-            "cubes": np.zeros((*lead, 4, 3, a, a, c), dtype=np.complex128),
+            "cubes": self._cubes(lead),
             "synth": (np.empty((cubes * a, M, c), dtype=np.complex128),
                       np.empty((cubes, M, M * c), dtype=np.complex128),
                       np.empty((cubes * M * M, M))),
@@ -216,6 +216,11 @@ class GalerkinBasis:
                          np.empty((comps * M, a, c), dtype=np.complex128),
                          np.empty((comps, a, a * c), dtype=np.complex128)),
         }
+
+    def _cubes(self, lead: tuple[int, ...]) -> np.ndarray:
+        """Zero half cubes of a stack of fields and their 3 derivatives."""
+        a, c = 2 * self.kmax + 1, self.kmax + 1
+        return np.zeros((*lead, 4, 3, a, a, c), dtype=np.complex128)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical grid values, shape (3, M, M, M), real."""
@@ -228,14 +233,13 @@ class GalerkinBasis:
         """Grid values of `coeffs` (..., 3, M, M, M) and the Jacobian dv_c/dx_a
         of `grad_coeffs`, default the same field (scattered once),
         (..., 3, 3, M, M, M); leading axes are a stack of fields.  The cubes
-        and grids are written into `work` (new by default, see `work_arrays`)."""
-        work = work or self.work_arrays(coeffs.shape[:-2])
-        cubes = work["cubes"]
+        and grids are written into `work` when given (see `work_arrays`)."""
+        cubes = work["cubes"] if work else self._cubes(coeffs.shape[:-2])
         self._spectrum(coeffs, out=cubes[..., 0, :, :, :, :])
         dspec = cubes[..., :1, :, :, :, :] if grad_coeffs is None else (
             self._spectrum(grad_coeffs)[..., None, :, :, :, :])
         np.multiply(self._ik, dspec, out=cubes[..., 1:, :, :, :, :])
-        grids = self._to_grid(cubes, work["synth"])
+        grids = self._to_grid(cubes, work["synth"] if work else None)
         return grids[..., 0, :, :, :, :], grids[..., 1:, :, :, :, :]
 
     def analyze(self, grid: np.ndarray, out: tuple | None = None) -> np.ndarray:

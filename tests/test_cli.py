@@ -5,8 +5,8 @@ import os
 import pytest
 
 from gmnslab import cli
-from gmnslab.config import (MEMBER_STEP_CEILING, ConfigError, default_config, parse_config,
-                            resolve_config)
+from gmnslab.config import (CONTRACT_WORK_CEILING, ConfigError, contract_work,
+                            default_config, parse_config, resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
 
 
@@ -258,13 +258,12 @@ class TestModesAndExitCodes:
             assert cli.main([name, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
             assert field in capsys.readouterr().err
 
-    def test_member_step_ceiling_exit(self, tmp_path, capsys):
+    def test_contract_work_ceiling_exit(self, tmp_path, capsys):
         # 1e8 members x 256 steps is rejected at config time, before any
         # member is marched; c08's 64 x 1,024 sits well inside the ceiling
         c08 = {"experiment": "contract", "ensemble": 64,
                "params": {"nu": 4.0, "t_final": 4.0, "dt": 1 / 256}}
-        assert 64 * 1024 * 16 <= MEMBER_STEP_CEILING
-        assert resolve_config(c08).ensemble == 64
+        assert 16 * contract_work(resolve_config(c08).params, 64)[1] <= CONTRACT_WORK_CEILING
         raw = {"experiment": "contract", "ensemble": 100_000_000,
                "assertion_mode": "exploratory"}
         bad = write_config(tmp_path, raw)
@@ -272,6 +271,22 @@ class TestModesAndExitCodes:
         assert cli.main(["contract", "--config", bad, "--out", out]) == cli.EXIT_CONFIG
         assert "field 'ensemble'" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_contract_work_weighs_kmax_and_path_cells(self):
+        # the same member-steps pass at kmax 2 with one path cell per step,
+        # and fail at kmax 8 or with 2^16 path cells per step
+        def contract(ensemble, kmax=2, cells=1, t_final=4.0):
+            dt = 1 / 256
+            return {"experiment": "contract", "ensemble": ensemble,
+                    "assertion_mode": "exploratory",
+                    "params": {"nu": 4.0, "t_final": t_final, "dt": dt, "kmax": kmax,
+                               "dt_path": dt / cells}}
+
+        assert resolve_config(contract(256)).ensemble == 256
+        assert resolve_config(contract(2**15, t_final=1 / 256)).ensemble == 2**15
+        for raw in (contract(256, kmax=8), contract(2**15, cells=2**16, t_final=1 / 256)):
+            with pytest.raises(ConfigError, match="field 'ensemble'"):
+                resolve_config(raw)
 
     def test_command_config_mismatch(self, tmp_path):
         cfg_file = write_config(tmp_path, SMALL_SIM)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestContraction:
         x2 = sp.random_field(basis2, labeled_generator(5, "x2"), norm=0.2)
         p = it.SimParams(nu=4.0, level=0.5 * sp.norm_L4(x1), dt=1 / 64, t_final=0.25,
                          noise=nz.NoiseSpectrum(amplitude=1.0))
-        assert ex.contraction_tile(basis2) == 4
+        assert ex.contraction_tile(basis2, 16) == 4
         rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2,
                                         enforce_threshold=False)
         sq = []
@@ -127,6 +128,43 @@ class TestContraction:
             sq.append((diff.real**2 + diff.imag**2).sum(axis=(1, 2)))
         assert np.array_equal(rep.mean_sq, np.stack(sq).mean(axis=0))
 
+    def test_tile_path_tables_stay_under_the_ceiling(self, basis1, monkeypatch):
+        # fine paths cap the tile so that the path tables its cursors hold
+        # together fit the table ceiling; 27 members fit the grid budget
+        assert ex.contraction_tile(basis1, 16) == 27
+        table = nz.path_table_bytes(2**18, 1)
+        assert ex.contraction_tile(basis1, 2**18) == nz.PATH_TABLE_CEILING // table == 9
+        assert ex.contraction_tile(basis1, 2**21) == 1  # one table is all it may hold
+        # with room for 2 tables, 5 members march in tiles of 2, 2 and 1,
+        # each tile's tables dropped before the next tile draws its own,
+        # with the result of the grid-sized tile of 5
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 64, t_final=0.25, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.5))
+        x1 = sp.random_field(basis1, labeled_generator(7, "x1"), norm=2.0)
+        x2 = sp.random_field(basis1, labeled_generator(7, "x2"), norm=0.5)
+        want = ex.contraction_experiment(p, x1, x2, ensemble=5, seed=7,
+                                         enforce_threshold=False)
+        seeds = {derive_key(7, f"member-{m}") for m in range(5)}
+
+        def tables():
+            return sum(isinstance(o, nz.WienerPath) and o.seed in seeds
+                       and o._table is not None for o in gc.get_objects())
+
+        seen, solve_coupled = [], it.solve_coupled
+
+        def spy(xs, paths, *args, **kw):
+            before = tables()
+            out = solve_coupled(xs, paths, *args, **kw)
+            seen.append((len(paths), before, tables()))
+            return out
+
+        monkeypatch.setattr(nz, "PATH_TABLE_CEILING", 2 * nz.path_table_bytes(16, 1))
+        monkeypatch.setattr(it, "solve_coupled", spy)
+        got = ex.contraction_experiment(p, x1, x2, ensemble=5, seed=7,
+                                        enforce_threshold=False)
+        assert seen == [(2, 0, 2), (2, 0, 2), (1, 0, 1)]
+        assert np.array_equal(got.mean_sq, want.mean_sq)
+
     def test_instability_names_the_ensemble_member(self, basis1, monkeypatch):
         # member 3 sits second in the second tile of two; its loud path
         # drives it over the ceiling, and the error must name member 3
@@ -138,7 +176,7 @@ class TestContraction:
                 spectrum = loud
             return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
 
-        monkeypatch.setattr(ex, "contraction_tile", lambda basis: 2)
+        monkeypatch.setattr(ex, "contraction_tile", lambda basis, path_steps: 2)
         monkeypatch.setattr(ex.nz, "make_path", path_of)
         p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=0.25, kmax=1,
                          noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
