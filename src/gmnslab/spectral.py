@@ -34,8 +34,19 @@ holds both members of each Hermitian pair.  Each transform is sum-factorized
 into three 1-D dense matrix products, one per axis (Deville, Fischer & Mund
 2002, sec. 4): complex exp(i*x*k) along axes 1 and 2, then a real matrix
 along axis 3 that maps the [Re, Im] pairs of k3 >= 0 to grid values with
-weight 2 for k3 > 0 (the Hermitian half).  The projection runs the adjoint
-products and computes only the half cube it gathers.  At the grid sizes
+weight 2 for k3 > 0 (the Hermitian half).  The half cubes hold the
+wavenumbers first and a stack of fields innermost, (k1, k2, k3, B), where B
+flattens the stack, derivative and component axes, so each stage is one
+matrix product over the whole stack: it contracts the leading axis and
+appends the new one, and one copy splits the complex values into their real
+and imaginary parts for the real map.  The projection runs the adjoint
+stages the same way, after one copy that turns the grids to (x3, x1, x2, B),
+and computes only the half cube it gathers.  Every product reads the stack
+as the transposed rows of its left factor.  With OpenBLAS, a product that
+holds the stack in its right factor or in the plain rows of a real left
+factor with 16 or more terms per sum rounds some rows differently as the
+stack grows; read this way, each stacked field is bit for bit its own
+transform, whatever the stack size or BLAS thread count.  At the grid sizes
 used here (M = 4*kmax + 1 = 5 to 33, often prime) a full-grid FFT spends
 most of its work on frequencies that are zero or discarded, so the small
 products are faster at every kmax up to the ceiling.  Exactness of
@@ -47,7 +58,7 @@ frequencies.
 array arithmetic; every caller shares it, so all of its arrays are read-only.
 
 `synthesize_with_jacobian` scatters once and gives grid values and Jacobian
-from one batched transform; the advection and B_F (with its L4 norm) are
+from one stacked transform; the advection and B_F (with its L4 norm) are
 built on it.  The advection keeps the convective form u_a d_a u_c: the
 divergence form d_a(u_a u_c) made B_F 3.3x faster at kmax=3, but for the
 single mode k = (1, 0, 0), where every convective term is an exact zero, it
@@ -121,27 +132,33 @@ class GalerkinBasis:
         # -1; see the module docstring), wavenumbers and 1-D DFT matrices,
         # cached per basis.  Phases are reduced mod M in integers, so every
         # entry is an exact M-th root of unity up to one rounding.
+        cube = (2 * K + 1, 2 * K + 1, K + 1)
         mirror = np.flatnonzero(modes[:, 2] == 0)
         src = np.concatenate([np.arange(len(modes)), mirror])
         sign = np.concatenate([np.where(modes[:, 2] < 0, -1, 1), -np.ones_like(mirror)])
-        dst = np.ravel_multi_index(tuple((sign[:, None] * modes[src] + (K, K, 0)).T),
-                                   (2 * K + 1, 2 * K + 1, K + 1))
+        dst = np.ravel_multi_index(tuple((sign[:, None] * modes[src] + (K, K, 0)).T), cube)
+        # where analyze finds mode n in its (k3, k1, k2) result
+        i1, i2, i3 = np.unravel_index(dst[:len(modes)], cube)
+        gather = np.ravel_multi_index((i3, i1, i2), cube[::-1])
         root = np.exp(2j * np.pi * (np.outer(np.arange(M), k) % M) / M)  # (M, 2K+1)
         weight = np.where(k[K:] == 0, 1.0, 2.0)[:, None] * root[:, K:].T
         synth3 = np.stack([weight.real, -weight.imag], axis=1).reshape(2 * K + 2, M)
         proj3 = np.ascontiguousarray(np.conj(root[:, K:]) / M).view(np.float64)
-        ik = 1j * np.array(np.meshgrid(k, k, k[K:], indexing="ij"))
+        ik = 1j * np.array(np.meshgrid(k, k, k[K:], indexing="ij")).reshape(3, 1, -1)
         # the basis is shared (see build_basis), so every array is read-only
         for name, value in (("modes", modes), ("polarizations", pol),
                             ("polarizations_int", pol_int),
                             ("eigenvalues", np.einsum("ni,ni->n", modes, modes)),
                             ("_src", src), ("_dst", dst), ("_sign", sign),
-                            ("_ik", ik[:, None]), ("_synth12", root),
-                            ("_synth3", synth3), ("_proj12", np.conj(root.T) / M),
+                            ("_gather", gather), ("_pol", pol.astype(np.complex128)),
+                            ("_ik", ik),
+                            ("_synth12", np.ascontiguousarray(root.T)),
+                            ("_synth3", synth3), ("_proj12", np.conj(root) / M),
                             ("_proj3", proj3)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_synth_scale", 1.0 / np.sqrt(2.0 * BOX_VOLUME))
+        object.__setattr__(self, "_cube_size", math.prod(cube))
 
     # ---- counts ------------------------------------------------------
 
@@ -172,59 +189,73 @@ class GalerkinBasis:
 
     def _spectrum(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Coefficients (..., n, 2) -> half cubes of the real grid fields,
-        (..., 3, 2K+1, 2K+1, K+1); leading axes are a stack of fields.  Only
-        the scatter targets are written, so a reused `out` keeps the zero
-        padding it was allocated with."""
-        uhat = np.einsum("...np,npc->...nc", np.conj(coeffs), self.polarizations)
+        (P, L, 3): P = (2K+1) * (2K+1) * (K+1) the flattened wavenumbers
+        (k1, k2, k3) of the half cube, then the L fields of the flattened
+        stack and their components.  Only the scatter targets are written,
+        so a reused `out` keeps the zero padding it was allocated with."""
+        c = coeffs.reshape(-1, *coeffs.shape[-2:])
+        uhat = np.einsum("lnp,npc->nlc", np.conj(c), self._pol)
         uhat *= self._synth_scale
-        vals = uhat.take(self._src, axis=-2)
-        vals.imag *= self._sign[:, None]
-        K, lead = self.kmax, coeffs.shape[:-2]
-        spec = out if out is not None else np.zeros(
-            (*lead, 3, 2 * K + 1, 2 * K + 1, K + 1), dtype=np.complex128)
-        spec.reshape(*lead, 3, -1)[..., self._dst] = vals.swapaxes(-1, -2)
+        vals = uhat.take(self._src, axis=0)
+        vals.imag *= self._sign[:, None, None]
+        spec = out if out is not None else np.zeros((self._cube_size, len(c), 3),
+                                                    dtype=np.complex128)
+        spec[self._dst] = vals
         return spec
 
     def _to_grid(self, spec: np.ndarray, out: tuple | None = None) -> np.ndarray:
-        """Half cubes (..., 2K+1, 2K+1, K+1) -> real grids (..., M, M, M):
-        the DFT along axis 2, then axis 1, then the real map along axis 3,
-        each product written into its entry of `out` when given."""
-        *lead, a, b, c = spec.shape
-        M, out = self.grid_size, out or (None,) * 3
-        g = np.matmul(self._synth12, spec.reshape(-1, b, c), out=out[0])
-        g = np.matmul(self._synth12, g.reshape(-1, a, M * c), out=out[1])
-        g = np.matmul(g.view(np.float64).reshape(-1, 2 * c), self._synth3, out=out[2])
-        return g.reshape(*lead, M, M, M)
+        """Half cubes (P, ...) (see `_spectrum`) -> real grids (..., M, M, M).
+
+        Each stage is one matrix product over every field of the stack, B
+        the flattened trailing axes, that contracts the leading axis and
+        appends the grid axis.  The DFTs along axes 1 and 2 go (k1, k2, k3,
+        B) -> (k2, k3, B, x1) -> (k3, B, x1, x2); the result is split into
+        its real and imaginary parts, (k3, Re/Im, B, x1, x2), and the real
+        map along axis 3 applies the k3 weights and gives the contiguous
+        grids (B, x1, x2, x3).  The four results go into the entries of
+        `out` when given."""
+        a, c = 2 * self.kmax + 1, self.kmax + 1
+        M, rest, out = self.grid_size, spec.shape[1:], out or (None,) * 4
+        g = np.matmul(spec.reshape(a, -1).T, self._synth12, out=out[0])
+        g = np.matmul(g.reshape(a, -1).T, self._synth12, out=out[1])
+        parts = g.view(np.float64).reshape(c, -1, 2).transpose(0, 2, 1)
+        g = _copy(parts, out[2])
+        g = np.matmul(g.reshape(2 * c, -1).T, self._synth3, out=out[3])
+        return g.reshape(*rest, M, M, M)
 
     def work_arrays(self, lead: tuple[int, ...]) -> dict:
         """Work arrays of one B_F evaluation on a stack of leading shape
         `lead`: the half cubes of the field and its gradient (zero, see
-        `_spectrum`), the three synthesis products, the advection grid and
-        the three analysis products, each of the shape it would be
-        allocated with, so reusing them changes no bit of the result."""
+        `_spectrum`), the four results of the synthesis (`_to_grid`), the
+        advection grid and the four results of the analysis (`analyze`),
+        each of the shape it would be allocated with, so reusing them
+        changes no bit of the result."""
         K, M = self.kmax, self.grid_size
         a, c = 2 * K + 1, K + 1
         comps = 3 * math.prod(lead)
         cubes = 4 * comps  # the field and its 3 derivatives
         return {
             "cubes": self._cubes(lead),
-            "synth": (np.empty((cubes * a, M, c), dtype=np.complex128),
-                      np.empty((cubes, M, M * c), dtype=np.complex128),
+            "synth": (np.empty((a * c * cubes, M), dtype=np.complex128),
+                      np.empty((c * cubes * M, M), dtype=np.complex128),
+                      np.empty((c, 2, cubes * M * M)),
                       np.empty((cubes * M * M, M))),
             "advection": np.empty((*lead, 3, M, M, M)),
-            "analysis": (np.empty((comps * M * M, 2 * c)),
-                         np.empty((comps * M, a, c), dtype=np.complex128),
-                         np.empty((comps, a, a * c), dtype=np.complex128)),
+            "analysis": (np.empty((M, M, M, comps)),
+                         np.empty((M * M * comps, 2 * c)),
+                         np.empty((M * comps * c, a), dtype=np.complex128),
+                         np.empty((comps * c * a, a), dtype=np.complex128)),
         }
 
     def _cubes(self, lead: tuple[int, ...]) -> np.ndarray:
-        """Zero half cubes of a stack of fields and their 3 derivatives."""
-        a, c = 2 * self.kmax + 1, self.kmax + 1
-        return np.zeros((*lead, 4, 3, a, a, c), dtype=np.complex128)
+        """Zero half cubes of a stack of fields and their 3 derivatives,
+        (P, prod(lead), 4, 3)."""
+        return np.zeros((self._cube_size, math.prod(lead), 4, 3), dtype=np.complex128)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical grid values, shape (3, M, M, M), real."""
-        return self._to_grid(self._spectrum(coeffs))
+        grids = self._to_grid(self._spectrum(coeffs))
+        return grids.reshape(*coeffs.shape[:-2], *grids.shape[1:])
 
     def synthesize_with_jacobian(
         self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None,
@@ -234,34 +265,48 @@ class GalerkinBasis:
         of `grad_coeffs`, default the same field (scattered once),
         (..., 3, 3, M, M, M); leading axes are a stack of fields.  The cubes
         and grids are written into `work` when given (see `work_arrays`)."""
-        cubes = work["cubes"] if work else self._cubes(coeffs.shape[:-2])
-        self._spectrum(coeffs, out=cubes[..., 0, :, :, :, :])
-        dspec = cubes[..., :1, :, :, :, :] if grad_coeffs is None else (
-            self._spectrum(grad_coeffs)[..., None, :, :, :, :])
-        np.multiply(self._ik, dspec, out=cubes[..., 1:, :, :, :, :])
+        lead = coeffs.shape[:-2]
+        cubes = work["cubes"] if work else self._cubes(lead)
+        self._spectrum(coeffs, out=cubes[:, :, 0])
+        dspec = cubes[:, :, :1] if grad_coeffs is None else (
+            self._spectrum(grad_coeffs)[:, :, None])
+        # wavenumbers innermost: a few long loops instead of many of length 3
+        np.multiply(self._ik, dspec.transpose(1, 2, 3, 0), order="C",
+                    out=cubes[:, :, 1:].transpose(1, 2, 3, 0))
         grids = self._to_grid(cubes, work["synth"] if work else None)
-        return grids[..., 0, :, :, :, :], grids[..., 1:, :, :, :, :]
+        M = self.grid_size
+        return (grids[:, 0].reshape(*lead, 3, M, M, M),
+                grids[:, 1:].reshape(*lead, 3, 3, M, M, M))
 
     def analyze(self, grid: np.ndarray, out: tuple | None = None) -> np.ndarray:
         """Project physical grid values (..., 3, M, M, M) onto the basis
-        (Leray + truncation); leading axes are a stack of fields.  The three
-        transform products go into `out` when given (see `work_arrays`).
+        (Leray + truncation); leading axes are a stack of fields.
+
+        The adjoint of `_to_grid`, one matrix product per stage over every
+        field that contracts the leading axis and appends the wavenumber
+        axis: the grids, turned to (x3, x1, x2, B), go to (x1, x2, B, k3) by
+        the real map along axis 3, then to (x2, B, k3, k1) and (B, k3, k1,
+        k2) by the DFTs along axes 1 and 2, and the coefficients are gathered
+        from the last.  The four results go into `out` when given (see
+        `work_arrays`).  Each product reads the stack as the transposed rows
+        of its left factor (see the module docstring), so each field's
+        coefficients do not depend on its stack.
 
         The component of each Fourier amplitude parallel to k is discarded by
         expanding only on the polarization vectors, which realizes the
         orthogonal projection onto divergence-free fields.
         """
         n = self.n_half_modes
-        M, K, lead = self.grid_size, self.kmax, grid.shape[:-4]
-        out = out or (None,) * 3
-        # the adjoint of _to_grid: axis 3 (real in, [Re, Im] out), 2, then 1
-        spec = np.matmul(grid.reshape(-1, M), self._proj3, out=out[0]).view(np.complex128)
-        spec = np.matmul(self._proj12, spec.reshape(-1, M, K + 1), out=out[1])
-        spec = np.matmul(self._proj12, spec.reshape(-1, M, (2 * K + 1) * (K + 1)),
-                         out=out[2])
-        uhat = spec.reshape(*lead, 3, -1).take(self._dst[:n], axis=-1).swapaxes(-1, -2)
-        uhat.imag *= self._sign[:n, None]
-        coeffs = np.conj(np.einsum("...nc,npc->...np", uhat, self.polarizations))
+        M, lead, out = self.grid_size, grid.shape[:-4], out or (None,) * 4
+        spec = _copy(grid.reshape(-1, M, M, M).transpose(3, 1, 2, 0), out[0])
+        spec = np.matmul(spec.reshape(M, -1).T, self._proj3, out=out[1]).view(np.complex128)
+        spec = np.matmul(spec.reshape(M, -1).T, self._proj12, out=out[2])
+        spec = np.matmul(spec.reshape(M, -1).T, self._proj12, out=out[3])
+        # a coefficient is conj(u . p), u conjugated where the mode sits at
+        # -k (sign -1): the same as the gathered value conjugated at +k, dotted
+        uhat = spec.reshape(*lead, 3, -1).take(self._gather, axis=-1)
+        uhat.imag *= -self._sign[:n]
+        coeffs = np.einsum("...cn,npc->...np", uhat, self._pol)
         coeffs /= self._synth_scale
         return coeffs
 
@@ -334,6 +379,14 @@ def _check_same_basis(*fields: SpectralField) -> GalerkinBasis:
         ):
             raise ValueError("fields live on different bases")
     return basis
+
+
+def _copy(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A C-contiguous copy of x, written into `out` when given."""
+    if out is None:
+        return np.ascontiguousarray(x)
+    np.copyto(out, x)
+    return out
 
 
 # ---- construction -------------------------------------------------------
@@ -436,12 +489,6 @@ def stokes_apply(u: SpectralField) -> SpectralField:
     return SpectralField(u.basis, u.coeffs * u.basis.eigenvalues[:, None])
 
 
-def advection_grid(u: SpectralField, v: SpectralField) -> np.ndarray:
-    """(u . grad) v evaluated on the physical (dealiasing) grid."""
-    ug, dv = _check_same_basis(u, v).synthesize_with_jacobian(u.coeffs, v.coeffs)
-    return np.einsum("axyz,acxyz->cxyz", ug, dv)
-
-
 def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
     """b(u, v, w) = int (u . grad) v . w dx, exact to rounding.
 
@@ -450,7 +497,8 @@ def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
     antisymmetry b(u, v, w) = -b(u, w, v) hold to floating-point rounding.
     """
     basis = _check_same_basis(u, v, w)
-    adv = advection_grid(u, v)
+    ug, dv = basis.synthesize_with_jacobian(u.coeffs, v.coeffs)
+    adv = np.einsum("axyz,acxyz->cxyz", ug, dv)
     wg = basis.synthesize(w.coeffs)
     return basis.quadrature(np.einsum("cxyz,cxyz->xyz", adv, wg))
 
@@ -461,7 +509,8 @@ def nonlinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     Satisfies <B(u, v), w> = b(u, v, w) for every w in the basis.
     """
     basis = _check_same_basis(u, v)
-    return SpectralField(basis, basis.analyze(advection_grid(u, v)))
+    ug, dv = basis.synthesize_with_jacobian(u.coeffs, v.coeffs)
+    return SpectralField(basis, basis.analyze(np.einsum("axyz,acxyz->cxyz", ug, dv)))
 
 
 def ladyzhenskaya_ratio(u: SpectralField) -> float:

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gmnslab
 from gmnslab import cli
 from gmnslab.config import (CONTRACT_WORK_CEILING, ConfigError, contract_work,
                             default_config, parse_config, resolve_config)
@@ -95,6 +98,28 @@ class TestRunDeterminism:
             with open(os.path.join(out_a, name), "rb") as fa, \
                  open(os.path.join(out_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    def test_contract_artifacts_independent_of_blas_threads(self, tmp_path):
+        # kmax 2 marches contraction members in tiles of 4, so 7 members
+        # leave a partial last tile; OpenBLAS takes its thread count when
+        # numpy loads, so each setting runs in its own process
+        raw = {"experiment": "contract", "seed": 18, "ensemble": 7,
+               "assertion_mode": "exploratory",
+               "params": {"kmax": 2, "dt": 1 / 32, "t_final": 0.5, "nu": 4.0,
+                          "level": 0.3, "noise": {"amplitude": 0.5}},
+               "options": {"x1": {"norm": 3.0}}}
+        cfg_file = write_config(tmp_path, raw)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmnslab.__file__)))
+        artifacts = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "gmnslab.cli", "contract",
+                            "--config", cfg_file, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            artifacts[threads] = {name: (out / name).read_bytes() for name in
+                                  ("config.json", "contraction.csv", "summary.json")}
+        assert artifacts["1"] == artifacts["2"]
 
     def test_seed_changes_outputs(self, tmp_path):
         cfg_file = write_config(tmp_path, SMALL_SIM)

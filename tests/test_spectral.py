@@ -51,8 +51,8 @@ class TestBasisConstruction:
 
     def test_shared_arrays_read_only(self, basis2):
         names = ("modes", "polarizations", "polarizations_int", "eigenvalues",
-                 "_src", "_dst", "_sign", "_ik", "_synth12", "_synth3",
-                 "_proj12", "_proj3")
+                 "_src", "_dst", "_sign", "_gather", "_pol", "_ik", "_synth12",
+                 "_synth3", "_proj12", "_proj3")
         for name in names:
             arr = getattr(basis2, name)
             with pytest.raises(ValueError):
@@ -159,6 +159,47 @@ class TestTransforms:
                 values, jac = basis.synthesize_with_jacobian(c.coeffs, g.coeffs)
                 assert np.abs(values - synth_direct(c, basis.grid_size)).max() < 1e-13
                 assert np.abs(jac - grad_direct(g, basis.grid_size)).max() < 1e-13
+
+
+class TestStackedTransforms:
+    # a pair, a kmax-2 tile of the contraction march, a kmax-1 tile and a
+    # partial tile
+    @pytest.mark.parametrize("lead", [(1, 2), (4, 2), (27, 2), (3, 2)])
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
+    def test_stack_equals_each_field_alone(self, kmax, lead):
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(kmax)
+        c = np.stack([sp.random_field(basis, rng).coeffs for _ in range(math.prod(lead))])
+        c = c.reshape(*lead, *c.shape[1:])
+        grid = rng.standard_normal((*lead, 3) + (basis.grid_size,) * 3)
+        values, jac = basis.synthesize_with_jacobian(c)
+        coeffs = basis.analyze(grid)
+        for i in np.ndindex(*lead):
+            v1, j1 = basis.synthesize_with_jacobian(c[i])
+            assert values[i].tobytes() == v1.tobytes()
+            assert jac[i].tobytes() == j1.tobytes()
+            assert coeffs[i].tobytes() == basis.analyze(grid[i]).tobytes()
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
+    def test_reused_work_arrays_keep_the_padding(self, kmax):
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(10 + kmax)
+        lead = (3, 2)
+        work = basis.work_arrays(lead)
+        pad = np.ones(len(work["cubes"]), dtype=bool)
+        pad[basis._dst] = False
+        for norm in (2.0, 0.5):
+            c = np.stack([sp.random_field(basis, rng, norm=norm).coeffs for _ in range(6)])
+            c = c.reshape(*lead, *c.shape[1:])
+            grid = rng.standard_normal((*lead, 3) + (basis.grid_size,) * 3)
+            for got, want in zip(basis.synthesize_with_jacobian(c, work=work),
+                                 basis.synthesize_with_jacobian(c)):
+                assert got.tobytes() == want.tobytes()
+            got = basis.analyze(grid, work["analysis"])
+            assert got.tobytes() == basis.analyze(grid).tobytes()
+            # only the scatter targets of the half cubes are ever written
+            assert not work["cubes"][pad].view(np.float64).any()
+            assert not np.signbit(work["cubes"][pad].view(np.float64)).any()
 
 
 class TestTrilinearForm:
