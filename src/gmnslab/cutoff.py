@@ -77,11 +77,13 @@ def cutoff_product_bound(u: SpectralField, level: float) -> float:
 
 
 def cutoff_lipschitz_sides(
-    u: SpectralField, v: SpectralField, level: float
+    u: SpectralField, v: SpectralField, level: float, ru: float | None = None
 ) -> tuple[float, float]:
-    """Both sides of |F(|u|) - F(|v|)| <= (1/level) F(|u|) F(|v|) |u - v|_L4."""
+    """Both sides of |F(|u|) - F(|v|)| <= (1/level) F(|u|) F(|v|) |u - v|_L4;
+    `ru` is |u|_L4 when the caller has it already."""
     _check_same_basis(u, v)
-    ru, rv = norm_L4(u), norm_L4(v)
+    ru = norm_L4(u) if ru is None else ru
+    rv = norm_L4(v)
     lhs = abs(cutoff_factor(ru, level) - cutoff_factor(rv, level))
     rhs = (
         cutoff_factor(ru, level)

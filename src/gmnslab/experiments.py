@@ -92,7 +92,7 @@ def check_cutoff_lemma(
         prod = ru * co.cutoff_factor(ru, level)
         if not 0.0 <= prod <= level:
             violations += 1
-        lhs, rhs = co.cutoff_lipschitz_sides(u, v, level)
+        lhs, rhs = co.cutoff_lipschitz_sides(u, v, level, ru)
         margin = rhs + tol - lhs
         worst = min(worst, margin, level - prod)
         if lhs > rhs + tol:

@@ -266,7 +266,9 @@ class _Stepper:
     def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float):
         self.params = params
         self.basis = basis
-        lam = basis.eigenvalues.astype(np.float64)[:, None]
+        # one entry per coefficient, (n, 2), so each product with a stack of
+        # fields runs as one long loop
+        lam = np.repeat(basis.eigenvalues.astype(np.float64)[:, None], 2, axis=1)
         zh = params.nu * lam * dt
         self.E = np.exp(-zh)
         small = zh < 1e-5

@@ -57,12 +57,19 @@ frequencies.
 `build_basis` builds one basis per (kmax, grid_size) and process, in integer
 array arithmetic; every caller shares it, so all of its arrays are read-only.
 
+Coefficient-side operations on a stack keep the mode axis innermost, so
+each runs as a few long loops rather than many of length 2 or 3: the one
+polarization table is C-contiguous (p, c, n), both polarization einsums
+run along n, and so do the sign flips, gathers and scatters of `_spectrum`
+and `analyze`.  Each einsum still sums over its short axis into a zeroed
+output in the same order, so the layout changes no bit, not even the sign
+of a zero.
+
 `synthesize_with_jacobian` scatters once and gives grid values and Jacobian
 from one stacked transform; the advection and B_F (with its L4 norm) are
-built on it.  The advection keeps the convective form u_a d_a u_c: the
-divergence form d_a(u_a u_c) made B_F 3.3x faster at kmax=3, but for the
-single mode k = (1, 0, 0), where every convective term is an exact zero, it
-leaves |B(u, u)|_H = 2.3e-18, not 0.0.
+built on it.  The advection keeps the convective form u_a d_a u_c, in which
+every term of the single mode k = (1, 0, 0) is an exact zero, so B(u, u) of
+that mode is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -150,7 +157,10 @@ class GalerkinBasis:
                             ("polarizations_int", pol_int),
                             ("eigenvalues", np.einsum("ni,ni->n", modes, modes)),
                             ("_src", src), ("_dst", dst), ("_sign", sign),
-                            ("_gather", gather), ("_pol", pol.astype(np.complex128)),
+                            ("_gather", gather),
+                            # complex, so that no einsum casts it per call
+                            ("_pol_pcn", np.ascontiguousarray(pol.transpose(1, 2, 0),
+                                                              dtype=np.complex128)),
                             ("_ik", ik),
                             ("_synth12", np.ascontiguousarray(root.T)),
                             ("_synth3", synth3), ("_proj12", np.conj(root) / M),
@@ -191,16 +201,18 @@ class GalerkinBasis:
         """Coefficients (..., n, 2) -> half cubes of the real grid fields,
         (P, L, 3): P = (2K+1) * (2K+1) * (K+1) the flattened wavenumbers
         (k1, k2, k3) of the half cube, then the L fields of the flattened
-        stack and their components.  Only the scatter targets are written,
-        so a reused `out` keeps the zero padding it was allocated with."""
+        stack and their components.  The amplitudes are formed as (L, 3, n),
+        modes innermost, and turned only by the scatter.  Only the scatter
+        targets are written, so a reused `out` keeps the zero padding it was
+        allocated with."""
         c = coeffs.reshape(-1, *coeffs.shape[-2:])
-        uhat = np.einsum("lnp,npc->nlc", np.conj(c), self._pol)
+        uhat = np.einsum("lnp,pcn->lcn", np.conj(c), self._pol_pcn)
         uhat *= self._synth_scale
-        vals = uhat.take(self._src, axis=0)
-        vals.imag *= self._sign[:, None, None]
+        vals = uhat.take(self._src, axis=-1)
+        vals.imag *= self._sign
         spec = out if out is not None else np.zeros((self._cube_size, len(c), 3),
                                                     dtype=np.complex128)
-        spec[self._dst] = vals
+        spec[self._dst] = vals.transpose(2, 0, 1)
         return spec
 
     def _to_grid(self, spec: np.ndarray, out: tuple | None = None) -> np.ndarray:
@@ -306,7 +318,10 @@ class GalerkinBasis:
         # -k (sign -1): the same as the gathered value conjugated at +k, dotted
         uhat = spec.reshape(*lead, 3, -1).take(self._gather, axis=-1)
         uhat.imag *= -self._sign[:n]
-        coeffs = np.einsum("...cn,npc->...np", uhat, self._pol)
+        # written through its (..., 2, n) view: the sum runs along the modes
+        # and the coefficients come out C-contiguous
+        coeffs = np.empty((*lead, n, 2), dtype=np.complex128)
+        np.einsum("...cn,pcn->...pn", uhat, self._pol_pcn, out=coeffs.swapaxes(-1, -2))
         coeffs /= self._synth_scale
         return coeffs
 
@@ -322,9 +337,13 @@ class GalerkinBasis:
         sq = np.einsum("...cxyz,...cxyz->...xyz", grid, grid)
         if sq.ndim == 3:
             return self.quadrature(sq * sq) ** 0.25
-        M = self.grid_size
-        return np.array([self.quadrature(s * s) ** 0.25
-                         for s in sq.reshape(-1, M, M, M)]).reshape(sq.shape[:-3])
+        # one row sum per member over its contiguous squares adds them in the
+        # order `quadrature` does; the roots use Python's pow, as above
+        # (numpy's vectorized ** 0.25 rounds some of them differently)
+        M3 = self.grid_size ** 3
+        sq *= sq
+        sums = sq.reshape(-1, M3).sum(axis=1) * (BOX_VOLUME / M3)
+        return np.array([r ** 0.25 for r in sums.tolist()]).reshape(sq.shape[:-3])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Independent oracles for the spectral operators.
 
-Everything here evaluates fields by direct summation of cosine/sine basis
+The field oracles evaluate fields by direct summation of cosine/sine basis
 functions on an explicit grid (no FFT, none of the production transform
 code), so agreement with the package is a genuine cross-check rather than a
-tautology.
+tautology.  The polarization references near the end are the other kind: an
+earlier layout of the package's own arithmetic, which the current one must
+reproduce bit for bit.
 """
 
 import numpy as np
@@ -50,8 +52,8 @@ def synth_direct(field, m: int) -> np.ndarray:
     cosn, sinn = np.cos(phases), np.sin(phases)
     a = field.coeffs.real
     b = field.coeffs.imag
-    u = np.einsum("np,npc,nxyz->cxyz", a, basis.polarizations, cosn)
-    u += np.einsum("np,npc,nxyz->cxyz", b, basis.polarizations, sinn)
+    u = np.einsum("np,npc,nxyz->cxyz", a, basis.polarizations, cosn, optimize=True)
+    u += np.einsum("np,npc,nxyz->cxyz", b, basis.polarizations, sinn, optimize=True)
     return scale * u
 
 
@@ -65,8 +67,10 @@ def grad_direct(field, m: int) -> np.ndarray:
     cosn, sinn = np.cos(phases), np.sin(phases)
     a = field.coeffs.real
     b = field.coeffs.imag
-    du = -np.einsum("np,npc,ni,nxyz->icxyz", a, basis.polarizations, kf, sinn)
-    du += np.einsum("np,npc,ni,nxyz->icxyz", b, basis.polarizations, kf, cosn)
+    du = -np.einsum("np,npc,ni,nxyz->icxyz", a, basis.polarizations, kf, sinn,
+                    optimize=True)
+    du += np.einsum("np,npc,ni,nxyz->icxyz", b, basis.polarizations, kf, cosn,
+                    optimize=True)
     return scale * du
 
 
@@ -81,7 +85,7 @@ def trilinear_oracle(u, v, w, m: int | None = None) -> float:
     ug = synth_direct(u, m)
     dv = grad_direct(v, m)
     wg = synth_direct(w, m)
-    integrand = np.einsum("ixyz,icxyz,cxyz->xyz", ug, dv, wg)
+    integrand = np.einsum("ixyz,icxyz,cxyz->xyz", ug, dv, wg, optimize=True)
     return integrate(integrand)
 
 
@@ -98,6 +102,36 @@ def norm_h_oracle(u, m: int | None = None) -> float:
         m = 4 * u.basis.kmax + 3
     g = synth_direct(u, m)
     return integrate(np.einsum("cxyz,cxyz->xyz", g, g)) ** 0.5
+
+
+# ---- polarization contractions with the table in (n, p, c) order ----
+
+
+def spectrum_reference(basis, coeffs: np.ndarray) -> np.ndarray:
+    """`GalerkinBasis._spectrum` of a stack (L, n, 2): half cubes (P, L, 3)."""
+    pol = basis.polarizations.astype(np.complex128)
+    uhat = np.einsum("lnp,npc->nlc", np.conj(coeffs), pol)
+    uhat *= basis._synth_scale
+    vals = uhat.take(basis._src, axis=0)
+    vals.imag *= basis._sign[:, None, None]
+    spec = np.zeros((basis._cube_size, len(coeffs), 3), dtype=np.complex128)
+    spec[basis._dst] = vals
+    return spec
+
+
+def analyze_reference(basis, grid: np.ndarray) -> np.ndarray:
+    """`GalerkinBasis.analyze` of grids (..., 3, M, M, M): the same transform
+    stages, then the (n, p, c) contraction."""
+    n, M, lead = basis.n_half_modes, basis.grid_size, grid.shape[:-4]
+    spec = np.ascontiguousarray(grid.reshape(-1, M, M, M).transpose(3, 1, 2, 0))
+    spec = np.matmul(spec.reshape(M, -1).T, basis._proj3).view(np.complex128)
+    spec = np.matmul(spec.reshape(M, -1).T, basis._proj12)
+    spec = np.matmul(spec.reshape(M, -1).T, basis._proj12)
+    uhat = spec.reshape(*lead, 3, -1).take(basis._gather, axis=-1)
+    uhat.imag *= -basis._sign[:n]
+    coeffs = np.einsum("...cn,npc->...np", uhat, basis.polarizations.astype(np.complex128))
+    coeffs /= basis._synth_scale
+    return coeffs
 
 
 def ou_moments(z0: float, sigma: float, mu: float, t: float) -> tuple[float, float]:

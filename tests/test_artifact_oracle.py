@@ -1,0 +1,40 @@
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "artifact_oracle.py")
+_spec = importlib.util.spec_from_file_location("artifact_oracle", _PATH)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+
+def _write_csv(path, columns):
+    names = list(columns)
+    rows = zip(*columns.values())
+    path.write_text(",".join(names) + "\n"
+                    + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows))
+
+
+class TestDivergences:
+    def test_classified_by_absolute_change(self, tmp_path):
+        # a tolerance minus a rounding residual (the trilinear report's
+        # margin) moves by a large fraction of a tiny value; a value of size
+        # 1 that moves by 1e-6 is a real change
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        _write_csv(ref, {"margin": [7.6e-12, 5.0e-12], "value": [1.0, 0.5],
+                         "same": [3.0, 4.0]})
+        _write_csv(new, {"margin": [7.6e-12 - 3.5e-18, 5.0e-12],
+                         "value": [1.0 + 1e-6, 0.5], "same": [3.0, 4.0]})
+        moved = {name: (rel, diff, rounding)
+                 for name, rel, diff, rounding in oracle.divergences(str(ref), str(new))}
+        assert set(moved) == {"margin", "value"}
+        rel, diff, rounding = moved["margin"]
+        assert rounding and diff == pytest.approx(3.5e-18, rel=1e-3)
+        assert rel == pytest.approx(3.5e-18 / 7.6e-12, rel=1e-3)
+        rel, diff, rounding = moved["value"]
+        assert not rounding and diff == pytest.approx(1e-6, rel=1e-6)
+        # each moved column prints its relative and absolute change
+        text = oracle._describe(oracle.divergences(str(ref), str(new)))
+        assert text.startswith("moved: 'value' 1e-06 (abs 1e-06)")
+        assert "rounding-level (abs < 1e-12): 'margin' 4.61e-07 (abs 3.5e-18)" in text

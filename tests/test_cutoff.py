@@ -83,6 +83,14 @@ class TestLipschitzBound:
         lhs, rhs = co.cutoff_lipschitz_sides(u, u, 1.0)
         assert lhs == 0.0 and rhs == 0.0
 
+    def test_given_norm_gives_the_same_sides(self, basis2, rng):
+        for target in (0.5, 3.0):
+            u = sp.random_field(basis2, rng)
+            u = u * (target / sp.norm_L4(u))
+            v = sp.random_field(basis2, rng)
+            assert (co.cutoff_lipschitz_sides(u, v, 1.0, sp.norm_L4(u))
+                    == co.cutoff_lipschitz_sides(u, v, 1.0))
+
     def test_all_branch_cases(self, basis2, rng):
         level = 1.0
         for case in range(400):

@@ -7,8 +7,9 @@ import pytest
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
-from oracles import (basis_reference, grad_direct, norm_h_oracle, norm_l4_oracle,
-                     synth_direct, trilinear_oracle)
+from oracles import (analyze_reference, basis_reference, grad_direct, norm_h_oracle,
+                     norm_l4_oracle, spectrum_reference, synth_direct,
+                     trilinear_oracle)
 
 # single modes on the k3 = 0 plane (stored at both +k and -k in the half
 # cube) and with k3 < 0 (stored conjugated at -k)
@@ -51,7 +52,8 @@ class TestBasisConstruction:
 
     def test_shared_arrays_read_only(self, basis2):
         names = ("modes", "polarizations", "polarizations_int", "eigenvalues",
-                 "_src", "_dst", "_sign", "_gather", "_pol", "_ik", "_synth12",
+                 "_src", "_dst", "_sign", "_gather", "_pol_pcn", "_ik",
+                 "_synth12",
                  "_synth3", "_proj12", "_proj3")
         for name in names:
             arr = getattr(basis2, name)
@@ -180,6 +182,16 @@ class TestStackedTransforms:
             assert jac[i].tobytes() == j1.tobytes()
             assert coeffs[i].tobytes() == basis.analyze(grid[i]).tobytes()
 
+    @pytest.mark.parametrize("kmax", range(1, sp.KMAX_CEILING + 1))
+    def test_l4_equals_each_field_alone(self, kmax):
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(kmax)
+        grid = rng.standard_normal((4, 2, 3) + (basis.grid_size,) * 3)
+        norms = basis.l4_norm(grid)
+        assert norms.shape == (4, 2)
+        for i in np.ndindex(4, 2):
+            assert norms[i].tobytes() == np.float64(basis.l4_norm(grid[i])).tobytes()
+
     @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
     def test_reused_work_arrays_keep_the_padding(self, kmax):
         basis = sp.build_basis(kmax)
@@ -200,6 +212,43 @@ class TestStackedTransforms:
             # only the scatter targets of the half cubes are ever written
             assert not work["cubes"][pad].view(np.float64).any()
             assert not np.signbit(work["cubes"][pad].view(np.float64)).any()
+
+
+def _signed_zeros(rng, x):
+    """x with about a fifth of its float64 entries set to -0.0 and a fifth to
+    +0.0, and a copy of all zeros with random signs."""
+    x = x.copy()
+    flat = x.view(np.float64).reshape(-1)
+    pick = rng.random(flat.size)
+    flat[pick < 0.2] = -0.0
+    flat[(pick >= 0.2) & (pick < 0.4)] = 0.0
+    zero = np.where(rng.random(flat.size) < 0.5, -0.0, 0.0)
+    return x, zero.view(x.dtype).reshape(x.shape)
+
+
+class TestPolarizationLayout:
+    """The mode-innermost polarization contractions against the (n, p, c)
+    layout they replaced (`oracles.spectrum_reference`, `analyze_reference`),
+    compared as int64 views, so +0.0 and -0.0 count as different."""
+
+    @pytest.mark.parametrize("fields", [1, 2, 3, 8, 27])
+    @pytest.mark.parametrize("kmax", range(1, sp.KMAX_CEILING + 1))
+    def test_equal_to_reference_bit_for_bit(self, kmax, fields):
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(100 * kmax + fields)
+        n, M = basis.n_half_modes, basis.grid_size
+        # the layout itself: modes innermost in memory, not only in shape
+        assert basis._pol_pcn.flags.c_contiguous
+        c = rng.standard_normal((fields, n, 2)) + 1j * rng.standard_normal((fields, n, 2))
+        grid = rng.standard_normal((fields, 3, M, M, M))
+        for c in _signed_zeros(rng, c):
+            got = basis._spectrum(c)
+            assert np.array_equal(got.view(np.int64), spectrum_reference(basis, c).view(np.int64))
+        for grid in _signed_zeros(rng, grid):
+            got = basis.analyze(grid)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64),
+                                  analyze_reference(basis, grid).view(np.int64))
 
 
 class TestTrilinearForm:

@@ -7,13 +7,15 @@ directories.  Each re-run checks its artifacts against the run registry, so a
 re-run that exits 7 (registry divergence) produced different bytes.  Prints
 each re-run's exit code and the registry's list of changed artifacts, and
 exits 1 if any re-run exits 7.  For each changed CSV or JSON artifact it also
-prints how far the numbers moved: the worst numeric CSV column or JSON leaf
-(a list of numbers counts as one column), measured as max |ref - new| over
-that column's largest |ref|, with max |ref - new| next to it.  A column whose
-largest |ref| is below ROUNDING_FLOOR holds rounding error by construction
-(an identity that is zero in exact arithmetic), so its relative change says
-nothing; such columns are listed apart as rounding-level, with their absolute
-change only.
+prints how far the numbers moved: every numeric CSV column or JSON leaf (a
+list of numbers counts as one column) that moved, with its relative change,
+max |ref - new| over the column's largest |ref|, and its absolute change,
+max |ref - new|, side by side, the largest relative change first.  A column
+whose absolute change is below ROUNDING_FLOOR moved at rounding level,
+whatever its relative change says: a column that holds rounding error by
+construction (an identity that is zero in exact arithmetic), or a tolerance
+minus such an error, can move by a large fraction of itself.  Such columns
+are listed apart as rounding-level.
 
     python tools/artifact_oracle.py [--rev HEAD~1]
 
@@ -39,9 +41,10 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXIT_DIVERGENCE = 7
 
-# Below this largest |ref| a column is rounding-level: it holds the rounding
-# error of an identity (the trilinear fuzz report's lhs is <= 4.6e-18), while
-# the quantities these artifacts measure are many orders of magnitude larger.
+# A column that moves by less than this moved at rounding level: the
+# trilinear fuzz report's lhs is a rounding residual (<= 4.6e-18), its margin
+# a 7.6e-12 tolerance minus that residual, while the quantities these
+# artifacts measure are many orders of magnitude larger than this floor.
 ROUNDING_FLOOR = 1e-12
 
 _SMALL = {"kmax": 1, "dt": 1 / 32, "t_final": 0.5}
@@ -146,7 +149,7 @@ def divergences(ref_path: str, new_path: str) -> list[tuple[str, float, float, b
         scale = max((abs(a) for a in r), default=0.0)
         if diff:
             rel = diff / scale if scale else math.inf
-            moved.append((name, rel, diff, 0.0 < scale < ROUNDING_FLOOR))
+            moved.append((name, rel, diff, diff < ROUNDING_FLOOR))
     return moved
 
 
@@ -154,14 +157,12 @@ def _describe(moved: list[tuple[str, float, float, bool]]) -> str:
     if not moved:
         return "numbers equal, non-numeric content differs"
     parts = []
-    real = [m for m in moved if not m[3]]
-    if real:
-        name, rel, diff, _ = max(real, key=lambda m: m[1])
-        parts.append(f"worst '{name}' {rel:.3g} (abs {diff:.3g})")
-    rounding = [f"'{name}' abs {diff:.3g}" for name, _, diff, low in moved if low]
-    if rounding:
-        parts.append(f"rounding-level (largest |ref| < {ROUNDING_FLOOR:g}): "
-                     + ", ".join(rounding))
+    for rounding, label in ((False, "moved"),
+                            (True, f"rounding-level (abs < {ROUNDING_FLOOR:g})")):
+        columns = sorted((m for m in moved if m[3] == rounding), key=lambda m: -m[1])
+        if columns:
+            parts.append(f"{label}: " + ", ".join(
+                f"'{name}' {rel:.3g} (abs {diff:.3g})" for name, rel, diff, _ in columns))
     return "; ".join(parts)
 
 
