@@ -223,6 +223,10 @@ def _is_field_spec(spec) -> bool:
             and _finite(decay) and isinstance(spec.get("label", ""), str))
 
 
+def _positive_list(xs) -> bool:
+    return isinstance(xs, list) and bool(xs) and all(_finite(x) and x > 0 for x in xs)
+
+
 _FIELD_SPEC = ('an initial-field spec: an object with kind "random" or "zero", '
                "norm a finite number > 0 or null, decay a finite number, label a "
                "string and no other key")
@@ -237,10 +241,13 @@ _OPTION_RULES = {
     **{name: (lambda x: _finite(x) and x >= 0, "a finite number >= 0")
        for name in ("ou_chi", "burn_in", "family_tol")},
     "horizon": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
-    **{name: (lambda xs: isinstance(xs, list) and xs
-              and all(_finite(x) and x > 0 for x in xs),
-              "a non-empty list of finite numbers > 0")
-       for name in ("pullback_times", "multipliers")},
+    # the sweep compares each level's run with the next larger level's
+    "multipliers": (lambda xs: _positive_list(xs)
+                    and all(a < b for a, b in zip(xs, xs[1:])),
+                    "a strictly increasing non-empty list of finite numbers > 0"),
+    # the decay check compares each time's term with the next larger time's
+    "pullback_times": (lambda xs: _positive_list(xs) and len(set(xs)) == len(xs),
+                       "a non-empty list of distinct finite numbers > 0"),
     **{name: (_is_field_spec, _FIELD_SPEC) for name in ("initial", "x1", "x2")},
     **{name: (lambda d: isinstance(d, dict) and d
               and all(map(_is_field_spec, d.values())),

@@ -323,15 +323,15 @@ def contraction_experiment(
         # each tile's paths are built here and dropped with the tile
         paths = [member_path(m) for m in range(m0, min(ensemble, m0 + tile))]
         try:
-            times, v = it.solve_coupled((x1, x2), paths, params,
-                                        record_every=record_every, stepper=stepper)
+            traj = it.solve((x1, x2), paths, params, record_every=record_every,
+                            ledger=False, stepper=stepper)
         except it.InstabilityError as exc:
             exc.member += m0  # the ensemble member, not its place in the tile
             raise
         # u1 - u2 = v1 - v2: the z layer cancels for a shared path
-        diff = v[:, 0] - v[:, 1]
-        sq.append((diff.real**2 + diff.imag**2).sum(axis=(2, 3)))
+        sq.append(sp.h2_coeffs(traj.v_coeffs[:, :, 0] - traj.v_coeffs[:, :, 1]).T)
     sq = np.concatenate(sq)
+    times = traj.record_times
     mean_sq = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / math.sqrt(ensemble)
     envelope = sp.norm_H(x1 - x2) ** 2 * np.exp(-rate * times)
@@ -400,13 +400,16 @@ def pullback_absorption(
     path = nz.make_path(seed, params.dt_path, -t_far, params.dt, params.noise, basis)
     rate = params.nu * params.lambda_p
 
-    radii = {name: [] for name in x_family}
+    names = list(x_family)
+    radii = {name: [] for name in names}
     margins = []
     for tm in tms:
-        for name, x in x_family.items():
-            traj = it.solve(x, path, params, t0=-tm, t_final=tm, record_every=1 << 30)
-            u0 = traj.u_field(traj.n_records - 1)
-            radii[name].append(sp.norm_H(u0))
+        # the families march as one group on the path
+        stack = it.solve(tuple(x_family.values()), [path], params, t0=-tm, t_final=tm,
+                         record_every=1 << 30)
+        for p, name in enumerate(names):
+            traj = stack.member(0, p)
+            radii[name].append(sp.norm_H(traj.u_field(traj.n_records - 1)))
             margins.append(it.pullback_inequality_margin(params, traj.ledger))
 
     # absorbing bound kappa11 + kappa12 from the discrete analogues of the
@@ -420,7 +423,6 @@ def pullback_absorption(
     kappa12 = math.sqrt(led.z_H2[-1])
     bound = math.sqrt(kappa11_sq) + kappa12
 
-    names = list(x_family)
     final = {n: radii[n][-1] for n in names}
     gap = max(abs(final[a] - final[b]) for a in names for b in names)
     within_bound = all(r[-1] <= bound for r in radii.values())
@@ -509,8 +511,7 @@ def nse_limit_experiment(
         one_minus_f = 1.0 - led.cutoff
         ints.append(float(np.trapezoid(one_minus_f, led.t)))
         ints_p.append(float(np.trapezoid(one_minus_f ** 2, led.t)))
-        diff = traj.v_coeffs - star.v_coeffs
-        h2 = (diff.real**2 + diff.imag**2).sum(axis=(1, 2))
+        h2 = sp.h2_coeffs(traj.v_coeffs - star.v_coeffs)
         errs.append(math.sqrt(float(np.trapezoid(h2, traj.record_times))))
 
     bound_ok = all(i <= b for i, b in zip(i_ns, bounds))

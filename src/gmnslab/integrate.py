@@ -18,19 +18,19 @@ z is advanced by its exact transition through every path cell inside the
 step, so the realized z trajectory is independent of the solver step size;
 only the v-integration error refines.
 
-There is one march of this scheme, over a stack of G groups of P fields:
-each group has its own path and OU cursor, and the P fields of a group share
-its z.  `solve_transformed` (and `solve`, its start from a velocity) marches
-one group of one field and keeps the energy ledger below.  `solve_coupled`
-marches the same P starting velocities, such as a contraction pair, along
-each of G paths at once; it keeps only the snapshots and no ledger.  Each
-field's drift, L4 norm and cutoff factor are computed as if it were alone,
-so a stacked field is bit for bit its single solve.  The stepper keeps the
-large intermediates of the stacked drift in work arrays for its stack shape,
-so a march allocates them once.
+There is one solve, `solve_transformed` (and `solve`, its start from a
+velocity), and one march of this scheme under it.  The march steps a stack
+(G, P) of fields: G groups, each on its own path and OU cursor, and P fields
+per group that share its z.  One field is the (1, 1) stack.  The result
+carries the (G, P) axes after its time axis, and `Trajectory.member` gives
+one field's record.  Each field's drift, L4 norm and cutoff factor, and
+each ledger entry, are computed as if it were alone, so a stacked field is
+bit for bit its single solve.  The stepper keeps the large intermediates of
+the stacked drift in work arrays for its stack shape, so a march allocates
+them once.  With `ledger=False` a solve keeps only the snapshots, for the
+runs that read nothing else (the contraction ensemble).
 
-Along each ledger-keeping run an energy ledger records the terms of the
-energy balance
+The energy ledger records the terms of the energy balance
 
     |v(t)|_H^2 + 2 nu int |v|_V^2 + 2 int <B_F(v+z), v>
         = |v(t0)|_H^2 + 2 int <f, v> + 2 chi int (z, v),
@@ -192,7 +192,8 @@ class EnergyLedger:
 
     residual[k] is the cumulative defect of the energy identity at t[k],
     with all integrals evaluated by the trapezoidal rule on the same grid
-    the stepper used.
+    the stepper used.  t has one entry per step; every other column has
+    the stack axes of its trajectory after the step axis.
     """
 
     t: np.ndarray
@@ -227,15 +228,27 @@ class EnergyLedger:
 
 @dataclass
 class Trajectory:
-    """Solution record: ledger on every step, field snapshots on a stride."""
+    """Solution record: ledger on every step (None when not kept), field
+    snapshots on a stride.  The snapshots are (n_records, *stack,
+    n_half_modes, 2), stack () for one field and (G, P) for a stacked
+    solve, whose z snapshots are (n_records, G, 1, n_half_modes, 2); the
+    field accessors below read one field's record."""
 
     params: SimParams
     t0: float
     record_times: np.ndarray
-    v_coeffs: np.ndarray  # (n_records, n_half_modes, 2) complex
+    v_coeffs: np.ndarray
     z_coeffs: np.ndarray
-    ledger: EnergyLedger
+    ledger: EnergyLedger | None
     basis: GalerkinBasis
+
+    def member(self, g: int, p: int) -> "Trajectory":
+        """Field p of group g of a stacked solve, as views of its arrays."""
+        led = self.ledger and EnergyLedger(**{
+            name: col if name == "t" else col[:, g, p]
+            for name, col in vars(self.ledger).items()})
+        return replace(self, v_coeffs=self.v_coeffs[:, g, p],
+                       z_coeffs=self.z_coeffs[:, g, 0], ledger=led)
 
     def v_field(self, i: int) -> SpectralField:
         return SpectralField(self.basis, self.v_coeffs[i])
@@ -304,24 +317,6 @@ class _Stepper:
         return a + self.hphi2 * (g_a - g_n)
 
 
-def _n_steps(params: SimParams, basis: GalerkinBasis, t_final: float | None) -> int:
-    if basis.kmax != params.kmax:
-        raise ValueError("initial data basis does not match params.kmax")
-    horizon = params.t_final if t_final is None else t_final
-    n_steps = int(round(horizon / params.dt))
-    if abs(n_steps * params.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
-        raise ValueError("t_final must be a positive integer multiple of dt")
-    return n_steps
-
-
-def _records(params: SimParams, t0: float, n_steps: int, record_every: int):
-    """{solver step: snapshot slot} every record_every steps plus the final
-    step, and the record times."""
-    rec_idx = sorted({*range(0, n_steps + 1, record_every), n_steps})
-    return ({k: i for i, k in enumerate(rec_idx)},
-            np.array([t0 + k * params.dt for k in rec_idx]))
-
-
 def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
            n_steps: int):
     """The ETD2 march of a stack v (G, P, n_half_modes, 2): G groups of P
@@ -346,8 +341,7 @@ def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
     for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
         if not np.isfinite(c).all():
             raise ValueError(f"{name} is not finite")
-    ceiling = np.array([params.instability_factor * max(1.0, math.sqrt(h2_coeffs(m)))
-                        for m in v.reshape(-1, *v.shape[2:])]).reshape(v.shape[:2])
+    ceiling = params.instability_factor * np.maximum(1.0, np.sqrt(h2_coeffs(v)))
     for k in range(n_steps):
         drift = stepper.drift(v, z)
         yield k, v, z, drift
@@ -355,7 +349,7 @@ def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
         v = stepper.advance(v, drift[0], z_next)
         z = z_next
         # NaN fails the comparison too
-        within = (v.real**2 + v.imag**2).sum(axis=(2, 3)) <= ceiling**2
+        within = h2_coeffs(v) <= ceiling**2
         if not within.all():
             g, p = np.unravel_index(np.argmin(within), within.shape)
             where = (int(g), int(p)) if within.size > 1 else (None, 0)
@@ -368,120 +362,104 @@ def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
 # ---- public operations ----------------------------------------------------
 
 
-def rhs_transformed(
-    v: SpectralField, z: SpectralField, params: SimParams
-) -> SpectralField:
-    """-nu*A v - B_F(v+z) + chi*z + P f evaluated as a field."""
-    basis = v.basis
-    stepper = _Stepper(params, basis, params.dt)
-    g, _, _, _ = stepper.drift(v.coeffs, z.coeffs)
-    lam = basis.eigenvalues.astype(np.float64)[:, None]
-    return SpectralField(basis, g - params.nu * lam * v.coeffs)
-
-
 def solve_transformed(
-    v0: SpectralField,
-    path: WienerPath,
+    v0: SpectralField | np.ndarray,
+    path: WienerPath | list[WienerPath],
     params: SimParams,
     t0: float = 0.0,
     t_final: float | None = None,
     record_every: int = 1,
-    cursor: OUCursor | None = None,
+    cursor: OUCursor | list[OUCursor] | None = None,
+    ledger: bool = True,
+    stepper: _Stepper | None = None,
 ) -> Trajectory:
-    """Integrate the transformed system on [t0, t0 + T] along one path.
+    """Integrate the transformed system on [t0, t0 + T].
 
-    Deterministic in (path seed, params): repeated calls are bit-identical.
-    The ledger is recorded on every solver step; field snapshots every
-    `record_every` steps (the initial and final states are always kept).
-    `cursor` is the z layer of `path` at or before t0 (default: a new one).
+    v0 is one field, marched along `path`, and the result is its record.
+    Or v0 is a stack (G, P, n_half_modes, 2) of coefficients on params'
+    basis, group g marched along path[g], and the result carries the (G, P)
+    axes.  `cursor` is the z layer of each path at or before t0 (default:
+    new ones).  Deterministic in (path seeds, params): repeated calls are
+    bit-identical.  The ledger is recorded on every solver step unless
+    `ledger` is False; field snapshots every `record_every` steps (the
+    initial and final states are always kept).  `stepper`, from an earlier
+    call with the same params and basis, lends its work arrays to the march
+    (default: a new one).
     """
-    basis = v0.basis
-    n_steps = _n_steps(params, basis, t_final)
-    stepper = _Stepper(params, basis, params.dt)
-    if cursor is None:
-        cursor = OUCursor(path, params.chi, params.nu)
+    one = isinstance(v0, SpectralField)
+    if one:
+        basis, v0, path = v0.basis, v0.coeffs[None, None], [path]
+        cursor = None if cursor is None else [cursor]
+    else:
+        basis = params.basis()
+    if basis.kmax != params.kmax:
+        raise ValueError("initial data basis does not match params.kmax")
+    horizon = params.t_final if t_final is None else t_final
+    n_steps = int(round(horizon / params.dt))
+    if abs(n_steps * params.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
+        raise ValueError("t_final must be a positive integer multiple of dt")
+    stepper = stepper or _Stepper(params, basis, params.dt)
+    cursors = cursor or [OUCursor(p, params.chi, params.nu) for p in path]
+    # snapshot slots: every record_every steps plus the final step
+    rec_idx = sorted({*range(0, n_steps + 1, record_every), n_steps})
+    rec_pos = {k: i for i, k in enumerate(rec_idx)}
+    record_times = np.array([t0 + k * params.dt for k in rec_idx])
+    G, P, n = v0.shape[:3]
+    v_snap = np.empty((len(rec_pos), G, P, n, 2), dtype=np.complex128)
+    z_snap = np.empty((len(rec_pos), G, 1, n, 2), dtype=np.complex128)
+    if ledger:
+        led = {f.name: np.empty((n_steps + 1, G, P)) for f in fields(EnergyLedger)}
+        # <B_F, v>, <f, v> and (z, v) per step
+        pairings = np.empty((3, n_steps + 1, G, P))
 
-    led = {name: np.empty(n_steps + 1)
-           for name in "t v_H2 v_V2 u_L4 cutoff z_H2 z_L4 u_H2 u_V2 residual".split()}
-    rec_pos, record_times = _records(params, t0, n_steps, record_every)
-    v_snap = np.empty((len(rec_pos), basis.n_half_modes, 2), dtype=np.complex128)
-    z_snap = np.empty_like(v_snap)
-
-    flux_acc = 0.0
-    prev_flux = None
-    h2_0 = h2_coeffs(v0.coeffs)
-
-    def record_row(k, v, z, bf, l4, fac):
-        led["t"][k] = t0 + k * params.dt
-        led["v_H2"][k] = h2_coeffs(v)
-        led["v_V2"][k] = v2_coeffs(basis, v)
-        led["u_L4"][k] = l4
-        led["cutoff"][k] = fac
-        led["z_H2"][k] = h2_coeffs(z)
-        led["z_L4"][k] = basis.l4_norm(basis.synthesize(z))
-        u_c = v + z
-        led["u_H2"][k] = h2_coeffs(u_c)
-        led["u_V2"][k] = v2_coeffs(basis, u_c)
-        # energy flux 2nu|v|_V^2 + 2<B_F, v> - 2<f, v> - 2chi(z, v)
-        return (
-            2.0 * params.nu * led["v_V2"][k]
-            + 2.0 * inner_coeffs(bf, v)
-            - 2.0 * inner_coeffs(stepper.f_coeffs, v)
-            - 2.0 * params.chi * inner_coeffs(z, v)
-        )
-
-    for k, v, z, drift in _march(stepper, [cursor], v0.coeffs[None, None], t0, n_steps):
-        # the final time has no step drift to reuse: evaluate it on the
-        # march's stack shape, then take the stack's one field
-        _, bf, l4, fac = [d[0, 0] for d in drift or stepper.drift(v, z)]
-        v, z = v[0, 0], z[0, 0]
-        flux = record_row(k, v, z, bf, l4, fac)
-        if prev_flux is not None:
-            flux_acc += 0.5 * params.dt * (flux + prev_flux)
-        prev_flux = flux
-        led["residual"][k] = led["v_H2"][k] - h2_0 + flux_acc
+    for k, v, z, drift in _march(stepper, cursors, v0, t0, n_steps):
         if k in rec_pos:
             v_snap[rec_pos[k]] = v
             z_snap[rec_pos[k]] = z
+        if not ledger:
+            continue
+        # the final time has no step drift to reuse
+        _, bf, led["u_L4"][k], led["cutoff"][k] = drift or stepper.drift(v, z)
+        u = v + z
+        led["v_H2"][k], led["z_H2"][k], led["u_H2"][k] = map(h2_coeffs, (v, z, u))
+        led["v_V2"][k], led["u_V2"][k] = v2_coeffs(basis, v), v2_coeffs(basis, u)
+        led["z_L4"][k] = basis.l4_norm(basis.synthesize(z))
+        for i, c in enumerate((bf, stepper.f_coeffs, z)):
+            pairings[i, k] = inner_coeffs(c, v)
 
-    ledger = EnergyLedger(**led)
-    return Trajectory(params, t0, record_times, v_snap, z_snap, ledger, basis)
+    energy = None
+    if ledger:
+        led["t"] = t0 + np.arange(n_steps + 1) * params.dt
+        # energy flux 2nu|v|_V^2 + 2<B_F, v> - 2<f, v> - 2chi(z, v), and its
+        # trapezoidal integral accumulated step by step
+        bf_v, f_v, z_v = pairings
+        flux = (2.0 * params.nu * led["v_V2"] + 2.0 * bf_v - 2.0 * f_v
+                - 2.0 * params.chi * z_v)
+        acc = np.zeros_like(flux)
+        acc[1:] = np.cumsum(0.5 * params.dt * (flux[1:] + flux[:-1]), axis=0)
+        led["residual"] = led["v_H2"] - led["v_H2"][0] + acc
+        energy = EnergyLedger(**led)
+    traj = Trajectory(params, t0, record_times, v_snap, z_snap, energy, basis)
+    return traj.member(0, 0) if one else traj
 
 
-def solve(x: SpectralField, path: WienerPath, params: SimParams, t0: float = 0.0,
-          t_final: float | None = None, record_every: int = 1) -> Trajectory:
-    """solve_transformed from the velocity x at t0, i.e. from v0 = x - z(t0)."""
-    cursor = OUCursor(path, params.chi, params.nu)
-    v0 = SpectralField(x.basis, x.coeffs - cursor.advance_to(t0))
-    return solve_transformed(v0, path, params, t0, t_final, record_every, cursor)
-
-
-def solve_coupled(xs, paths: list[WienerPath], params: SimParams, t0: float = 0.0,
-                  t_final: float | None = None, record_every: int = 1,
-                  stepper: _Stepper | None = None):
-    """The solutions from each velocity in xs at t0 along each of the paths,
-    marched as one stack of len(paths) groups of len(xs) fields; the fields
-    of a group share its path's z realization.  No ledger.
-
-    Returns (record_times, v) with v of shape (len(paths), len(xs),
-    n_records, n_half_modes, 2): v[g, i] is bit for bit the v_coeffs of
-    solve(xs[i], paths[g], params, t0, t_final, record_every).  `stepper`,
-    from an earlier call with the same params and basis, lends its work
-    arrays to the march (default: a new one).
-    """
-    basis = xs[0].basis
-    n_steps = _n_steps(params, basis, t_final)
-    stepper = stepper or _Stepper(params, basis, params.dt)
-    cursors = [OUCursor(path, params.chi, params.nu) for path in paths]
-    x0 = np.stack([x.coeffs for x in xs])
-    v0 = np.stack([x0 - c.advance_to(t0) for c in cursors])
-    rec_pos, record_times = _records(params, t0, n_steps, record_every)
-    v_snap = np.empty((*v0.shape[:2], len(rec_pos), basis.n_half_modes, 2),
-                      dtype=np.complex128)
-    for k, v, _, _ in _march(stepper, cursors, v0, t0, n_steps):
-        if k in rec_pos:
-            v_snap[:, :, rec_pos[k]] = v
-    return record_times, v_snap
+def solve(x: SpectralField | tuple[SpectralField, ...],
+          path: WienerPath | list[WienerPath],
+          params: SimParams, t0: float = 0.0, t_final: float | None = None,
+          record_every: int = 1, ledger: bool = True,
+          stepper: _Stepper | None = None) -> Trajectory:
+    """solve_transformed from the velocity x at t0, i.e. from v0 = x - z(t0):
+    one field along one path, or the stack of P fields x along each of G
+    paths (v0 of group g, field p is x[p] - z_g(t0))."""
+    if isinstance(x, SpectralField):
+        cursor = OUCursor(path, params.chi, params.nu)
+        v0 = SpectralField(x.basis, x.coeffs - cursor.advance_to(t0))
+    else:
+        cursor = [OUCursor(p, params.chi, params.nu) for p in path]
+        x0 = np.stack([xi.coeffs for xi in x])
+        v0 = np.stack([x0 - c.advance_to(t0) for c in cursor])
+    return solve_transformed(v0, path, params, t0, t_final, record_every, cursor,
+                             ledger, stepper)
 
 
 def doss_sussman_recover(traj: Trajectory) -> list[SpectralField]:
@@ -528,8 +506,7 @@ def chi_independence_sup(
     diff = (trajs[0].v_coeffs + trajs[0].z_coeffs) - (
         trajs[1].v_coeffs + trajs[1].z_coeffs
     )
-    per_time = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(1, 2)))
-    return float(per_time.max())
+    return float(np.sqrt(h2_coeffs(diff)).max())
 
 
 def data_continuity_gap(
@@ -548,11 +525,8 @@ def data_continuity_gap(
     base = solve(x, path, replace(params, forcing=f))
     pert = solve(x_n, path, replace(params, forcing=f_n))
     diff = pert.v_coeffs - base.v_coeffs
-    h = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(1, 2)))
-    lam = base.basis.eigenvalues.astype(np.float64)[None, :, None]
-    v2 = (lam * (diff.real**2 + diff.imag**2)).sum(axis=(1, 2))
-    int_v2 = float(np.trapezoid(v2, base.record_times))
-    return float(h.max()), int_v2
+    int_v2 = float(np.trapezoid(v2_coeffs(base.basis, diff), base.record_times))
+    return float(np.sqrt(h2_coeffs(diff)).max()), int_v2
 
 
 # ---- energy inequalities with explicit constants ---------------------------

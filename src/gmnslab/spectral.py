@@ -446,7 +446,7 @@ def random_field(
     amp = basis.eigenvalues.astype(np.float64) ** (-decay / 2.0)
     coeffs = raw * amp[:, None]
     if norm is not None:
-        h = np.sqrt((coeffs.real**2 + coeffs.imag**2).sum())
+        h = math.sqrt(h2_coeffs(coeffs))
         if h == 0.0:
             raise ValueError("degenerate random draw")
         coeffs *= norm / h
@@ -456,20 +456,27 @@ def random_field(
 # ---- norms and inner products -------------------------------------------
 
 
-def h2_coeffs(c: np.ndarray) -> float:
+def _field_sums(x: np.ndarray):
+    """Sums over the trailing (n, 2) axes: a float for one field, for a stack
+    an array of its leading shape, each entry bit for bit its field's sum."""
+    s = x.sum(axis=(-2, -1))
+    return float(s) if s.ndim == 0 else s
+
+
+def h2_coeffs(c: np.ndarray):
     """|u|_H^2 = sum |c|^2 of a coefficient array (Parseval)."""
-    return float((c.real**2 + c.imag**2).sum())
+    return _field_sums(c.real**2 + c.imag**2)
 
 
-def v2_coeffs(basis: GalerkinBasis, c: np.ndarray) -> float:
+def v2_coeffs(basis: GalerkinBasis, c: np.ndarray):
     """|u|_V^2 = sum |k|^2 |c|^2 of a coefficient array."""
     lam = basis.eigenvalues.astype(np.float64)
-    return float((lam[:, None] * (c.real**2 + c.imag**2)).sum())
+    return _field_sums(lam[:, None] * (c.real**2 + c.imag**2))
 
 
-def inner_coeffs(c1: np.ndarray, c2: np.ndarray) -> float:
+def inner_coeffs(c1: np.ndarray, c2: np.ndarray):
     """(u, w) = sum Re(c1 * conj(c2)) of two coefficient arrays (Parseval)."""
-    return float(np.real(c1 * np.conj(c2)).sum())
+    return _field_sums(np.real(c1 * np.conj(c2)))
 
 
 def inner_H(u: SpectralField, w: SpectralField) -> float:

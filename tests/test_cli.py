@@ -240,6 +240,15 @@ class TestModesAndExitCodes:
              "'options.multipliers'"),
             ({"experiment": "nse-limit", "options": {"multipliers": [1.0, True]}},
              "'options.multipliers'"),
+            # the sweep compares each level with the next larger one
+            ({"experiment": "nse-limit",
+              "options": {"multipliers": [8, 4, 2, 1, 0.5, 0.25]}},
+             "'options.multipliers'"),
+            ({"experiment": "nse-limit", "options": {"multipliers": [1.0, 1.0]}},
+             "'options.multipliers'"),
+            # and the pullback decay check each time with the next larger one
+            ({"experiment": "pullback", "options": {"pullback_times": [0.5, 0.5]}},
+             "'options.pullback_times'"),
             ({"experiment": "contract", "options": {"x1": {"norm": "x"}}}, "'options.x1'"),
             ({"experiment": "contract", "options": {"x2": {"kind": None}}}, "'options.x2'"),
             ({"experiment": "pullback", "options": {"families": {}}}, "'options.families'"),

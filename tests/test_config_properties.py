@@ -62,8 +62,8 @@ def valid_configs(draw):
     # the default pullback and measure horizons scale with 1/nu and can
     # exceed the path-table ceiling; these keep it like t_final does
     if experiment == "pullback":
-        options["pullback_times"] = [dt * n for n in
-                                     draw(st.lists(st.integers(1, 1024), min_size=1))]
+        options["pullback_times"] = [dt * n for n in draw(
+            st.lists(st.integers(1, 1024), min_size=1, unique=True))]
     if experiment == "measure":
         options["burn_in"] = dt * draw(st.integers(0, 512))
         options["horizon"] = dt * draw(st.integers(1, 512))
@@ -167,15 +167,98 @@ def test_initial_field_spec_checked_naming_field(spec, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mult=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8), data=st.data())
+@given(mult=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8,
+                    unique=True).map(sorted), data=st.data())
 def test_multipliers_checked_naming_field(mult, data):
     raw = {"experiment": "nse-limit", "options": {"multipliers": mult}}
     assert resolve_config(raw).option("multipliers") == mult
+    # the levels must grow strictly: a repeated or a descending one is bad
     bad = data.draw(st.one_of(
         st.just([]), st.text(max_size=4),
         st.lists(st.one_of(st.booleans(), st.text(max_size=4),
                            st.floats().filter(lambda x: not 0 < x < math.inf)),
-                 min_size=1, max_size=3).map(lambda xs: mult + xs)))
+                 min_size=1, max_size=3).map(lambda xs: mult + xs),
+        st.just(mult + mult[-1:]), st.just(mult[::-1] + mult[:1])))
     with pytest.raises(ConfigError) as err:
         resolve_config({"experiment": "nse-limit", "options": {"multipliers": bad}})
     assert "'options.multipliers'" in str(err.value)
+
+
+# Bad values of every other option, each drawn for an experiment that reads
+# the option.  None of them is a list of numbers, which some options accept.
+NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                         st.lists(st.text(max_size=2), max_size=2), st.just({}))
+
+
+def bad_ints(least: int):
+    # floats are no integers, 2.0 included
+    return st.one_of(NOT_A_NUMBER, st.integers(max_value=least - 1), st.floats())
+
+
+BAD_NON_NEGATIVE = st.one_of(NOT_A_NUMBER, st.integers(max_value=-1),
+                             st.floats().filter(lambda x: not 0 <= x < math.inf))
+BAD_POSITIVE = st.one_of(NOT_A_NUMBER, st.integers(max_value=0),
+                         st.floats().filter(lambda x: not 0 < x < math.inf))
+
+
+@st.composite
+def bad_field_specs(draw):
+    spec = draw(FIELD_SPECS)
+    key = draw(st.sampled_from(sorted(BAD_SPEC_VALUES)))
+    return draw(st.one_of(NOT_A_NUMBER.filter(lambda x: x != {}),
+                          st.just(dict(spec, **{key: draw(BAD_SPEC_VALUES[key])}))))
+
+
+# a non-empty object of specs with one bad entry, or no such object
+BAD_SPEC_SETS = st.one_of(NOT_A_NUMBER, st.builds(
+    lambda good, bad: {**good, "bad": bad},
+    st.dictionaries(st.text(max_size=4).filter(lambda k: k != "bad"), FIELD_SPECS,
+                    max_size=2),
+    bad_field_specs()))
+
+BAD_OPTIONS = {
+    **{name: ("check", bad_ints(1)) for name in
+       ("cutoff_pairs", "trilinear_triples", "monotonicity_triples", "shift_pairs")},
+    "ou_samples": ("check", bad_ints(2)),
+    "ou_chi": ("check", BAD_NON_NEGATIVE),
+    "record_every": ("simulate", bad_ints(1)),
+    "pullback_times": ("pullback", st.one_of(
+        NOT_A_NUMBER, st.lists(BAD_POSITIVE, min_size=1, max_size=3))),
+    "family_tol": ("pullback", BAD_NON_NEGATIVE),
+    "families": ("pullback", BAD_SPEC_SETS),
+    "burn_in": ("measure", BAD_NON_NEGATIVE),
+    "horizon": ("measure", BAD_POSITIVE),
+    "initial_set": ("measure", BAD_SPEC_SETS),
+    "x1": ("contract", bad_field_specs()),
+    "x2": ("contract", bad_field_specs()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OPTIONS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bad_option_rejected_naming_field(name, data):
+    experiment, values = BAD_OPTIONS[name]
+    value = data.draw(values, label=name)
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"experiment": experiment, "options": {name: value}})
+    assert f"'options.{name}'" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.integers(1, 4096), min_size=1, max_size=6, unique=True),
+       data=st.data())
+def test_pullback_times_distinct_naming_field(steps, data):
+    # multiples of the default dt = 1/256, so only the repeat is wrong
+    times = [n / 256 for n in steps]
+    raw = {"experiment": "pullback", "options": {"pullback_times": times}}
+    assert resolve_config(raw).option("pullback_times") == times
+    twice = data.draw(st.permutations(times + [data.draw(st.sampled_from(times))]))
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"experiment": "pullback", "options": {"pullback_times": twice}})
+    assert "'options.pullback_times'" in str(err.value)
+
+
+def test_every_option_rule_has_a_property():
+    covered = set(BAD_OPTIONS) | {"initial", "multipliers"}
+    assert covered == set(_OPTION_RULES)

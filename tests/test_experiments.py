@@ -150,16 +150,16 @@ class TestContraction:
             return sum(isinstance(o, nz.WienerPath) and o.seed in seeds
                        and o._table is not None for o in gc.get_objects())
 
-        seen, solve_coupled = [], it.solve_coupled
+        seen, solve = [], it.solve
 
         def spy(xs, paths, *args, **kw):
             before = tables()
-            out = solve_coupled(xs, paths, *args, **kw)
+            out = solve(xs, paths, *args, **kw)
             seen.append((len(paths), before, tables()))
             return out
 
         monkeypatch.setattr(nz, "PATH_TABLE_CEILING", 2 * nz.path_table_bytes(16, 1))
-        monkeypatch.setattr(it, "solve_coupled", spy)
+        monkeypatch.setattr(it, "solve", spy)
         got = ex.contraction_experiment(p, x1, x2, ensemble=5, seed=7,
                                         enforce_threshold=False)
         assert seen == [(2, 0, 2), (2, 0, 2), (1, 0, 1)]
@@ -208,6 +208,25 @@ class TestPullback:
         assert rep.passed
         assert rep.family_gap <= 1e-6
         assert rep.extra["within_bound"]
+
+    def test_families_equal_their_single_solves(self, basis2, rng):
+        # the families of each time march as one group; F < 1 on the large
+        # one only, and every radius and energy margin is its own solve's
+        p = it.SimParams(nu=1.0, level=2.0, dt=1 / 32, t_final=1.0,
+                         noise=nz.NoiseSpectrum(amplitude=0.5))
+        fam = {"small": sp.random_field(basis2, rng, norm=0.2),
+               "large": sp.random_field(basis2, rng, norm=10.0)}
+        times = [0.5, 1.0]
+        rep = ex.pullback_absorption(p, times, fam, seed=8)
+        path = nz.make_path(8, p.dt_path, -1.0, p.dt, p.noise, basis2)
+        margins = []
+        for name, x in fam.items():
+            for tm, radius in zip(times, rep.radii[name]):
+                traj = it.solve(x, path, p, t0=-tm, t_final=tm, record_every=1 << 30)
+                assert (traj.ledger.cutoff[0] < 1.0) == (name == "large")
+                assert radius == sp.norm_H(traj.u_field(traj.n_records - 1))
+                margins.append(it.pullback_inequality_margin(p, traj.ledger))
+        assert rep.extra["max_energy_margin"] == max(margins)
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.5])
     def test_infinite_level_bound_is_finite(self, basis2, rng, amplitude):

@@ -21,6 +21,18 @@ def make_setup(basis, params, seed=11, t_lo=0.0):
     return path
 
 
+def transformed_rhs(v, z, params):
+    """-nu*A v - B_F(v+z) + chi*z + P f as a field: the stepper's drift
+    minus nu*lam*v."""
+    g, _, _, _ = it._Stepper(params, v.basis, params.dt).drift(v.coeffs, z.coeffs)
+    lam = v.basis.eigenvalues.astype(np.float64)[:, None]
+    return sp.SpectralField(v.basis, g - params.nu * lam * v.coeffs)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSimParams:
     def test_step_alignment_enforced(self):
         with pytest.raises(ValueError):
@@ -58,12 +70,12 @@ class TestRhs:
     def test_zero_everything(self, basis2):
         p = it.SimParams(nu=1.0, level=1.0, noise=QUIET)
         z = sp.zero_field(basis2)
-        assert sp.norm_H(it.rhs_transformed(z, z, p)) == 0.0
+        assert sp.norm_H(transformed_rhs(z, z, p)) == 0.0
 
     def test_single_mode_pure_damping(self, basis1):
         p = it.SimParams(nu=0.9, level=1.0, kmax=1, noise=QUIET)
         v, idx = single_mode_field(basis1, (1, 0, 0), coeff=0.4 + 0.2j)
-        out = it.rhs_transformed(v, sp.zero_field(basis1), p)
+        out = transformed_rhs(v, sp.zero_field(basis1), p)
         assert np.allclose(out.coeffs[idx, 0], -0.9 * (0.4 + 0.2j), rtol=1e-14)
 
     def test_duality_term_by_term(self, basis2, rng):
@@ -74,7 +86,7 @@ class TestRhs:
         for _ in range(10):
             v = sp.random_field(basis2, rng)
             z = sp.random_field(basis2, rng, norm=0.5)
-            lhs = sp.inner_H(it.rhs_transformed(v, z, p), v)
+            lhs = sp.inner_H(transformed_rhs(v, z, p), v)
             rhs = (
                 -p.nu * sp.norm_V(v) ** 2
                 - sp.inner_H(cutoff_advection(v + z, p.level), v)
@@ -192,12 +204,25 @@ class TestCoupledSolve:
             # the cutoff acts on the first field only
             assert [t.ledger.cutoff[0] < 1.0 for t in trajs] == [True, False]
         for groups in (1, 2, 3):
-            times, v = it.solve_coupled((x1, x2), paths[:groups], p, record_every=3)
-            assert v.shape[:2] == (groups, 2)
+            stack = it.solve((x1, x2), paths[:groups], p, record_every=3)
+            times = stack.record_times
+            assert stack.v_coeffs.shape[1:3] == (groups, 2)
+            # without the ledger the march and its snapshots are the same
+            bare = it.solve((x1, x2), paths[:groups], p, record_every=3, ledger=False)
+            assert bare.ledger is None
+            assert same_bits(bare.v_coeffs, stack.v_coeffs)
+            assert same_bits(bare.z_coeffs, stack.z_coeffs)
             for g in range(groups):
                 for i, traj in enumerate(single[g]):
+                    member = stack.member(g, i)
+                    assert np.shares_memory(member.v_coeffs, stack.v_coeffs)
                     assert np.array_equal(times, traj.record_times)
-                    assert np.array_equal(v[g, i], traj.v_coeffs)
+                    assert np.array_equal(member.v_coeffs, traj.v_coeffs)
+                    assert same_bits(times, traj.record_times)
+                    assert same_bits(member.v_coeffs, traj.v_coeffs)
+                    assert same_bits(member.z_coeffs, traj.z_coeffs)
+                    for name, column in vars(traj.ledger).items():
+                        assert same_bits(getattr(member.ledger, name), column), name
 
     def test_one_member_over_its_ceiling_raises(self, basis1, rng):
         # without noise or forcing the zero field stays zero; the large one
@@ -210,10 +235,10 @@ class TestCoupledSolve:
         with pytest.raises(it.InstabilityError) as single:
             it.solve(big, path, p)
         assert single.value.member is None and "member" not in str(single.value)
-        _, v = it.solve_coupled((zero, zero), [path, path], p)
-        assert not v.any()
+        traj = it.solve((zero, zero), [path, path], p, ledger=False)
+        assert not traj.v_coeffs.any()
         with pytest.raises(it.InstabilityError, match="member 0, field 1"):
-            it.solve_coupled((zero, big), [path], p)
+            it.solve((zero, big), [path], p, ledger=False)
 
 
 class TestDossSussman:

@@ -192,6 +192,28 @@ class TestStackedTransforms:
         for i in np.ndindex(4, 2):
             assert norms[i].tobytes() == np.float64(basis.l4_norm(grid[i])).tobytes()
 
+    @pytest.mark.parametrize("kmax", range(1, sp.KMAX_CEILING + 1))
+    def test_sums_equal_each_field_alone(self, kmax):
+        # the solver's ledger columns: a (9, 3) stack, a per-group (9, 1)
+        # one broadcast against it and one field broadcast against it
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(kmax)
+
+        def coeffs(*lead):
+            shape = (*lead, basis.n_half_modes, 2)
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        v, z, f = coeffs(9, 3), coeffs(9, 1), coeffs()
+        sums = {"h2": (sp.h2_coeffs(v), lambda c, g: sp.h2_coeffs(c)),
+                "v2": (sp.v2_coeffs(basis, v), lambda c, g: sp.v2_coeffs(basis, c)),
+                "zv": (sp.inner_coeffs(z, v), lambda c, g: sp.inner_coeffs(z[g, 0], c)),
+                "fv": (sp.inner_coeffs(f, v), lambda c, g: sp.inner_coeffs(f, c))}
+        for name, (stacked, alone) in sums.items():
+            assert stacked.shape == (9, 3), name
+            for g, p in np.ndindex(9, 3):
+                want = np.float64(alone(v[g, p], g)).tobytes()
+                assert stacked[g, p].tobytes() == want, name
+
     @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
     def test_reused_work_arrays_keep_the_padding(self, kmax):
         basis = sp.build_basis(kmax)
