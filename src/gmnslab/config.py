@@ -19,13 +19,26 @@ from .spectral import KMAX_CEILING
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
 
 # Resource guard beside noise.PATH_TABLE_CEILING: the most work a contract
-# run may do, counted in grid points.  One member-step (a solver step of a
-# member's two fields) costs about grid_size^3 + 1024 points, the 1024 being
-# the fixed cost of its calls, and 1/256 of that again for each path cell
-# its cursor crosses (measured at kmax 1-8, about 0.38 us a point on a
-# 2-core VM, so the ceiling is about an hour).  Acceptance criterion c08
-# does 64 x 1,024 member-steps of 1,760 points, 2^26.8.
-CONTRACT_WORK_CEILING = 2**33
+# or check run may do, counted in grid points (about 0.38 us a point on a
+# 2-core VM, so the ceiling is about an hour).  For contract, one
+# member-step (a solver step of a member's two fields) costs about
+# grid_size^3 + 1024 points, the 1024 being the fixed cost of its calls, and
+# 1/256 of that again for each path cell its cursor crosses (measured at
+# kmax 1-8).  Acceptance criterion c08 does 64 x 1,024 member-steps of
+# 1,760 points, 2^26.8.  For check, see _CHECK_CASE_POINTS.
+WORK_CEILING = 2**33
+
+# Grid points of work per case of each fuzz suite of check, (a, b) in
+# a * grid_size^3 + b: a line through the cost per case measured at kmax 1
+# and 8, within 40% of it at kmax 3-6.  A monotonicity triple is 9 cases,
+# one per (nu, level) point; the shift pairs run at kmax 1.  The defaults
+# do about 2^29 points at kmax 8.
+_CHECK_CASE_POINTS = {
+    "cutoff_pairs": (1 / 3, 900),
+    "trilinear_triples": (1.7, 1000),
+    "monotonicity_triples": (9.0, 7200),
+    "shift_pairs": (0.0, 2600),
+}
 
 PARAM_DEFAULTS = {
     "nu": 1.0,
@@ -296,6 +309,14 @@ def contract_work(p: SimParams, ensemble: int) -> tuple[int, float]:
     return steps, ensemble * steps * per_step
 
 
+def check_work(cfg: RunConfig) -> dict[str, float]:
+    """Grid points of work of each counted fuzz suite of a check run, by
+    the option that sets its size."""
+    points = (4 * cfg.params.kmax + 1) ** 3
+    return {name: cfg.option(name) * (a * points + b)
+            for name, (a, b) in _CHECK_CASE_POINTS.items()}
+
+
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
     read = _EXPERIMENT_OPTIONS[cfg.experiment]
@@ -329,10 +350,18 @@ def _validate_experiment(cfg: RunConfig) -> None:
         _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
                  "for contract (the standard error needs two members)")
         steps, work = contract_work(p, cfg.ensemble)
-        _require(work <= CONTRACT_WORK_CEILING,
+        _require(work <= WORK_CEILING,
                  f"field 'ensemble' = {cfg.ensemble} at {steps} steps per solve and "
                  f"kmax {p.kmax} needs {work:.3g} grid points of work, over the "
-                 f"ceiling of {CONTRACT_WORK_CEILING:.3g}")
+                 f"ceiling of {WORK_CEILING:.3g}")
+    if cfg.experiment == "check":
+        work = check_work(cfg)
+        # the option with the largest share of the work is the one to name
+        name = max(work, key=work.get)
+        _require(sum(work.values()) <= WORK_CEILING,
+                 f"field 'options.{name}' = {cfg.option(name)} at kmax {p.kmax} needs "
+                 f"{work[name]:.3g} grid points of work ({sum(work.values()):.3g} for "
+                 f"the whole check), over the ceiling of {WORK_CEILING:.3g}")
     if cfg.experiment in ("contract", "measure") and cfg.strict:
         thr = stability_threshold(p.level, p.lambda_p)
         _require(

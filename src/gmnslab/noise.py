@@ -7,6 +7,10 @@ cos/sin), all derived from a single seed through counter-based keyed streams.
 A path is a table of standard normal draws on a uniform grid of resolution
 dt_path; the time-shift map is a view of the same table with relabeled time
 indices, so shifted and unshifted paths consume literally identical draws.
+The table's rows are independent counter-based streams, so a long table is
+drawn on every available core, each row by the thread that owns it, with the
+same bits as on one (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC'11).
 
 The stochastic layer z solves dz + (nu*A + chi*I) z dt = dW.  One object
 realizes it: `OUCursor`, which advances z mode-by-mode with the exact
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -40,6 +46,15 @@ MIN_REGULARITY = 0.75
 
 # Resource guard: the largest path table (float64 draws) a path may hold.
 PATH_TABLE_CEILING = 2**30
+
+# Rows of the path table shorter than this many cells are drawn on one
+# thread: below it the threads' start and their turns at the interpreter
+# lock cost more than the draws they share (measured on 2 cores: at 17
+# cells, contract's rows, 248 rows took 0.56 ms on one thread and 1.5 ms on
+# two; at 1,024 cells 6.1 ms against 3.8 ms; at 4,096, 684 rows, 57 ms
+# against 34 ms).  At most FILL_THREADS threads draw one table.
+PARALLEL_ROW_CELLS = 1024
+FILL_THREADS = 4
 
 
 def path_table_bytes(steps: float, kmax: int) -> float:
@@ -92,11 +107,14 @@ class WienerPath:
     [t(n), t(n) + dt_path), one column per real basis coordinate.  It is
     built once, on first access, column by column: column alpha is drawn
     from its own keyed Philox stream, so each draw depends only on (seed,
-    alpha, n).  The coordinate order (mode, polarization, cos/sin) is the
-    float64 memory of a C-contiguous complex (n_half_modes, 2) coefficient
-    array, so a row is a field's coefficients viewed as reals.  `offset`
+    alpha, n), whichever thread draws it (see `_fill_rows`).  The
+    coordinate order (mode, polarization, cos/sin) is the float64 memory of
+    a C-contiguous complex (n_half_modes, 2) coefficient array, so a row is
+    a field's coefficients viewed as reals.  `offset`
     implements the time-shift map: draw(n) of a shifted path reads the
-    parent table at n + offset, and the valid time window moves accordingly.
+    parent table at n + offset, and the valid time window moves accordingly;
+    a shifted view shares its parent's table, drawn once by whichever of
+    them reads first.
     """
 
     seed: int
@@ -118,7 +136,8 @@ class WienerPath:
                 f"a path table of {self.steps} steps at kmax={self.basis.kmax} needs "
                 f"{nbytes / 2**30:.3g} GiB, over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB"
             )
-        object.__setattr__(self, "_table", None)
+        # the table, once drawn; one slot shared with every shifted view
+        object.__setattr__(self, "_shared", [None])
 
     # ---- window bookkeeping -------------------------------------------
 
@@ -163,21 +182,19 @@ class WienerPath:
         """Wiener increments (normal draws scaled by sqrt(dt_path))."""
         return self.normals(n_start, count) * math.sqrt(self.dt_path)
 
+    @property
+    def _table(self) -> np.ndarray | None:
+        return self._shared[0]
+
     def _full_table(self) -> np.ndarray:
         """The draws, stored coordinate-major as (n_coordinates, steps) and
         returned as the transposed (steps, n_coordinates) view."""
         if self._table is None:
             table = np.empty((self.n_coordinates, self.steps))
-            # one generator, re-keyed to (key, alpha) with a zero counter
-            # before each row: row alpha is the stream philox(key, alpha)
-            gen = philox(derive_key(self.seed, "wiener-table"))
-            state = gen.bit_generator.state
-            for alpha, row in enumerate(table):
-                state["state"]["key"][1] = alpha
-                gen.bit_generator.state = state
-                gen.standard_normal(out=row)
+            _fill_rows(table, derive_key(self.seed, "wiener-table"),
+                       _fill_threads(self.steps))
             table.setflags(write=False)
-            object.__setattr__(self, "_table", table.T)
+            self._shared[0] = table.T
         return self._table
 
     # ---- manifest -------------------------------------------------------
@@ -196,6 +213,52 @@ class WienerPath:
 
     def manifest_json(self) -> str:
         return json.dumps(self.manifest(), sort_keys=True)
+
+
+def _fill_threads(row_cells: int) -> int:
+    """Threads that draw a table of rows of row_cells cells: one per CPU
+    this process may run on, up to FILL_THREADS, for long rows, else one."""
+    if row_cells < PARALLEL_ROW_CELLS:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(FILL_THREADS, cpus)
+
+
+def _fill_rows(table: np.ndarray, key: int, threads: int) -> None:
+    """Fill row alpha of `table` with the stream philox(key, alpha).
+
+    Rows go round-robin to `threads` threads, the calling one among them.
+    Each thread re-keys its own generator to (key, alpha) with a zero
+    counter before each of its rows, so a row's bits do not depend on the
+    thread count; the draws run outside the interpreter lock.  The other
+    threads are started and joined here, so none outlives the call, and the
+    first error of any of them is raised here.
+    """
+    errors = []
+
+    def fill(first: int) -> None:
+        try:
+            gen = philox(key)
+            state = gen.bit_generator.state
+            for alpha in range(first, len(table), threads):
+                state["state"]["key"][1] = alpha
+                gen.bit_generator.state = state
+                gen.standard_normal(out=table[alpha])
+        except Exception as exc:  # a row left undrawn: raised by the caller
+            errors.append(exc)
+
+    others = [threading.Thread(target=fill, args=(first,)) for first in range(1, threads)]
+    try:
+        for t in others:
+            t.start()
+        fill(0)
+    finally:
+        for t in others:
+            if t.is_alive():
+                t.join()
+    if errors:
+        raise errors[0]
 
 
 def make_path(
@@ -234,7 +297,7 @@ def shift_path(path: WienerPath, shift_s: float) -> WienerPath:
     The grid origin stays fixed, so the window moves to
     [t_min - s, t_max - s] while the table start keeps its draws; runs
     anchored at the window start therefore consume identical draws on every
-    shifted view.
+    shifted view.  The view reads the parent's table, not a copy of it.
     """
     m = shift_s / path.dt_path
     m_round = round(m)
@@ -243,7 +306,9 @@ def shift_path(path: WienerPath, shift_s: float) -> WienerPath:
     m_round = int(m_round)
     if m_round == 0:
         return path
-    return replace(path, offset=path.offset + m_round)
+    view = replace(path, offset=path.offset + m_round)
+    object.__setattr__(view, "_shared", path._shared)
+    return view
 
 
 # ---- Ornstein-Uhlenbeck layer ---------------------------------------------

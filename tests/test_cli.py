@@ -8,7 +8,7 @@ import pytest
 
 import gmnslab
 from gmnslab import cli
-from gmnslab.config import (CONTRACT_WORK_CEILING, ConfigError, contract_work,
+from gmnslab.config import (WORK_CEILING, ConfigError, contract_work,
                             default_config, parse_config, resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
 
@@ -297,7 +297,7 @@ class TestModesAndExitCodes:
         # member is marched; c08's 64 x 1,024 sits well inside the ceiling
         c08 = {"experiment": "contract", "ensemble": 64,
                "params": {"nu": 4.0, "t_final": 4.0, "dt": 1 / 256}}
-        assert 16 * contract_work(resolve_config(c08).params, 64)[1] <= CONTRACT_WORK_CEILING
+        assert 16 * contract_work(resolve_config(c08).params, 64)[1] <= WORK_CEILING
         raw = {"experiment": "contract", "ensemble": 100_000_000,
                "assertion_mode": "exploratory"}
         bad = write_config(tmp_path, raw)
@@ -305,6 +305,18 @@ class TestModesAndExitCodes:
         assert cli.main(["contract", "--config", bad, "--out", out]) == cli.EXIT_CONFIG
         assert "field 'ensemble'" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_check_work_ceiling_exit(self, tmp_path, capsys):
+        # a fuzz count of 1e9 is rejected at config time, before any case
+        # runs, naming its field
+        for name in ("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
+                     "shift_pairs"):
+            raw = {"experiment": "check", "options": {name: 10**9}}
+            bad = write_config(tmp_path, raw, f"{name}.json")
+            out = str(tmp_path / name)
+            assert cli.main(["check", "--config", bad, "--out", out]) == cli.EXIT_CONFIG
+            assert f"field 'options.{name}'" in capsys.readouterr().err
+            assert not os.path.exists(out)
 
     def test_contract_work_weighs_kmax_and_path_cells(self):
         # the same member-steps pass at kmax 2 with one path cell per step,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmnslab.config import (_EXPERIMENT_OPTIONS, _OPTION_RULES, EXPERIMENTS, ConfigError,
+from gmnslab.config import (_CHECK_CASE_POINTS, _EXPERIMENT_OPTIONS, _OPTION_RULES,
+                            EXPERIMENTS, WORK_CEILING, ConfigError, check_work,
                             resolve_config)
 from gmnslab.experiments import stability_threshold
 
@@ -257,6 +258,22 @@ def test_pullback_times_distinct_naming_field(steps, data):
     with pytest.raises(ConfigError) as err:
         resolve_config({"experiment": "pullback", "options": {"pullback_times": twice}})
     assert "'options.pullback_times'" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_CHECK_CASE_POINTS)), kmax=st.integers(1, 8),
+       data=st.data())
+def test_check_work_ceiling_naming_field(name, kmax, data):
+    # a fuzz count whose own work is over the ceiling is rejected naming its
+    # field; the defaults at every kmax stay under it
+    raw = {"experiment": "check", "params": {"kmax": kmax}}
+    cfg = resolve_config(raw)
+    assert sum(check_work(cfg).values()) <= WORK_CEILING
+    per_case = check_work(cfg)[name] / cfg.option(name)
+    over = data.draw(st.integers(int(WORK_CEILING / per_case) + 1, 10**12), label=name)
+    with pytest.raises(ConfigError) as err:
+        resolve_config({**raw, "options": {name: over}})
+    assert f"'options.{name}'" in str(err.value)
 
 
 def test_every_option_rule_has_a_property():

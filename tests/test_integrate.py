@@ -241,6 +241,55 @@ class TestCoupledSolve:
             it.solve((zero, big), [path], p, ledger=False)
 
 
+class TestLedgerBlocks:
+    @pytest.mark.parametrize("kmax, stack", [(3, None), (2, (2, 3))])
+    def test_columns_equal_each_steps_own_kernels(self, kmax, stack):
+        # the ledger is kept in blocks: this run crosses two block
+        # boundaries and ends on a partial block, and every column equals the
+        # per-step kernels on its own snapshots, bit for bit; the cutoff acts
+        # on some steps (|x|_L4 starts above the level)
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(40 + kmax)
+        G, P = stack or (1, 1)
+        block = it.ledger_block((G, P), basis.n_half_modes)
+        n_steps = 2 * block + block // 2 + 1
+        dt = 1 / 64
+        p = it.SimParams(nu=1.0, level=0.8, chi=1.0, dt=dt, dt_path=dt / 4,
+                         t_final=n_steps * dt, kmax=kmax, noise=NOISY,
+                         forcing=sp.random_field(basis, rng, norm=0.5))
+        paths = [make_setup(basis, p, seed=20 + g) for g in range(G)]
+        xs = tuple(sp.random_field(basis, rng, norm=4.0 / (i + 1)) for i in range(P))
+        if stack is None:
+            traj = it.solve(xs[0], paths[0], p)
+            vs, zs = traj.v_coeffs[:, None, None], traj.z_coeffs[:, None, None]
+            got = {name: col[:, None, None] for name, col in vars(traj.ledger).items()}
+        else:
+            traj = it.solve(xs, paths, p)
+            vs, zs, got = traj.v_coeffs, traj.z_coeffs, vars(traj.ledger)
+        assert n_steps % block and n_steps > 2 * block and len(vs) == n_steps + 1
+        assert (got["cutoff"] < 1.0).any()
+        stepper = it._Stepper(p, basis, dt)
+        want = {name: np.empty((n_steps + 1, G, P)) for name in got if name != "t"}
+        pairings = np.empty((3, n_steps + 1, G, P))
+        for k, (v, z) in enumerate(zip(vs, zs)):
+            _, bf, want["u_L4"][k], want["cutoff"][k] = stepper.drift(v, z)
+            u = v + z
+            want["v_H2"][k], want["z_H2"][k] = sp.h2_coeffs(v), sp.h2_coeffs(z)
+            want["u_H2"][k] = sp.h2_coeffs(u)
+            want["v_V2"][k], want["u_V2"][k] = sp.v2_coeffs(basis, v), sp.v2_coeffs(basis, u)
+            want["z_L4"][k] = basis.l4_norm(basis.synthesize(z))
+            for i, c in enumerate((bf, stepper.f_coeffs, z)):
+                pairings[i, k] = sp.inner_coeffs(c, v)
+        bf_v, f_v, z_v = pairings
+        flux = 2.0 * p.nu * want["v_V2"] + 2.0 * bf_v - 2.0 * f_v - 2.0 * p.chi * z_v
+        acc = np.zeros_like(flux)
+        acc[1:] = np.cumsum(0.5 * dt * (flux[1:] + flux[:-1]), axis=0)
+        want["residual"] = want["v_H2"] - want["v_H2"][0] + acc
+        for name, column in want.items():
+            assert same_bits(np.ascontiguousarray(got[name]), column), name
+        assert same_bits(got["t"].reshape(-1), np.arange(n_steps + 1) * dt)
+
+
 class TestDossSussman:
     def test_noise_off_identity(self, basis2, rng):
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=0.5, noise=QUIET)

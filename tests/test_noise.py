@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -95,18 +97,53 @@ class TestWienerPath:
     def test_column_is_its_keyed_stream(self, path, basis1, spectrum):
         # every column alpha of the table is the whole keyed stream of
         # coordinate alpha, on the path and on a shifted view of it, for
-        # tables shorter and longer than one Philox block of 4 words
-        for steps in (1, 16, 17, 1024):
+        # tables shorter and longer than one Philox block of 4 words, and on
+        # either side of PARALLEL_ROW_CELLS (one drawing thread below it, one
+        # per CPU up to FILL_THREADS from it on); no drawing thread is left
+        assert nz._fill_threads(nz.PARALLEL_ROW_CELLS - 1) == 1
+        for steps in sorted({1, 16, 17, 1024, nz.PARALLEL_ROW_CELLS - 1,
+                             nz.PARALLEL_ROW_CELLS}):
             p = nz.make_path(path.seed, path.dt_path, 0.0, steps * path.dt_path,
                              spectrum, basis1)
             assert p.steps == steps
             sh = nz.shift_path(p, path.dt_path)
             n0 = sh.index_of(sh.t_min)
+            running = set(threading.enumerate())
             for alpha in range(p.n_coordinates):
                 gen = philox(derive_key(p.seed, "wiener-table"), alpha)
                 want = gen.standard_normal(steps)
                 assert np.array_equal(p.normals(0, steps)[:, alpha], want)
                 assert np.array_equal(sh.normals(n0, steps)[:, alpha], want)
+            assert set(threading.enumerate()) == running
+
+    def test_fill_independent_of_thread_count(self):
+        # more threads than cores, with frequent switches between them:
+        # every count fills the table of one thread, and joins its threads
+        key = derive_key(5, "wiener-table")
+        tables = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 5):
+                running = set(threading.enumerate())
+                table = np.empty((26, 1500))
+                nz._fill_rows(table, key, threads)
+                assert set(threading.enumerate()) == running
+                tables.append(table)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(tables[0], t) for t in tables[1:])
+
+    def test_fill_error_raised_by_the_caller(self):
+        # a row no thread can write fails the fill, on one thread or many,
+        # and the threads are joined all the same
+        table = np.empty((6, 1500))
+        table.setflags(write=False)
+        for threads in (1, 3):
+            running = set(threading.enumerate())
+            with pytest.raises(ValueError):
+                nz._fill_rows(table, 0, threads)
+            assert set(threading.enumerate()) == running
 
     def test_off_grid_time_rejected(self, path):
         with pytest.raises(ValueError):
@@ -139,6 +176,21 @@ class TestShiftMap:
         a = nz.shift_path(nz.shift_path(path, 0.5), 1.0)
         b = nz.shift_path(path, 1.5)
         assert a.offset == b.offset and a.t_min == b.t_min
+
+    def test_views_share_one_table(self, path, basis1, spectrum):
+        # a view that reads before its parent draws the table the parent
+        # then reads, and a view of a view shares it too; the draws are
+        # those of a path with no views
+        m = int(round(1.5 / path.dt_path))
+        sh = nz.shift_path(path, 1.5)
+        first = sh.normals(0, 8)
+        assert np.shares_memory(first, path.normals(m, 8))
+        back = nz.shift_path(sh, -1.5)
+        assert np.shares_memory(back.normals(0, path.steps), path.normals(0, path.steps))
+        alone = nz.make_path(path.seed, path.dt_path, path.t_min, path.t_max,
+                             spectrum, basis1)
+        assert np.array_equal(first, alone.normals(m, 8))
+        assert np.array_equal(path.normals(0, path.steps), alone.normals(0, alone.steps))
 
     def test_non_multiple_rejected(self, path):
         with pytest.raises(ValueError):

@@ -55,6 +55,12 @@ CONFIGS = [
     ("simulate", {"experiment": "simulate", "seed": 11,
                   "params": {"kmax": 2, "dt": 1 / 64, "t_final": 0.5,
                              "noise": {"amplitude": 0.5}}}),
+    # 32 path cells per step: rows of 3,072 cells, which the table fill
+    # draws on every core, and 96 steps, two ledger blocks of 44 (one field
+    # at kmax 2) and a partial one
+    ("simulate-substeps", {"experiment": "simulate", "seed": 19,
+                           "params": {"kmax": 2, "dt": 1 / 64, "dt_path": 1 / 2048,
+                                      "t_final": 1.5, "noise": {"amplitude": 0.5}}}),
     ("simulate-zero-noise", {"experiment": "simulate", "seed": 12,
                              "params": {"kmax": 2, "dt": 1 / 64, "t_final": 0.5,
                                         "noise": {"amplitude": 0.0}}}),
