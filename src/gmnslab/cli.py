@@ -23,7 +23,6 @@ from . import integrate as it
 from . import noise as nz
 from . import spectral as sp
 from .config import ConfigError, RunConfig, default_config, parse_config
-from .cutoff import write_fuzz_report
 from .registry import DivergenceError, config_hash, register_run
 from .seeding import labeled_generator
 
@@ -36,15 +35,12 @@ EXIT_IO = 6
 EXIT_DIVERGENCE = 7
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: str, header: list[str], columns: list) -> None:
+def _write_csv(path: str, columns: dict) -> None:
+    """Columns under their names: floats to 17 digits, the rest through str, LF ends."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
 def _np_default(obj):
@@ -71,7 +67,7 @@ def _initial_field(basis, spec: dict, seed: int, label: str) -> sp.SpectralField
 # ---- experiment runners -----------------------------------------------------
 
 
-def _run_check(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
+def _run_check(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
     kmax = cfg.params.kmax
     reports = [
         ex.check_cutoff_lemma(
@@ -90,18 +86,12 @@ def _run_check(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
         ),
         ex.check_shift_covariance(seed=cfg.seed + 4, n_pairs=cfg.option("shift_pairs")),
     ]
-    artifacts = []
-    for rep in reports:
-        if rep.rows:
-            path = os.path.join(out, f"fuzz_{rep.name}.csv")
-            write_fuzz_report(path, rep.rows)
-            artifacts.append(path)
     passed = all(r.passed for r in reports)
     summary = {"checks": [r.summary() for r in reports], "passed": passed}
-    return summary, artifacts, passed
+    return summary, passed, {f"fuzz_{r.name}.csv": r.columns() for r in reports if r.rows}, []
 
 
-def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
+def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
     params = cfg.params
     basis = params.basis()
     x = _initial_field(basis, cfg.option("initial"), cfg.seed, "ic")
@@ -126,10 +116,10 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
         "pullback_margin": it.pullback_inequality_margin(params, traj.ledger),
         "passed": True,
     }
-    return summary, [csv_path, manifest_path, ckpt_path], True
+    return summary, True, {}, [csv_path, manifest_path, ckpt_path]
 
 
-def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
+def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
     params = cfg.params
     basis = params.basis()
     x1 = _initial_field(basis, cfg.option("x1"), cfg.seed, "x1")
@@ -139,17 +129,10 @@ def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
         record_every=cfg.option("record_every"),
         enforce_threshold=cfg.strict,
     )
-    csv_path = os.path.join(out, "contraction.csv")
-    _write_csv(
-        csv_path,
-        ["t", "mean_sq_diff", "stderr", "envelope"],
-        [rep.times.tolist(), rep.mean_sq.tolist(), rep.stderr.tolist(),
-         rep.envelope.tolist()],
-    )
-    return rep.summary(), [csv_path], rep.passed
+    return rep.summary(), rep.passed, {"contraction.csv": rep.columns()}, []
 
 
-def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
+def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
     params = cfg.params
     basis = params.basis()
     times = cfg.option("pullback_times")
@@ -161,34 +144,18 @@ def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
         params, times, family, seed=cfg.seed,
         family_tol=cfg.option("family_tol"),
     )
-    csv_path = os.path.join(out, "pullback.csv")
-    names = list(rep.radii)
-    _write_csv(
-        csv_path,
-        ["pullback_time"] + [f"radius_{n}" for n in names]
-        + [f"ic_term_{n}" for n in names],
-        [list(map(float, rep.pullback_times))]
-        + [list(map(float, rep.radii[n])) for n in names]
-        + [list(map(float, rep.ic_terms[n])) for n in names],
-    )
-    return rep.summary(), [csv_path], rep.passed
+    return rep.summary(), rep.passed, {"pullback.csv": rep.columns()}, []
 
 
-def _run_nse_limit(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
+def _run_nse_limit(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
     basis = cfg.params.basis()
     x = _initial_field(basis, cfg.option("initial"), cfg.seed, "nse-ic")
     rep = ex.nse_limit_experiment(x, cfg.params,
                                   multipliers=tuple(cfg.option("multipliers")))
-    csv_path = os.path.join(out, "nse_limit.csv")
-    _write_csv(
-        csv_path,
-        ["level", "i_n", "i_n_bound", "int_one_minus_f", "l2_err"],
-        [rep.levels, rep.i_n, rep.i_n_bound, rep.int_one_minus_f, rep.l2_err],
-    )
-    return rep.summary(), [csv_path], rep.passed
+    return rep.summary(), rep.passed, {"nse_limit.csv": rep.columns()}, []
 
 
-def _run_measure(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
+def _run_measure(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
     params = cfg.params
     basis = params.basis()
     burn_in, horizon = cfg.option("burn_in"), cfg.option("horizon")
@@ -200,13 +167,10 @@ def _run_measure(cfg: RunConfig, out: str) -> tuple[dict, list[str], bool]:
         params, ics, burn_in=burn_in, horizon=horizon, seed=cfg.seed,
         enforce_threshold=cfg.strict,
     )
-    csv_path = os.path.join(out, "measure.csv")
-    rows = [(obs, name, rep.averages[obs][name], rep.stderrs[obs][name])
-            for obs in rep.observables for name in ics]
-    _write_csv(csv_path, ["observable", "initial", "average", "stderr"], list(zip(*rows)))
-    return rep.summary(), [csv_path], rep.passed
+    return rep.summary(), rep.passed, {"measure.csv": rep.columns()}, []
 
 
+# runner(cfg, out) -> (summary, passed, {CSV name: columns}, the files it wrote)
 _RUNNERS = {
     "check": _run_check,
     "simulate": _run_simulate,
@@ -229,7 +193,10 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> int:
     cfg_path = os.path.join(out, "config.json")
     try:
         _write_json(cfg_path, cfg.to_dict())
-        summary, artifacts, passed = _RUNNERS[cfg.experiment](cfg, out)
+        summary, passed, tables, artifacts = _RUNNERS[cfg.experiment](cfg, out)
+        for name, columns in tables.items():
+            artifacts.append(os.path.join(out, name))
+            _write_csv(artifacts[-1], columns)
         summary["assertion_mode"] = cfg.assertion_mode
         summary_path = os.path.join(out, "summary.json")
         _write_json(summary_path, summary)

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .experiments import stability_threshold
+from .experiments import MEASURE_BATCHES, stability_threshold
 from .integrate import SimParams
 from .noise import MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes
 from .spectral import KMAX_CEILING
@@ -340,6 +340,10 @@ def _validate_experiment(cfg: RunConfig) -> None:
         _require(all(abs(round(t / p.dt) * p.dt - t) <= 1e-9 for t in times),
                  f"field 'options.pullback_times' must hold multiples of "
                  f"params.dt = {p.dt}, got {times!r}")
+    if cfg.experiment == "measure":
+        _require(cfg.option("horizon") >= MEASURE_BATCHES * p.dt,
+                 f"field 'options.horizon' = {cfg.option('horizon')} must be at least "
+                 f"{MEASURE_BATCHES} steps of params.dt = {p.dt}, one per error-bar batch")
     name, value, nbytes = _path_table(cfg)
     _require(
         nbytes <= PATH_TABLE_CEILING,

@@ -23,7 +23,6 @@ left-minus-right side directly so the inequality can be fuzzed numerically.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -144,32 +143,3 @@ def monotonicity_gap(
 def gap_tolerance(v1: SpectralField, v2: SpectralField) -> float:
     """Magnitude-scaled rounding allowance for the monotonicity inequality."""
     return 1e-10 * (1.0 + norm_V(v1) ** 2 + norm_V(v2) ** 2)
-
-
-def advection_lipschitz_ratio(u: SpectralField, v: SpectralField,
-                              level: float = math.inf) -> float:
-    """Empirical local Lipschitz ratio |B_F(u) - B_F(v)|_dual / |u - v|_V.
-
-    No closed-form constant is asserted anywhere; this diagnostic only
-    measures the ratio so local Lipschitz behavior can be logged over balls
-    of interest (level = inf measures the unmodified advection).
-    """
-    from .spectral import norm_dual
-
-    d = u - v
-    dv = norm_V(d)
-    if dv == 0.0:
-        return 0.0
-    diff = cutoff_advection(u, level) - cutoff_advection(v, level)
-    return norm_dual(diff) / dv
-
-
-def write_fuzz_report(path, rows) -> None:
-    """CSV fuzz report: one row per case (case id, seed, lhs, rhs, margin)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case", "seed", "lhs", "rhs", "margin"])
-        for case, seed, lhs, rhs, margin in rows:
-            writer.writerow(
-                [case, seed, f"{lhs:.17g}", f"{rhs:.17g}", f"{margin:.17g}"]
-            )

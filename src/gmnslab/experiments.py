@@ -5,8 +5,9 @@ system: property fuzzing of the cutoff lemma, the trilinear identities and
 the monotonicity gap; exponential contraction of coupled solutions above the
 viscosity threshold; pullback absorption; the large-cutoff limit toward the
 unmodified truncated Navier-Stokes dynamics; and invariant-measure sampling
-with a mixing proxy.  Every experiment is deterministic in (seed, options)
-and reports pass/fail per assertion plus plot-ready series.
+with a mixing check across initial states, marched in tiles of one stacked
+solve as the contraction members are.  Every experiment is deterministic in
+(seed, options) and reports pass/fail per assertion plus plot-ready series.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class CheckReport:
 
     def summary(self) -> dict:
         return _fields_and_extra(self, "rows")
+
+    def columns(self) -> dict:
+        return dict(zip(("case", "seed", "lhs", "rhs", "margin"), zip(*self.rows)))
 
 
 def check_cutoff_lemma(
@@ -263,22 +267,26 @@ class ContractionReport:
         return {"name": "contraction", "rate_theoretical": self.rate,
                 **_fields_and_extra(self, "times", "mean_sq", "stderr", "envelope", "rate")}
 
+    def columns(self) -> dict:
+        return {"t": self.times.tolist(), "mean_sq_diff": self.mean_sq.tolist(),
+                "stderr": self.stderr.tolist(), "envelope": self.envelope.tolist()}
 
-# Byte budget of one tile's stacked grids and Jacobians (12 real M^3 grids
-# per field, 2 fields per member): contraction members march in tiles of as
-# many members as fit, at least one.  Measured per-member B_F cost against
-# the stack size (CHANGES.md): it falls down to 8 fields at kmax 2 (560 KB
-# of grids, so 4 members per tile), keeps falling to 16 and more at kmax 1
-# (27 per tile) and is flat at kmax 3 (1 per tile).
+
+# Byte budget of one tile's stacked grids and Jacobians (12 real M^3 grids per
+# field; 2 fields per contraction member, 1 per measure state): members march
+# in tiles of as many as fit, at least one.  Measured per-member B_F cost of
+# the contraction against the stack size (CHANGES.md): it falls down to 8
+# fields at kmax 2 (560 KB of grids, so 4 members per tile), keeps falling to
+# 16 and more at kmax 1 (27 per tile) and is flat at kmax 3 (1 per tile).
 TILE_GRID_BYTES = 640 * 2**10
 
 
-def contraction_tile(basis: sp.GalerkinBasis, path_steps: int) -> int:
-    """Members per tile of the contraction march on this basis, for paths
-    of path_steps cells: as many as fit in TILE_GRID_BYTES of grids, and no
-    more than fit in noise.PATH_TABLE_CEILING of the path tables that the
-    tile's cursors hold at once; at least one."""
-    grids = TILE_GRID_BYTES // (2 * 12 * 8 * basis.grid_size**3)
+def member_tile(basis: sp.GalerkinBasis, path_steps: int, fields: int) -> int:
+    """Members of `fields` fields each per tile of a march on this basis, for
+    paths of path_steps cells: as many as fit in TILE_GRID_BYTES of grids,
+    and no more than fit in noise.PATH_TABLE_CEILING of the path tables that
+    the tile's cursors hold at once; at least one."""
+    grids = TILE_GRID_BYTES // (fields * 12 * 8 * basis.grid_size**3)
     tables = nz.PATH_TABLE_CEILING // nz.path_table_bytes(path_steps, basis.kmax)
     return max(1, min(grids, int(tables)))
 
@@ -314,7 +322,7 @@ def contraction_experiment(
         return nz.make_path(derive_key(seed, f"member-{m}"), params.dt_path, 0.0,
                             params.t_final, params.noise, x1.basis)
 
-    tile = contraction_tile(x1.basis, member_path(0).steps)
+    tile = member_tile(x1.basis, member_path(0).steps, fields=2)
     # one stepper for every tile: its work arrays are allocated once for the
     # full tiles and once more for a partial last tile
     stepper = it._Stepper(params, x1.basis, params.dt)
@@ -376,6 +384,11 @@ class PullbackReport:
 
     def summary(self) -> dict:
         return {"name": "pullback_absorption", **_fields_and_extra(self, "ic_terms")}
+
+    def columns(self) -> dict:
+        return {"pullback_time": list(map(float, self.pullback_times)),
+                **{f"radius_{n}": list(map(float, r)) for n, r in self.radii.items()},
+                **{f"ic_term_{n}": list(map(float, r)) for n, r in self.ic_terms.items()}}
 
 
 def pullback_absorption(
@@ -461,6 +474,10 @@ class NseLimitReport:
     def summary(self) -> dict:
         return {"name": "nse_limit", **_fields_and_extra(self)}
 
+    def columns(self) -> dict:
+        return {"level": self.levels, "i_n": self.i_n, "i_n_bound": self.i_n_bound,
+                "int_one_minus_f": self.int_one_minus_f, "l2_err": self.l2_err}
+
 
 def _solve_noise_free(x: sp.SpectralField, params: it.SimParams,
                       level: float) -> it.Trajectory:
@@ -536,6 +553,9 @@ class HorizonError(RuntimeError):
     """Raised when the mixing estimate deems the horizon insufficient."""
 
 
+MEASURE_BATCHES = 20  # batch-means batches of the measure's standard errors
+
+
 @dataclass
 class MeasureReport:
     observables: list
@@ -549,6 +569,11 @@ class MeasureReport:
 
     def summary(self) -> dict:
         return {"name": "invariant_measure", **_fields_and_extra(self)}
+
+    def columns(self) -> dict:
+        rows = [(obs, name, avg, self.stderrs[obs][name])
+                for obs in self.observables for name, avg in self.averages[obs].items()]
+        return dict(zip(("observable", "initial", "average", "stderr"), zip(*rows)))
 
 
 def _integrated_autocorr(series: np.ndarray, dt: float) -> float:
@@ -572,15 +597,16 @@ def invariant_measure_sampler(
     burn_in: float,
     horizon: float,
     seed: int = 0,
-    n_batches: int = 20,
+    n_batches: int = MEASURE_BATCHES,
     enforce_threshold: bool = True,
     sigma_band: float = 3.0,
 ) -> MeasureReport:
     """Long-run time averages of |u|_H^2, |u|_V^2, |u|_L4 per initial state.
 
-    Each initial state runs on an independent path; agreement of the time
-    averages within combined batch-means standard errors is the mixing /
-    unique-ergodicity proxy.  Raises HorizonError when the estimated
+    Each initial state runs on an independent path, marched in tiles of one
+    stacked solve; agreement of the time averages within combined
+    batch-means standard errors is the mixing check.  Raises ValueError for
+    a horizon under n_batches steps and HorizonError when the estimated
     integrated autocorrelation time exceeds horizon/20.
     """
     thr = stability_threshold(params.level, params.lambda_p)
@@ -589,35 +615,47 @@ def invariant_measure_sampler(
             f"nu={params.nu} must exceed the stability threshold {thr:.6g} "
             "for the uniqueness-assertion variant"
         )
+    if horizon < n_batches * params.dt:
+        raise ValueError(f"horizon={horizon} is under n_batches={n_batches} steps of dt")
     observables = ["u_H2", "u_V2", "u_L4"]
     averages = {k: {} for k in observables}
     stderrs = {k: {} for k in observables}
     taus = {}
-    for idx, (name, x) in enumerate(initial_set.items()):
-        member_seed = derive_key(seed, f"measure-{idx}")
-        p = replace(params, t_final=burn_in + horizon)
-        path = nz.make_path(member_seed, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
-        traj = it.solve(x, path, p, record_every=1 << 30)
-        led = traj.ledger
-        keep = led.t >= burn_in - 1e-12
-        series = {
-            "u_H2": led.u_H2[keep],
-            "u_V2": led.u_V2[keep],
-            "u_L4": led.u_L4[keep],
-        }
-        taus[name] = _integrated_autocorr(series["u_H2"], params.dt)
-        if taus[name] > horizon / 20.0:
-            raise HorizonError(
-                f"autocorrelation time {taus[name]:.3g} exceeds horizon/20 "
-                f"for initial state '{name}'"
-            )
-        for key, vals in series.items():
-            averages[key][name] = float(vals.mean())
-            batches = np.array_split(vals, n_batches)
-            bmeans = np.array([b.mean() for b in batches])
-            stderrs[key][name] = float(bmeans.std(ddof=1) / math.sqrt(n_batches))
+    p = replace(params, t_final=burn_in + horizon)
+    names, xs = list(initial_set), list(initial_set.values())
 
-    names = list(initial_set)
+    def state_path(idx):
+        return nz.make_path(derive_key(seed, f"measure-{idx}"), p.dt_path, 0.0,
+                            p.t_final, p.noise, xs[0].basis)
+
+    tile = member_tile(xs[0].basis, state_path(0).steps, fields=1)
+    for m0 in range(0, len(xs), tile):
+        # each tile's paths are built here and dropped with the tile
+        paths = [state_path(idx) for idx in range(m0, min(len(xs), m0 + tile))]
+        cursors = [nz.OUCursor(path, p.chi, p.nu) for path in paths]
+        v0 = np.stack([x.coeffs - c.advance_to(0.0) for x, c in zip(xs[m0:], cursors)])
+        try:
+            traj = it.solve_transformed(v0[:, None], paths, p, record_every=1 << 30,
+                                        cursor=cursors)
+        except it.InstabilityError as exc:
+            exc.member = (exc.member or 0) + m0  # the state; a tile of one names none
+            raise
+        for g, name in enumerate(names[m0:m0 + len(paths)]):
+            led = traj.member(g, 0).ledger
+            keep = led.t >= burn_in - 1e-12
+            series = {key: getattr(led, key)[keep] for key in observables}
+            taus[name] = _integrated_autocorr(series["u_H2"], params.dt)
+            if taus[name] > horizon / 20.0:
+                raise HorizonError(
+                    f"autocorrelation time {taus[name]:.3g} exceeds horizon/20 "
+                    f"for initial state '{name}'"
+                )
+            for key, vals in series.items():
+                averages[key][name] = float(vals.mean())
+                batches = np.array_split(vals, n_batches)
+                bmeans = np.array([b.mean() for b in batches])
+                stderrs[key][name] = float(bmeans.std(ddof=1) / math.sqrt(n_batches))
+
     ok = True
     for key in observables:
         for i, a in enumerate(names):
@@ -630,50 +668,3 @@ def invariant_measure_sampler(
         observables, burn_in, horizon, averages, stderrs, taus, ok,
         extra={"threshold": thr, "sigma_band": sigma_band},
     )
-
-
-def ergodicity_check(
-    params: it.SimParams,
-    x: sp.SpectralField,
-    burn_in: float,
-    horizon: float,
-    n_members: int = 16,
-    seed: int = 0,
-    sigma_band: float = 3.0,
-) -> dict:
-    """Time average along one long path against an ensemble average over
-    independent paths, for the mean-square velocity observable.
-
-    The two estimates target the same stationary expectation; agreement
-    within combined standard errors is the ergodicity proxy.
-    """
-    basis = x.basis
-    long_p = replace(params, t_final=burn_in + horizon)
-    long_path = nz.make_path(derive_key(seed, "ergodic-long"), long_p.dt_path,
-                             0.0, long_p.t_final, long_p.noise, basis)
-    traj = it.solve(x, long_path, long_p, record_every=1 << 30)
-    keep = traj.ledger.t >= burn_in - 1e-12
-    series = traj.ledger.u_H2[keep]
-    time_avg = float(series.mean())
-    batches = np.array_split(series, 16)
-    time_se = float(np.array([b.mean() for b in batches]).std(ddof=1) / 4.0)
-
-    short_p = replace(params, t_final=burn_in)
-    values = []
-    for m in range(n_members):
-        path = nz.make_path(derive_key(seed, f"ergodic-{m}"), short_p.dt_path,
-                            0.0, short_p.t_final, short_p.noise, basis)
-        tm = it.solve(x, path, short_p, record_every=1 << 30)
-        values.append(float(tm.ledger.u_H2[-1]))
-    ens_avg = float(np.mean(values))
-    ens_se = float(np.std(values, ddof=1) / math.sqrt(n_members))
-    gap = abs(time_avg - ens_avg)
-    comb = math.hypot(time_se, ens_se)
-    return {
-        "time_average": time_avg,
-        "time_se": time_se,
-        "ensemble_average": ens_avg,
-        "ensemble_se": ens_se,
-        "gap": gap,
-        "passed": bool(gap <= sigma_band * comb),
-    }

@@ -195,6 +195,12 @@ class TestModesAndExitCodes:
              "'options.pullback_times'"),
             ({"experiment": "measure", "options": {"burn_in": True}}, "'options.burn_in'"),
             ({"experiment": "measure", "options": {"horizon": "x"}}, "'options.horizon'"),
+            # 8 steps cannot fill the 20 batches of measure's error bars
+            ({"experiment": "measure",
+              "params": {"nu": 4.0, "dt": 1 / 32, "kmax": 1, "noise": {"amplitude": 0.0}},
+              "options": {"burn_in": 0.0, "horizon": 0.25,
+                          "initial_set": {"a": {"kind": "zero"}, "b": {"kind": "zero"}}}},
+             "'options.horizon'"),
             ({"experiment": "pullback", "options": {"pullback_times": [0.3]}},
              "'options.pullback_times'"),
             ({"experiment": "pullback", "options": {"pullback_times": [1.0, 0.3]}},
@@ -429,3 +435,21 @@ class TestExperimentDefaults:
             assert cfg.params.nu > stability_threshold(cfg.params.level,
                                                        cfg.params.lambda_p)
         assert default_config("simulate").params.nu == 1.0
+
+
+class TestFuzzReport:
+    def test_csv_format(self, tmp_path):
+        path = tmp_path / "fuzz.csv"
+        cli._write_csv(path, {"case": [0, 1], "seed": [42, 42], "lhs": [1.0, 0.25],
+                              "rhs": [2.0, 0.5], "margin": [1.0, 0.25]})
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "case,seed,lhs,rhs,margin"
+        assert lines[1].startswith("0,42,1,2,1")
+
+
+def test_fuzz_report_lines_end_in_lf(tmp_path):
+    # the same line ending as every other CSV artifact
+    path = tmp_path / "fuzz.csv"
+    cli._write_csv(path, {"case": [0], "seed": [7], "lhs": [1.0], "rhs": [2.0],
+                          "margin": [1.0]})
+    assert path.read_bytes() == b"case,seed,lhs,rhs,margin\n0,7,1,2,1\n"

@@ -67,7 +67,8 @@ def valid_configs(draw):
             st.lists(st.integers(1, 1024), min_size=1, unique=True))]
     if experiment == "measure":
         options["burn_in"] = dt * draw(st.integers(0, 512))
-        options["horizon"] = dt * draw(st.integers(1, 512))
+        # measure's error bars need a solver step per batch
+        options["horizon"] = dt * draw(st.integers(20, 512))
     return {
         "experiment": experiment,
         "seed": draw(st.integers(0, 2**64 - 1)),

@@ -196,19 +196,3 @@ class TestMonotonicityGap:
         want = co.cutoff_factor(sp.norm_L4(w1), 1.0) * trilinear_oracle(w1, w1, d)
         want -= co.cutoff_factor(sp.norm_L4(w2), 1.0) * trilinear_oracle(w2, w2, d)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
-
-
-class TestFuzzReport:
-    def test_csv_format(self, tmp_path):
-        path = tmp_path / "fuzz.csv"
-        co.write_fuzz_report(path, [(0, 42, 1.0, 2.0, 1.0), (1, 42, 0.25, 0.5, 0.25)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "case,seed,lhs,rhs,margin"
-        assert lines[1].startswith("0,42,1,2,1")
-
-
-def test_fuzz_report_lines_end_in_lf(tmp_path):
-    # the same line ending as every other CSV artifact
-    path = tmp_path / "fuzz.csv"
-    co.write_fuzz_report(path, [(0, 7, 1.0, 2.0, 1.0)])
-    assert path.read_bytes() == b"case,seed,lhs,rhs,margin\n0,7,1,2,1\n"

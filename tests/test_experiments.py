@@ -115,7 +115,7 @@ class TestContraction:
         x2 = sp.random_field(basis2, labeled_generator(5, "x2"), norm=0.2)
         p = it.SimParams(nu=4.0, level=0.5 * sp.norm_L4(x1), dt=1 / 64, t_final=0.25,
                          noise=nz.NoiseSpectrum(amplitude=1.0))
-        assert ex.contraction_tile(basis2, 16) == 4
+        assert ex.member_tile(basis2, 16, fields=2) == 4
         rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2,
                                         enforce_threshold=False)
         sq = []
@@ -131,10 +131,10 @@ class TestContraction:
     def test_tile_path_tables_stay_under_the_ceiling(self, basis1, monkeypatch):
         # fine paths cap the tile so that the path tables its cursors hold
         # together fit the table ceiling; 27 members fit the grid budget
-        assert ex.contraction_tile(basis1, 16) == 27
+        assert ex.member_tile(basis1, 16, fields=2) == 27
         table = nz.path_table_bytes(2**18, 1)
-        assert ex.contraction_tile(basis1, 2**18) == nz.PATH_TABLE_CEILING // table == 9
-        assert ex.contraction_tile(basis1, 2**21) == 1  # one table is all it may hold
+        assert ex.member_tile(basis1, 2**18, fields=2) == nz.PATH_TABLE_CEILING // table == 9
+        assert ex.member_tile(basis1, 2**21, fields=2) == 1  # one table is all it may hold
         # with room for 2 tables, 5 members march in tiles of 2, 2 and 1,
         # each tile's tables dropped before the next tile draws its own,
         # with the result of the grid-sized tile of 5
@@ -176,7 +176,7 @@ class TestContraction:
                 spectrum = loud
             return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
 
-        monkeypatch.setattr(ex, "contraction_tile", lambda basis, path_steps: 2)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, path_steps, fields: 2)
         monkeypatch.setattr(ex.nz, "make_path", path_of)
         p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=0.25, kmax=1,
                          noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
@@ -333,29 +333,61 @@ class TestMeasure:
             ex.invariant_measure_sampler(p, {"a": sp.zero_field(basis2)},
                                          burn_in=1.0, horizon=5.0)
 
+    def test_horizon_under_one_step_per_batch_rejected(self, basis1):
+        # 8 steps cannot fill 20 batches: empty batches would give NaN error
+        # bars, and a constant series (tau = 0) would pass the horizon check
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=1.0, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.0))
+        zero = sp.zero_field(basis1)
+        with pytest.raises(ValueError, match="n_batches=20"):
+            ex.invariant_measure_sampler(p, {"a": zero, "b": zero}, burn_in=0.0,
+                                         horizon=0.25)
+        rep = ex.invariant_measure_sampler(p, {"a": zero, "b": zero}, burn_in=0.0,
+                                           horizon=20 / 32)
+        assert np.isfinite([rep.stderrs[k]["a"] for k in rep.observables]).all()
 
-class TestErgodicityProxy:
-    def test_time_vs_ensemble_average(self, basis2, rng):
-        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=1.0,
+    def test_tiles_equal_state_solves(self, basis1, monkeypatch):
+        # three states in one tile, and in tiles of 2 and 1: each state's
+        # series is its own solve's, bit for bit
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=1.0, kmax=1,
                          noise=nz.NoiseSpectrum(amplitude=1.0))
-        x = sp.random_field(basis2, rng, norm=2.0)
-        out = ex.ergodicity_check(p, x, burn_in=2.0, horizon=30.0,
-                                  n_members=16, seed=12)
-        assert out["passed"], out
+        ics = {"zero": sp.zero_field(basis1),
+               "big": sp.random_field(basis1, labeled_generator(3, "big"), norm=10.0),
+               "mid": sp.random_field(basis1, labeled_generator(3, "mid"), norm=3.0)}
+        burn_in, horizon = 1.25, 15.0
+        assert ex.member_tile(basis1, round((burn_in + horizon) * 32), fields=1) >= 3
+        whole = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, path_steps, fields: 2)
+        tiled = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
+        assert tiled.summary() == whole.summary()
+        q = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=burn_in + horizon, kmax=1,
+                         noise=p.noise)
+        for idx, (name, x) in enumerate(ics.items()):
+            path = nz.make_path(derive_key(5, f"measure-{idx}"), q.dt_path, 0.0,
+                                q.t_final, q.noise, basis1)
+            led = it.solve(x, path, q, record_every=1 << 30).ledger
+            for key in whole.observables:
+                vals = getattr(led, key)[led.t >= burn_in - 1e-12]
+                assert whole.averages[key][name] == float(vals.mean())
 
+    @pytest.mark.parametrize("loud", [1, 2])
+    def test_instability_names_the_state(self, basis1, monkeypatch, loud):
+        # tiles of 2: state 1 sits second in the first tile, state 2 alone
+        # in the second; the loud path's state must be the one named
+        make_path = nz.make_path
 
-class TestLipschitzDiagnostic:
-    def test_ratios_finite_and_bounded_on_balls(self, basis2, rng):
-        from gmnslab.cutoff import advection_lipschitz_ratio
+        def path_of(seed, dt_path, t_min, t_max, spectrum, basis):
+            if seed == derive_key(6, f"measure-{loud}"):
+                spectrum = nz.NoiseSpectrum(amplitude=1e12)
+            return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
 
-        ratios_plain, ratios_cut = [], []
-        for _ in range(40):
-            u = sp.random_field(basis2, rng, norm=rng.uniform(0.1, 2.0))
-            v = sp.random_field(basis2, rng, norm=rng.uniform(0.1, 2.0))
-            ratios_plain.append(advection_lipschitz_ratio(u, v))
-            ratios_cut.append(advection_lipschitz_ratio(u, v, level=1.0))
-        assert all(np.isfinite(ratios_plain)) and all(np.isfinite(ratios_cut))
-        assert max(ratios_plain) > 0.0
-        # recorded, never asserted against a specific constant: the measured
-        # spread is the deliverable
-        assert advection_lipschitz_ratio(u, u, level=1.0) == 0.0
+        monkeypatch.setattr(ex, "member_tile", lambda basis, path_steps, fields: 2)
+        monkeypatch.setattr(ex.nz, "make_path", path_of)
+        p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=1.0, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
+        ics = {name: sp.random_field(basis1, labeled_generator(6, name))
+               for name in ("a", "b", "c")}
+        with pytest.raises(it.InstabilityError, match=f"member {loud}, field 0") as err:
+            ex.invariant_measure_sampler(p, ics, burn_in=0.0, horizon=10.0, seed=6,
+                                         enforce_threshold=False)
+        assert err.value.member == loud

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmnslab import integrate as it
 from gmnslab import noise as nz
@@ -239,6 +241,53 @@ class TestCoupledSolve:
         assert not traj.v_coeffs.any()
         with pytest.raises(it.InstabilityError, match="member 0, field 1"):
             it.solve((zero, big), [path], p, ledger=False)
+
+
+@st.composite
+def stack_cases(draw):
+    """A small (G, P) stacked solve: kmax, fields (some with F < 1 at the
+    start), chi, forcing, noise, path cells per step, t0, stride, ledger."""
+    kmax, G, P = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    basis = sp.build_basis(kmax)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = tuple(sp.random_field(basis, rng, norm=draw(st.floats(0.1, 4.0)))
+               for _ in range(P))
+    levels = sorted(sp.norm_L4(x) for x in xs)
+    dt = 1 / 64
+    p = it.SimParams(
+        nu=draw(st.floats(0.5, 2.0)), level=draw(st.sampled_from(levels)) * 1.001,
+        chi=draw(st.sampled_from((0.0, 1.5))), dt=dt,
+        dt_path=dt / draw(st.integers(1, 2)), t_final=dt * draw(st.integers(1, 5)),
+        kmax=kmax, noise=nz.NoiseSpectrum(amplitude=draw(st.sampled_from((0.0, 0.5)))),
+        forcing=sp.random_field(basis, rng, norm=0.5) if draw(st.booleans()) else None)
+    t0 = dt * draw(st.integers(-3, 3))
+    paths = [nz.make_path(draw(st.integers(0, 2**32 - 1)), p.dt_path, t0, t0 + p.t_final,
+                          p.noise, basis) for _ in range(G)]
+    return xs, paths, p, t0, draw(st.integers(1, 3)), draw(st.booleans())
+
+
+class TestStackContract:
+    @settings(max_examples=80, deadline=None)
+    @given(case=stack_cases())
+    def test_each_field_is_its_single_solve(self, case):
+        # a field's record does not depend on the stack it marches in: its
+        # snapshots, record times and ledger columns are its own solve's,
+        # bit for bit, whatever the ledger block of the stack
+        xs, paths, p, t0, stride, ledger = case
+        stack = it.solve(xs, paths, p, t0=t0, record_every=stride, ledger=ledger)
+        for g, path in enumerate(paths):
+            for i, x in enumerate(xs):
+                single = it.solve(x, path, p, t0=t0, record_every=stride, ledger=ledger)
+                member = stack.member(g, i)
+                assert same_bits(member.record_times, single.record_times)
+                assert same_bits(member.v_coeffs, single.v_coeffs)
+                assert same_bits(member.z_coeffs, single.z_coeffs)
+                if not ledger:
+                    assert member.ledger is single.ledger is None
+                    continue
+                for name, column in vars(single.ledger).items():
+                    got = np.ascontiguousarray(getattr(member.ledger, name))
+                    assert same_bits(got, column), name
 
 
 class TestLedgerBlocks:

@@ -80,6 +80,13 @@ CONFIGS = [
     ("measure", {"experiment": "measure", "seed": 16,
                  "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5}),
                  "options": {"burn_in": 0.5, "horizon": 20.0}}),
+    # three initial states march as one stacked solve of three groups
+    ("measure-three", {"experiment": "measure", "seed": 20,
+                       "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5}),
+                       "options": {"burn_in": 0.5, "horizon": 20.0,
+                                   "initial_set": {"zero": {"kind": "zero"},
+                                                   "big": {"norm": 10.0},
+                                                   "mid": {"norm": 3.0}}}}),
     ("check", {"experiment": "check", "seed": 17, "params": {"kmax": 1},
                "options": {"cutoff_pairs": 200, "trilinear_triples": 40,
                            "monotonicity_triples": 10, "ou_samples": 5000,
