@@ -345,6 +345,11 @@ def _validate_experiment(cfg: RunConfig) -> None:
                  f"field 'options.horizon' = {cfg.option('horizon')} must be at least "
                  f"{MEASURE_BATCHES} steps of params.dt = {p.dt}, one per error-bar batch")
     name, value, nbytes = _path_table(cfg)
+    # the span a run marches (check marches none): whole steps of dt, to the
+    # tolerance of integrate.solve_transformed
+    _require(cfg.experiment == "check"
+             or abs(round(value / p.dt) * p.dt - value) <= 1e-9 * max(1.0, value),
+             f"{name} = {value} must be a whole number of steps of params.dt = {p.dt}")
     _require(
         nbytes <= PATH_TABLE_CEILING,
         f"{name} = {value} needs a path table of {nbytes / 2**30:.3g} GiB, "

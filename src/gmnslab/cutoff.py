@@ -93,12 +93,14 @@ def cutoff_lipschitz_sides(
     return lhs, rhs
 
 
-def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float,
-                            work: dict | None = None):
+def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
+                            level: float | np.ndarray, work: dict | None = None):
     """(B_F(w), |w|_L4, F) for a coefficient array; the one B_F kernel of the
     field API and the stepper, with the L4 norm from the advection's grid.
     For a stack of arrays (leading axes) the norm and F are arrays with one
-    entry per member, each computed as for that member alone.  `work`, from
+    entry per member, each computed as for that member alone, and at its
+    own level when `level` is an array that broadcasts to the stack's
+    leading shape (such as the stepper's one level per field).  `work`, from
     `basis.work_arrays(w.shape[:-2])`, holds the large intermediates, so a
     caller that evaluates B_F over and over allocates them once; without it
     they are allocated as they are needed."""
@@ -112,7 +114,8 @@ def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray, level: float,
         if f != 1.0:
             out *= f
         return out, l4, f
-    f = np.array([cutoff_factor(r, level) for r in l4.reshape(-1)]).reshape(l4.shape)
+    levels = np.full(l4.shape, level).ravel().tolist()
+    f = np.array(list(map(cutoff_factor, l4.ravel().tolist(), levels))).reshape(l4.shape)
     # x * 1.0 is x bit for bit, so members with F = 1 are left as they are
     out *= f[..., None, None]
     return out, l4, f

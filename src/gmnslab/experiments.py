@@ -479,18 +479,18 @@ class NseLimitReport:
                 "int_one_minus_f": self.int_one_minus_f, "l2_err": self.l2_err}
 
 
-def _solve_noise_free(x: sp.SpectralField, params: it.SimParams,
-                      level: float) -> it.Trajectory:
-    """Deterministic run at cutoff `level`: noise and damping shift off."""
-    p = replace(params, level=level, chi=0.0,
+def _solve_nse(x: sp.SpectralField, params: it.SimParams):
+    """(trajectory, params, zero-noise path) of the run without cutoff,
+    noise or damping."""
+    p = replace(params, level=math.inf, chi=0.0,
                 noise=replace(params.noise, amplitude=0.0))
     path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
-    return it.solve_transformed(x, path, p, record_every=1)
+    return it.solve_transformed(x, path, p, record_every=1), p, path
 
 
 def solve_nse(x: sp.SpectralField, params: it.SimParams) -> it.Trajectory:
     """Unmodified truncated Navier-Stokes run: cutoff disabled, noise off."""
-    return _solve_noise_free(x, params, math.inf)
+    return _solve_nse(x, params)[0]
 
 
 def nse_limit_experiment(
@@ -501,11 +501,15 @@ def nse_limit_experiment(
     """Deterministic cutoff sweep: as the level grows the modified runs merge
     with the unmodified one; the active-set measure obeys its a priori bound.
 
+    The levels scale with the unmodified run, which marches first; they
+    then march as one (1, L) stack on its zero-noise path, each field's
+    level held by the stack's stepper (the stack's params.level is inf).
+
     i_n is the grid measure of {t: |u(t)|_L4 >= level}; its bound is
     (K_T / level^2)^(4/3) with K_T = max(1, 1/nu) (|x|_H^2 + T |f|_dual^2/nu)
     from the discrete a priori estimate.
     """
-    star = solve_nse(x, params)
+    star, p, path = _solve_nse(x, params)
     l4_scale = float(star.ledger.u_L4.max())
     if l4_scale == 0.0:
         raise ValueError(
@@ -517,10 +521,17 @@ def nse_limit_experiment(
     k_t = max(1.0, 1.0 / params.nu) * (
         sp.norm_H(x) ** 2 + T * params.forcing_dual_norm() ** 2 / params.nu
     )
+    v0 = np.repeat(x.coeffs[None, None], len(levels), axis=1)
+    stepper = it._Stepper(p, x.basis, p.dt, level=np.array(levels))
+    try:
+        stack = it.solve_transformed(v0, [path], p, record_every=1, stepper=stepper)
+    except it.InstabilityError as exc:  # the level, not its place in the stack
+        exc.member, exc.message = None, f"cutoff level {levels[exc.field]:.6g}: {exc.message}"
+        raise
 
     i_ns, bounds, ints, ints_p, errs = [], [], [], [], []
-    for level in levels:
-        traj = _solve_noise_free(x, params, level)
+    for i, level in enumerate(levels):
+        traj = stack.member(0, i)
         led = traj.ledger
         i_n = params.dt * float((led.u_L4 >= level).sum())
         i_ns.append(i_n)

@@ -25,10 +25,13 @@ per group that share its z.  One field is the (1, 1) stack.  The result
 carries the (G, P) axes after its time axis, and `Trajectory.member` gives
 one field's record.  Each field's drift, L4 norm and cutoff factor, and
 each ledger entry, are computed as if it were alone, so a stacked field is
-bit for bit its single solve.  The stepper keeps the large intermediates of
-the stacked drift in work arrays for its stack shape, so a march allocates
-them once.  With `ledger=False` a solve keeps only the snapshots, for the
-runs that read nothing else (the contraction ensemble).
+bit for bit its single solve.  The cutoff level is params.level, or one
+level per field held by the stepper passed as `stepper=`; then the
+trajectory's params.level is not the level its fields ran at.  The
+stepper keeps the large intermediates of the stacked drift in work arrays
+for its stack shape, so a march allocates them once.  With `ledger=False`
+a solve keeps only the snapshots, for the runs that read nothing else (the
+contraction ensemble).
 
 The energy ledger records the terms of the energy balance
 
@@ -278,11 +281,13 @@ class Trajectory:
 
 class _Stepper:
     """Precomputed ETD2 tables and the drift evaluation for one (params,
-    basis), with the B_F work arrays of the stack shape it last evaluated."""
+    basis), with the B_F work arrays of the stack shape it last evaluated,
+    at params.level or at `level`, one per field of the stack it marches."""
 
-    def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float):
+    def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float, level=None):
         self.params = params
         self.basis = basis
+        self.level = params.level if level is None else level
         # one entry per coefficient, (n, 2), so each product with a stack of
         # fields runs as one long loop
         lam = np.repeat(basis.eigenvalues.astype(np.float64)[:, None], 2, axis=1)
@@ -307,8 +312,7 @@ class _Stepper:
             # a march keeps one stack shape; a new shape replaces the set
             self._lead = w.shape[:-2]
             self._work = self.basis.work_arrays(self._lead)
-        bf, l4, fac = cutoff_advection_coeffs(self.basis, w, self.params.level,
-                                              self._work)
+        bf, l4, fac = cutoff_advection_coeffs(self.basis, w, self.level, self._work)
         g = -bf
         if self.params.chi != 0.0:
             g = g + self.params.chi * z
@@ -417,9 +421,9 @@ def solve_transformed(
     new ones).  Deterministic in (path seeds, params): repeated calls are
     bit-identical.  The ledger is recorded on every solver step unless
     `ledger` is False; field snapshots every `record_every` steps (the
-    initial and final states are always kept).  `stepper`, from an earlier
-    call with the same params and basis, lends its work arrays to the march
-    (default: a new one).
+    initial and final states are always kept).  `stepper`, built for the same
+    params and basis, lends the march its work arrays and its cutoff level,
+    which may be one per field (default: a new one at params.level).
     """
     one = isinstance(v0, SpectralField)
     if one:
@@ -581,18 +585,15 @@ def dissipation_forcing_density(params: SimParams, ledger: EnergyLedger) -> np.n
     bound and the exponentially weighted pullback inequality.
     """
     nu, lam, chi = params.nu, params.lambda_p, params.chi
+    # without the cutoff the advection pairing cancels exactly instead of
+    # being absorbed, so only the chi and forcing terms remain
     lvl2 = params.level**2 if math.isfinite(params.level) else 0.0
     f2 = params.forcing_dual_norm() ** 2
-    dens = (
+    return (
         (2.0 / nu) * lvl2 * ledger.z_L4**2
         + (4.0 * chi**2 / (nu * lam)) * ledger.z_H2
         + (4.0 / nu) * f2 * np.ones_like(ledger.z_H2)
     )
-    if not math.isfinite(params.level):
-        # without the cutoff the advection pairing cancels exactly instead of
-        # being absorbed, so only the chi and forcing terms remain
-        dens = (4.0 * chi**2 / (nu * lam)) * ledger.z_H2 + (4.0 / nu) * f2
-    return dens
 
 
 def apriori_margin(params: SimParams, ledger: EnergyLedger) -> float:

@@ -201,6 +201,20 @@ class TestModesAndExitCodes:
               "options": {"burn_in": 0.0, "horizon": 0.25,
                           "initial_set": {"a": {"kind": "zero"}, "b": {"kind": "zero"}}}},
              "'options.horizon'"),
+            # burn_in + horizon = 1.3 is no whole number of steps of dt = 1/32
+            ({"experiment": "measure", "assertion_mode": "exploratory",
+              "params": {"dt": 1 / 32, "kmax": 1},
+              "options": {"burn_in": 0.3, "horizon": 1.0}},
+             "'options.burn_in' + 'options.horizon'"),
+            # the default horizons 5/nu + 200/nu are off the default dt grid at nu = 3
+            ({"experiment": "measure", "params": {"nu": 3.0}},
+             "'options.burn_in' + 'options.horizon'"),
+            # and the runs over [0, t_final] march t_final in whole steps too
+            ({"params": {"dt": 1 / 32, "t_final": 0.3}}, "'params.t_final'"),
+            ({"experiment": "nse-limit", "params": {"dt": 1 / 32, "t_final": 0.3}},
+             "'params.t_final'"),
+            ({"experiment": "contract", "assertion_mode": "exploratory", "ensemble": 2,
+              "params": {"dt": 1 / 32, "t_final": 0.3}}, "'params.t_final'"),
             ({"experiment": "pullback", "options": {"pullback_times": [0.3]}},
              "'options.pullback_times'"),
             ({"experiment": "pullback", "options": {"pullback_times": [1.0, 0.3]}},

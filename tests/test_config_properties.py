@@ -262,6 +262,34 @@ def test_pullback_times_distinct_naming_field(steps, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(exp=st.integers(3, 10), burn=st.integers(0, 512), steps=st.integers(20, 512),
+       off=st.floats(0.01, 0.99), data=st.data())
+def test_marched_span_on_the_step_grid_naming_fields(exp, burn, steps, off, data):
+    # a run marches its span in whole solver steps: burn_in + horizon for
+    # measure, t_final for the runs over [0, t_final].  A span on the dt
+    # grid is accepted; one a fraction of a step off it is rejected naming
+    # its field(s), whichever term of measure's span is off
+    dt = 2.0 ** -exp
+    experiment = data.draw(st.sampled_from(("measure", "simulate", "contract",
+                                            "nse-limit")), label="experiment")
+    raw = {"experiment": experiment, "assertion_mode": "exploratory", "ensemble": 2,
+           "params": {"dt": dt, "kmax": 1, "t_final": dt * steps}}
+    if experiment == "measure":
+        raw["options"] = {"burn_in": dt * burn, "horizon": dt * steps}
+        name = data.draw(st.sampled_from(("burn_in", "horizon")), label="off")
+        bad = dict(raw, options=dict(raw["options"], **{name: raw["options"][name]
+                                                         + off * dt}))
+        field = "fields 'options.burn_in' + 'options.horizon'"
+    else:
+        bad = dict(raw, params=dict(raw["params"], t_final=dt * steps + off * dt))
+        field = "field 'params.t_final'"
+    resolve_config(raw)
+    with pytest.raises(ConfigError) as err:
+        resolve_config(bad)
+    assert field in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(_CHECK_CASE_POINTS)), kmax=st.integers(1, 8),
        data=st.data())
 def test_check_work_ceiling_naming_field(name, kmax, data):

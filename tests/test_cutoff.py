@@ -150,6 +150,29 @@ class TestBufferedKernel:
             assert not cubes[pad].view(np.float64).any()
             assert not np.signbit(cubes[pad].view(np.float64)).any()
 
+    @pytest.mark.parametrize("per", ["member", "field"])
+    def test_level_array_equals_each_members_scalar_call(self, basis2, rng, per):
+        # a (2, 3) stack with fields above and below their levels, a zero
+        # member (F(0) = 1) and a member without cutoff (level inf); the
+        # levels are one per member, or one per field broadcast over groups
+        w = np.stack([sp.random_field(basis2, rng, norm=n).coeffs
+                      for n in (3.0, 0.1, 2.0, 4.0, 1.0, 0.5)]).reshape(2, 3, -1, 2)
+        w[1, 2] = 0.0
+        r = basis2.l4_norm(basis2.synthesize(w))
+        level = np.array([[0.5, 2.0, math.inf], [0.25, 0.5, 1.0]]) * r.max()
+        if per == "field":
+            level = level[0]
+        out, l4, f = co.cutoff_advection_coeffs(basis2, w, level)
+        levels = np.broadcast_to(level, (2, 3))
+        assert (f < 1.0).any() and (levels == math.inf).any() and f[1, 2] == 1.0
+        for g in range(2):
+            for p in range(3):
+                want = co.cutoff_advection_coeffs(basis2, w[g, p], levels[g, p])
+                assert out[g, p].tobytes() == want[0].tobytes()
+                assert l4[g, p] == want[1] and f[g, p] == want[2]
+        with pytest.raises(ValueError):
+            co.cutoff_advection_coeffs(basis2, w, np.ones(2))
+
 
 class TestMonotonicityGap:
     def test_equal_arguments_vanish(self, basis2, rng):

@@ -1,5 +1,6 @@
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,8 +289,76 @@ class TestNseLimit:
         # small cutoff levels are genuinely active in this configuration
         assert rep.i_n[0] > 0.0 and rep.int_one_minus_f[0] > 0.0
 
+    def test_stacked_levels_equal_single_solves(self, basis2, monkeypatch):
+        # the sweep draws one zero-noise path and makes two solves, the
+        # unmodified run and one (1, L) stack of the levels; each level's
+        # stacked record is, bit for bit, a single solve of x at that level
+        # on a fresh zero-noise path
+        x = sp.random_field(basis2, labeled_generator(2, "nse-ic"), norm=2.0)
+        p = it.SimParams(nu=1.0, level=1.0, chi=0.5, dt=1 / 64, t_final=0.5,
+                         noise=nz.NoiseSpectrum(amplitude=0.5))
+        paths, solves = [], []
+        make_path, solve_transformed = nz.make_path, it.solve_transformed
+
+        def spy_path(*a):
+            paths.append(make_path(*a))
+            return paths[-1]
+
+        def spy_solve(v0, path, *a, **k):
+            solves.append((path, solve_transformed(v0, path, *a, **k)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(nz, "make_path", spy_path)
+        monkeypatch.setattr(it, "solve_transformed", spy_solve)
+        rep = ex.nse_limit_experiment(x, p, multipliers=(0.1, 0.3, 1.0, 3.0))
+        monkeypatch.undo()
+        assert len(paths) == 1 and len(solves) == 2
+        assert solves[0][0] is paths[0] and solves[1][0] == [paths[0]]
+        stack = solves[1][1]
+        assert stack.v_coeffs.shape[1:3] == (1, 4)
+        for i, level in enumerate(rep.levels):
+            q = replace(p, level=level, chi=0.0, noise=replace(p.noise, amplitude=0.0))
+            path = nz.make_path(0, q.dt_path, 0.0, q.t_final, q.noise, basis2)
+            single = it.solve_transformed(x, path, q, record_every=1)
+            member = stack.member(0, i)
+            for got, want in ((member.v_coeffs, single.v_coeffs),
+                              (member.z_coeffs, single.z_coeffs),
+                              *((getattr(member.ledger, n), getattr(single.ledger, n))
+                                for n in ("u_L4", "cutoff", "v_H2", "residual"))):
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        # the cutoff acts on the smaller levels only
+        assert (stack.ledger.cutoff[:, 0, :2] < 1.0).any()
+        assert (stack.ledger.cutoff[:, 0, 3] == 1.0).all()
+
+    def test_instability_names_the_level(self, basis2, monkeypatch):
+        x = sp.random_field(basis2, labeled_generator(2, "nse-ic"), norm=2.0)
+        p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=0.25,
+                         noise=nz.NoiseSpectrum(amplitude=0.0))
+        solve_transformed = it.solve_transformed
+
+        def unstable_stack(v0, *a, **k):
+            if isinstance(v0, sp.SpectralField):
+                return solve_transformed(v0, *a, **k)
+            raise it.InstabilityError("|v|_H exceeded", 0, 1)
+
+        monkeypatch.setattr(it, "solve_transformed", unstable_stack)
+        with pytest.raises(it.InstabilityError) as err:
+            ex.nse_limit_experiment(x, p, multipliers=(0.5, 2.0))
+        star = ex.solve_nse(x, p)
+        level = 2.0 * float(star.ledger.u_L4.max())
+        assert str(err.value) == f"cutoff level {level:.6g}: |v|_H exceeded"
+
 
 class TestMeasure:
+    def test_off_grid_span_raises(self, basis1):
+        # burn_in + horizon = 1.3 is not a multiple of dt = 1/32: the solve
+        # refuses it before it marches
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=1.0, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.0))
+        with pytest.raises(ValueError, match="multiple of dt"):
+            ex.invariant_measure_sampler(p, {"a": sp.zero_field(basis1)},
+                                         burn_in=0.3, horizon=1.0)
+
     def test_deterministic_decay_collapses_to_zero(self, basis2, rng):
         p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=1.0,
                          noise=nz.NoiseSpectrum(amplitude=0.0))

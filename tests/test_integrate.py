@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +247,9 @@ class TestCoupledSolve:
 @st.composite
 def stack_cases(draw):
     """A small (G, P) stacked solve: kmax, fields (some with F < 1 at the
-    start), chi, forcing, noise, path cells per step, t0, stride, ledger."""
+    start), chi, forcing, noise, path cells per step, t0, stride, ledger,
+    and None or one level per field (no cutoff on one field, F < 1 at the
+    start on another)."""
     kmax, G, P = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     basis = sp.build_basis(kmax)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -263,7 +266,13 @@ def stack_cases(draw):
     t0 = dt * draw(st.integers(-3, 3))
     paths = [nz.make_path(draw(st.integers(0, 2**32 - 1)), p.dt_path, t0, t0 + p.t_final,
                           p.noise, basis) for _ in range(G)]
-    return xs, paths, p, t0, draw(st.integers(1, 3)), draw(st.booleans())
+    levels = None
+    if draw(st.booleans()):
+        levels = np.array([sp.norm_L4(x) * draw(st.sampled_from((0.5, 2.0))) for x in xs])
+        off = draw(st.integers(0, P - 1))
+        levels[(off + 1) % P] = 0.5 * sp.norm_L4(xs[(off + 1) % P])
+        levels[off] = math.inf
+    return xs, paths, p, t0, draw(st.integers(1, 3)), draw(st.booleans()), levels
 
 
 class TestStackContract:
@@ -272,12 +281,16 @@ class TestStackContract:
     def test_each_field_is_its_single_solve(self, case):
         # a field's record does not depend on the stack it marches in: its
         # snapshots, record times and ledger columns are its own solve's,
-        # bit for bit, whatever the ledger block of the stack
-        xs, paths, p, t0, stride, ledger = case
-        stack = it.solve(xs, paths, p, t0=t0, record_every=stride, ledger=ledger)
+        # bit for bit, whatever the ledger block of the stack, and at its own
+        # level when the stepper holds one level per field
+        xs, paths, p, t0, stride, ledger, levels = case
+        basis = sp.build_basis(p.kmax)
+        stack = it.solve(xs, paths, p, t0=t0, record_every=stride, ledger=ledger,
+                         stepper=it._Stepper(p, basis, p.dt, level=levels))
         for g, path in enumerate(paths):
             for i, x in enumerate(xs):
-                single = it.solve(x, path, p, t0=t0, record_every=stride, ledger=ledger)
+                own = p if levels is None else replace(p, level=float(levels[i]))
+                single = it.solve(x, path, own, t0=t0, record_every=stride, ledger=ledger)
                 member = stack.member(g, i)
                 assert same_bits(member.record_times, single.record_times)
                 assert same_bits(member.v_coeffs, single.v_coeffs)

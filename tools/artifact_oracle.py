@@ -74,6 +74,11 @@ CONFIGS = [
                         "options": {"x1": {"norm": 3.0}}}),
     ("nse-limit", {"experiment": "nse-limit", "seed": 14,
                    "params": dict(_SMALL, dt=1 / 64)}),
+    # the levels march as one (1, 4) stack at kmax 2, where stacking pays;
+    # F < 1 at the two smaller levels, and F = 1 (runs exact) at the others
+    ("nse-limit-stack", {"experiment": "nse-limit", "seed": 21,
+                         "params": {"kmax": 2, "dt": 1 / 64, "t_final": 0.5},
+                         "options": {"multipliers": [0.1, 0.3, 1.0, 3.0]}}),
     ("pullback", {"experiment": "pullback", "seed": 15,
                   "params": dict(_SMALL, noise={"amplitude": 0.5}),
                   "options": {"pullback_times": [1.0, 2.0, 4.0]}}),
