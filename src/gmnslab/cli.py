@@ -22,7 +22,7 @@ from . import experiments as ex
 from . import integrate as it
 from . import noise as nz
 from . import spectral as sp
-from .config import ConfigError, RunConfig, default_config, parse_config
+from .config import ConfigError, RunConfig, read_config, resolve_config
 from .registry import DivergenceError, config_hash, register_run
 from .seeding import labeled_generator
 
@@ -124,11 +124,8 @@ def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]
     basis = params.basis()
     x1 = _initial_field(basis, cfg.option("x1"), cfg.seed, "x1")
     x2 = _initial_field(basis, cfg.option("x2"), cfg.seed, "x2")
-    rep = ex.contraction_experiment(
-        params, x1, x2, ensemble=cfg.ensemble, seed=cfg.seed,
-        record_every=cfg.option("record_every"),
-        enforce_threshold=cfg.strict,
-    )
+    rep = ex.contraction_experiment(params, x1, x2, ensemble=cfg.ensemble, seed=cfg.seed,
+                                    record_every=cfg.option("record_every"))
     return rep.summary(), rep.passed, {"contraction.csv": rep.columns()}, []
 
 
@@ -163,10 +160,8 @@ def _run_measure(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]
         name: _initial_field(basis, spec, cfg.seed, f"measure-{name}")
         for name, spec in cfg.option("initial_set").items()
     }
-    rep = ex.invariant_measure_sampler(
-        params, ics, burn_in=burn_in, horizon=horizon, seed=cfg.seed,
-        enforce_threshold=cfg.strict,
-    )
+    rep = ex.invariant_measure_sampler(params, ics, burn_in=burn_in, horizon=horizon,
+                                       seed=cfg.seed)
     return rep.summary(), rep.passed, {"measure.csv": rep.columns()}, []
 
 
@@ -254,21 +249,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config:
-            cfg = parse_config(args.config)
-            if cfg.experiment != args.command:
-                raise ConfigError(
-                    f"config file is for experiment {cfg.experiment!r}, "
-                    f"but the command is {args.command!r}"
-                )
-        else:
-            cfg = default_config(args.command)
+        raw = read_config(args.config) if args.config else {"experiment": args.command}
+        # the overrides are config fields: resolve_config checks them as such
         if args.seed is not None:
-            cfg.seed = args.seed
-        if args.strict:
-            cfg.assertion_mode = "strict"
-        if args.exploratory:
-            cfg.assertion_mode = "exploratory"
+            raw["seed"] = args.seed
+        if args.strict or args.exploratory:
+            raw["assertion_mode"] = "strict" if args.strict else "exploratory"
+        cfg = resolve_config(raw)
+        if cfg.experiment != args.command:
+            raise ConfigError(
+                f"config file is for experiment {cfg.experiment!r}, "
+                f"but the command is {args.command!r}"
+            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .experiments import MEASURE_BATCHES, stability_threshold
 from .integrate import SimParams
@@ -40,18 +40,12 @@ _CHECK_CASE_POINTS = {
     "shift_pairs": (0.0, 2600),
 }
 
+# SimParams's own defaults (dt_path stays None: the config keeps it unresolved)
+# plus the two it leaves to its caller
 PARAM_DEFAULTS = {
-    "nu": 1.0,
-    "level": 1.0,
-    "chi": 0.0,
-    "lambda_p": 1.0,
-    "dt": 1.0 / 256,
-    "t_final": 1.0,
-    "kmax": 2,
-    "dt_path": None,
-    "instability_factor": 1e6,
+    "nu": 1.0, "level": 1.0,
+    **{f.name: f.default for f in fields(SimParams) if f.default is not MISSING},
     "noise": asdict(NoiseSpectrum()),
-    "forcing": None,
 }
 
 
@@ -146,7 +140,9 @@ def _reject_non_finite(node, where: str = "") -> None:
 
 
 def resolve_config(raw: dict) -> RunConfig:
-    """Fill defaults, cross-validate, and build the typed configuration."""
+    """Fill defaults, cross-validate, and build the typed configuration.  The
+    one check of a run: the command line's overrides are set on `raw` first,
+    and the experiments do not repeat its rules."""
     unknown = set(raw) - {
         "experiment", "seed", "ensemble", "assertion_mode", "out", "params", "options",
     }
@@ -387,8 +383,9 @@ def _validate_experiment(cfg: RunConfig) -> None:
         )
 
 
-def parse_config(path: str) -> RunConfig:
-    """Read and validate a configuration file."""
+def read_config(path: str) -> dict:
+    """The JSON object of a configuration file, not yet resolved: the command
+    line's overrides are set on it before resolve_config checks it."""
     try:
         with open(path) as fh:
             raw = json.load(fh, parse_constant=_NonFinite)
@@ -398,8 +395,9 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"config file {path} is not well-formed JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _reject_non_finite(raw)
-    return resolve_config(raw)
+    return raw
 
 
-def default_config(experiment: str) -> RunConfig:
-    return resolve_config({"experiment": experiment})
+def parse_config(path: str) -> RunConfig:
+    """Read and validate a configuration file."""
+    return resolve_config(read_config(path))

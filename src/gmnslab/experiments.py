@@ -298,7 +298,6 @@ def contraction_experiment(
     ensemble: int = 64,
     seed: int = 0,
     record_every: int = 4,
-    enforce_threshold: bool = True,
 ) -> ContractionReport:
     """Coupled two-solution decay along shared paths, against the envelope
     |x1 - x2|_H^2 * exp(-rate * t) with rate = nu*lambda - 7^7 N^8/(2^12 nu^7).
@@ -306,14 +305,9 @@ def contraction_experiment(
     The ensemble mean must stay below envelope + 3 stderr at every recorded
     time and the fitted log-slope over the second half of the horizon must
     be at least as negative as the theoretical rate (up to fit error).
-    The standard error needs ensemble >= 2.
+    The standard error needs ensemble >= 2.  The report records the
+    stability threshold; the strict config demands nu above it.
     """
-    thr = stability_threshold(params.level, params.lambda_p)
-    if enforce_threshold and params.nu <= thr:
-        raise ValueError(
-            f"nu={params.nu} is not above the stability threshold {thr:.6g}; "
-            "run in exploratory mode to bypass the assertion variant"
-        )
     if ensemble < 2:
         raise ValueError(f"ensemble={ensemble}: the standard error needs >= 2 members")
     rate = contraction_rate(params.nu, params.level, params.lambda_p)
@@ -364,7 +358,8 @@ def contraction_experiment(
     passed = below and slope_ok
     return ContractionReport(
         ensemble, times, mean_sq, stderr, envelope, rate, slope, passed,
-        extra={"threshold": thr, "below_envelope": below,
+        extra={"threshold": stability_threshold(params.level, params.lambda_p),
+               "below_envelope": below,
                "slope_ok": bool(slope_ok), "slope_se": slope_se},
     )
 
@@ -479,18 +474,14 @@ class NseLimitReport:
                 "int_one_minus_f": self.int_one_minus_f, "l2_err": self.l2_err}
 
 
-def _solve_nse(x: sp.SpectralField, params: it.SimParams):
-    """(trajectory, params, zero-noise path) of the run without cutoff,
-    noise or damping."""
+def solve_nse(x: sp.SpectralField, params: it.SimParams
+              ) -> tuple[it.Trajectory, it.SimParams, nz.WienerPath]:
+    """(trajectory, params, zero-noise path) of the unmodified truncated
+    Navier-Stokes run: no cutoff, noise or damping."""
     p = replace(params, level=math.inf, chi=0.0,
                 noise=replace(params.noise, amplitude=0.0))
     path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
     return it.solve_transformed(x, path, p, record_every=1), p, path
-
-
-def solve_nse(x: sp.SpectralField, params: it.SimParams) -> it.Trajectory:
-    """Unmodified truncated Navier-Stokes run: cutoff disabled, noise off."""
-    return _solve_nse(x, params)[0]
 
 
 def nse_limit_experiment(
@@ -509,7 +500,7 @@ def nse_limit_experiment(
     (K_T / level^2)^(4/3) with K_T = max(1, 1/nu) (|x|_H^2 + T |f|_dual^2/nu)
     from the discrete a priori estimate.
     """
-    star, p, path = _solve_nse(x, params)
+    star, p, path = solve_nse(x, params)
     l4_scale = float(star.ledger.u_L4.max())
     if l4_scale == 0.0:
         raise ValueError(
@@ -609,7 +600,6 @@ def invariant_measure_sampler(
     horizon: float,
     seed: int = 0,
     n_batches: int = MEASURE_BATCHES,
-    enforce_threshold: bool = True,
     sigma_band: float = 3.0,
 ) -> MeasureReport:
     """Long-run time averages of |u|_H^2, |u|_V^2, |u|_L4 per initial state.
@@ -618,14 +608,9 @@ def invariant_measure_sampler(
     stacked solve; agreement of the time averages within combined
     batch-means standard errors is the mixing check.  Raises ValueError for
     a horizon under n_batches steps and HorizonError when the estimated
-    integrated autocorrelation time exceeds horizon/20.
+    integrated autocorrelation time exceeds horizon/20.  The report records
+    the stability threshold; the strict config demands nu above it.
     """
-    thr = stability_threshold(params.level, params.lambda_p)
-    if enforce_threshold and params.nu <= thr:
-        raise ValueError(
-            f"nu={params.nu} must exceed the stability threshold {thr:.6g} "
-            "for the uniqueness-assertion variant"
-        )
     if horizon < n_batches * params.dt:
         raise ValueError(f"horizon={horizon} is under n_batches={n_batches} steps of dt")
     observables = ["u_H2", "u_V2", "u_L4"]
@@ -677,5 +662,6 @@ def invariant_measure_sampler(
                     ok = False
     return MeasureReport(
         observables, burn_in, horizon, averages, stderrs, taus, ok,
-        extra={"threshold": thr, "sigma_band": sigma_band},
+        extra={"threshold": stability_threshold(params.level, params.lambda_p),
+               "sigma_band": sigma_band},
     )

@@ -124,10 +124,13 @@ class SimParams:
         # NaN fails every test; level = inf means no cutoff
         for name, ok in (("nu", self.nu > 0 and math.isfinite(self.nu)),
                          ("level", self.level > 0),
-                         ("chi", self.chi >= 0 and math.isfinite(self.chi))):
+                         ("chi", self.chi >= 0 and math.isfinite(self.chi)),
+                         ("instability_factor", self.instability_factor > 0
+                          and math.isfinite(self.instability_factor))):
             if not ok:
                 raise ValueError(f"{name}={getattr(self, name)} is invalid: need finite "
-                                 "nu > 0, level > 0 (inf: no cutoff), finite chi >= 0")
+                                 "nu > 0, level > 0 (inf: no cutoff), finite chi >= 0, "
+                                 "finite instability_factor > 0")
         if not (self.dt > 0 and math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ValueError("need dt > 0 and finite t_final >= dt")
         if self.dt_path is None:

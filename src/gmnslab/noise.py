@@ -30,7 +30,6 @@ statistically.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -178,10 +177,6 @@ class WienerPath:
         self._table_index(n_start + count - 1)
         return self._full_table()[j0 : j0 + count]
 
-    def increments(self, n_start: int, count: int) -> np.ndarray:
-        """Wiener increments (normal draws scaled by sqrt(dt_path))."""
-        return self.normals(n_start, count) * math.sqrt(self.dt_path)
-
     @property
     def _table(self) -> np.ndarray | None:
         return self._shared[0]
@@ -210,9 +205,6 @@ class WienerPath:
             "spectrum": asdict(self.spectrum),
             "kmax": self.basis.kmax,
         }
-
-    def manifest_json(self) -> str:
-        return json.dumps(self.manifest(), sort_keys=True)
 
 
 def _fill_threads(row_cells: int) -> int:

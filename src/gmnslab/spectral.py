@@ -177,16 +177,6 @@ class GalerkinBasis:
         return len(self.modes)
 
     @property
-    def lattice_size(self) -> int:
-        """Wavevector count of the full lattice, (2*kmax+1)^3 - 1."""
-        return (2 * self.kmax + 1) ** 3 - 1
-
-    @property
-    def n_pairs(self) -> int:
-        """(mode, polarization) pairs over the full lattice."""
-        return 2 * self.lattice_size
-
-    @property
     def n_coeffs(self) -> int:
         """Stored complex coefficients (half-space modes times 2 polarizations)."""
         return 2 * self.n_half_modes
@@ -386,9 +376,6 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.basis, -self.coeffs)
 
-    def grid_values(self) -> np.ndarray:
-        return self.basis.synthesize(self.coeffs)
-
 
 def _check_same_basis(*fields: SpectralField) -> GalerkinBasis:
     basis = fields[0].basis
@@ -423,11 +410,6 @@ _basis = functools.cache(GalerkinBasis)
 
 def zero_field(basis: GalerkinBasis) -> SpectralField:
     return SpectralField(basis, np.zeros((basis.n_half_modes, 2), dtype=np.complex128))
-
-
-def field_from_grid(basis: GalerkinBasis, grid: np.ndarray) -> SpectralField:
-    """Leray-project grid samples (shape (3, M, M, M)) onto the basis."""
-    return SpectralField(basis, basis.analyze(np.asarray(grid, dtype=np.float64)))
 
 
 def random_field(
@@ -507,12 +489,7 @@ def norm_L4(u: SpectralField) -> float:
     return u.basis.l4_norm(u.basis.synthesize(u.coeffs))
 
 
-# ---- Stokes operator and advection ---------------------------------------
-
-
-def stokes_apply(u: SpectralField) -> SpectralField:
-    """A u = -P Laplacian u; multiplies each coefficient by |k|^2."""
-    return SpectralField(u.basis, u.coeffs * u.basis.eigenvalues[:, None])
+# ---- advection ------------------------------------------------------------
 
 
 def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
@@ -537,17 +514,6 @@ def nonlinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     basis = _check_same_basis(u, v)
     ug, dv = basis.synthesize_with_jacobian(u.coeffs, v.coeffs)
     return SpectralField(basis, basis.analyze(np.einsum("axyz,acxyz->cxyz", ug, dv)))
-
-
-def ladyzhenskaya_ratio(u: SpectralField) -> float:
-    """|u|_L4 / (|u|_H^(1/4) |u|_V^(3/4)); recorded, not asserted against a
-    universal constant (the classical 2^(1/2) bound is stated for Dirichlet
-    boundary conditions, not the torus)."""
-    h = norm_H(u)
-    v = norm_V(u)
-    if h == 0.0:
-        return 0.0
-    return norm_L4(u) / (h**0.25 * v**0.75)
 
 
 # ---- serialization --------------------------------------------------------

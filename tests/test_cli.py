@@ -8,8 +8,8 @@ import pytest
 
 import gmnslab
 from gmnslab import cli
-from gmnslab.config import (WORK_CEILING, ConfigError, contract_work,
-                            default_config, parse_config, resolve_config)
+from gmnslab.config import (WORK_CEILING, ConfigError, contract_work, parse_config,
+                            resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
 
 
@@ -81,9 +81,23 @@ class TestConfigParsing:
             parse_config(str(bad))
 
     def test_round_trip_lossless(self):
-        cfg = default_config("simulate")
+        cfg = resolve_config({"experiment": "simulate"})
         again = resolve_config(json.loads(json.dumps(cfg.to_dict())))
         assert again.canonical_json() == cfg.canonical_json()
+
+    def test_overridden_config_round_trips(self, tmp_path):
+        # --exploratory makes a strict below-threshold contract valid: the
+        # overrides are set on the file's fields before they are checked,
+        # and the config.json of the run re-parses to the config it ran
+        raw = {"experiment": "contract", "seed": 3, "ensemble": 4,
+               "params": {"nu": 1.0, "dt": 1 / 32, "t_final": 0.25, "kmax": 1}}
+        cfg_file = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert cli.main(["contract", "--config", cfg_file, "--seed", "5",
+                         "--exploratory", "--out", str(out)]) == 0
+        ran = resolve_config({**raw, "seed": 5, "assertion_mode": "exploratory"})
+        assert parse_config(str(out / "config.json")).canonical_json() == \
+            ran.canonical_json()
 
 
 class TestRunDeterminism:
@@ -288,11 +302,23 @@ class TestModesAndExitCodes:
             # options the experiment does not read
             ({"options": {"recrd_every": 4}}, "'options.recrd_every'"),
             ({"options": {"multipliers": [1.0]}}, "'options.multipliers'"),
+            # the instability ceiling is instability_factor * max(1, |v0|_H)
+            ({"params": {"instability_factor": 0}}, "instability_factor"),
+            ({"params": {"instability_factor": -1}}, "instability_factor"),
+            # the command line's overrides (after the config's fields) are
+            # config fields and pass the same rules
+            ({"experiment": "contract", "assertion_mode": "exploratory",
+              "params": {"nu": 1.0}}, "'params.nu'", "--strict"),
+            ({"experiment": "contract", "assertion_mode": "exploratory", "ensemble": 4},
+             "'ensemble'", "--strict"),
+            ({}, "'seed'", "--seed", "-1"),
+            ({}, "'seed'", "--seed", str(2**64)),
         ]
-        for i, (fields, name) in enumerate(cases):
+        for i, (fields, name, *flags) in enumerate(cases):
             raw = {"experiment": "simulate", **fields}
             bad = write_config(tmp_path, raw, f"b{i}.json")
-            assert cli.main([raw["experiment"], "--config", bad]) == cli.EXIT_CONFIG
+            argv = [raw["experiment"], "--config", bad, "--out", str(tmp_path / f"o{i}")]
+            assert cli.main(argv + flags) == cli.EXIT_CONFIG
             assert name in capsys.readouterr().err
 
     def test_path_table_ceiling_exit(self, tmp_path, capsys):
@@ -445,10 +471,10 @@ class TestExperimentDefaults:
         from gmnslab.experiments import stability_threshold
 
         for name in ("contract", "measure"):
-            cfg = default_config(name)
+            cfg = resolve_config({"experiment": name})
             assert cfg.params.nu > stability_threshold(cfg.params.level,
                                                        cfg.params.lambda_p)
-        assert default_config("simulate").params.nu == 1.0
+        assert resolve_config({"experiment": "simulate"}).params.nu == 1.0
 
 
 class TestFuzzReport:

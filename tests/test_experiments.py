@@ -71,15 +71,8 @@ class TestContraction:
         p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=0.5,
                          noise=nz.NoiseSpectrum(amplitude=0.5))
         x = sp.random_field(basis2, rng)
-        rep = ex.contraction_experiment(p, x, x, ensemble=2, seed=1,
-                                        enforce_threshold=False)
+        rep = ex.contraction_experiment(p, x, x, ensemble=2, seed=1)
         assert np.all(rep.mean_sq == 0.0)
-
-    def test_below_threshold_rejected(self, basis2, rng):
-        p = it.SimParams(nu=1.0, level=1.0, dt=1 / 32, t_final=0.5)
-        x = sp.random_field(basis2, rng)
-        with pytest.raises(ValueError):
-            ex.contraction_experiment(p, x, x, ensemble=2, seed=1)
 
     def test_single_member_rejected(self, basis2, rng):
         p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=0.5)
@@ -117,8 +110,7 @@ class TestContraction:
         p = it.SimParams(nu=4.0, level=0.5 * sp.norm_L4(x1), dt=1 / 64, t_final=0.25,
                          noise=nz.NoiseSpectrum(amplitude=1.0))
         assert ex.member_tile(basis2, 16, fields=2) == 4
-        rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2,
-                                        enforce_threshold=False)
+        rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2)
         sq = []
         for m in range(7):
             path = nz.make_path(derive_key(4, f"member-{m}"), p.dt_path, 0.0,
@@ -143,8 +135,7 @@ class TestContraction:
                          noise=nz.NoiseSpectrum(amplitude=0.5))
         x1 = sp.random_field(basis1, labeled_generator(7, "x1"), norm=2.0)
         x2 = sp.random_field(basis1, labeled_generator(7, "x2"), norm=0.5)
-        want = ex.contraction_experiment(p, x1, x2, ensemble=5, seed=7,
-                                         enforce_threshold=False)
+        want = ex.contraction_experiment(p, x1, x2, ensemble=5, seed=7)
         seeds = {derive_key(7, f"member-{m}") for m in range(5)}
 
         def tables():
@@ -161,8 +152,7 @@ class TestContraction:
 
         monkeypatch.setattr(nz, "PATH_TABLE_CEILING", 2 * nz.path_table_bytes(16, 1))
         monkeypatch.setattr(it, "solve", spy)
-        got = ex.contraction_experiment(p, x1, x2, ensemble=5, seed=7,
-                                        enforce_threshold=False)
+        got = ex.contraction_experiment(p, x1, x2, ensemble=5, seed=7)
         assert seen == [(2, 0, 2), (2, 0, 2), (1, 0, 1)]
         assert np.array_equal(got.mean_sq, want.mean_sq)
 
@@ -183,8 +173,7 @@ class TestContraction:
                          noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
         x = sp.random_field(basis1, labeled_generator(6, "x"))
         with pytest.raises(it.InstabilityError, match="member 3, field") as err:
-            ex.contraction_experiment(p, x, sp.zero_field(basis1), ensemble=6, seed=6,
-                                      enforce_threshold=False)
+            ex.contraction_experiment(p, x, sp.zero_field(basis1), ensemble=6, seed=6)
         assert err.value.member == 3
 
 
@@ -252,7 +241,7 @@ class TestNseLimit:
         x = sp.random_field(basis2, rng, norm=2.0)
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=1.0,
                          noise=nz.NoiseSpectrum(amplitude=0.0))
-        star = ex.solve_nse(x, p)
+        star = ex.solve_nse(x, p)[0]
         from dataclasses import replace
 
         p_inf = replace(p, level=math.inf)
@@ -264,7 +253,7 @@ class TestNseLimit:
         x = sp.random_field(basis2, rng, norm=2.0)
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 128, t_final=1.0,
                          noise=nz.NoiseSpectrum(amplitude=0.0))
-        star = ex.solve_nse(x, p)
+        star = ex.solve_nse(x, p)[0]
         # plain truncated dynamics keeps the balance up to scheme residual
         assert star.ledger.max_residual() < 5e-3
         assert star.ledger.max_residual() > 0.0
@@ -272,7 +261,7 @@ class TestNseLimit:
     def test_zero_data_zero_trajectory(self, basis2):
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=0.5,
                          noise=nz.NoiseSpectrum(amplitude=0.0))
-        star = ex.solve_nse(sp.zero_field(basis2), p)
+        star = ex.solve_nse(sp.zero_field(basis2), p)[0]
         assert np.abs(star.v_coeffs).max() == 0.0
         # the sweep scales its cutoff levels by the run's L4 norm, here 0
         with pytest.raises(ValueError, match="no L4 scale"):
@@ -344,7 +333,7 @@ class TestNseLimit:
         monkeypatch.setattr(it, "solve_transformed", unstable_stack)
         with pytest.raises(it.InstabilityError) as err:
             ex.nse_limit_experiment(x, p, multipliers=(0.5, 2.0))
-        star = ex.solve_nse(x, p)
+        star = ex.solve_nse(x, p)[0]
         level = 2.0 * float(star.ledger.u_L4.max())
         assert str(err.value) == f"cutoff level {level:.6g}: |v|_H exceeded"
 
@@ -395,12 +384,6 @@ class TestMeasure:
         ics = {"a": sp.random_field(basis2, rng)}
         with pytest.raises(ex.HorizonError):
             ex.invariant_measure_sampler(p, ics, burn_in=0.5, horizon=1.0, seed=9)
-
-    def test_below_threshold_rejected(self, basis2, rng):
-        p = it.SimParams(nu=1.0, level=1.0, dt=1 / 32, t_final=1.0)
-        with pytest.raises(ValueError):
-            ex.invariant_measure_sampler(p, {"a": sp.zero_field(basis2)},
-                                         burn_in=1.0, horizon=5.0)
 
     def test_horizon_under_one_step_per_batch_rejected(self, basis1):
         # 8 steps cannot fill 20 batches: empty batches would give NaN error
@@ -457,6 +440,5 @@ class TestMeasure:
         ics = {name: sp.random_field(basis1, labeled_generator(6, name))
                for name in ("a", "b", "c")}
         with pytest.raises(it.InstabilityError, match=f"member {loud}, field 0") as err:
-            ex.invariant_measure_sampler(p, ics, burn_in=0.0, horizon=10.0, seed=6,
-                                         enforce_threshold=False)
+            ex.invariant_measure_sampler(p, ics, burn_in=0.0, horizon=10.0, seed=6)
         assert err.value.member == loud

@@ -129,7 +129,7 @@ class TestStepAndSolve:
         # and the residual stays at accumulated rounding
         nu = 0.8
         v0, _ = single_mode_field(basis1, (1, 0, 0), coeff=1.0 + 0.25j)
-        f = nu * sp.stokes_apply(v0)
+        f = nu * sp.SpectralField(basis1, v0.coeffs * basis1.eigenvalues[:, None])
         p = it.SimParams(nu=nu, level=1.0, forcing=f, dt=1 / 64, t_final=4.0,
                          kmax=1, noise=QUIET)
         path = make_setup(basis1, p)

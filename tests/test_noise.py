@@ -81,7 +81,7 @@ class TestWienerPath:
 
     def test_increment_variance_scales_with_dt(self, basis1, spectrum):
         p = nz.make_path(11, 1 / 128, 0.0, 16.0, spectrum, basis1)
-        inc = p.increments(0, p.steps)
+        inc = p.normals(0, p.steps) * math.sqrt(p.dt_path)
         n = inc.size
         var = inc.var()
         se = (1 / 128) * math.sqrt(2.0 / n)
@@ -199,7 +199,7 @@ class TestShiftMap:
 
 class TestManifest:
     def test_round_trip(self, path, basis1):
-        again = nz.path_from_manifest(json.loads(path.manifest_json()), basis1)
+        again = nz.path_from_manifest(json.loads(json.dumps(path.manifest())), basis1)
         assert np.array_equal(again.normals(0, path.steps), path.normals(0, path.steps))
         assert again.t_min == path.t_min and again.t_max == path.t_max
 
