@@ -195,6 +195,10 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(pd["lambda_p"] == 1.0,
              "field 'params.lambda_p' must equal the Poincare constant 1.0 of the "
              f"basis, got {pd['lambda_p']!r}")
+    _require(isinstance(noise["allow_rough"], bool), "field 'params.noise.allow_rough' "
+             f"must be true or false, got {noise['allow_rough']!r}")
+    _require(pd["forcing"] is None or isinstance(pd["forcing"], str),
+             f"field 'params.forcing' must be null or base64 text, got {pd['forcing']!r}")
     if noise["s"] <= MIN_REGULARITY and not noise["allow_rough"]:
         raise ConfigError(
             f"field 'params.noise.s' = {noise['s']} violates the regularity "

@@ -100,15 +100,15 @@ def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
     For a stack of arrays (leading axes) the norm and F are arrays with one
     entry per member, each computed as for that member alone, and at its
     own level when `level` is an array that broadcasts to the stack's
-    leading shape (such as the stepper's one level per field).  `work`, from
-    `basis.work_arrays(w.shape[:-2])`, holds the large intermediates, so a
-    caller that evaluates B_F over and over allocates them once; without it
-    they are allocated as they are needed."""
+    leading shape (such as the stepper's one level per field).  Each stage
+    keeps its result in `work` (see the spectral module), so a caller that
+    evaluates B_F over one stack shape over and over allocates them once."""
+    work = {} if work is None else work
     wg, dw = basis.synthesize_with_jacobian(w, work=work)
     l4 = basis.l4_norm(wg)
-    adv = np.einsum("...axyz,...acxyz->...cxyz", wg, dw,
-                    out=work["advection"] if work else None)
-    out = basis.analyze(adv, work["analysis"] if work else None)
+    adv = work["advection"] = np.einsum("...axyz,...acxyz->...cxyz", wg, dw,
+                                        out=work.get("advection"))
+    out = basis.analyze(adv, work)
     if w.ndim == 2:
         f = cutoff_factor(l4, level)
         if f != 1.0:

@@ -291,6 +291,27 @@ def member_tile(basis: sp.GalerkinBasis, path_steps: int, fields: int) -> int:
     return max(1, min(grids, int(tables)))
 
 
+def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
+    """Yield (first member, stacked solve) for each tile of the members'
+    start velocities x, (members, P, n_half_modes, 2): member m marches on
+    path_of(m), in tiles of `member_tile` members, one group each.  Every
+    tile marches on one stepper, whose work dict is allocated once for the
+    full tiles and once more for a partial last tile.  An InstabilityError
+    names the member, not its place in the tile."""
+    basis = params.basis()
+    tile = member_tile(basis, path_of(0).steps, fields=x.shape[1])
+    stepper = it._Stepper(params, basis, params.dt)
+    for m0 in range(0, len(x), tile):
+        # each tile's paths are built here and dropped with the tile
+        paths = [path_of(m) for m in range(m0, min(len(x), m0 + tile))]
+        try:
+            traj = it.solve(x[m0:m0 + tile], paths, params, stepper=stepper, **solve_kw)
+        except it.InstabilityError as exc:
+            exc.member = (exc.member or 0) + m0  # a tile of one field names none
+            raise
+        yield m0, traj
+
+
 def contraction_experiment(
     params: it.SimParams,
     x1: sp.SpectralField,
@@ -316,20 +337,10 @@ def contraction_experiment(
         return nz.make_path(derive_key(seed, f"member-{m}"), params.dt_path, 0.0,
                             params.t_final, params.noise, x1.basis)
 
-    tile = member_tile(x1.basis, member_path(0).steps, fields=2)
-    # one stepper for every tile: its work arrays are allocated once for the
-    # full tiles and once more for a partial last tile
-    stepper = it._Stepper(params, x1.basis, params.dt)
+    x = np.broadcast_to(np.stack([x1.coeffs, x2.coeffs]), (ensemble, 2, *x1.coeffs.shape))
     sq = []
-    for m0 in range(0, ensemble, tile):
-        # each tile's paths are built here and dropped with the tile
-        paths = [member_path(m) for m in range(m0, min(ensemble, m0 + tile))]
-        try:
-            traj = it.solve((x1, x2), paths, params, record_every=record_every,
-                            ledger=False, stepper=stepper)
-        except it.InstabilityError as exc:
-            exc.member += m0  # the ensemble member, not its place in the tile
-            raise
+    for _, traj in _march_tiles(params, x, member_path, record_every=record_every,
+                                ledger=False):
         # u1 - u2 = v1 - v2: the z layer cancels for a shared path
         sq.append(sp.h2_coeffs(traj.v_coeffs[:, :, 0] - traj.v_coeffs[:, :, 1]).T)
     sq = np.concatenate(sq)
@@ -481,7 +492,7 @@ def solve_nse(x: sp.SpectralField, params: it.SimParams
     p = replace(params, level=math.inf, chi=0.0,
                 noise=replace(params.noise, amplitude=0.0))
     path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
-    return it.solve_transformed(x, path, p, record_every=1), p, path
+    return it.solve(x, path, p, record_every=1), p, path
 
 
 def nse_limit_experiment(
@@ -512,10 +523,10 @@ def nse_limit_experiment(
     k_t = max(1.0, 1.0 / params.nu) * (
         sp.norm_H(x) ** 2 + T * params.forcing_dual_norm() ** 2 / params.nu
     )
-    v0 = np.repeat(x.coeffs[None, None], len(levels), axis=1)
+    # without noise z(0) is +0.0, so each field starts at x bit for bit
     stepper = it._Stepper(p, x.basis, p.dt, level=np.array(levels))
     try:
-        stack = it.solve_transformed(v0, [path], p, record_every=1, stepper=stepper)
+        stack = it.solve((x,) * len(levels), [path], p, record_every=1, stepper=stepper)
     except it.InstabilityError as exc:  # the level, not its place in the stack
         exc.member, exc.message = None, f"cutoff level {levels[exc.field]:.6g}: {exc.message}"
         raise
@@ -624,19 +635,9 @@ def invariant_measure_sampler(
         return nz.make_path(derive_key(seed, f"measure-{idx}"), p.dt_path, 0.0,
                             p.t_final, p.noise, xs[0].basis)
 
-    tile = member_tile(xs[0].basis, state_path(0).steps, fields=1)
-    for m0 in range(0, len(xs), tile):
-        # each tile's paths are built here and dropped with the tile
-        paths = [state_path(idx) for idx in range(m0, min(len(xs), m0 + tile))]
-        cursors = [nz.OUCursor(path, p.chi, p.nu) for path in paths]
-        v0 = np.stack([x.coeffs - c.advance_to(0.0) for x, c in zip(xs[m0:], cursors)])
-        try:
-            traj = it.solve_transformed(v0[:, None], paths, p, record_every=1 << 30,
-                                        cursor=cursors)
-        except it.InstabilityError as exc:
-            exc.member = (exc.member or 0) + m0  # the state; a tile of one names none
-            raise
-        for g, name in enumerate(names[m0:m0 + len(paths)]):
+    x = np.stack([xi.coeffs for xi in xs])[:, None]
+    for m0, traj in _march_tiles(p, x, state_path, record_every=1 << 30):
+        for g, name in enumerate(names[m0:m0 + traj.v_coeffs.shape[1]]):
             led = traj.member(g, 0).ledger
             keep = led.t >= burn_in - 1e-12
             series = {key: getattr(led, key)[keep] for key in observables}

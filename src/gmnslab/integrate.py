@@ -18,20 +18,20 @@ z is advanced by its exact transition through every path cell inside the
 step, so the realized z trajectory is independent of the solver step size;
 only the v-integration error refines.
 
-There is one solve, `solve_transformed` (and `solve`, its start from a
-velocity), and one march of this scheme under it.  The march steps a stack
-(G, P) of fields: G groups, each on its own path and OU cursor, and P fields
-per group that share its z.  One field is the (1, 1) stack.  The result
-carries the (G, P) axes after its time axis, and `Trajectory.member` gives
-one field's record.  Each field's drift, L4 norm and cutoff factor, and
-each ledger entry, are computed as if it were alone, so a stacked field is
-bit for bit its single solve.  The cutoff level is params.level, or one
-level per field held by the stepper passed as `stepper=`; then the
-trajectory's params.level is not the level its fields ran at.  The
-stepper keeps the large intermediates of the stacked drift in work arrays
-for its stack shape, so a march allocates them once.  With `ledger=False`
-a solve keeps only the snapshots, for the runs that read nothing else (the
-contraction ensemble).
+There is one solve, `solve_transformed`, and one march of this scheme under
+it; `solve` starts it from a velocity, the entry point of every experiment.
+The march steps a stack (G, P) of fields: G groups, each on its own path and
+OU cursor, and P fields per group that share its z.  One field is the (1, 1)
+stack.  The result carries the (G, P) axes after its time axis, and
+`Trajectory.member` gives one field's record.  Each field's drift, L4 norm
+and cutoff factor, and each ledger entry, are computed as if it were alone,
+so a stacked field is bit for bit its single solve.  The cutoff level is
+params.level, or one level per field held by the stepper passed as
+`stepper=`; then the trajectory's params.level is not the level its fields
+ran at.  The stepper holds a `work` dict for its stack shape, in which each
+stage of the stacked drift keeps its result, so a march allocates them once.
+With `ledger=False` a solve keeps only the snapshots, for the runs that read
+nothing else (the contraction ensemble).
 
 The energy ledger records the terms of the energy balance
 
@@ -63,6 +63,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -142,6 +143,10 @@ class SimParams:
             raise ValueError(
                 f"dt={self.dt} must be a positive integer multiple of dt_path={self.dt_path}"
             )
+        f = self.forcing
+        if f is not None and (f.basis.kmax != self.kmax or not np.isfinite(f.coeffs).all()):
+            raise ValueError(f"params.forcing must be a finite field on kmax={self.kmax} "
+                             f"(it has kmax {f.basis.kmax})")
 
     @property
     def substeps(self) -> int:
@@ -159,8 +164,6 @@ class SimParams:
     def forcing_coeffs(self, basis: GalerkinBasis) -> np.ndarray:
         if self.forcing is None:
             return np.zeros((basis.n_half_modes, 2), dtype=np.complex128)
-        if self.forcing.basis.kmax != basis.kmax:
-            raise ValueError("forcing lives on a different basis")
         return self.forcing.coeffs
 
     def forcing_dual_norm(self) -> float:
@@ -182,7 +185,11 @@ class SimParams:
         if kw.get("level") == "inf":
             kw["level"] = math.inf
         if kw.get("forcing") is not None:
-            kw["forcing"] = field_from_bytes(base64.b64decode(kw["forcing"]))
+            try:
+                kw["forcing"] = field_from_bytes(base64.b64decode(kw["forcing"]),
+                                                 build_basis(kw.get("kmax", SimParams.kmax)))
+            except (ValueError, struct.error) as exc:
+                raise ValueError(f"params.forcing is not a field payload: {exc}") from exc
         kw["noise"] = NoiseSpectrum(**kw.get("noise", {}))
         return SimParams(**kw)
 
@@ -284,7 +291,7 @@ class Trajectory:
 
 class _Stepper:
     """Precomputed ETD2 tables and the drift evaluation for one (params,
-    basis), with the B_F work arrays of the stack shape it last evaluated,
+    basis), with the B_F `work` dict of the stack shape it last evaluated,
     at params.level or at `level`, one per field of the stack it marches."""
 
     def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float, level=None):
@@ -312,9 +319,8 @@ class _Stepper:
         may be stacks of fields (leading axes) that broadcast together."""
         w = v + z
         if w.shape[:-2] != self._lead:
-            # a march keeps one stack shape; a new shape replaces the set
-            self._lead = w.shape[:-2]
-            self._work = self.basis.work_arrays(self._lead)
+            # a march keeps one stack shape; a new shape starts a new set
+            self._lead, self._work = w.shape[:-2], {}
         bf, l4, fac = cutoff_advection_coeffs(self.basis, w, self.level, self._work)
         g = -bf
         if self.params.chi != 0.0:
@@ -486,21 +492,23 @@ def solve_transformed(
     return traj.member(0, 0) if one else traj
 
 
-def solve(x: SpectralField | tuple[SpectralField, ...],
+def solve(x: SpectralField | tuple[SpectralField, ...] | np.ndarray,
           path: WienerPath | list[WienerPath],
           params: SimParams, t0: float = 0.0, t_final: float | None = None,
           record_every: int = 1, ledger: bool = True,
           stepper: _Stepper | None = None) -> Trajectory:
     """solve_transformed from the velocity x at t0, i.e. from v0 = x - z(t0):
-    one field along one path, or the stack of P fields x along each of G
-    paths (v0 of group g, field p is x[p] - z_g(t0))."""
+    one field along one path, or a stack along each of G paths, x the
+    (G, P, n_half_modes, 2) start velocities (v0 of group g, field p is
+    x[g, p] - z_g(t0)) or a tuple of the P fields that start every group."""
     if isinstance(x, SpectralField):
         cursor = OUCursor(path, params.chi, params.nu)
         v0 = SpectralField(x.basis, x.coeffs - cursor.advance_to(t0))
     else:
         cursor = [OUCursor(p, params.chi, params.nu) for p in path]
-        x0 = np.stack([xi.coeffs for xi in x])
-        v0 = np.stack([x0 - c.advance_to(t0) for c in cursor])
+        if isinstance(x, tuple):
+            x = [np.stack([xi.coeffs for xi in x])] * len(cursor)
+        v0 = np.stack([xg - c.advance_to(t0) for xg, c in zip(x, cursor, strict=True)])
     return solve_transformed(v0, path, params, t0, t_final, record_every, cursor,
                              ledger, stepper)
 

@@ -20,7 +20,7 @@ the cos coordinate and b the sin coordinate, so Parseval reads
     |u|_H^2 = sum |c|^2,      |u|_V^2 = sum |k|^2 |c|^2.
 
 Quadratic and quartic nonlinear quantities are evaluated on a physical grid
-with grid_size >= 4*kmax + 1 points per dimension.  Products of two fields
+with grid_size = 4*kmax + 1 points per dimension.  Products of two fields
 have spectral support |k|_inf <= 2*kmax and integrands of the trilinear form
 have degree <= 3*kmax, so with this grid both the convolution (after
 projection back to the truncated basis) and the L4 quadrature are exact up to
@@ -54,8 +54,12 @@ quadrature and projection still rests on M >= 4*kmax + 1, not on the
 transform: the products are the exact DFT restricted to the truncated
 frequencies.
 
-`build_basis` builds one basis per (kmax, grid_size) and process, in integer
-array arithmetic; every caller shares it, so all of its arrays are read-only.
+`build_basis` builds one basis per kmax and process, in integer array
+arithmetic; every caller shares it, so all of its arrays are read-only.  The
+stages of a transform keep their results in a caller-held `work` dict, one
+entry per stage made on its first use and written into afterwards, so a
+caller that transforms one stack shape over and over (the stepper) allocates
+them once; without a dict each call makes its own.
 
 Coefficient-side operations on a stack keep the mode axis innermost, so
 each runs as a few long loops rather than many of length 2 or 3: the one
@@ -97,14 +101,13 @@ class GalerkinBasis:
     Parameters
     ----------
     kmax : int
-        Truncation radius in the max norm, 1 <= kmax <= 8.
-    grid_size : int, optional
-        Physical grid points per dimension; defaults to 4*kmax + 1, the
-        smallest grid on which quartic quadrature is exact.
+        Truncation radius in the max norm, 1 <= kmax <= 8.  The physical
+        grid has grid_size = 4*kmax + 1 points per dimension, the smallest
+        grid on which quartic quadrature is exact.
     """
 
     kmax: int
-    grid_size: int = 0
+    grid_size: int = field(init=False)
     modes: np.ndarray = field(init=False, repr=False, compare=False)
     polarizations: np.ndarray = field(init=False, repr=False, compare=False)
     polarizations_int: np.ndarray = field(init=False, repr=False, compare=False)
@@ -115,14 +118,11 @@ class GalerkinBasis:
             raise ValueError("kmax must be >= 1 (the empty basis is rejected)")
         if self.kmax > KMAX_CEILING:
             raise ValueError(f"kmax={self.kmax} exceeds the ceiling {KMAX_CEILING}")
-        if self.grid_size == 0:
-            object.__setattr__(self, "grid_size", 4 * self.kmax + 1)
-        if self.grid_size < 4 * self.kmax + 1:
-            raise ValueError("grid_size must be at least 4*kmax + 1 for exact quadrature")
+        K, M = self.kmax, 4 * self.kmax + 1
+        object.__setattr__(self, "grid_size", M)
 
         # the lattice [-K, K]^3 in lexicographic order; the rows after its
         # centre are the half space (k1, k2, k3) > (0, 0, 0)
-        K, M = self.kmax, self.grid_size
         k = np.arange(-K, K + 1)
         lattice = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)
         modes = lattice[len(lattice) // 2 + 1:]
@@ -205,7 +205,7 @@ class GalerkinBasis:
         spec[self._dst] = vals.transpose(2, 0, 1)
         return spec
 
-    def _to_grid(self, spec: np.ndarray, out: tuple | None = None) -> np.ndarray:
+    def _to_grid(self, spec: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Half cubes (P, ...) (see `_spectrum`) -> real grids (..., M, M, M).
 
         Each stage is one matrix product over every field of the stack, B
@@ -214,45 +214,16 @@ class GalerkinBasis:
         B) -> (k2, k3, B, x1) -> (k3, B, x1, x2); the result is split into
         its real and imaginary parts, (k3, Re/Im, B, x1, x2), and the real
         map along axis 3 applies the k3 weights and gives the contiguous
-        grids (B, x1, x2, x3).  The four results go into the entries of
-        `out` when given."""
+        grids (B, x1, x2, x3).  The four results are kept in `work` (see
+        the module docstring)."""
         a, c = 2 * self.kmax + 1, self.kmax + 1
-        M, rest, out = self.grid_size, spec.shape[1:], out or (None,) * 4
-        g = np.matmul(spec.reshape(a, -1).T, self._synth12, out=out[0])
-        g = np.matmul(g.reshape(a, -1).T, self._synth12, out=out[1])
+        M, rest, work = self.grid_size, spec.shape[1:], {} if work is None else work
+        g = work["x1"] = np.matmul(spec.reshape(a, -1).T, self._synth12, out=work.get("x1"))
+        g = work["x2"] = np.matmul(g.reshape(a, -1).T, self._synth12, out=work.get("x2"))
         parts = g.view(np.float64).reshape(c, -1, 2).transpose(0, 2, 1)
-        g = _copy(parts, out[2])
-        g = np.matmul(g.reshape(2 * c, -1).T, self._synth3, out=out[3])
+        g = work["parts"] = _copy(parts, work.get("parts"))
+        g = work["x3"] = np.matmul(g.reshape(2 * c, -1).T, self._synth3, out=work.get("x3"))
         return g.reshape(*rest, M, M, M)
-
-    def work_arrays(self, lead: tuple[int, ...]) -> dict:
-        """Work arrays of one B_F evaluation on a stack of leading shape
-        `lead`: the half cubes of the field and its gradient (zero, see
-        `_spectrum`), the four results of the synthesis (`_to_grid`), the
-        advection grid and the four results of the analysis (`analyze`),
-        each of the shape it would be allocated with, so reusing them
-        changes no bit of the result."""
-        K, M = self.kmax, self.grid_size
-        a, c = 2 * K + 1, K + 1
-        comps = 3 * math.prod(lead)
-        cubes = 4 * comps  # the field and its 3 derivatives
-        return {
-            "cubes": self._cubes(lead),
-            "synth": (np.empty((a * c * cubes, M), dtype=np.complex128),
-                      np.empty((c * cubes * M, M), dtype=np.complex128),
-                      np.empty((c, 2, cubes * M * M)),
-                      np.empty((cubes * M * M, M))),
-            "advection": np.empty((*lead, 3, M, M, M)),
-            "analysis": (np.empty((M, M, M, comps)),
-                         np.empty((M * M * comps, 2 * c)),
-                         np.empty((M * comps * c, a), dtype=np.complex128),
-                         np.empty((comps * c * a, a), dtype=np.complex128)),
-        }
-
-    def _cubes(self, lead: tuple[int, ...]) -> np.ndarray:
-        """Zero half cubes of a stack of fields and their 3 derivatives,
-        (P, prod(lead), 4, 3)."""
-        return np.zeros((self._cube_size, math.prod(lead), 4, 3), dtype=np.complex128)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical grid values, shape (3, M, M, M), real."""
@@ -265,22 +236,26 @@ class GalerkinBasis:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Grid values of `coeffs` (..., 3, M, M, M) and the Jacobian dv_c/dx_a
         of `grad_coeffs`, default the same field (scattered once),
-        (..., 3, 3, M, M, M); leading axes are a stack of fields.  The cubes
-        and grids are written into `work` when given (see `work_arrays`)."""
-        lead = coeffs.shape[:-2]
-        cubes = work["cubes"] if work else self._cubes(lead)
+        (..., 3, 3, M, M, M); leading axes are a stack of fields.  The zero
+        half cubes of the field and its 3 derivatives, (P, L, 4, 3), and the
+        grids are kept in `work` (see the module docstring)."""
+        lead, work = coeffs.shape[:-2], {} if work is None else work
+        if "cubes" not in work:
+            work["cubes"] = np.zeros((self._cube_size, math.prod(lead), 4, 3),
+                                     dtype=np.complex128)
+        cubes = work["cubes"]
         self._spectrum(coeffs, out=cubes[:, :, 0])
         dspec = cubes[:, :, :1] if grad_coeffs is None else (
             self._spectrum(grad_coeffs)[:, :, None])
         # wavenumbers innermost: a few long loops instead of many of length 3
         np.multiply(self._ik, dspec.transpose(1, 2, 3, 0), order="C",
                     out=cubes[:, :, 1:].transpose(1, 2, 3, 0))
-        grids = self._to_grid(cubes, work["synth"] if work else None)
+        grids = self._to_grid(cubes, work)
         M = self.grid_size
         return (grids[:, 0].reshape(*lead, 3, M, M, M),
                 grids[:, 1:].reshape(*lead, 3, 3, M, M, M))
 
-    def analyze(self, grid: np.ndarray, out: tuple | None = None) -> np.ndarray:
+    def analyze(self, grid: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Project physical grid values (..., 3, M, M, M) onto the basis
         (Leray + truncation); leading axes are a stack of fields.
 
@@ -289,21 +264,23 @@ class GalerkinBasis:
         axis: the grids, turned to (x3, x1, x2, B), go to (x1, x2, B, k3) by
         the real map along axis 3, then to (x2, B, k3, k1) and (B, k3, k1,
         k2) by the DFTs along axes 1 and 2, and the coefficients are gathered
-        from the last.  The four results go into `out` when given (see
-        `work_arrays`).  Each product reads the stack as the transposed rows
-        of its left factor (see the module docstring), so each field's
-        coefficients do not depend on its stack.
+        from the last, and the four results are kept in `work`.  Each product
+        reads the stack as the transposed rows of its left factor (see the
+        module docstring), so each field's coefficients do not depend on its
+        stack.
 
         The component of each Fourier amplitude parallel to k is discarded by
         expanding only on the polarization vectors, which realizes the
         orthogonal projection onto divergence-free fields.
         """
         n = self.n_half_modes
-        M, lead, out = self.grid_size, grid.shape[:-4], out or (None,) * 4
-        spec = _copy(grid.reshape(-1, M, M, M).transpose(3, 1, 2, 0), out[0])
-        spec = np.matmul(spec.reshape(M, -1).T, self._proj3, out=out[1]).view(np.complex128)
-        spec = np.matmul(spec.reshape(M, -1).T, self._proj12, out=out[2])
-        spec = np.matmul(spec.reshape(M, -1).T, self._proj12, out=out[3])
+        M, lead, work = self.grid_size, grid.shape[:-4], {} if work is None else work
+        spec = work["turned"] = _copy(grid.reshape(-1, M, M, M).transpose(3, 1, 2, 0),
+                                      work.get("turned"))
+        spec = work["k3"] = np.matmul(spec.reshape(M, -1).T, self._proj3, out=work.get("k3"))
+        spec = work["k1"] = np.matmul(spec.view(np.complex128).reshape(M, -1).T,
+                                      self._proj12, out=work.get("k1"))
+        spec = work["k2"] = np.matmul(spec.reshape(M, -1).T, self._proj12, out=work.get("k2"))
         # a coefficient is conj(u . p), u conjugated where the mode sits at
         # -k (sign -1): the same as the gathered value conjugated at +k, dotted
         uhat = spec.reshape(*lead, 3, -1).take(self._gather, axis=-1)
@@ -380,9 +357,7 @@ class SpectralField:
 def _check_same_basis(*fields: SpectralField) -> GalerkinBasis:
     basis = fields[0].basis
     for f in fields[1:]:
-        if f.basis is not basis and (
-            f.basis.kmax != basis.kmax or f.basis.grid_size != basis.grid_size
-        ):
+        if f.basis is not basis and f.basis.kmax != basis.kmax:
             raise ValueError("fields live on different bases")
     return basis
 
@@ -398,11 +373,11 @@ def _copy(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # ---- construction -------------------------------------------------------
 
 
-def build_basis(kmax: int, grid_size: int | None = None) -> GalerkinBasis:
-    """The truncated basis, built once per (kmax, grid_size) and process and
-    shared by every caller; rejects kmax = 0 and kmax above the ceiling on
-    every call, and a non-integer kmax or grid_size with TypeError."""
-    return _basis(operator.index(kmax), operator.index(grid_size or 0))
+def build_basis(kmax: int) -> GalerkinBasis:
+    """The truncated basis, built once per kmax and process and shared by
+    every caller; rejects kmax = 0 and kmax above the ceiling on every call,
+    and a non-integer kmax with TypeError."""
+    return _basis(operator.index(kmax))
 
 
 _basis = functools.cache(GalerkinBasis)

@@ -24,13 +24,6 @@ def basis3():
     return sp.build_basis(3)
 
 
-@pytest.fixture(scope="session")
-def basis2_even():
-    # even grid above the 4*kmax+1 floor, with a Nyquist frequency the basis
-    # never fills
-    return sp.build_basis(2, grid_size=10)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,13 +1,16 @@
+import base64
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gmnslab
 from gmnslab import cli
+from gmnslab import spectral as sp
 from gmnslab.config import (WORK_CEILING, ConfigError, contract_work, parse_config,
                             resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
@@ -186,6 +189,15 @@ class TestModesAndExitCodes:
         bad = write_config(tmp_path, {"experiment": "simulate",
                                       "params": {"noise": {"s": 0.2}}})
         assert cli.main(["simulate", "--config", bad]) == cli.EXIT_CONFIG
+        # forcing payloads of a kmax-1 run: one serialized at kmax 2, one with
+        # a NaN coefficient (not an instability), and two that do not decode
+        small = {"kmax": 1, "dt": 1 / 32, "t_final": 0.25}
+        nan = sp.zero_field(sp.build_basis(1)).coeffs.copy()
+        nan[3, 1] = math.nan
+        payloads = [sp.field_to_bytes(f) for f in (
+            sp.random_field(sp.build_basis(2), np.random.default_rng(5)),
+            sp.SpectralField(sp.build_basis(1), nan))]
+        forcing = [base64.b64encode(b).decode() for b in payloads] + ["@@@", 3]
         # booleans are not integers; json.dumps writes NaN/Infinity literals
         cases = [
             ({"seed": True}, "'seed'"),
@@ -203,6 +215,12 @@ class TestModesAndExitCodes:
             ({"params": {"noise": []}}, "'params.noise'"),
             ({"params": {"lambda_p": -1}}, "'params.lambda_p'"),
             ({"params": {"lambda_p": 2.0}}, "'params.lambda_p'"),
+            *(({"params": dict(small, forcing=f)}, "params.forcing") for f in forcing),
+            # only a JSON boolean overrides the regularity rule
+            ({"params": {"noise": {"s": 0.5, "allow_rough": "false"}}},
+             "'params.noise.allow_rough'"),
+            ({"params": {"noise": {"s": 0.5, "allow_rough": [1]}}},
+             "'params.noise.allow_rough'"),
             ({"experiment": "pullback", "options": {"pullback_times": ["1"]}},
              "'options.pullback_times'"),
             ({"experiment": "pullback", "options": {"pullback_times": 4.0}},

@@ -1,9 +1,12 @@
 import gc
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmnslab import experiments as ex
 from gmnslab import integrate as it
@@ -175,6 +178,41 @@ class TestContraction:
         with pytest.raises(it.InstabilityError, match="member 3, field") as err:
             ex.contraction_experiment(p, x, sp.zero_field(basis1), ensemble=6, seed=6)
         assert err.value.member == 3
+
+
+@st.composite
+def blowup_cases(draw):
+    """Which fields of a (G, P) stack start large, at least one, and the
+    members per tile of its march."""
+    G, P = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    bad = draw(st.lists(st.booleans(), min_size=G * P, max_size=G * P).filter(any))
+    return np.array(bad).reshape(G, P), draw(st.integers(1, 3))
+
+
+class TestInstabilityNames:
+    P = it.SimParams(nu=1e-3, level=math.inf, dt=0.5, t_final=8.0, kmax=1,
+                     noise=nz.NoiseSpectrum(amplitude=0.0), instability_factor=10.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=blowup_cases())
+    def test_first_field_past_its_ceiling_is_named(self, case):
+        # without noise, forcing or cutoff a zero field stays zero and every
+        # large one crosses its ceiling on the same step: the error names the
+        # first of them in C order, in a solve of the whole stack and, through
+        # the tile loop, as a member of the ensemble (the tile offset added)
+        bad, tile = case
+        p, basis = self.P, sp.build_basis(1)
+        big = sp.random_field(basis, labeled_generator(0, "big"), norm=100.0)
+        x = np.where(bad[..., None, None], big.coeffs, 0.0)
+        g, f = np.argwhere(bad)[0]
+        path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, basis)
+        with pytest.raises(it.InstabilityError) as err:
+            it.solve(x, [path] * len(x), p, ledger=False)
+        assert (err.value.member, err.value.field) == (g if bad.size > 1 else None, f)
+        with (mock.patch.object(ex, "member_tile", lambda basis, path_steps, fields: tile),
+              pytest.raises(it.InstabilityError) as err):
+            list(ex._march_tiles(p, x, lambda m: path, ledger=False))
+        assert (err.value.member, err.value.field) == (g, f)
 
 
 class TestPullback:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import base64
 import csv
 import io
 import json
@@ -33,6 +34,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tarfile
@@ -49,6 +51,13 @@ ROUNDING_FLOOR = 1e-12
 
 _SMALL = {"kmax": 1, "dt": 1 / 32, "t_final": 0.5}
 
+# A kmax-1 forcing in the spectral field format: a "<BII" header (format 1,
+# kmax 1, 26 coefficients) and the 13 x 2 coefficients as little-endian
+# complex128 (re, im) pairs.  Built here, so it does not depend on the tree
+# under test.
+_FORCING = base64.b64encode(struct.pack(
+    "<BII52d", 1, 1, 26, *(0.25 * math.sin(1.0 + 0.7 * i) for i in range(52)))).decode()
+
 # (name, config); every run is exploratory, so a small ensemble is legal and
 # an assertion outcome never decides the exit code
 CONFIGS = [
@@ -61,6 +70,9 @@ CONFIGS = [
     ("simulate-substeps", {"experiment": "simulate", "seed": 19,
                            "params": {"kmax": 2, "dt": 1 / 64, "dt_path": 1 / 2048,
                                       "t_final": 1.5, "noise": {"amplitude": 0.5}}}),
+    ("simulate-forcing", {"experiment": "simulate", "seed": 22,
+                          "params": dict(_SMALL, forcing=_FORCING,
+                                         noise={"amplitude": 0.5})}),
     ("simulate-zero-noise", {"experiment": "simulate", "seed": 12,
                              "params": {"kmax": 2, "dt": 1 / 64, "t_final": 0.5,
                                         "noise": {"amplitude": 0.0}}}),
