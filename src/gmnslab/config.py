@@ -309,6 +309,16 @@ def contract_work(p: SimParams, ensemble: int) -> tuple[int, float]:
     return steps, ensemble * steps * per_step
 
 
+def simulate_record_bytes(p: SimParams, record_every: int) -> int:
+    """Bytes of the records of a simulate run's solve (see
+    integrate.solve_transformed): the v and z snapshots of its one field,
+    every record_every steps and at the end, and 13 float64 of ledger a step
+    (10 columns and 3 pairings)."""
+    steps = round(p.t_final / p.dt)
+    records = -(-steps // record_every) + 1
+    return records * 2 * 16 * ((2 * p.kmax + 1) ** 3 - 1) + (steps + 1) * 13 * 8
+
+
 def check_work(cfg: RunConfig) -> dict[str, float]:
     """Grid points of work of each counted fuzz suite of a check run, by
     the option that sets its size."""
@@ -355,6 +365,14 @@ def _validate_experiment(cfg: RunConfig) -> None:
         f"{name} = {value} needs a path table of {nbytes / 2**30:.3g} GiB, "
         f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
     )
+    if cfg.experiment == "simulate":
+        record_every = cfg.option("record_every")
+        nbytes = simulate_record_bytes(p, record_every)
+        _require(nbytes <= PATH_TABLE_CEILING,
+                 f"field 'params.t_final' = {p.t_final} at options.record_every = "
+                 f"{record_every} and kmax {p.kmax} needs {nbytes / 2**30:.3g} GiB of "
+                 "snapshots and ledger, over the ceiling of "
+                 f"{PATH_TABLE_CEILING / 2**30:g} GiB")
     if cfg.experiment == "contract":
         _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
                  "for contract (the standard error needs two members)")
@@ -400,8 +418,3 @@ def read_config(path: str) -> dict:
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _reject_non_finite(raw)
     return raw
-
-
-def parse_config(path: str) -> RunConfig:
-    """Read and validate a configuration file."""
-    return resolve_config(read_config(path))

@@ -19,43 +19,49 @@ and it is monotone up to a zeroth-order correction: for all v1, v2
 
 with eta = 7^7 * level^8 / (2^13 * nu^7).  `monotonicity_gap` evaluates the
 left-minus-right side directly so the inequality can be fuzzed numerically.
-The functions of fields also take coefficient stacks on a `basis` (see the
-spectral module), or for the cutoff lemma the stacks' norms, and then give
-arrays, each entry bit for bit its field's value.
+
+Each per-case formula has one implementation here, on Python floats: the
+cutoff factor, the product bound and both Lipschitz sides of the cutoff
+lemma from L4 norms, eta, and the monotonicity gap and its tolerance from
+their norms and pairing.  The functions of fields (`cutoff_product_bound`,
+`cutoff_lipschitz_sides`, `monotonicity_gap`, `gap_tolerance`) take their
+norms and call them, and so do the fuzz suites of the experiments module,
+which take the norms of a whole tile as stacks first.  Only
+`cutoff_advection_coeffs`, the one B_F kernel of the field API and the
+stepper, takes a stack of fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GalerkinBasis, _each, _on_basis, inner_coeffs, norm_H, norm_L4, norm_V
+from .spectral import GalerkinBasis, inner_coeffs, norm_H, norm_L4, norm_V
 
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Cutoff level (math.inf disables the cutoff) and viscosity; arrays for a stack."""
+    """Cutoff level (math.inf disables the cutoff) and viscosity."""
 
-    level: float | np.ndarray
-    nu: float | np.ndarray
+    level: float
+    nu: float
 
     def __post_init__(self):
-        if not np.all(np.greater(self.level, 0)):
+        if not self.level > 0:
             raise ValueError("cutoff level must be positive")
-        if not np.all(np.greater(self.nu, 0) & np.isfinite(self.nu)):
+        if not (self.nu > 0 and math.isfinite(self.nu)):
             raise ValueError("viscosity must be positive and finite")
 
     @property
-    def eta(self):
+    def eta(self) -> float:
         """Monotonicity correction constant 7^7 * level^8 / (2^13 * nu^7)."""
-        return _each(lambda level, nu: 7.0**7 * level**8 / (2.0**13 * nu**7), self.level, self.nu)
+        return 7.0**7 * self.level**8 / (2.0**13 * self.nu**7)
 
 
-def cutoff_factor(r, level):
-    """F(r) = min(1, level/r), with F(0) = 1; exact 1.0 for r <= level; of arrays, an array."""
-    if isinstance(r, np.ndarray) or isinstance(level, np.ndarray):
-        return _each(cutoff_factor, r, level)
+def cutoff_factor(r: float, level: float) -> float:
+    """F(r) = min(1, level/r), with F(0) = 1; exact 1.0 for r <= level."""
     if level <= 0:
         raise ValueError("cutoff level must be positive")
     if r < 0:
@@ -65,20 +71,26 @@ def cutoff_factor(r, level):
     return level / r
 
 
-def cutoff_product_bound(u, level, ru=None):
-    """r * F(r) for r = |u|_L4; equals min(r, level), hence <= level exactly.
-    `ru` is |u|_L4 when the caller has it already."""
-    r = norm_L4(u) if ru is None else ru
+def product_bound(r: float, level: float) -> float:
+    """r * F(r) of an L4 norm r; equals min(r, level), hence <= level exactly."""
     return r * cutoff_factor(r, level)
 
 
-def cutoff_lipschitz_sides(u, v, level, ru=None, rv=None, ruv=None):
-    """Both sides of |F(|u|) - F(|v|)| <= (1/level) F(|u|) F(|v|) |u - v|_L4;
-    `ru`, `rv` and `ruv` are |u|_L4, |v|_L4 and |u - v|_L4 when the caller
-    has them already."""
-    ru, rv, ruv = (norm_L4(x) if r is None else r for x, r in ((u, ru), (v, rv), (u - v, ruv)))
+def lipschitz_sides(ru: float, rv: float, ruv: float, level: float) -> tuple[float, float]:
+    """Both sides of |F(ru) - F(rv)| <= (1/level) F(ru) F(rv) ruv for the L4
+    norms ru = |u|, rv = |v| and ruv = |u - v|."""
     fu, fv = cutoff_factor(ru, level), cutoff_factor(rv, level)
     return abs(fu - fv), fu * fv * ruv / level
+
+
+def cutoff_product_bound(u, level: float) -> float:
+    """`product_bound` of the field u."""
+    return product_bound(norm_L4(u), level)
+
+
+def cutoff_lipschitz_sides(u, v, level: float) -> tuple[float, float]:
+    """`lipschitz_sides` of the fields u and v."""
+    return lipschitz_sides(norm_L4(u), norm_L4(v), norm_L4(u - v), level)
 
 
 def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
@@ -109,24 +121,31 @@ def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
     return out, l4, f
 
 
-def monotonicity_gap(v1, v2, z, params: CutoffParams,
-                     basis: GalerkinBasis | None = None, work: dict | None = None):
+def gap_of_terms(params: CutoffParams, pair: float, nv: float, nh: float) -> float:
+    """The monotonicity gap from its terms for d = v1 - v2: the advection
+    pairing <B_F(v1 + z) - B_F(v2 + z), d>, nv = |d|_V and nh = |d|_H."""
+    nu = params.nu
+    return nu * nv**2 + pair + params.eta * nh**2 - 0.5 * nu * nv**2
+
+
+def tolerance_of_norms(nv1: float, nv2: float) -> float:
+    """`gap_tolerance` from nv1 = |v1|_V and nv2 = |v2|_V."""
+    return 1e-10 * (1.0 + nv1**2 + nv2**2)
+
+
+def monotonicity_gap(v1, v2, z, params: CutoffParams) -> float:
     """<G(v1)-G(v2), v1-v2> + eta |v1-v2|_H^2 - (nu/2) |v1-v2|_V^2.
 
     Nonnegative up to rounding; callers compare against
     -gap_tolerance(v1, v2) rather than 0 so that exact-zero cases (v1 = v2)
-    do not trip on floating-point noise.  The two B_F of each member run in
-    one stack, with its stages in `work` (see cutoff_advection_coeffs).
+    do not trip on floating-point noise.  The two B_F run as one stack.
     """
-    basis, (v1, v2, z) = _on_basis(basis, v1, v2, z)
     d = v1 - v2
-    bf = cutoff_advection_coeffs(basis, np.stack([v1 + z, v2 + z], axis=-3),
-                                 np.expand_dims(params.level, -1), work)[0]
-    pair = inner_coeffs(bf[..., 0, :, :] - bf[..., 1, :, :], d)
-    return _each(lambda nu, eta, pair, nv, nh: nu * nv**2 + pair + eta * nh**2 - 0.5 * nu * nv**2,
-                 params.nu, params.eta, pair, norm_V(d, basis), norm_H(d, basis))
+    bf = cutoff_advection_coeffs(d.basis, np.stack([(v1 + z).coeffs, (v2 + z).coeffs]),
+                                 params.level)[0]
+    return gap_of_terms(params, inner_coeffs(bf[0] - bf[1], d.coeffs), norm_V(d), norm_H(d))
 
 
-def gap_tolerance(v1, v2, basis: GalerkinBasis | None = None):
+def gap_tolerance(v1, v2) -> float:
     """Magnitude-scaled rounding allowance for the monotonicity inequality."""
-    return _each(lambda a, b: 1e-10 * (1.0 + a**2 + b**2), norm_V(v1, basis), norm_V(v2, basis))
+    return tolerance_of_norms(norm_V(v1), norm_V(v2))

@@ -8,6 +8,14 @@ unmodified truncated Navier-Stokes dynamics; and invariant-measure sampling
 with a mixing check across initial states, marched in tiles of one stacked
 solve as the contraction members are.  Every experiment is deterministic in
 (seed, options) and reports pass/fail per assertion plus plot-ready series.
+
+The fuzz suites run their cases in tiles (see `_fuzz`).  A tile draws its
+cases in order into preallocated arrays and takes each stacked quantity in
+one field-API call on a `basis`: the L4 norms, the trilinear form, B_F
+(`cutoff.cutoff_advection_coeffs`), the pairing and the V and H norms.
+Then one pass over Python floats gives every per-case scalar, with the
+float formulas of the cutoff module for the cutoff lemma and the
+monotonicity gap, so each case is bit for bit its single-field evaluation.
 """
 
 from __future__ import annotations
@@ -69,26 +77,32 @@ class CheckReport:
 def _draw_fields(basis: sp.GalerkinBasis, rngs: list, spans: tuple) -> np.ndarray:
     """(len(rngs), len(spans), n, 2) coefficients, from each generator in turn
     a field per span as random_field(basis, rng, norm=rng.uniform(*span))."""
-    norms, normals = zip(*[(rng.uniform(*span), rng.standard_normal((2, basis.n_half_modes, 2)))
-                           for rng in rngs for span in spans])
-    norms = np.reshape(norms, (len(rngs), len(spans)))
-    return sp.random_coeffs(basis, np.reshape(normals, (*norms.shape, 2, -1, 2)), norm=norms)
+    normals = np.empty((len(rngs), len(spans), 2, basis.n_half_modes, 2))
+    norms = np.empty(normals.shape[:2])
+    for i, rng in enumerate(rngs):
+        for j, span in enumerate(spans):
+            norms[i, j] = rng.uniform(*span)
+            rng.standard_normal(out=normals[i, j])
+    return sp.random_coeffs(basis, normals, norm=norms)
 
 
 def _fuzz(name: str, cases: int, seed: int, tile: int, evaluate) -> CheckReport:
     """A fuzz suite's report, its cases in order in the fewest tiles of at most
     `tile`, as even as possible, larger first: evaluate(cases, work) draws and
-    evaluates the case indices of a tile, with one work dict per tile size,
-    giving (row ids, lhs, rhs, margin, lowest margin, violations, kept)."""
+    evaluates the case indices (a range) of a tile, with one work dict per
+    tile size, and gives per case (row id, lhs, rhs, margin, lowest margin,
+    violations, kept) as Python numbers."""
     rows, violations, worst, tiles = [], 0, math.inf, -(-cases // tile)
     q, r = divmod(cases, tiles or 1)
     for i in range(tiles):
         work = {} if i in (0, r) else work
         first = i * q + min(i, r)
-        ids, *cols, low, bad, keep = evaluate(np.arange(first, first + q + (i < r)), work)
-        violations += int(bad.sum())
-        worst = min(worst, *low.tolist())
-        rows += [(j, seed, *x) for j, *x, k in zip(ids, *(c.tolist() for c in cols), keep) if k]
+        for j, lhs, rhs, margin, low, bad, keep in evaluate(
+                range(first, first + q + (i < r)), work):
+            violations += bad
+            worst = min(worst, low)
+            if keep:
+                rows.append((j, seed, lhs, rhs, margin))
     return CheckReport(name, cases, violations, worst, violations == 0, rows)
 
 
@@ -104,22 +118,26 @@ def check_cutoff_lemma(kmax: int = 2, n_pairs: int = 10_000, seed: int = 0,
     basis = sp.build_basis(kmax)
     rng = labeled_generator(seed, "cutoff-lemma")
 
-    def tile(case, work):
+    def tile(cases, work):
         # per pair u and v, then its (lo_u, hi_u, lo_v, hi_v)
-        normals, bounds = zip(*[(rng.standard_normal((2, 2, basis.n_half_modes, 2)),
-                                 level * rng.uniform((0.05, 1.05) * 2, (0.95, 8.0) * 2))
-                                for _ in case])
-        pick = np.array([(0, 2), (1, 3), (0, 3), (1, 2)])[case % 4]  # the four branches
-        target = np.take_along_axis(np.array(bounds), pick, 1)
-        uv = sp.random_coeffs(basis, np.array(normals))
+        normals = np.empty((len(cases), 2, 2, basis.n_half_modes, 2))
+        bounds = np.empty((len(cases), 4))
+        for i in range(len(cases)):
+            rng.standard_normal(out=normals[i])
+            bounds[i] = rng.uniform((0.05, 1.05) * 2, (0.95, 8.0) * 2)
+        bounds *= level
+        pick = np.array([(0, 2), (1, 3), (0, 3), (1, 2)])[np.remainder(cases, 4)]  # branches
+        target = np.take_along_axis(bounds, pick, 1)
+        uv = sp.random_coeffs(basis, normals)
         uv *= (target / sp.norm_L4(uv, basis, work.setdefault("drawn", {})))[..., None, None]
-        ru, rv, ruv = sp.norm_L4(np.concatenate([uv, uv[:, :1] - uv[:, 1:]], axis=1), basis,
-                                 work.setdefault("rescaled", {})).T
-        prod = co.cutoff_product_bound(uv[:, 0], level, ru)
-        lhs, rhs = co.cutoff_lipschitz_sides(uv[:, 0], uv[:, 1], level, ru, rv, ruv)
-        over, margin = lhs > rhs + tol, rhs + tol - lhs
-        return (case.tolist(), lhs, rhs, margin, np.minimum(margin, level - prod),
-                over + ~((0.0 <= prod) & (prod <= level)), over | (case < 512))
+        norms = sp.norm_L4(np.concatenate([uv, uv[:, :1] - uv[:, 1:]], axis=1), basis,
+                           work.setdefault("rescaled", {}))
+        for j, (ru, rv, ruv) in zip(cases, norms.tolist()):
+            prod = co.product_bound(ru, level)
+            lhs, rhs = co.lipschitz_sides(ru, rv, ruv, level)
+            over, margin = lhs > rhs + tol, rhs + tol - lhs
+            yield (j, lhs, rhs, margin, min(margin, level - prod),
+                   (not 0.0 <= prod <= level) + over, over or j < 512)
 
     return _fuzz("cutoff_lemma", n_pairs, seed, member_tile(basis, 5 * 3), tile)
 
@@ -131,16 +149,16 @@ def check_trilinear(kmax: int = 2, n_triples: int = 1000, seed: int = 1,
     basis = sp.build_basis(kmax)
     rng = labeled_generator(seed, "trilinear")
 
-    def tile(case, work):
-        uvw = _draw_fields(basis, [rng] * len(case), ((0.5, 2.0),) * 3)
+    def tile(cases, work):
+        uvw = _draw_fields(basis, [rng] * len(cases), ((0.5, 2.0),) * 3)
         vw = uvw[:, 1:]  # b[:, i, j] = b(u, (v, w)[i], (v, w)[j])
         b = sp.trilinear_b(np.broadcast_to(uvw[:, :1], vw.shape)[:, :, None], vw[:, :, None],
                            vw[:, None], basis, work)
-        nu, nv, nw = sp.norm_V(uvw, basis).T
-        skew, skew_cap = abs(b[:, 0, 0]), sp._each(lambda a, c: tol * a * c ** 2, nu, nv)
-        margin = np.minimum(skew_cap - skew, tol * nu * nv * nw - abs(b[:, 0, 1] + b[:, 1, 0]))
-        return (case.tolist(), skew, skew_cap, margin, margin, margin < 0,
-                (margin < 0) | (case < 512))
+        for j, ((b_vv, b_vw), (b_wv, _)), (nu, nv, nw) in zip(
+                cases, b.tolist(), sp.norm_V(uvw, basis).tolist()):
+            skew, skew_cap = abs(b_vv), tol * nu * nv ** 2
+            margin = min(skew_cap - skew, tol * nu * nv * nw - abs(b_vw + b_wv))
+            yield j, skew, skew_cap, margin, margin, margin < 0, margin < 0 or j < 512
 
     return _fuzz("trilinear_identities", n_triples, seed, member_tile(basis, 2 * 12 + 2 * 3), tile)
 
@@ -151,18 +169,25 @@ def check_monotonicity(kmax: int = 2, n_triples: int = 1000, seed: int = 2,
     """Monotonicity gap >= -tolerance over a (nu, level) grid, each point's triples
     from its own generator; a tile may span points, each B_F at its point's level."""
     basis = sp.build_basis(kmax)
-    points = [(nu, level) for nu in nus for level in levels]
-    rngs = [labeled_generator(seed, f"monotonicity-{nu}-{level}") for nu, level in points]
+    params = [co.CutoffParams(level, nu) for nu in nus for level in levels]
+    rngs = [labeled_generator(seed, f"monotonicity-{p.nu}-{p.level}") for p in params]
 
-    def tile(case, work):
-        point, triple = np.divmod(case, n_triples)
+    def tile(cases, work):
+        point = [j // n_triples for j in cases]
         v1, v2, z = _draw_fields(basis, [rngs[p] for p in point],
                                  ((0.2, 3.0), (0.2, 3.0), (0.0, 2.0))).transpose(1, 0, 2, 3)
-        nu, level = np.array(points, dtype=float)[point].T
-        gap = co.monotonicity_gap(v1, v2, z, co.CutoffParams(level, nu), basis, work)
-        tol = co.gap_tolerance(v1, v2, basis)
-        return ((case + 1).tolist(), gap, -tol, gap + tol, gap + tol, gap < -tol,
-                (gap < -tol) | (triple < 64))
+        level = np.array([params[p].level for p in point])
+        bf = co.cutoff_advection_coeffs(basis, np.stack([v1 + z, v2 + z], axis=1),
+                                        level[:, None], work)[0]
+        d = v1 - v2
+        pair = sp.inner_coeffs(bf[:, 0] - bf[:, 1], d).tolist()
+        nv1, nv2, nv = sp.norm_V(np.stack([v1, v2, d], axis=1), basis).T.tolist()
+        nh = sp.norm_H(d, basis).tolist()
+        for i, j in enumerate(cases):
+            gap = co.gap_of_terms(params[point[i]], pair[i], nv[i], nh[i])
+            tol = co.tolerance_of_norms(nv1[i], nv2[i])
+            yield (j + 1, gap, -tol, gap + tol, gap + tol, gap < -tol,
+                   gap < -tol or j % n_triples < 64)
 
     return _fuzz("monotonicity_gap", len(rngs) * n_triples, seed, member_tile(basis, 2 * 12), tile)
 
@@ -238,14 +263,15 @@ def check_shift_covariance(
     dt = 1.0 / 64
     path = nz.make_path(seed, dt, 0.0, 8.0, spectrum, basis)
     rng = labeled_generator(seed, "shift-pairs")
-    diff = np.empty(n_pairs)
-    for case in range(n_pairs):
-        s, t = int(rng.integers(0, 256)) * dt, int(rng.integers(0, 256)) * dt
-        lhs, rhs = nz.ou_shift_covariance_pair(path, s, t, chi, nu)
-        diff[case] = np.abs(lhs.coeffs - rhs.coeffs).max()
-    tols, keep = np.full(n_pairs, tol), np.ones(n_pairs, bool)
-    return _fuzz("shift_covariance", n_pairs, seed, max(1, n_pairs), lambda *_: (
-        range(n_pairs), diff, tols, tols - diff, tols - diff, diff > tol, keep))
+
+    def pairs(cases, work):
+        for case in cases:
+            s, t = int(rng.integers(0, 256)) * dt, int(rng.integers(0, 256)) * dt
+            lhs, rhs = nz.ou_shift_covariance_pair(path, s, t, chi, nu)
+            diff = float(np.abs(lhs.coeffs - rhs.coeffs).max())
+            yield case, diff, tol, tol - diff, tol - diff, diff > tol, True
+
+    return _fuzz("shift_covariance", n_pairs, seed, max(1, n_pairs), pairs)
 
 
 # ---- exponential contraction ------------------------------------------------

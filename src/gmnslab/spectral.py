@@ -375,14 +375,6 @@ def _on_basis(basis: GalerkinBasis | None, *xs) -> tuple[GalerkinBasis, tuple]:
     return (basis, xs) if basis else (_check_same_basis(*xs), tuple(x.coeffs for x in xs))
 
 
-def _each(f, *xs):
-    """f of Python floats, of arrays an array over their broadcast: a stack's **
-    is then Python's pow, as for one field (numpy's may round differently)."""
-    xs = np.broadcast_arrays(*xs)
-    vals = list(map(f, *(x.ravel().tolist() for x in xs)))
-    return vals[0] if xs[0].ndim == 0 else np.array(vals).reshape(xs[0].shape)
-
-
 def _copy(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A C-contiguous copy of x, written into `out` when given."""
     if out is None:

@@ -11,7 +11,7 @@ import pytest
 import gmnslab
 from gmnslab import cli
 from gmnslab import spectral as sp
-from gmnslab.config import (WORK_CEILING, ConfigError, contract_work, parse_config,
+from gmnslab.config import (WORK_CEILING, ConfigError, contract_work, read_config,
                             resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
 
@@ -32,7 +32,7 @@ def write_config(tmp_path, raw, name="config.json"):
 
 class TestConfigParsing:
     def test_minimal_config_fills_defaults(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, {"experiment": "simulate"}))
+        cfg = resolve_config(read_config(write_config(tmp_path, {"experiment": "simulate"})))
         assert cfg.params.kmax == 2
         assert cfg.params.dt == 1 / 256
         assert cfg.params.chi == 0.0
@@ -43,32 +43,33 @@ class TestConfigParsing:
         raw = {"experiment": "simulate",
                "params": {"dt": 1 / 256, "dt_path": 1 / 100}}
         with pytest.raises(ConfigError) as err:
-            parse_config(write_config(tmp_path, raw))
+            resolve_config(read_config(write_config(tmp_path, raw)))
         assert "dt" in str(err.value) and "dt_path" in str(err.value)
 
     def test_rough_spectrum_rejected_without_override(self, tmp_path):
         raw = {"experiment": "simulate", "params": {"noise": {"s": 0.5}}}
         with pytest.raises(ConfigError) as err:
-            parse_config(write_config(tmp_path, raw))
+            resolve_config(read_config(write_config(tmp_path, raw)))
         assert "0.75" in str(err.value)
         raw["params"]["noise"]["allow_rough"] = True
-        cfg = parse_config(write_config(tmp_path, raw, "b.json"))
+        cfg = resolve_config(read_config(write_config(tmp_path, raw, "b.json")))
         assert cfg.params.noise.s == 0.5
 
     def test_threshold_demanded_by_experiment(self, tmp_path):
         raw = {"experiment": "measure", "params": {"nu": 1.0}}
         with pytest.raises(ConfigError) as err:
-            parse_config(write_config(tmp_path, raw))
+            resolve_config(read_config(write_config(tmp_path, raw)))
         assert "threshold" in str(err.value)
         raw["assertion_mode"] = "exploratory"
-        parse_config(write_config(tmp_path, raw, "c.json"))
+        resolve_config(read_config(write_config(tmp_path, raw, "c.json")))
 
     def test_unknown_fields_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_config(write_config(tmp_path, {"experiment": "check", "bogus": 1}))
+            resolve_config(read_config(write_config(
+                tmp_path, {"experiment": "check", "bogus": 1})))
         with pytest.raises(ConfigError):
-            parse_config(write_config(
-                tmp_path, {"experiment": "check", "params": {"zeta": 2}}, "d.json"))
+            resolve_config(read_config(write_config(
+                tmp_path, {"experiment": "check", "params": {"zeta": 2}}, "d.json")))
 
     def test_non_finite_params_rejected(self):
         for key in ("nu", "level", "chi"):
@@ -77,11 +78,11 @@ class TestConfigParsing:
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_config(str(tmp_path / "nope.json"))
+            resolve_config(read_config(str(tmp_path / "nope.json")))
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
-            parse_config(str(bad))
+            resolve_config(read_config(str(bad)))
 
     def test_round_trip_lossless(self):
         cfg = resolve_config({"experiment": "simulate"})
@@ -99,7 +100,7 @@ class TestConfigParsing:
         assert cli.main(["contract", "--config", cfg_file, "--seed", "5",
                          "--exploratory", "--out", str(out)]) == 0
         ran = resolve_config({**raw, "seed": 5, "assertion_mode": "exploratory"})
-        assert parse_config(str(out / "config.json")).canonical_json() == \
+        assert resolve_config(read_config(str(out / "config.json"))).canonical_json() == \
             ran.canonical_json()
 
 
@@ -349,10 +350,21 @@ class TestModesAndExitCodes:
             ("measure", {"options": {"horizon": 1e9}}, "'options.horizon'"),
             ("check", {"options": {"ou_samples": 10**9}}, "'options.ou_samples'"),
         ]
-        for name, fields, field in cases:
+        # a 0.99 GiB table passes its ceiling, but the snapshots and ledger
+        # of every step, 2.2 GiB, do not (checked first, so that a missing
+        # guard fails here rather than running it); one snapshot in 2^20
+        # steps fits
+        at_ceiling = {"kmax": 1, "dt": 1 / 256, "t_final": 10_000}
+        field = "'params.t_final' = 10000 at options.record_every = 1"
+        with pytest.raises(ConfigError, match=field):
+            resolve_config({"experiment": "simulate", "params": at_ceiling})
+        assert resolve_config({"experiment": "simulate", "params": at_ceiling,
+                               "options": {"record_every": 2**20}})
+        cases.append(("simulate", {"params": at_ceiling}, field))
+        for i, (name, fields, field) in enumerate(cases):
             raw = {"experiment": name, "assertion_mode": "exploratory", **fields}
-            bad = write_config(tmp_path, raw, f"{name}.json")
-            out = str(tmp_path / name)
+            bad = write_config(tmp_path, raw, f"{name}-{i}.json")
+            out = str(tmp_path / f"{name}-{i}")
             assert cli.main([name, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
             assert field in capsys.readouterr().err
 

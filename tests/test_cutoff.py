@@ -88,8 +88,9 @@ class TestLipschitzBound:
             u = sp.random_field(basis2, rng)
             u = u * (target / sp.norm_L4(u))
             v = sp.random_field(basis2, rng)
-            assert (co.cutoff_lipschitz_sides(u, v, 1.0, sp.norm_L4(u))
-                    == co.cutoff_lipschitz_sides(u, v, 1.0))
+            ru, rv, ruv = sp.norm_L4(u), sp.norm_L4(v), sp.norm_L4(u - v)
+            assert co.lipschitz_sides(ru, rv, ruv, 1.0) == co.cutoff_lipschitz_sides(u, v, 1.0)
+            assert co.product_bound(ru, 1.0) == co.cutoff_product_bound(u, 1.0)
 
     def test_all_branch_cases(self, basis2, rng):
         level = 1.0

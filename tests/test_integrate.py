@@ -2,6 +2,7 @@ import base64
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,6 +351,35 @@ class TestLedgerBlocks:
             assert same_bits(np.ascontiguousarray(got[name]), column), name
         assert same_bits(got["t"].reshape(-1), np.arange(n_steps + 1) * dt)
 
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_silent_march_skips_the_z_synthesis(self, kmax):
+        # zero noise from a zero z: |z|_L4 is +0.0 on every step with no
+        # synthesis, as the synthesis of its zero snapshots gives; a noisy
+        # march synthesizes z once per step
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(60 + kmax)
+        synthesize, calls = sp.GalerkinBasis.synthesize, []
+
+        def counted(self, *args, **kw):
+            calls.append(self.kmax)
+            return synthesize(self, *args, **kw)
+
+        runs = {}
+        for name, noise in (("quiet", QUIET), ("noisy", NOISY)):
+            p = it.SimParams(nu=1.0, level=0.8, chi=0.5, dt=1 / 32, t_final=0.25,
+                             kmax=kmax, noise=noise)
+            x = sp.random_field(basis, rng, norm=2.0)
+            with mock.patch.object(sp.GalerkinBasis, "synthesize", counted):
+                runs[name] = it.solve(x, make_setup(basis, p), p), len(calls)
+        (quiet, quiet_calls), (noisy, noisy_calls) = runs["quiet"], runs["noisy"]
+        assert quiet_calls == 0 and noisy_calls == len(noisy.ledger.t) == 9
+        z_l4 = quiet.ledger.z_L4
+        assert same_bits(z_l4, np.zeros(len(quiet.ledger.t)))
+        assert not quiet.z_coeffs.any()
+        assert same_bits(z_l4, np.array([basis.l4_norm(basis.synthesize(z))
+                                         for z in quiet.z_coeffs]))
+        assert (noisy.ledger.z_L4 > 0.0).all()
 
 class TestDossSussman:
     def test_noise_off_identity(self, basis2, rng):
