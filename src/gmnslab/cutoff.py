@@ -20,15 +20,9 @@ and it is monotone up to a zeroth-order correction: for all v1, v2
 with eta = 7^7 * level^8 / (2^13 * nu^7).  `monotonicity_gap` evaluates the
 left-minus-right side directly so the inequality can be fuzzed numerically.
 
-Each per-case formula has one implementation here, on Python floats: the
-cutoff factor, the product bound and both Lipschitz sides of the cutoff
-lemma from L4 norms, eta, and the monotonicity gap and its tolerance from
-their norms and pairing.  The functions of fields (`cutoff_product_bound`,
-`cutoff_lipschitz_sides`, `monotonicity_gap`, `gap_tolerance`) take their
-norms and call them, and so do the fuzz suites of the experiments module,
-which take the norms of a whole tile as stacks first.  Only
-`cutoff_advection_coeffs`, the one B_F kernel of the field API and the
-stepper, takes a stack of fields.
+Each per-case formula has one implementation here, on Python floats; the
+functions of fields and the fuzz suites (which take a tile's norms as
+stacks) call it.  Only `cutoff_advection_coeffs` takes a stack of fields.
 """
 
 from __future__ import annotations

@@ -44,12 +44,10 @@ diagnostic and decreases at second order under step refinement.  Its
 columns per step are t, |v|_H^2, |v|_V^2, |u|_L4, the cutoff factor F,
 |z|_H^2, |z|_L4, |u|_H^2, |u|_V^2 and the residual; the three pairings of
 the flux are summed into the residual and not kept.  |u|_L4 and F come from
-each step's drift and |z|_L4 is taken per step; when every cursor is silent
-(zero noise and zero state) z stays zero, and |z|_L4 is +0.0 without a
-synthesis.  The march's v, z and B_F arrays are kept for a block of steps
-(see `ledger_block`), and the norms and pairings of a block are one stacked
-call each, with the step as one more leading axis; each entry is bit for bit
-its step's own call.
+each step's drift.  The march's v, z and B_F arrays are kept for a block of
+steps (see `ledger_block`), and the norms (|z|_L4 among them) and pairings
+of a block are one stacked call each, with the step as one more leading
+axis; each entry is bit for bit its step's own call.
 
 A checkpoint holds (time, v, z); `resume` starts its OU cursor from the
 saved z, so the continued run is bit for bit the uninterrupted one.
@@ -385,8 +383,8 @@ def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
 # two ledger blocks, so a long run holds one block, not its history.  At
 # kmax 3 a single field keeps 15 steps per block, and the norms and
 # pairings of 129 steps took 2.9 ms in blocks against 7.1 ms one step at a
-# time (2-core VM, 1 BLAS thread).  |z|_L4 stays per step: at kmax 3 a
-# stacked synthesis saves nothing (15 steps: 1.5 ms stacked, 1.3 ms alone).
+# time (2-core VM, 1 BLAS thread), and |z|_L4 of one block's 15 steps took
+# 0.29 ms stacked against 0.56 ms one step at a time.
 LEDGER_BLOCK_BYTES = 2**18
 
 
@@ -408,6 +406,7 @@ def _ledger_rows(led: dict, pairings: np.ndarray, k0: int, kept: list,
     u = v + z
     led["v_H2"][rows], led["z_H2"][rows], led["u_H2"][rows] = map(h2_coeffs, (v, z, u))
     led["v_V2"][rows], led["u_V2"][rows] = v2_coeffs(basis, v), v2_coeffs(basis, u)
+    led["z_L4"][rows] = basis.l4_norm(basis.synthesize(z))
     for i, c in enumerate((bf, f_coeffs, z)):
         pairings[i, rows] = inner_coeffs(c, v)
 
@@ -462,10 +461,6 @@ def solve_transformed(
         # <B_F, v>, <f, v> and (z, v) per step
         pairings = np.empty((3, n_steps + 1, G, P))
         block, kept = ledger_block((G, P), n), []
-        # with every cursor silent z is zero at every step, and |z|_L4 is +0.0
-        silent = all(c.silent for c in cursors)
-        if silent:
-            led["z_L4"][:] = 0.0
 
     for k, v, z, drift in _march(stepper, cursors, v0, t0, n_steps):
         if k in rec_pos:
@@ -475,8 +470,6 @@ def solve_transformed(
             continue
         # the final time has no step drift to reuse
         _, bf, led["u_L4"][k], led["cutoff"][k] = drift or stepper.drift(v, z)
-        if not silent:
-            led["z_L4"][k] = basis.l4_norm(basis.synthesize(z))
         # the march yields new arrays each step, so keeping them copies nothing
         kept.append((v, z, bf))
         if len(kept) == block or k == n_steps:

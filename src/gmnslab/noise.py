@@ -370,16 +370,11 @@ class OUCursor:
         h = path.dt_path
         self._decay = np.exp(-mu * h)
         self._gain = sigma * np.sqrt(-np.expm1(-2.0 * mu * h) / (2.0 * mu))
-        self._no_noise = path.spectrum.amplitude == 0.0
+        self._silent = path.spectrum.amplitude == 0.0
 
     @property
     def time(self) -> float:
         return self.path.t_origin + self._index * self.path.dt_path
-
-    @property
-    def silent(self) -> bool:
-        """Zero noise amplitude and zero state: z stays zero from here on."""
-        return self._no_noise and not self._coords.any()
 
     def advance_to(self, t: float) -> np.ndarray:
         """z at time t as a read-only complex (n_half_modes, 2) view."""
@@ -387,8 +382,9 @@ class OUCursor:
         if n1 < self._index:
             raise ValueError("the OU layer cannot run backwards in time")
         if n1 > self._index:
-            if self.silent:
-                # nothing evolves and no draws need materializing
+            if self._silent and not self._coords.any():
+                # zero noise amplitude with zero state: nothing evolves and
+                # no draws need materializing
                 self._index = n1
             else:
                 # decay * coords + gain * row with the same two roundings, on

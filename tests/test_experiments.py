@@ -211,6 +211,25 @@ class TestSuiteTiles:
                 assert (l4[i, j], f[i, j]) == (r, g)
 
 
+class TestTileWork:
+    def test_repeated_suite_calls_reuse_their_stages(self):
+        # a suite called again, after another suite and another kmax ran,
+        # writes into the stage arrays of its first call and reports the same;
+        # tiles of one case keep no stages past the call
+        runs = [lambda: ex.check_monotonicity(2, 1, 5),
+                lambda: ex.check_trilinear(2, 4, 5), lambda: ex.check_cutoff_lemma(1, 3, 5)]
+        first = [(r.rows, r.summary()) for r in (run() for run in runs)]
+        work = ex._tile_work("monotonicity_gap", 2, 3)
+        stages = {name: id(a) for name, a in work.items() if isinstance(a, np.ndarray)}
+        assert stages
+        again = [(r.rows, r.summary()) for r in (run() for run in runs)]
+        assert {name: id(work[name]) for name in stages} == stages
+        assert repr(again) == repr(first)
+        misses = ex._tile_work.cache_info().misses
+        assert ex.check_monotonicity(3, 1, 5, (1.0,), (1.0,)).passed
+        assert ex._tile_work.cache_info().misses == misses
+
+
 class TestContraction:
     def test_identical_data_zero_difference(self, basis2, rng):
         p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=0.5,

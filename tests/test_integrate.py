@@ -353,12 +353,13 @@ class TestLedgerBlocks:
 
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
-    def test_silent_march_skips_the_z_synthesis(self, kmax):
-        # zero noise from a zero z: |z|_L4 is +0.0 on every step with no
-        # synthesis, as the synthesis of its zero snapshots gives; a noisy
-        # march synthesizes z once per step
+    def test_z_norms_take_one_synthesis_per_block(self, kmax):
+        # a ledger of one block and one more row synthesizes z twice, quiet or
+        # noisy; zero noise from a zero z gives |z|_L4 = +0.0 on every step,
+        # as the synthesis of its zero snapshots does
         basis = sp.build_basis(kmax)
         rng = np.random.default_rng(60 + kmax)
+        rows = it.ledger_block((1, 1), basis.n_half_modes) + 1
         synthesize, calls = sp.GalerkinBasis.synthesize, []
 
         def counted(self, *args, **kw):
@@ -367,19 +368,21 @@ class TestLedgerBlocks:
 
         runs = {}
         for name, noise in (("quiet", QUIET), ("noisy", NOISY)):
-            p = it.SimParams(nu=1.0, level=0.8, chi=0.5, dt=1 / 32, t_final=0.25,
+            p = it.SimParams(nu=1.0, level=0.8, chi=0.5, dt=1 / 32, t_final=(rows - 1) / 32,
                              kmax=kmax, noise=noise)
             x = sp.random_field(basis, rng, norm=2.0)
+            calls.clear()
             with mock.patch.object(sp.GalerkinBasis, "synthesize", counted):
                 runs[name] = it.solve(x, make_setup(basis, p), p), len(calls)
         (quiet, quiet_calls), (noisy, noisy_calls) = runs["quiet"], runs["noisy"]
-        assert quiet_calls == 0 and noisy_calls == len(noisy.ledger.t) == 9
+        assert quiet_calls == noisy_calls == 2 and len(quiet.ledger.t) == rows
         z_l4 = quiet.ledger.z_L4
-        assert same_bits(z_l4, np.zeros(len(quiet.ledger.t)))
+        assert same_bits(z_l4, np.zeros(rows))
         assert not quiet.z_coeffs.any()
         assert same_bits(z_l4, np.array([basis.l4_norm(basis.synthesize(z))
                                          for z in quiet.z_coeffs]))
         assert (noisy.ledger.z_L4 > 0.0).all()
+
 
 class TestDossSussman:
     def test_noise_off_identity(self, basis2, rng):

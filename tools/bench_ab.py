@@ -1,20 +1,14 @@
 """A/B benchmark: alternating runs of a reference revision and the working tree.
 
-Exports a reference revision of this repository with `git archive`, and
-copies the working tree's files (tracked and untracked, not ignored), into
-two sibling directories of one temporary directory, `ref` and `new`, then
-runs `perfbench/run.py --workload W` from each in pairs, one run of each per
-pair, both on the pair's seed (pair i on seed S + i).  Both sides run from
-paths of the same length: the script's path is part of the interpreter's
-start-up allocations, and a different one can move the program's heap into a
-layout where freed transform stages are returned to the system and faulted
-in again every operation (measured at about 450 more page faults and 0.4 ms
-more per `check` operation, in one path and not in others).  The machine's
-speed drifts over minutes, so the pairs alternate which side runs first.
-Writes `BENCH_<W>.json` with each pair's end-to-end metrics (those
-BENCHMARK.json lists), the median and interquartile range of each side, the
-change of the tree's median against the reference's, the pairs in which the
-tree was better, and the environment line of the tree's runs.
+Exports a reference revision of this repository with `git archive` into a
+temporary directory, then runs `perfbench/run.py --workload W` from it and
+from the working tree in pairs, one run of each per pair, both on the pair's
+seed (pair i on seed S + i).  The machine's speed drifts over minutes, so
+the pairs alternate which side runs first.  Writes `BENCH_<W>.json` with
+each pair's end-to-end metrics (those BENCHMARK.json lists), the median and
+interquartile range of each side, the change of the tree's median against
+the reference's, the pairs in which the tree was better, and the
+environment line of the tree's runs.
 
     python tools/bench_ab.py --workload check [--pairs 10] [--seconds 10] [--seed 1] \
         [--rev HEAD]
@@ -28,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -51,17 +44,6 @@ def run(root: str, workload: str, seconds: float, seed: int) -> tuple[dict, dict
         sys.exit(f"bench_ab: run in {root} is not correct: {lines[-2]}")
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return metrics, json.loads(lines[0])["environment"]
-
-
-def copy_tree(dest: str) -> None:
-    """Copy the working tree's tracked and untracked, not ignored, files into
-    dest (read-only on .git)."""
-    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=REPO,
-                           check=True, capture_output=True).stdout.decode().split("\0")
-    for name in filter(None, names):
-        if os.path.exists(os.path.join(REPO, name)):  # not a deletion yet to be staged
-            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
-            shutil.copy2(os.path.join(REPO, name), os.path.join(dest, name))
 
 
 def spread(values: list[float]) -> dict:
@@ -89,14 +71,13 @@ def main(argv: list[str] | None = None) -> int:
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        roots = {"reference": os.path.join(tmp, "ref"), "tree": os.path.join(tmp, "new")}
-        export(args.rev, roots["reference"])
-        copy_tree(roots["tree"])
+        export(args.rev, tmp)
         for i in range(args.pairs):
             sides = ("reference", "tree") if i % 2 == 0 else ("tree", "reference")
             pair = {"seed": args.seed + i, "first": sides[0]}
             for side in sides:
-                pair[side], env = run(roots[side], args.workload, args.seconds, args.seed + i)
+                pair[side], env = run(tmp if side == "reference" else REPO,
+                                      args.workload, args.seconds, args.seed + i)
                 if side == "tree":
                     environment = env
             pairs.append(pair)
