@@ -13,7 +13,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .experiments import MEASURE_BATCHES, stability_threshold
 from .integrate import SimParams
-from .noise import MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes
+from .noise import (MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes,
+                    stationary_mean_H2)
 from .spectral import KMAX_CEILING
 
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
@@ -191,6 +192,9 @@ def resolve_config(raw: dict) -> RunConfig:
         _require(ok or (name, value) in (("level", "inf"), ("dt_path", None)),
                  f"field 'params.{name}' must be a finite number"
                  + (' or "inf"' if name == "level" else "") + f", got {value!r}")
+    # the dissipation estimates square a finite level
+    _require(not _finite(pd["level"]) or math.isfinite(pd["level"] * pd["level"]),
+             f"field 'params.level' = {pd['level']!r} overflows once squared")
     # the smallest Stokes eigenvalue is |k|^2 = 1 at k = (0, 0, 1) for every kmax
     _require(pd["lambda_p"] == 1.0,
              "field 'params.lambda_p' must equal the Poincare constant 1.0 of the "
@@ -209,6 +213,14 @@ def resolve_config(raw: dict) -> RunConfig:
         params = SimParams.from_dict(pd)
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
+    # |z|^4 of the stationary OU start in its L4 quadrature scales as E|z|_H^2
+    # squared, and the squared instability ceiling as factor^2 * E|z|_H^2
+    h2 = stationary_mean_H2(params.noise, params.chi, params.nu, params.basis())
+    _require(math.isfinite(h2 * h2), f"field 'params.nu' = {params.nu!r} gives a "
+             f"stationary E|z|_H^2 of {h2:.3g}, which overflows once squared")
+    f = params.instability_factor
+    _require(math.isfinite(f * f * max(1.0, h2)), "field 'params.instability_factor' "
+             f"= {f!r} gives an instability ceiling that overflows once squared")
 
     options = raw.get("options", {})
     _require(isinstance(options, dict), "field 'options' must be an object")

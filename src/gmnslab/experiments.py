@@ -134,7 +134,8 @@ def check_cutoff_lemma(kmax: int = 2, n_pairs: int = 10_000, seed: int = 0,
         bounds = np.empty((len(cases), 4))
         for i in range(len(cases)):
             rng.standard_normal(out=normals[i])
-            bounds[i] = rng.uniform((0.05, 1.05) * 2, (0.95, 8.0) * 2)
+            # scalar draws: the stream of one (lo, hi) array draw, but faster
+            bounds[i] = [rng.uniform(*b) for b in ((0.05, 0.95), (1.05, 8.0)) * 2]
         bounds *= level
         pick = np.array([(0, 2), (1, 3), (0, 3), (1, 2)])[np.remainder(cases, 4)]  # branches
         target = np.take_along_axis(bounds, pick, 1)

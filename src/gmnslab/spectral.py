@@ -28,38 +28,35 @@ rounding: the grid plays the role of a zero-padded (3/2-rule) dealiasing grid.
 
 Grid fields are real, and only the truncated frequencies are ever filled or
 read, so the transforms are exact DFTs on the half cube |k1|, |k2| <= kmax,
-0 <= k3 <= kmax, shape (2*kmax+1, 2*kmax+1, kmax+1).  A mode sits at +k if
-k3 >= 0, else conjugated at -k; a k3 = 0 mode also fills -k, as that plane
-holds both members of each Hermitian pair.  Each transform is sum-factorized
-into three 1-D dense matrix products, one per axis (Deville, Fischer & Mund
-2002, sec. 4): complex exp(i*x*k) along axes 1 and 2, then a real matrix
-along axis 3 that maps the [Re, Im] pairs of k3 >= 0 to grid values with
-weight 2 for k3 > 0 (the Hermitian half).  The half cubes hold the
-wavenumbers first and a stack of fields innermost, (k1, k2, k3, B), where B
-flattens the stack, derivative and component axes, so each stage is one
-matrix product over the whole stack: it contracts the leading axis and
-appends the new one, and one copy splits the complex values into their real
-and imaginary parts for the real map.  The projection runs the adjoint
-stages the same way, after one copy that turns the grids to (x3, x1, x2, B),
-and computes only the half cube it gathers.  Every product reads the stack
-as the transposed rows of its left factor.  With OpenBLAS, a product that
-holds the stack in its right factor or in the plain rows of a real left
-factor with 16 or more terms per sum rounds some rows differently as the
-stack grows; read this way, each stacked field is bit for bit its own
-transform, whatever the stack size or BLAS thread count.  At the grid sizes
-used here (M = 4*kmax + 1 = 5 to 33, often prime) a full-grid FFT spends
-most of its work on frequencies that are zero or discarded, so the small
-products are faster at every kmax up to the ceiling.  Exactness of
-quadrature and projection still rests on M >= 4*kmax + 1, not on the
-transform: the products are the exact DFT restricted to the truncated
-frequencies.
+0 <= k3 <= kmax.  A mode sits at +k if k3 >= 0, else conjugated at -k; a
+k3 = 0 mode also fills -k, as that plane holds both members of each
+Hermitian pair.  Each transform is sum-factorized into three 1-D dense
+matrix products, one per axis (Deville, Fischer & Mund 2002, sec. 4):
+complex exp(i*x*k) along axes 1 and 2, then a real matrix along axis 3 that
+maps the [Re, Im] pairs of k3 >= 0 to grid values with weight 2 for k3 > 0.
+A derivative d_a is applied in the stage along axis a, as that stage's
+matrix times i*k_a, so it needs no half cube or pass of its own.  The half
+cubes hold the wavenumbers first and the stack of fields and components
+innermost, (k1, k2, k3, B), so each stage is one product over the whole
+stack that contracts the leading axis and appends the new one; one copy
+splits the complex values into real and imaginary parts for the real map.
+The projection runs the adjoint stages the same way, after one copy that
+turns the grids to (x3, x1, x2, B), and computes only the half cube it
+gathers.  Every product reads the stack as the transposed rows of its left
+factor: with OpenBLAS, a product that holds the stack in its right factor
+or in the plain rows of a real left factor with 16 or more terms per sum
+rounds some rows differently as the stack grows, while read this way each
+stacked field is bit for bit its own transform, whatever the stack size or
+BLAS thread count.  At these grid sizes (M = 5 to 33, often prime) a
+full-grid FFT would spend most of its work on frequencies that are zero or
+discarded.  Exactness of quadrature and projection rests on M >= 4*kmax + 1.
 
 `build_basis` builds one basis per kmax and process, in integer array
 arithmetic; every caller shares it, so all of its arrays are read-only.  The
-stages of a transform keep their results in a caller-held `work` dict, one
-entry per stage made on its first use and written into afterwards, so a
-caller that transforms one stack shape over and over (the stepper) allocates
-them once; without a dict each call makes its own.
+stages of a transform keep their results (and a synthesis its products, as
+views of them) in a caller-held `work` dict, made on first use, so a caller
+that transforms one stack shape over and over (the stepper) allocates them
+once; without a dict each call makes its own.
 
 Coefficient-side operations on a stack keep the mode axis innermost, so
 each runs as a few long loops rather than many of length 2 or 3: the one
@@ -69,12 +66,13 @@ and `analyze`.  Each einsum still sums over its short axis into a zeroed
 output in the same order, so the layout changes no bit, not even the sign
 of a zero.
 
-`synthesize_with_jacobian` scatters once and gives grid values and Jacobian
-from one stacked transform; the advection and B_F (with its L4 norm) are
-built on it.  The advection keeps the convective form u_a d_a u_c, in which
-every term of the single mode k = (1, 0, 0) is an exact zero, so B(u, u) of
-that mode is exactly 0.0.  The norms and the trilinear form also take a stack
-(..., n, 2) of coefficients on a `basis`, giving arrays, bit for bit per field.
+`synthesize_with_jacobian` gives the values, bit for bit those of
+`synthesize`, and the derivatives of one scatter; the advection and B_F
+(with its L4 norm) are built on it.  The advection keeps the convective form
+u_a d_a u_c, in which every term of an axis mode such as k = (1, 0, 0) is an
+exact zero, so B(u, u) of that mode is exactly 0.0.  The norms and the
+trilinear form also take a stack (..., n, 2) of coefficients on a `basis`,
+giving arrays, bit for bit per field.
 """
 
 from __future__ import annotations
@@ -150,9 +148,10 @@ class GalerkinBasis:
         gather = np.ravel_multi_index((i3, i1, i2), cube[::-1])
         root = np.exp(2j * np.pi * (np.outer(np.arange(M), k) % M) / M)  # (M, 2K+1)
         weight = np.where(k[K:] == 0, 1.0, 2.0)[:, None] * root[:, K:].T
-        synth3 = np.stack([weight.real, -weight.imag], axis=1).reshape(2 * K + 2, M)
+        # rows Re, Im of each k3 -> grid values along axis 3, and the same of d3
+        synth3, deriv3 = (np.stack([w.real, -w.imag], axis=1).reshape(2 * K + 2, M)
+                          for w in (weight, 1j * k[K:, None] * weight))
         proj3 = np.ascontiguousarray(np.conj(root[:, K:]) / M).view(np.float64)
-        ik = 1j * np.array(np.meshgrid(k, k, k[K:], indexing="ij")).reshape(3, 1, -1)
         # the basis is shared (see build_basis), so every array is read-only
         for name, value in (("modes", modes), ("polarizations", pol),
                             ("polarizations_int", pol_int),
@@ -162,10 +161,10 @@ class GalerkinBasis:
                             # complex, so that no einsum casts it per call
                             ("_pol_pcn", np.ascontiguousarray(pol.transpose(1, 2, 0),
                                                               dtype=np.complex128)),
-                            ("_ik", ik),
                             ("_synth12", np.ascontiguousarray(root.T)),
-                            ("_synth3", synth3), ("_proj12", np.conj(root) / M),
-                            ("_proj3", proj3)):
+                            ("_deriv12", 1j * k[:, None] * root.T),
+                            ("_synth3", synth3), ("_deriv3", deriv3),
+                            ("_proj12", np.conj(root) / M), ("_proj3", proj3)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_synth_scale", 1.0 / np.sqrt(2.0 * BOX_VOLUME))
@@ -206,80 +205,78 @@ class GalerkinBasis:
         spec[self._dst] = vals.transpose(2, 0, 1)
         return spec
 
-    def _to_grid(self, spec: np.ndarray, work: dict | None = None) -> np.ndarray:
-        """Half cubes (P, ...) (see `_spectrum`) -> real grids (..., M, M, M).
-
-        Each stage is one matrix product over every field of the stack, B
-        the flattened trailing axes, that contracts the leading axis and
-        appends the grid axis.  The DFTs along axes 1 and 2 go (k1, k2, k3,
-        B) -> (k2, k3, B, x1) -> (k3, B, x1, x2); the result is split into
-        its real and imaginary parts, (k3, Re/Im, B, x1, x2), and the real
-        map along axis 3 applies the k3 weights and gives the contiguous
-        grids (B, x1, x2, x3).  The four results are kept in `work` (see
-        the module docstring)."""
-        a, c = 2 * self.kmax + 1, self.kmax + 1
-        M, rest, work = self.grid_size, spec.shape[1:], {} if work is None else work
-        g = work["x1"] = np.matmul(spec.reshape(a, -1).T, self._synth12, out=work.get("x1"))
-        g = work["x2"] = np.matmul(g.reshape(a, -1).T, self._synth12, out=work.get("x2"))
-        parts = g.view(np.float64).reshape(c, -1, 2).transpose(0, 2, 1)
-        g = work["parts"] = _copy(parts, work.get("parts"))
-        g = work["x3"] = np.matmul(g.reshape(2 * c, -1).T, self._synth3, out=work.get("x3"))
-        return g.reshape(*rest, M, M, M)
+    def _to_grid(self, work: dict, lead: tuple, jacobian: bool = False) -> tuple:
+        """Values (..., 3, M, M, M) of the half cubes work["spec"] (P, L, 3) of
+        a stack of leading shape `lead`, and with the `jacobian` derivatives
+        (..., 3, 3, M, M, M).  Each stage is one product per block over the
+        stack, B its flattened stack and component axes: (k1, k2, k3, B) ->
+        (k2, k3, B, x1) gives u and d1 u, -> (k3, B, x1, x2) u, d1 u and d2 u,
+        split into (k3, Re/Im, block, B, x1, x2), and the real map gives each
+        block and, from u, d3 u as grids (block, B, x1, x2, x3).  The products
+        are made as views of their buffers on first use and kept in `work`."""
+        if work.get("stages", (None,))[0] != (lead, jacobian):
+            a, c, M = 2 * self.kmax + 1, self.kmax + 1, self.grid_size
+            s, d = self._synth12, self._deriv12
+            spec = work["spec"].reshape(a, -1).T
+            x1 = np.empty((1 + jacobian, len(spec), M), dtype=np.complex128)
+            u = x1[0].reshape(a, -1).T
+            x2 = np.empty((1 + 2 * jacobian, len(u), M), dtype=np.complex128)
+            parts = np.empty((c, 2, len(x2), x2[0].size // c))
+            grids = np.empty((len(x2) + jacobian, parts.shape[-1], M))
+            products = [(spec, s, x1[0]), (u, s, x2[0])]
+            split = (parts, x2.view(np.float64).reshape(len(x2), c, -1, 2).transpose(1, 3, 0, 2))
+            maps = [(parts.reshape(2 * c, -1).T, self._synth3, grids[:len(x2)].reshape(-1, M))]
+            results = (grids[0].reshape(*lead, 3, M, M, M),)
+            if jacobian:
+                products += [(spec, d, x1[1]), (x1[1].reshape(a, -1).T, s, x2[1]), (u, d, x2[2])]
+                maps.append((parts[:, :, 0].reshape(2 * c, -1).T, self._deriv3, grids[-1]))
+                # (3, L, 3 M^3) turned to (L, 3, 3 M^3): the derivative axis ahead
+                results += (grids[1:].reshape(3, -1, 3 * M**3).transpose(1, 0, 2).reshape(
+                    *lead, 3, 3, M, M, M),)
+            work["stages"] = (lead, jacobian), products, split, maps, results
+        _, products, split, maps, results = work["stages"]
+        for x, m, out in products:
+            np.matmul(x, m, out=out)
+        np.copyto(*split)
+        for x, m, out in maps:
+            np.matmul(x, m, out=out)
+        return results
 
     def synthesize(self, coeffs: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Real grid values (..., 3, M, M, M) of a field or a stack; stages kept in `work`."""
         work = {} if work is None else work
-        spec = work["spec"] = self._spectrum(coeffs, out=work.get("spec"))
-        grids = self._to_grid(spec, work)
-        return grids.reshape(*coeffs.shape[:-2], *grids.shape[1:])
+        work["spec"] = self._spectrum(coeffs, out=work.get("spec"))
+        return self._to_grid(work, coeffs.shape[:-2])[0]
 
-    def synthesize_with_jacobian(
-        self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None,
-        work: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def synthesize_with_jacobian(self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None,
+                                 work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Grid values of `coeffs` (..., 3, M, M, M) and the Jacobian dv_c/dx_a
-        of `grad_coeffs`, default the same field (scattered once),
-        (..., 3, 3, M, M, M); leading axes are a stack of fields.  The zero
-        half cubes of the field and its 3 derivatives, (P, L, 4, 3), and the
-        grids are kept in `work` (see the module docstring)."""
-        lead, work = coeffs.shape[:-2], {} if work is None else work
-        if "cubes" not in work:
-            work["cubes"] = np.zeros((self._cube_size, math.prod(lead), 4, 3),
-                                     dtype=np.complex128)
-        cubes = work["cubes"]
-        self._spectrum(coeffs, out=cubes[:, :, 0])
-        dspec = cubes[:, :, :1] if grad_coeffs is None else (
-            self._spectrum(grad_coeffs)[:, :, None])
-        # wavenumbers innermost: a few long loops instead of many of length 3
-        np.multiply(self._ik, dspec.transpose(1, 2, 3, 0), order="C",
-                    out=cubes[:, :, 1:].transpose(1, 2, 3, 0))
-        grids = self._to_grid(cubes, work)
-        M = self.grid_size
-        return (grids[:, 0].reshape(*lead, 3, M, M, M),
-                grids[:, 1:].reshape(*lead, 3, 3, M, M, M))
+        of `grad_coeffs`, default the same field, a (..., 3, 3, M, M, M) view;
+        leading axes are a stack.  The values are those of `synthesize`, and
+        the stages (see `_to_grid`) are kept in `work`."""
+        work = {} if work is None else work
+        src = coeffs if grad_coeffs is None else grad_coeffs
+        work["spec"] = self._spectrum(src, out=work.get("spec"))
+        values, jac = self._to_grid(work, src.shape[:-2], jacobian=True)
+        if grad_coeffs is not None:
+            values = self.synthesize(coeffs, work.setdefault("values", {}))
+        return values, jac
 
     def analyze(self, grid: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Project physical grid values (..., 3, M, M, M) onto the basis
-        (Leray + truncation); leading axes are a stack of fields.
-
-        The adjoint of `_to_grid`, one matrix product per stage over every
-        field that contracts the leading axis and appends the wavenumber
-        axis: the grids, turned to (x3, x1, x2, B), go to (x1, x2, B, k3) by
-        the real map along axis 3, then to (x2, B, k3, k1) and (B, k3, k1,
-        k2) by the DFTs along axes 1 and 2, and the coefficients are gathered
-        from the last, and the four results are kept in `work`.  Each product
-        reads the stack as the transposed rows of its left factor (see the
-        module docstring), so each field's coefficients do not depend on its
-        stack.
-
-        The component of each Fourier amplitude parallel to k is discarded by
+        (Leray + truncation); leading axes are a stack of fields.  The adjoint
+        of `_to_grid`: the grids, turned to (x3, x1, x2, B), go to (x1, x2, B,
+        k3) by the real map along axis 3, then to (x2, B, k3, k1) and (B, k3,
+        k1, k2) by the DFTs along axes 1 and 2, and the coefficients are
+        gathered from the last; the four results are kept in `work`.  The
+        component of each Fourier amplitude parallel to k is discarded by
         expanding only on the polarization vectors, which realizes the
-        orthogonal projection onto divergence-free fields.
-        """
+        orthogonal projection onto divergence-free fields."""
         n = self.n_half_modes
         M, lead, work = self.grid_size, grid.shape[:-4], {} if work is None else work
-        spec = work["turned"] = _copy(grid.reshape(-1, M, M, M).transpose(3, 1, 2, 0),
-                                      work.get("turned"))
+        turned = grid.reshape(-1, M, M, M).transpose(3, 1, 2, 0)
+        spec = work["turned"] = work["turned"] if "turned" in work else np.empty(turned.shape)
+        np.copyto(spec, turned)
         spec = work["k3"] = np.matmul(spec.reshape(M, -1).T, self._proj3, out=work.get("k3"))
         spec = work["k1"] = np.matmul(spec.view(np.complex128).reshape(M, -1).T,
                                       self._proj12, out=work.get("k1"))
@@ -310,15 +307,13 @@ class GalerkinBasis:
         for a stack (..., 3, M, M, M), an array of norms of the leading
         shape, each computed as for one field."""
         sq = np.einsum("...cxyz,...cxyz->...xyz", grid, grid)
-        if sq.ndim == 3:
-            return self.quadrature(sq * sq) ** 0.25
-        # one row sum per member over its contiguous squares adds them in the
-        # order `quadrature` does; the roots use Python's pow, as above
-        # (numpy's vectorized ** 0.25 rounds some of them differently)
-        M3 = self.grid_size ** 3
         sq *= sq
-        sums = sq.reshape(-1, M3).sum(axis=1) * (BOX_VOLUME / M3)
-        return np.array([r ** 0.25 for r in sums.tolist()]).reshape(sq.shape[:-3])
+        r4 = self.quadrature(sq)
+        # Python's pow for every root (numpy's vectorized ** 0.25 rounds some
+        # of them differently)
+        if sq.ndim == 3:
+            return r4 ** 0.25
+        return np.array([r ** 0.25 for r in r4.ravel().tolist()]).reshape(r4.shape)
 
 
 @dataclass(frozen=True)
@@ -373,14 +368,6 @@ def _check_same_basis(*fields: SpectralField) -> GalerkinBasis:
 def _on_basis(basis: GalerkinBasis | None, *xs) -> tuple[GalerkinBasis, tuple]:
     """(basis, coefficients) of the fields xs, or of the stacks xs on `basis`."""
     return (basis, xs) if basis else (_check_same_basis(*xs), tuple(x.coeffs for x in xs))
-
-
-def _copy(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A C-contiguous copy of x, written into `out` when given."""
-    if out is None:
-        return np.ascontiguousarray(x)
-    np.copyto(out, x)
-    return out
 
 
 # ---- construction -------------------------------------------------------

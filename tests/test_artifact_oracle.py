@@ -1,7 +1,12 @@
+import base64
 import importlib.util
+import json
 import os
 
+import numpy as np
 import pytest
+
+from gmnslab import spectral as sp
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "artifact_oracle.py")
 _spec = importlib.util.spec_from_file_location("artifact_oracle", _PATH)
@@ -38,3 +43,28 @@ class TestDivergences:
         text = oracle._describe(oracle.divergences(str(ref), str(new)))
         assert text.startswith("moved: 'value' 1e-06 (abs 1e-06)")
         assert "rounding-level (abs < 1e-12): 'margin' 4.61e-07 (abs 3.5e-18)" in text
+
+    def test_checkpoint_fields_are_columns(self, tmp_path):
+        # a checkpoint's v and z are base64 field payloads: a coefficient of v
+        # that moved by one ulp shows as v's column at rounding level, where
+        # the bytes alone would read as non-numeric content
+        basis = sp.build_basis(1)
+        v = sp.random_field(basis, np.random.default_rng(3)).coeffs.copy()
+        z = sp.random_field(basis, np.random.default_rng(4))
+        paths = []
+        for name, re in (("ref", 0.5), ("new", 0.5 + 2**-53)):
+            v[5, 1] = complex(re, 0.25)
+            text = {"format": 1, "params": {"level": "inf", "forcing": None},
+                    "time": 0.5, **{key: base64.b64encode(sp.field_to_bytes(f)).decode()
+                                    for key, f in (("v", sp.SpectralField(basis, v.copy())),
+                                                   ("z", z))}}
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(text))
+        moved = oracle.divergences(*map(str, paths))
+        assert [(name, diff, rounding) for name, _, diff, rounding in moved] == [
+            ("v", 2**-53, True)]
+        assert oracle._describe(moved).startswith("rounding-level (abs < 1e-12): 'v'")
+        values = oracle._field_values(json.loads(paths[1].read_text())["v"])
+        assert values == v.view(np.float64).ravel().tolist()
+        for text in ("inf", "simulate", "@@@", base64.b64encode(b"\x01" * 9).decode()):
+            assert oracle._field_values(text) is None

@@ -209,6 +209,12 @@ class TestModesAndExitCodes:
             ({"params": {"level": math.inf}}, "'params.level'"),
             ({"params": {"noise": {"amplitude": -math.inf}}}, "'params.noise.amplitude'"),
             ({"params": {"level": "abc"}}, "'params.level'"),
+            # finite, but the dissipation estimates square it
+            ({"params": {"level": 1e308}}, "'params.level'"),
+            # E|z|_H^2 of the stationary OU start is about 8e300 at chi 0: |z|^4
+            # in its L4 quadrature and the squared instability ceiling overflow
+            ({"params": {"kmax": 2, "nu": 1e-300, "chi": 0.0}}, "'params.nu'"),
+            ({"params": {"instability_factor": 1e200}}, "'params.instability_factor'"),
             ({"params": {"nu": "1"}}, "'params.nu'"),
             ({"params": {"dt": "x"}}, "'params.dt'"),
             ({"params": {"dt_path": 0}}, "dt_path"),

@@ -145,7 +145,7 @@ class TestBufferedKernel:
                 assert np.array_equal(g, f)
                 assert np.asarray(g).tobytes() == np.asarray(f).tobytes()
             # only the scatter targets of the half cubes are ever written
-            cubes = work["cubes"]
+            cubes = work["spec"]
             pad = np.ones(len(cubes), dtype=bool)
             pad[basis2._dst] = False
             assert not cubes[pad].view(np.float64).any()

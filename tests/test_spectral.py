@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from gmnslab import cutoff as co
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
@@ -53,9 +54,8 @@ class TestBasisConstruction:
 
     def test_shared_arrays_read_only(self, basis2):
         names = ("modes", "polarizations", "polarizations_int", "eigenvalues",
-                 "_src", "_dst", "_sign", "_gather", "_pol_pcn", "_ik",
-                 "_synth12",
-                 "_synth3", "_proj12", "_proj3")
+                 "_src", "_dst", "_sign", "_gather", "_pol_pcn", "_synth12",
+                 "_deriv12", "_synth3", "_deriv3", "_proj12", "_proj3")
         for name in names:
             arr = getattr(basis2, name)
             with pytest.raises(ValueError):
@@ -145,6 +145,26 @@ class TestTransforms:
                 assert np.abs(jac - grad_direct(g, basis.grid_size)).max() < 1e-13
 
 
+    @pytest.mark.parametrize("lead", [(), (4, 2)])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_values_equal_synthesize(self, kmax, lead):
+        # the values pass through the products of `synthesize` and each
+        # derivative through its own: the grids are equal bit for bit in both
+        # forms, and so is the L4 norm that B_F takes from them
+        basis = sp.build_basis(kmax)
+        rng = np.random.default_rng(30 + kmax)
+        c, g = (np.stack([sp.random_field(basis, rng).coeffs
+                          for _ in range(math.prod(lead))]).reshape(*lead, -1, 2)
+                for _ in range(2))
+        want = basis.synthesize(c)
+        for values, jac in (basis.synthesize_with_jacobian(c),
+                            basis.synthesize_with_jacobian(c, g)):
+            assert values.shape == want.shape and values.tobytes() == want.tobytes()
+            assert jac.shape == (*lead, 3, 3) + want.shape[-3:]
+        l4 = co.cutoff_advection_coeffs(basis, c, 1.0)[1]
+        assert np.float64(l4).tobytes() == np.float64(sp.norm_L4(c, basis)).tobytes()
+
+
 class TestStackedTransforms:
     # a pair, a kmax-2 tile of the contraction march, a kmax-1 tile and a
     # partial tile
@@ -212,10 +232,10 @@ class TestStackedTransforms:
             got = basis.analyze(grid, work)
             assert got.tobytes() == basis.analyze(grid).tobytes()
             # only the scatter targets of the half cubes are ever written
-            pad = np.ones(len(work["cubes"]), dtype=bool)
+            pad = np.ones(len(work["spec"]), dtype=bool)
             pad[basis._dst] = False
-            assert not work["cubes"][pad].view(np.float64).any()
-            assert not np.signbit(work["cubes"][pad].view(np.float64)).any()
+            assert not work["spec"][pad].view(np.float64).any()
+            assert not np.signbit(work["spec"][pad].view(np.float64)).any()
 
 
 def _signed_zeros(rng, x):
@@ -319,12 +339,17 @@ class TestProjectedAdvection:
             cap = 1e-12 * sp.norm_V(u) * sp.norm_V(v) ** 2
             assert abs(inner_H(nonlinear_B(u, v), v)) <= cap
 
-    def test_single_mode_truncates_to_zero(self, basis1):
-        # self-advection of one mode excites only wavevectors 0 and 2k,
-        # both outside the truncated zero-mean basis at kmax = 1
-        u, _ = single_mode_field(basis1, (1, 0, 0), coeff=1.0 + 0.5j)
-        out = nonlinear_B(u, u)
-        assert sp.norm_H(out) == 0.0
+    def test_single_mode_truncates_to_zero(self, basis1, basis2):
+        # u . grad u = 0 for one mode, as u is orthogonal to k, and every term
+        # of the convective form is an exact zero: u has no component along
+        # an axis mode's k and does not vary across it, each derivative from
+        # its own stage matrix; the plane mode's polarization is -e3 and it
+        # does not vary along x3 (the k3 = 0 row of the third stage)
+        for basis in (basis1, basis2):
+            for k, pol in (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, -1, 0), 1)):
+                u, _ = single_mode_field(basis, k, pol=pol, coeff=1.0 + 0.5j)
+                out = nonlinear_B(u, u)
+                assert sp.norm_H(out) == 0.0, (basis.kmax, k)
 
     def test_linear_in_first_slot_zero(self, basis2, rng):
         v = sp.random_field(basis2, rng)

@@ -8,9 +8,10 @@ re-run that exits 7 (registry divergence) produced different bytes.  Prints
 each re-run's exit code and the registry's list of changed artifacts, and
 exits 1 if any re-run exits 7.  For each changed CSV or JSON artifact it also
 prints how far the numbers moved: every numeric CSV column or JSON leaf (a
-list of numbers counts as one column) that moved, with its relative change,
-max |ref - new| over the column's largest |ref|, and its absolute change,
-max |ref - new|, side by side, the largest relative change first.  A column
+list of numbers counts as one column, and so do the coefficients of a base64
+field payload, such as a checkpoint's v and z) that moved, with its relative
+change, max |ref - new| over the column's largest |ref|, and its absolute
+change, max |ref - new|, side by side, the largest relative change first.  A column
 whose absolute change is below ROUNDING_FLOOR moved at rounding level,
 whatever its relative change says: a column that holds rounding error by
 construction (an identity that is zero in exact arithmetic), or a tolerance
@@ -51,12 +52,14 @@ ROUNDING_FLOOR = 1e-12
 
 _SMALL = {"kmax": 1, "dt": 1 / 32, "t_final": 0.5}
 
-# A kmax-1 forcing in the spectral field format: a "<BII" header (format 1,
-# kmax 1, 26 coefficients) and the 13 x 2 coefficients as little-endian
-# complex128 (re, im) pairs.  Built here, so it does not depend on the tree
-# under test.
-_FORCING = base64.b64encode(struct.pack(
-    "<BII52d", 1, 1, 26, *(0.25 * math.sin(1.0 + 0.7 * i) for i in range(52)))).decode()
+# The spectral field format: a "<BII" header (format 1, kmax, coefficient
+# count), then the coefficients as little-endian complex128 (re, im) pairs.
+# Spelled out here, so it does not depend on the tree under test.
+_FIELD_HEADER = struct.Struct("<BII")
+
+# A kmax-1 forcing in that format: 13 x 2 coefficients.
+_FORCING = base64.b64encode(_FIELD_HEADER.pack(1, 1, 26) + struct.pack(
+    "<52d", *(0.25 * math.sin(1.0 + 0.7 * i) for i in range(52)))).decode()
 
 # (name, config); every run is exploratory, so a small ensemble is legal and
 # an assertion outcome never decides the exit code
@@ -150,9 +153,27 @@ def _csv_columns(path: str) -> dict[str, list]:
     return columns
 
 
+def _field_values(text: str) -> list[float] | None:
+    """The (re, im) floats of a base64 field payload in the spectral field
+    format (a checkpoint's v and z), or None if text is not one."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:
+        return None
+    if len(data) < _FIELD_HEADER.size:
+        return None
+    version, _, count = _FIELD_HEADER.unpack_from(data)
+    if version != 1 or len(data) != _FIELD_HEADER.size + 16 * count:
+        return None
+    return list(struct.unpack_from(f"<{2 * count}d", data, _FIELD_HEADER.size))
+
+
 def _json_columns(node, where: str = "", columns: dict | None = None) -> dict[str, list]:
     columns = {} if columns is None else columns
-    if _is_number(node):
+    values = _field_values(node) if isinstance(node, str) else None
+    if values is not None:
+        columns[where] = values
+    elif _is_number(node):
         columns[where] = [float(node)]
     elif isinstance(node, list) and node and all(_is_number(x) for x in node):
         columns[where] = [float(x) for x in node]
