@@ -98,9 +98,6 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]
     path = nz.make_path(cfg.seed, params.dt_path, 0.0, params.t_final,
                         params.noise, basis)
     traj = it.solve(x, path, params, record_every=cfg.option("record_every"))
-    csv_path = os.path.join(out, "trajectory.csv")
-    with open(csv_path, "w") as fh:
-        traj.ledger.to_csv(fh)
     manifest_path = os.path.join(out, "path_manifest.json")
     _write_json(manifest_path, path.manifest())
     ckpt_path = os.path.join(out, "checkpoint.json")
@@ -116,7 +113,7 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]
         "pullback_margin": it.pullback_inequality_margin(params, traj.ledger),
         "passed": True,
     }
-    return summary, True, {}, [csv_path, manifest_path, ckpt_path]
+    return summary, True, {"trajectory.csv": traj.ledger.columns()}, [manifest_path, ckpt_path]
 
 
 def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:

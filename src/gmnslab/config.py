@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
+from .cutoff import CutoffParams
 from .experiments import MEASURE_BATCHES, stability_threshold
 from .integrate import SimParams
 from .noise import (MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes,
@@ -192,9 +193,6 @@ def resolve_config(raw: dict) -> RunConfig:
         _require(ok or (name, value) in (("level", "inf"), ("dt_path", None)),
                  f"field 'params.{name}' must be a finite number"
                  + (' or "inf"' if name == "level" else "") + f", got {value!r}")
-    # the dissipation estimates square a finite level
-    _require(not _finite(pd["level"]) or math.isfinite(pd["level"] * pd["level"]),
-             f"field 'params.level' = {pd['level']!r} overflows once squared")
     # the smallest Stokes eigenvalue is |k|^2 = 1 at k = (0, 0, 1) for every kmax
     _require(pd["lambda_p"] == 1.0,
              "field 'params.lambda_p' must equal the Poincare constant 1.0 of the "
@@ -213,6 +211,19 @@ def resolve_config(raw: dict) -> RunConfig:
         params = SimParams.from_dict(pd)
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
+    # eta = 7^7 level^8 / (2^13 nu^7) of a finite level in Python floats (a
+    # power raises OverflowError, nu^7 may underflow to 0); a finite level^8
+    # keeps the dissipation estimates' level^2 and the lemma's |u|^4 finite
+    if math.isfinite(params.level):
+        bad, eta = "level", math.inf  # the field named until level^8 is taken
+        try:
+            params.level ** 8
+            bad = "nu"
+            eta = CutoffParams(params.level, params.nu).eta
+        except (OverflowError, ZeroDivisionError):
+            pass
+        _require(math.isfinite(eta), f"field 'params.{bad}' = {getattr(params, bad)!r} "
+                 "gives eta = 7^7 level^8 / (2^13 nu^7) that is not a finite float")
     # |z|^4 of the stationary OU start in its L4 quadrature scales as E|z|_H^2
     # squared, and the squared instability ceiling as factor^2 * E|z|_H^2
     h2 = stationary_mean_H2(params.noise, params.chi, params.nu, params.basis())

@@ -17,12 +17,12 @@ and it is monotone up to a zeroth-order correction: for all v1, v2
 
     <G(v1) - G(v2), v1 - v2> + eta |v1 - v2|_H^2  >=  (nu/2) |v1 - v2|_V^2
 
-with eta = 7^7 * level^8 / (2^13 * nu^7).  `monotonicity_gap` evaluates the
-left-minus-right side directly so the inequality can be fuzzed numerically.
+with eta = 7^7 * level^8 / (2^13 * nu^7).  `gap_of_terms` evaluates the
+left-minus-right side so the inequality can be fuzzed numerically.
 
-Each per-case formula has one implementation here, on Python floats; the
-functions of fields and the fuzz suites (which take a tile's norms as
-stacks) call it.  Only `cutoff_advection_coeffs` takes a stack of fields.
+Each per-case formula has one implementation here, on Python floats, which
+the fuzz suites call with a tile's norms.  The one kernel of fields is
+`cutoff_advection_coeffs`, on a stack (one field is a stack of one).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GalerkinBasis, inner_coeffs, norm_H, norm_L4, norm_V
+from .spectral import GalerkinBasis
 
 
 @dataclass(frozen=True)
@@ -77,23 +77,13 @@ def lipschitz_sides(ru: float, rv: float, ruv: float, level: float) -> tuple[flo
     return abs(fu - fv), fu * fv * ruv / level
 
 
-def cutoff_product_bound(u, level: float) -> float:
-    """`product_bound` of the field u."""
-    return product_bound(norm_L4(u), level)
-
-
-def cutoff_lipschitz_sides(u, v, level: float) -> tuple[float, float]:
-    """`lipschitz_sides` of the fields u and v."""
-    return lipschitz_sides(norm_L4(u), norm_L4(v), norm_L4(u - v), level)
-
-
 def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
                             level: float | np.ndarray, work: dict | None = None):
-    """(B_F(w), |w|_L4, F) for a coefficient array; the one B_F kernel of the
-    field API and the stepper, with the L4 norm from the advection's grid.
-    For a stack of arrays (leading axes) the norm and F are arrays with one
-    entry per member, each computed as for that member alone, and at its
-    own level when `level` is an array that broadcasts to the stack's
+    """(B_F(w), |w|_L4, F) for coefficients (..., n, 2); the one B_F kernel
+    of the stepper and the fuzz suites, with the L4 norm from the
+    advection's grid.  The norm and F are arrays of the stack's leading
+    shape (0-d for one field), each entry computed as for that member alone,
+    and at its own level when `level` is an array that broadcasts to the
     leading shape (such as the stepper's one level per field).  Each stage
     keeps its result in `work` (see the spectral module), so a caller that
     evaluates B_F over one stack shape over and over allocates them once."""
@@ -103,11 +93,6 @@ def cutoff_advection_coeffs(basis: GalerkinBasis, w: np.ndarray,
     adv = work["advection"] = np.einsum("...axyz,...acxyz->...cxyz", wg, dw,
                                         out=work.get("advection"))
     out = basis.analyze(adv, work)
-    if w.ndim == 2:
-        f = cutoff_factor(l4, level)
-        if f != 1.0:
-            out *= f
-        return out, l4, f
     levels = np.full(l4.shape, level).ravel().tolist()
     f = np.array(list(map(cutoff_factor, l4.ravel().tolist(), levels))).reshape(l4.shape)
     # x * 1.0 is x bit for bit, so members with F = 1 are left as they are
@@ -123,23 +108,6 @@ def gap_of_terms(params: CutoffParams, pair: float, nv: float, nh: float) -> flo
 
 
 def tolerance_of_norms(nv1: float, nv2: float) -> float:
-    """`gap_tolerance` from nv1 = |v1|_V and nv2 = |v2|_V."""
+    """Rounding allowance of the monotonicity gap (compared with its negative,
+    not 0, so v1 = v2 does not trip on noise) from nv1 = |v1|_V, nv2 = |v2|_V."""
     return 1e-10 * (1.0 + nv1**2 + nv2**2)
-
-
-def monotonicity_gap(v1, v2, z, params: CutoffParams) -> float:
-    """<G(v1)-G(v2), v1-v2> + eta |v1-v2|_H^2 - (nu/2) |v1-v2|_V^2.
-
-    Nonnegative up to rounding; callers compare against
-    -gap_tolerance(v1, v2) rather than 0 so that exact-zero cases (v1 = v2)
-    do not trip on floating-point noise.  The two B_F run as one stack.
-    """
-    d = v1 - v2
-    bf = cutoff_advection_coeffs(d.basis, np.stack([(v1 + z).coeffs, (v2 + z).coeffs]),
-                                 params.level)[0]
-    return gap_of_terms(params, inner_coeffs(bf[0] - bf[1], d.coeffs), norm_V(d), norm_H(d))
-
-
-def gap_tolerance(v1, v2) -> float:
-    """Magnitude-scaled rounding allowance for the monotonicity inequality."""
-    return tolerance_of_norms(norm_V(v1), norm_V(v2))

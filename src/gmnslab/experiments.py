@@ -42,8 +42,9 @@ def stability_threshold(level: float, lambda_p: float) -> float:
 
 
 def contraction_rate(nu: float, level: float, lambda_p: float) -> float:
-    """nu*lambda - 7^7 * level^8 / (2^12 * nu^7); positive above threshold."""
-    return nu * lambda_p - 7.0**7 * level**8 / (2.0**12 * nu**7)
+    """nu*lambda - 2*eta = nu*lambda - 7^7 * level^8 / (2^12 * nu^7), with eta
+    the monotonicity constant `CutoffParams.eta`; positive above threshold."""
+    return nu * lambda_p - 2 * co.CutoffParams(level, nu).eta
 
 
 def _fields_and_extra(report, *omit: str) -> dict:
@@ -340,7 +341,7 @@ def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
     names the member, not its place in the tile."""
     basis = params.basis()
     tile = member_tile(basis, 12 * x.shape[1], path_of(0).steps)
-    stepper = it._Stepper(params, basis, params.dt)
+    stepper = it._Stepper(params)
     for m0 in range(0, len(x), tile):
         # each tile's paths are built here and dropped with the tile
         paths = [path_of(m) for m in range(m0, min(len(x), m0 + tile))]
@@ -564,7 +565,7 @@ def nse_limit_experiment(
         sp.norm_H(x) ** 2 + T * params.forcing_dual_norm() ** 2 / params.nu
     )
     # without noise z(0) is +0.0, so each field starts at x bit for bit
-    stepper = it._Stepper(p, x.basis, p.dt, level=np.array(levels))
+    stepper = it._Stepper(p, level=np.array(levels))
     try:
         stack = it.solve((x,) * len(levels), [path], p, record_every=1, stepper=stepper)
     except it.InstabilityError as exc:  # the level, not its place in the stack

@@ -25,13 +25,13 @@ OU cursor, and P fields per group that share its z.  One field is the (1, 1)
 stack.  The result carries the (G, P) axes after its time axis, and
 `Trajectory.member` gives one field's record.  Each field's drift, L4 norm
 and cutoff factor, and each ledger entry, are computed as if it were alone,
-so a stacked field is bit for bit its single solve.  The cutoff level is
-params.level, or one level per field held by the stepper passed as
-`stepper=`; then the trajectory's params.level is not the level its fields
-ran at.  The stepper holds a `work` dict for its stack shape, in which each
-stage of the stacked drift keeps its result, so a march allocates them once.
-With `ledger=False` a solve keeps only the snapshots, for the runs that read
-nothing else (the contraction ensemble).
+so a stacked field is bit for bit its single solve.  The stepper, built
+from params alone (its basis and dt) and passed as `stepper=`, holds the
+cutoff level, params.level or one per field (then the trajectory's
+params.level is not the level its fields ran at), and a `work` dict for its
+stack shape, in which each stage of the drift keeps its result, so a march
+allocates them once.  With `ledger=False` a solve keeps only the snapshots,
+for the runs that read nothing else (the contraction ensemble).
 
 The energy ledger records the terms of the energy balance
 
@@ -47,7 +47,8 @@ the flux are summed into the residual and not kept.  |u|_L4 and F come from
 each step's drift.  The march's v, z and B_F arrays are kept for a block of
 steps (see `ledger_block`), and the norms (|z|_L4 among them) and pairings
 of a block are one stacked call each, with the step as one more leading
-axis; each entry is bit for bit its step's own call.
+axis; each entry is bit for bit its step's own call.  `EnergyLedger.columns`
+gives one field's series to the CSV writer of the command line.
 
 A checkpoint holds (time, v, z); `resume` starts its OU cursor from the
 saved z, so the continued run is bit for bit the uninterrupted one.
@@ -161,11 +162,6 @@ class SimParams:
             )
         return b
 
-    def forcing_coeffs(self, basis: GalerkinBasis) -> np.ndarray:
-        if self.forcing is None:
-            return np.zeros((basis.n_half_modes, 2), dtype=np.complex128)
-        return self.forcing.coeffs
-
     def forcing_dual_norm(self) -> float:
         return 0.0 if self.forcing is None else norm_dual(self.forcing)
 
@@ -227,20 +223,12 @@ class EnergyLedger:
     def max_residual(self) -> float:
         return float(np.abs(self.residual).max())
 
-    def to_csv(self, fh) -> None:
-        """Trajectory series in the interchange column set, one row per solver step."""
-        fh.write("t,H_norm_v,V_norm_v,L4_norm_u,F_N,residual,H_norm_u\n")
-        for k in range(len(self.t)):
-            cols = (
-                self.t[k],
-                math.sqrt(self.v_H2[k]),
-                math.sqrt(self.v_V2[k]),
-                self.u_L4[k],
-                self.cutoff[k],
-                self.residual[k],
-                math.sqrt(self.u_H2[k]),
-            )
-            fh.write(",".join(f"{c:.17g}" for c in cols) + "\n")
+    def columns(self) -> dict:
+        """One field's series in the interchange column set, a row per step."""
+        return {"t": self.t.tolist(), "H_norm_v": np.sqrt(self.v_H2).tolist(),
+                "V_norm_v": np.sqrt(self.v_V2).tolist(), "L4_norm_u": self.u_L4.tolist(),
+                "F_N": self.cutoff.tolist(), "residual": self.residual.tolist(),
+                "H_norm_u": np.sqrt(self.u_H2).tolist()}
 
 
 @dataclass
@@ -290,18 +278,18 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed ETD2 tables and the drift evaluation for one (params,
-    basis), with the B_F `work` dict of the stack shape it last evaluated,
+    """Precomputed ETD2 tables and the drift evaluation for params (its basis
+    and dt), with the B_F `work` dict of the stack shape it last evaluated,
     at params.level or at `level`, one per field of the stack it marches."""
 
-    def __init__(self, params: SimParams, basis: GalerkinBasis, dt: float, level=None):
+    def __init__(self, params: SimParams, level=None):
         self.params = params
-        self.basis = basis
+        self.basis = basis = params.basis()
         self.level = params.level if level is None else level
         # one entry per coefficient, (n, 2), so each product with a stack of
         # fields runs as one long loop
         lam = np.repeat(basis.eigenvalues.astype(np.float64)[:, None], 2, axis=1)
-        zh = params.nu * lam * dt
+        zh = params.nu * lam * params.dt
         self.E = np.exp(-zh)
         small = zh < 1e-5
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -309,9 +297,10 @@ class _Stepper:
             phi2 = (np.expm1(-zh) + zh) / zh**2
         phi1_series = 1.0 - zh / 2.0 + zh**2 / 6.0 - zh**3 / 24.0
         phi2_series = 0.5 - zh / 6.0 + zh**2 / 24.0 - zh**3 / 120.0
-        self.hphi1 = dt * np.where(small, phi1_series, phi1)
-        self.hphi2 = dt * np.where(small, phi2_series, phi2)
-        self.f_coeffs = params.forcing_coeffs(basis)
+        self.hphi1 = params.dt * np.where(small, phi1_series, phi1)
+        self.hphi2 = params.dt * np.where(small, phi2_series, phi2)
+        self.f_coeffs = (np.zeros((basis.n_half_modes, 2), dtype=np.complex128)
+                         if params.forcing is None else params.forcing.coeffs)
         self._lead = self._work = None
 
     def drift(self, v: np.ndarray, z: np.ndarray):
@@ -348,9 +337,6 @@ def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
     params = stepper.params
 
     def z_at(t):
-        # a single group's z stays a view of its cursor: no copy per step
-        if len(cursors) == 1:
-            return cursors[0].advance_to(t)[None, None]
         return np.stack([c.advance_to(t) for c in cursors])[:, None]
 
     z = z_at(t0)
@@ -432,22 +418,20 @@ def solve_transformed(
     bit-identical.  The ledger is recorded on every solver step unless
     `ledger` is False; field snapshots every `record_every` steps (the
     initial and final states are always kept).  `stepper`, built for the same
-    params and basis, lends the march its work arrays and its cutoff level,
-    which may be one per field (default: a new one at params.level).
+    params, lends the march its work arrays and its cutoff level, which may
+    be one per field (default: a new one at params.level).
     """
     one = isinstance(v0, SpectralField)
     if one:
-        basis, v0, path = v0.basis, v0.coeffs[None, None], [path]
-        cursor = None if cursor is None else [cursor]
-    else:
-        basis = params.basis()
-    if basis.kmax != params.kmax:
-        raise ValueError("initial data basis does not match params.kmax")
+        if v0.basis.kmax != params.kmax:
+            raise ValueError("initial data basis does not match params.kmax")
+        v0, path, cursor = v0.coeffs[None, None], [path], None if cursor is None else [cursor]
+    basis = params.basis()
     horizon = params.t_final if t_final is None else t_final
     n_steps = int(round(horizon / params.dt))
     if abs(n_steps * params.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
         raise ValueError("t_final must be a positive integer multiple of dt")
-    stepper = stepper or _Stepper(params, basis, params.dt)
+    stepper = stepper or _Stepper(params)
     cursors = cursor or [OUCursor(p, params.chi, params.nu) for p in path]
     # snapshot slots: every record_every steps plus the final step
     rec_idx = sorted({*range(0, n_steps + 1, record_every), n_steps})

@@ -370,7 +370,6 @@ class OUCursor:
         h = path.dt_path
         self._decay = np.exp(-mu * h)
         self._gain = sigma * np.sqrt(-np.expm1(-2.0 * mu * h) / (2.0 * mu))
-        self._silent = path.spectrum.amplitude == 0.0
 
     @property
     def time(self) -> float:
@@ -382,20 +381,16 @@ class OUCursor:
         if n1 < self._index:
             raise ValueError("the OU layer cannot run backwards in time")
         if n1 > self._index:
-            if self._silent and not self._coords.any():
-                # zero noise amplitude with zero state: nothing evolves and
-                # no draws need materializing
-                self._index = n1
-            else:
-                # decay * coords + gain * row with the same two roundings, on
-                # a copy: a z returned earlier is a view of the old state
-                steps = self._gain * self.path.normals(self._index, n1 - self._index)
-                coords = self._coords.copy()
-                for row in steps:
-                    coords *= self._decay
-                    coords += row
-                self._coords = coords
-                self._index = n1
+            # decay * coords + gain * row with the same two roundings, on a
+            # copy: a z returned earlier is a view of the old state.  Zero
+            # noise adds rows of +-0.0 to +0.0, so its z stays +0.0
+            steps = self._gain * self.path.normals(self._index, n1 - self._index)
+            coords = self._coords.copy()
+            for row in steps:
+                coords *= self._decay
+                coords += row
+            self._coords = coords
+            self._index = n1
         z = self._coords.view(np.complex128).reshape(-1, 2)
         z.setflags(write=False)
         return z

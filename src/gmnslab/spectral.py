@@ -66,13 +66,15 @@ and `analyze`.  Each einsum still sums over its short axis into a zeroed
 output in the same order, so the layout changes no bit, not even the sign
 of a zero.
 
-`synthesize_with_jacobian` gives the values, bit for bit those of
-`synthesize`, and the derivatives of one scatter; the advection and B_F
-(with its L4 norm) are built on it.  The advection keeps the convective form
-u_a d_a u_c, in which every term of an axis mode such as k = (1, 0, 0) is an
-exact zero, so B(u, u) of that mode is exactly 0.0.  The norms and the
-trilinear form also take a stack (..., n, 2) of coefficients on a `basis`,
-giving arrays, bit for bit per field.
+`synthesize_with_jacobian` gives a field's values, bit for bit those of
+`synthesize`, and its derivatives from one scatter; B_F (with its L4 norm)
+is built on it, and b(u, v, w) takes v's Jacobian from it.  The advection
+keeps the convective form u_a d_a u_c, in which every term of an axis mode
+such as k = (1, 0, 0) is an exact zero, so B(u, u) of that mode is exactly
+0.0.  One field is a stack of one: the quadrature and the L4 norm give
+arrays of the leading shape, 0-d for one field, and the norms and the
+trilinear form, which also take a stack (..., n, 2) of coefficients on a
+`basis`, a float for one field; every entry is bit for bit its field's.
 """
 
 from __future__ import annotations
@@ -205,15 +207,18 @@ class GalerkinBasis:
         spec[self._dst] = vals.transpose(2, 0, 1)
         return spec
 
-    def _to_grid(self, work: dict, lead: tuple, jacobian: bool = False) -> tuple:
-        """Values (..., 3, M, M, M) of the half cubes work["spec"] (P, L, 3) of
-        a stack of leading shape `lead`, and with the `jacobian` derivatives
-        (..., 3, 3, M, M, M).  Each stage is one product per block over the
-        stack, B its flattened stack and component axes: (k1, k2, k3, B) ->
+    def _to_grid(self, coeffs: np.ndarray, work: dict | None, jacobian: bool = False) -> tuple:
+        """Values (..., 3, M, M, M) of coefficients (..., n, 2), scattered into
+        the half cubes work["spec"] (P, L, 3), and with the `jacobian` their
+        derivatives (..., 3, 3, M, M, M).  Each stage is one product per block
+        over the stack, B its flattened stack and component axes: (k1, k2, k3, B) ->
         (k2, k3, B, x1) gives u and d1 u, -> (k3, B, x1, x2) u, d1 u and d2 u,
         split into (k3, Re/Im, block, B, x1, x2), and the real map gives each
         block and, from u, d3 u as grids (block, B, x1, x2, x3).  The products
         are made as views of their buffers on first use and kept in `work`."""
+        work = {} if work is None else work
+        work["spec"] = self._spectrum(coeffs, out=work.get("spec"))
+        lead = coeffs.shape[:-2]
         if work.get("stages", (None,))[0] != (lead, jacobian):
             a, c, M = 2 * self.kmax + 1, self.kmax + 1, self.grid_size
             s, d = self._synth12, self._deriv12
@@ -244,23 +249,13 @@ class GalerkinBasis:
 
     def synthesize(self, coeffs: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Real grid values (..., 3, M, M, M) of a field or a stack; stages kept in `work`."""
-        work = {} if work is None else work
-        work["spec"] = self._spectrum(coeffs, out=work.get("spec"))
-        return self._to_grid(work, coeffs.shape[:-2])[0]
+        return self._to_grid(coeffs, work)[0]
 
-    def synthesize_with_jacobian(self, coeffs: np.ndarray, grad_coeffs: np.ndarray | None = None,
-                                 work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Grid values of `coeffs` (..., 3, M, M, M) and the Jacobian dv_c/dx_a
-        of `grad_coeffs`, default the same field, a (..., 3, 3, M, M, M) view;
-        leading axes are a stack.  The values are those of `synthesize`, and
-        the stages (see `_to_grid`) are kept in `work`."""
-        work = {} if work is None else work
-        src = coeffs if grad_coeffs is None else grad_coeffs
-        work["spec"] = self._spectrum(src, out=work.get("spec"))
-        values, jac = self._to_grid(work, src.shape[:-2], jacobian=True)
-        if grad_coeffs is not None:
-            values = self.synthesize(coeffs, work.setdefault("values", {}))
-        return values, jac
+    def synthesize_with_jacobian(self, coeffs: np.ndarray, work: dict | None = None) -> tuple:
+        """Grid values (..., 3, M, M, M) of a field or a stack and its Jacobian
+        du_c/dx_a, a (..., 3, 3, M, M, M) view.  The values are those of
+        `synthesize`, and the stages (see `_to_grid`) are kept in `work`."""
+        return self._to_grid(coeffs, work, jacobian=True)
 
     def analyze(self, grid: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Project physical grid values (..., 3, M, M, M) onto the basis
@@ -292,27 +287,23 @@ class GalerkinBasis:
         coeffs /= self._synth_scale
         return coeffs
 
-    def quadrature(self, values: np.ndarray):
-        """Integral over the box of scalar grid values (exact for trig
-        polynomials of degree < grid_size); of a stack (..., M, M, M), an
-        array, each summed as for one field (see `l4_norm`)."""
-        if values.ndim == 3:
-            return float(values.sum() * (BOX_VOLUME / values.size))
+    def quadrature(self, values: np.ndarray) -> np.ndarray:
+        """Integrals over the box of scalar grid values (..., M, M, M), exact
+        for trig polynomials of degree < grid_size: an array of the leading
+        shape, 0-d for one grid, each summed as for that grid alone."""
         M3 = self.grid_size ** 3
         sums = values.reshape(-1, M3).sum(axis=1) * (BOX_VOLUME / M3)
         return sums.reshape(values.shape[:-3])
 
-    def l4_norm(self, grid: np.ndarray):
-        """|u|_L4 from grid values (3, M, M, M) by exact quadrature of |u|^4;
-        for a stack (..., 3, M, M, M), an array of norms of the leading
-        shape, each computed as for one field."""
+    def l4_norm(self, grid: np.ndarray) -> np.ndarray:
+        """|u|_L4 from grid values (..., 3, M, M, M) by exact quadrature of
+        |u|^4: an array of the leading shape, 0-d for one field, each norm
+        computed as for that field alone."""
         sq = np.einsum("...cxyz,...cxyz->...xyz", grid, grid)
         sq *= sq
         r4 = self.quadrature(sq)
         # Python's pow for every root (numpy's vectorized ** 0.25 rounds some
         # of them differently)
-        if sq.ndim == 3:
-            return r4 ** 0.25
         return np.array([r ** 0.25 for r in r4.ravel().tolist()]).reshape(r4.shape)
 
 
@@ -412,11 +403,15 @@ def random_field(basis: GalerkinBasis, rng: np.random.Generator, decay: float = 
 # ---- norms and inner products -------------------------------------------
 
 
+def _per_field(x):
+    """A float for one field's 0-d result, else the array of a stack's."""
+    return float(x) if x.ndim == 0 else x
+
+
 def _field_sums(x: np.ndarray):
     """Sums over the trailing (n, 2) axes: a float for one field, for a stack
     an array of its leading shape, each entry bit for bit its field's sum."""
-    s = x.sum(axis=(-2, -1))
-    return float(s) if s.ndim == 0 else s
+    return _per_field(x.sum(axis=(-2, -1)))
 
 
 def h2_coeffs(c: np.ndarray):
@@ -438,15 +433,13 @@ def inner_coeffs(c1: np.ndarray, c2: np.ndarray):
 def norm_H(u, basis: GalerkinBasis | None = None):
     """|u|_H = sqrt(int |u|^2 dx)."""
     basis, (c,) = _on_basis(basis, u)
-    h = np.sqrt(h2_coeffs(c))
-    return float(h) if h.ndim == 0 else h
+    return _per_field(np.sqrt(h2_coeffs(c)))
 
 
 def norm_V(u, basis: GalerkinBasis | None = None):
     """|u|_V = sqrt(int |grad u|^2 dx) = sqrt(sum |k|^2 |c|^2)."""
     basis, (c,) = _on_basis(basis, u)
-    v = np.sqrt(v2_coeffs(basis, c))
-    return float(v) if v.ndim == 0 else v
+    return _per_field(np.sqrt(v2_coeffs(basis, c)))
 
 
 def norm_dual(u: SpectralField) -> float:
@@ -459,7 +452,7 @@ def norm_dual(u: SpectralField) -> float:
 def norm_L4(u, basis: GalerkinBasis | None = None, work: dict | None = None):
     """|u|_L4 via exact quadrature of |u(x)|^4 on the physical grid."""
     basis, (c,) = _on_basis(basis, u)
-    return basis.l4_norm(basis.synthesize(c, work))
+    return _per_field(basis.l4_norm(basis.synthesize(c, work)))
 
 
 # ---- advection ------------------------------------------------------------
@@ -475,10 +468,11 @@ def trilinear_b(u, v, w, basis: GalerkinBasis | None = None, work: dict | None =
     """
     basis, (u, v, w) = _on_basis(basis, u, v, w)
     work = {} if work is None else work
-    ug, dv = basis.synthesize_with_jacobian(u, v, work=work.setdefault("uv", {}))
+    ug = basis.synthesize(u, work.setdefault("u", {}))
+    _, dv = basis.synthesize_with_jacobian(v, work.setdefault("v", {}))
     adv = np.einsum("...axyz,...acxyz->...cxyz", ug, dv)
     wg = basis.synthesize(w, work.setdefault("w", {}))
-    return basis.quadrature(np.einsum("...cxyz,...cxyz->...xyz", adv, wg))
+    return _per_field(basis.quadrature(np.einsum("...cxyz,...cxyz->...xyz", adv, wg)))
 
 
 # ---- serialization --------------------------------------------------------

@@ -5,15 +5,17 @@ functions on an explicit grid (no FFT, none of the production transform
 code), so agreement with the package is a genuine cross-check rather than a
 tautology.  The polarization references near the end are the other kind: an
 earlier layout of the package's own arithmetic, which the current one must
-reproduce bit for bit.  Between them sit three compositions of the package's
+reproduce bit for bit.  Between them sit compositions of the package's
 kernels that only the tests use: the projected advection B(u, v), the
-field form of B_F and the L2 inner product of two fields.
+field form of B_F, the L2 inner product of two fields, and the cutoff
+lemma's sides, the monotonicity gap and its tolerance of fields.
 """
 
 import numpy as np
 
-from gmnslab.cutoff import cutoff_advection_coeffs
-from gmnslab.spectral import SpectralField, inner_coeffs
+from gmnslab.cutoff import (cutoff_advection_coeffs, gap_of_terms, lipschitz_sides,
+                            product_bound, tolerance_of_norms)
+from gmnslab.spectral import SpectralField, inner_coeffs, norm_H, norm_L4, norm_V
 
 VOLUME = (2.0 * np.pi) ** 3
 
@@ -118,7 +120,8 @@ def nonlinear_B(u, v):
     Satisfies <B(u, v), w> = b(u, v, w) for every w in the basis.
     """
     basis = u.basis
-    ug, dv = basis.synthesize_with_jacobian(u.coeffs, v.coeffs)
+    ug = basis.synthesize(u.coeffs)
+    _, dv = basis.synthesize_with_jacobian(v.coeffs)
     return SpectralField(basis, basis.analyze(np.einsum("axyz,acxyz->cxyz", ug, dv)))
 
 
@@ -130,6 +133,30 @@ def inner_H(u, w):
 def cutoff_advection(u, level):
     """B_F(u) = F(|u|_L4) * B(u, u); satisfies <B_F(u), u> = 0."""
     return SpectralField(u.basis, cutoff_advection_coeffs(u.basis, u.coeffs, level)[0])
+
+
+def cutoff_product_bound(u, level):
+    """`product_bound` of the field u."""
+    return product_bound(norm_L4(u), level)
+
+
+def cutoff_lipschitz_sides(u, v, level):
+    """`lipschitz_sides` of the fields u and v."""
+    return lipschitz_sides(norm_L4(u), norm_L4(v), norm_L4(u - v), level)
+
+
+def monotonicity_gap(v1, v2, z, params):
+    """<G(v1)-G(v2), v1-v2> + eta |v1-v2|_H^2 - (nu/2) |v1-v2|_V^2, the two B_F
+    as one stack; >= -gap_tolerance(v1, v2)."""
+    d = v1 - v2
+    bf = cutoff_advection_coeffs(d.basis, np.stack([(v1 + z).coeffs, (v2 + z).coeffs]),
+                                 params.level)[0]
+    return gap_of_terms(params, inner_coeffs(bf[0] - bf[1], d.coeffs), norm_V(d), norm_H(d))
+
+
+def gap_tolerance(v1, v2):
+    """`tolerance_of_norms` of the fields v1 and v2."""
+    return tolerance_of_norms(norm_V(v1), norm_V(v2))
 
 
 # ---- polarization contractions with the table in (n, p, c) order ----

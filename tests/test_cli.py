@@ -209,11 +209,24 @@ class TestModesAndExitCodes:
             ({"params": {"level": math.inf}}, "'params.level'"),
             ({"params": {"noise": {"amplitude": -math.inf}}}, "'params.noise.amplitude'"),
             ({"params": {"level": "abc"}}, "'params.level'"),
-            # finite, but the dissipation estimates square it
+            # finite, but eta = 7^7 level^8 / (2^13 nu^7) overflows, and so does
+            # the square the dissipation estimates take
             ({"params": {"level": 1e308}}, "'params.level'"),
+            # eta as the contraction rate takes it: level^8 overflows, nu^7
+            # underflows to 0 or overflows; the cutoff lemma's |u|^4 overflows
+            # with level^8
+            *(({"experiment": "contract", "assertion_mode": "exploratory", "ensemble": 2,
+                "params": dict(small, **kw)}, name)
+              for kw, name in (({"level": 1e100}, "'params.level'"),
+                               ({"nu": 1e-60}, "'params.nu'"),
+                               ({"nu": 1e50}, "'params.nu'"))),
+            ({"experiment": "check", "params": {"kmax": 1, "level": 1e100}},
+             "'params.level'"),
             # E|z|_H^2 of the stationary OU start is about 8e300 at chi 0: |z|^4
             # in its L4 quadrature and the squared instability ceiling overflow
-            ({"params": {"kmax": 2, "nu": 1e-300, "chi": 0.0}}, "'params.nu'"),
+            # (at level inf, which has no eta)
+            ({"params": {"kmax": 2, "nu": 1e-300, "chi": 0.0, "level": "inf"}},
+             "'params.nu'"),
             ({"params": {"instability_factor": 1e200}}, "'params.instability_factor'"),
             ({"params": {"nu": "1"}}, "'params.nu'"),
             ({"params": {"dt": "x"}}, "'params.dt'"),

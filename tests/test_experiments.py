@@ -15,6 +15,9 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 from gmnslab.seeding import derive_key, labeled_generator
 
+from oracles import (cutoff_lipschitz_sides, cutoff_product_bound, gap_tolerance,
+                     monotonicity_gap)
+
 
 class TestClosedFormConstants:
     def test_threshold_reference_value(self):
@@ -86,8 +89,8 @@ def lemma_by_case(kmax, n_pairs, seed, level=1.0, tol=1e-14):
         hi_v = level * rng.uniform(1.05, 8.0)
         u = u * ((lo_u, hi_u, lo_u, hi_u)[case % 4] / sp.norm_L4(u))
         v = v * ((lo_v, hi_v, hi_v, lo_v)[case % 4] / sp.norm_L4(v))
-        prod = co.cutoff_product_bound(u, level)
-        lhs, rhs = co.cutoff_lipschitz_sides(u, v, level)
+        prod = cutoff_product_bound(u, level)
+        lhs, rhs = cutoff_lipschitz_sides(u, v, level)
         margin = rhs + tol - lhs
         worst = min(worst, margin, level - prod)
         violations += (not 0.0 <= prod <= level) + (lhs > rhs + tol)
@@ -124,8 +127,8 @@ def monotonicity_by_case(kmax, n_triples, seed, nus, levels):
                 v1 = sp.random_field(basis, rng, norm=rng.uniform(0.2, 3.0))
                 v2 = sp.random_field(basis, rng, norm=rng.uniform(0.2, 3.0))
                 z = sp.random_field(basis, rng, norm=rng.uniform(0.0, 2.0))
-                gap = co.monotonicity_gap(v1, v2, z, co.CutoffParams(level, nu))
-                tol = co.gap_tolerance(v1, v2)
+                gap = monotonicity_gap(v1, v2, z, co.CutoffParams(level, nu))
+                tol = gap_tolerance(v1, v2)
                 worst = min(worst, gap + tol)
                 cases += 1
                 violations += gap < -tol

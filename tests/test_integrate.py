@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmnslab import cli
 from gmnslab import integrate as it
 from gmnslab import noise as nz
 from gmnslab import spectral as sp
@@ -29,7 +30,7 @@ def make_setup(basis, params, seed=11, t_lo=0.0):
 def transformed_rhs(v, z, params):
     """-nu*A v - B_F(v+z) + chi*z + P f as a field: the stepper's drift
     minus nu*lam*v."""
-    g, _, _, _ = it._Stepper(params, v.basis, params.dt).drift(v.coeffs, z.coeffs)
+    g, _, _, _ = it._Stepper(params).drift(v.coeffs, z.coeffs)
     lam = v.basis.eigenvalues.astype(np.float64)[:, None]
     return sp.SpectralField(v.basis, g - params.nu * lam * v.coeffs)
 
@@ -101,7 +102,7 @@ class TestRhs:
             # both sides of the cutoff
             for level in (p.level, 0.01):
                 q = it.SimParams(nu=p.nu, level=level, noise=NOISY)
-                _, bf, _, fac = it._Stepper(q, basis2, q.dt).drift(v.coeffs, z.coeffs)
+                _, bf, _, fac = it._Stepper(q).drift(v.coeffs, z.coeffs)
                 assert (fac < 1.0) == (level < p.level)
                 assert np.array_equal(bf, cutoff_advection(v + z, level).coeffs)
 
@@ -284,9 +285,8 @@ class TestStackContract:
         # bit for bit, whatever the ledger block of the stack, and at its own
         # level when the stepper holds one level per field
         xs, paths, p, t0, stride, ledger, levels = case
-        basis = sp.build_basis(p.kmax)
         stack = it.solve(xs, paths, p, t0=t0, record_every=stride, ledger=ledger,
-                         stepper=it._Stepper(p, basis, p.dt, level=levels))
+                         stepper=it._Stepper(p, level=levels))
         for g, path in enumerate(paths):
             for i, x in enumerate(xs):
                 own = p if levels is None else replace(p, level=float(levels[i]))
@@ -330,7 +330,7 @@ class TestLedgerBlocks:
             vs, zs, got = traj.v_coeffs, traj.z_coeffs, vars(traj.ledger)
         assert n_steps % block and n_steps > 2 * block and len(vs) == n_steps + 1
         assert (got["cutoff"] < 1.0).any()
-        stepper = it._Stepper(p, basis, dt)
+        stepper = it._Stepper(p)
         want = {name: np.empty((n_steps + 1, G, P)) for name in got if name != "t"}
         pairings = np.empty((3, n_steps + 1, G, P))
         for k, (v, z) in enumerate(zip(vs, zs)):
@@ -567,7 +567,13 @@ class TestCheckpoint:
         path = make_setup(basis2, p)
         traj = it.solve_transformed(sp.random_field(basis2, rng), path, p)
         out = tmp_path / "traj.csv"
-        with open(out, "w") as fh:
-            traj.ledger.to_csv(fh)
-        header = out.read_text().splitlines()[0]
+        cli._write_csv(str(out), traj.ledger.columns())
+        header, *rows = out.read_text().splitlines()
         assert header == "t,H_norm_v,V_norm_v,L4_norm_u,F_N,residual,H_norm_u"
+        # one row per solver step, every value to 17 significant digits
+        led = traj.ledger
+        want = zip(led.t, led.v_H2, led.v_V2, led.u_L4, led.cutoff, led.residual, led.u_H2)
+        assert len(rows) == len(led.t) == 17
+        for row, (t, vh2, vv2, l4, f, res, uh2) in zip(rows, want):
+            cols = (t, math.sqrt(vh2), math.sqrt(vv2), l4, f, res, math.sqrt(uh2))
+            assert row == ",".join(f"{float(c):.17g}" for c in cols)

@@ -255,6 +255,21 @@ class TestOUEvolution:
         assert not z.any()
         assert not np.signbit(z).any()
 
+    @pytest.mark.parametrize("given_start", [False, True])
+    def test_zero_amplitude_advance_stays_positive_zero(self, basis1, given_start):
+        # a zero amplitude draws its rows like any other, and a zero gain times
+        # a negative draw is -0.0; +0.0 * decay + -0.0 is +0.0, so over 160
+        # cells z stays +0.0 in every coordinate, from the stationary start
+        # and from a given +0.0 start
+        p = nz.make_path(5, 1 / 64, -1.0, 1.5, nz.NoiseSpectrum(amplitude=0.0), basis1)
+        assert np.signbit(0.0 * p.normals(0, p.steps)).any()
+        zero = np.zeros((basis1.n_half_modes, 2), dtype=complex)
+        cursor = nz.OUCursor(p, 0.5, 1.0, start=(p.t_min, zero) if given_start else None)
+        for t in (-0.5, 0.0, 1.5):
+            z = cursor.advance_to(t).view(np.float64)
+            assert not z.any() and not np.signbit(z).any()
+        assert round((cursor.time - p.t_min) / p.dt_path) == 160
+
     def test_advance_returns_read_only_view(self, path):
         cursor = nz.OUCursor(path, 0.5, 1.0)
         for t in (0.0, 1.0):

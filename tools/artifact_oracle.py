@@ -97,6 +97,11 @@ CONFIGS = [
     ("pullback", {"experiment": "pullback", "seed": 15,
                   "params": dict(_SMALL, noise={"amplitude": 0.5}),
                   "options": {"pullback_times": [1.0, 2.0, 4.0]}}),
+    # zero noise outside simulate-zero-noise and nse-limit: the cursor draws
+    # a two-sided path from negative start times, and z must stay +0.0
+    ("pullback-zero-noise", {"experiment": "pullback", "seed": 24,
+                             "params": dict(_SMALL, noise={"amplitude": 0.0}),
+                             "options": {"pullback_times": [0.5, 1.0, 2.0]}}),
     ("measure", {"experiment": "measure", "seed": 16,
                  "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5}),
                  "options": {"burn_in": 0.5, "horizon": 20.0}}),
