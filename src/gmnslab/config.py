@@ -213,7 +213,8 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid params: {exc}") from exc
     # eta = 7^7 level^8 / (2^13 nu^7) of a finite level in Python floats (a
     # power raises OverflowError, nu^7 may underflow to 0); a finite level^8
-    # keeps the dissipation estimates' level^2 and the lemma's |u|^4 finite
+    # keeps the dissipation estimates' level^2 and the lemma's |u|^4 finite,
+    # and a finite 2 eta the contraction rate nu lambda - 2 eta
     if math.isfinite(params.level):
         bad, eta = "level", math.inf  # the field named until level^8 is taken
         try:
@@ -222,8 +223,8 @@ def resolve_config(raw: dict) -> RunConfig:
             eta = CutoffParams(params.level, params.nu).eta
         except (OverflowError, ZeroDivisionError):
             pass
-        _require(math.isfinite(eta), f"field 'params.{bad}' = {getattr(params, bad)!r} "
-                 "gives eta = 7^7 level^8 / (2^13 nu^7) that is not a finite float")
+        _require(math.isfinite(2 * eta), f"field 'params.{bad}' = {getattr(params, bad)!r} "
+                 "gives eta = 7^7 level^8 / (2^13 nu^7) whose double is not a finite float")
     # |z|^4 of the stationary OU start in its L4 quadrature scales as E|z|_H^2
     # squared, and the squared instability ceiling as factor^2 * E|z|_H^2
     h2 = stationary_mean_H2(params.noise, params.chi, params.nu, params.basis())

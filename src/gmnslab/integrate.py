@@ -20,18 +20,18 @@ only the v-integration error refines.
 
 There is one solve, `solve_transformed`, and one march of this scheme under
 it; `solve` starts it from a velocity, the entry point of every experiment.
-The march steps a stack (G, P) of fields: G groups, each on its own path and
-OU cursor, and P fields per group that share its z.  One field is the (1, 1)
-stack.  The result carries the (G, P) axes after its time axis, and
-`Trajectory.member` gives one field's record.  Each field's drift, L4 norm
-and cutoff factor, and each ledger entry, are computed as if it were alone,
-so a stacked field is bit for bit its single solve.  The stepper, built
-from params alone (its basis and dt) and passed as `stepper=`, holds the
-cutoff level, params.level or one per field (then the trajectory's
-params.level is not the level its fields ran at), and a `work` dict for its
-stack shape, in which each stage of the drift keeps its result, so a march
-allocates them once.  With `ledger=False` a solve keeps only the snapshots,
-for the runs that read nothing else (the contraction ensemble).
+The march steps a stack (G, P) of fields: G groups, each on its own path,
+and P fields per group that share its z, one OU cursor for all groups.  One
+field is the (1, 1) stack.  The result carries the (G, P) axes after its
+time axis, and `Trajectory.member` gives one field's record.  Each field's
+drift, L4 norm and cutoff factor, and each ledger entry, are computed as if
+it were alone, so a stacked field is bit for bit its single solve.  The
+stepper, built from params alone (its basis and dt) and passed as
+`stepper=`, holds the cutoff level, params.level or one per field (then the
+trajectory's params.level is not the level its fields ran at), and a `work`
+dict for its stack shape, in which each stage of the drift keeps its result,
+so a march allocates them once.  With `ledger=False` a solve keeps only the
+snapshots, for the runs that read nothing else (the contraction ensemble).
 
 The energy ledger records the terms of the energy balance
 
@@ -323,10 +323,10 @@ class _Stepper:
         return a + self.hphi2 * (g_a - g_n)
 
 
-def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
+def _march(stepper: _Stepper, cursor: OUCursor, v: np.ndarray, t0: float,
            n_steps: int):
     """The ETD2 march of a stack v (G, P, n_half_modes, 2): G groups of P
-    fields, group g on the z path of cursors[g].
+    fields, group g on the z of the cursor's path g.
 
     Yields (k, v, z, drift) at t0 + k*dt for k = 0..n_steps, with z of shape
     (G, 1, n_half_modes, 2) and drift = stepper.drift(v, z) with one entry
@@ -336,8 +336,10 @@ def _march(stepper: _Stepper, cursors: list[OUCursor], v: np.ndarray, t0: float,
     """
     params = stepper.params
 
+    z_shape = (len(v), 1, *v.shape[2:])  # from (n, 2) or (G, n, 2)
+
     def z_at(t):
-        return np.stack([c.advance_to(t) for c in cursors])[:, None]
+        return cursor.advance_to(t).reshape(z_shape)
 
     z = z_at(t0)
     # non-finite input is a data error, not a step-size blow-up
@@ -404,7 +406,7 @@ def solve_transformed(
     t0: float = 0.0,
     t_final: float | None = None,
     record_every: int = 1,
-    cursor: OUCursor | list[OUCursor] | None = None,
+    cursor: OUCursor | None = None,
     ledger: bool = True,
     stepper: _Stepper | None = None,
 ) -> Trajectory:
@@ -413,8 +415,8 @@ def solve_transformed(
     v0 is one field, marched along `path`, and the result is its record.
     Or v0 is a stack (G, P, n_half_modes, 2) of coefficients on params'
     basis, group g marched along path[g], and the result carries the (G, P)
-    axes.  `cursor` is the z layer of each path at or before t0 (default:
-    new ones).  Deterministic in (path seeds, params): repeated calls are
+    axes.  `cursor` is the z layer of the path(s) at or before t0 (default:
+    a new one).  Deterministic in (path seeds, params): repeated calls are
     bit-identical.  The ledger is recorded on every solver step unless
     `ledger` is False; field snapshots every `record_every` steps (the
     initial and final states are always kept).  `stepper`, built for the same
@@ -425,14 +427,14 @@ def solve_transformed(
     if one:
         if v0.basis.kmax != params.kmax:
             raise ValueError("initial data basis does not match params.kmax")
-        v0, path, cursor = v0.coeffs[None, None], [path], None if cursor is None else [cursor]
+        v0 = v0.coeffs[None, None]
     basis = params.basis()
     horizon = params.t_final if t_final is None else t_final
     n_steps = int(round(horizon / params.dt))
     if abs(n_steps * params.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
         raise ValueError("t_final must be a positive integer multiple of dt")
     stepper = stepper or _Stepper(params)
-    cursors = cursor or [OUCursor(p, params.chi, params.nu) for p in path]
+    cursor = cursor or OUCursor(path, params.chi, params.nu)
     # snapshot slots: every record_every steps plus the final step
     rec_idx = sorted({*range(0, n_steps + 1, record_every), n_steps})
     rec_pos = {k: i for i, k in enumerate(rec_idx)}
@@ -446,7 +448,7 @@ def solve_transformed(
         pairings = np.empty((3, n_steps + 1, G, P))
         block, kept = ledger_block((G, P), n), []
 
-    for k, v, z, drift in _march(stepper, cursors, v0, t0, n_steps):
+    for k, v, z, drift in _march(stepper, cursor, v0, t0, n_steps):
         if k in rec_pos:
             v_snap[rec_pos[k]] = v
             z_snap[rec_pos[k]] = z
@@ -485,14 +487,12 @@ def solve(x: SpectralField | tuple[SpectralField, ...] | np.ndarray,
     one field along one path, or a stack along each of G paths, x the
     (G, P, n_half_modes, 2) start velocities (v0 of group g, field p is
     x[g, p] - z_g(t0)) or a tuple of the P fields that start every group."""
+    cursor = OUCursor(path, params.chi, params.nu)
+    z0 = cursor.advance_to(t0)
     if isinstance(x, SpectralField):
-        cursor = OUCursor(path, params.chi, params.nu)
-        v0 = SpectralField(x.basis, x.coeffs - cursor.advance_to(t0))
-    else:
-        cursor = [OUCursor(p, params.chi, params.nu) for p in path]
-        if isinstance(x, tuple):
-            x = [np.stack([xi.coeffs for xi in x])] * len(cursor)
-        v0 = np.stack([xg - c.advance_to(t0) for xg, c in zip(x, cursor, strict=True)])
+        v0 = SpectralField(x.basis, x.coeffs - z0)
+    else:  # a tuple of P fields starts every group
+        v0 = (np.stack([xi.coeffs for xi in x]) if isinstance(x, tuple) else x) - z0[:, None]
     return solve_transformed(v0, path, params, t0, t_final, record_every, cursor,
                              ledger, stepper)
 

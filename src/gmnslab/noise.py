@@ -13,8 +13,9 @@ same bits as on one (Salmon et al., "Parallel random numbers: as easy as 1,
 2, 3", SC'11).
 
 The stochastic layer z solves dz + (nu*A + chi*I) z dt = dW.  One object
-realizes it: `OUCursor`, which advances z mode-by-mode with the exact
-one-step transition
+realizes it: `OUCursor`, which advances z mode-by-mode, of one path or of
+every path of a stacked march as one state, with the exact one-step
+transition
 
     z <- exp(-mu*h) z + sigma * sqrt((1 - exp(-2*mu*h)) / (2*mu)) * xi,
 
@@ -34,10 +35,11 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .seeding import derive_key, labeled_generator, philox
+from .seeding import derive_key, labeled_generator, philox, philox_state
 from .spectral import GalerkinBasis, SpectralField, build_basis
 
 # gamma-radonifying regularity floor for the noise spectrum (see NoiseSpectrum).
@@ -231,8 +233,7 @@ def _fill_rows(table: np.ndarray, key: int, threads: int) -> None:
 
     def fill(first: int) -> None:
         try:
-            gen = philox(key)
-            state = gen.bit_generator.state
+            gen, state = philox(key), philox_state(key)
             for alpha in range(first, len(table), threads):
                 state["state"]["key"][1] = alpha
                 gen.bit_generator.state = state
@@ -342,56 +343,71 @@ def ou_stationary_sample(
 
 
 class OUCursor:
-    """Forward-only cursor over the z realization attached to a path: the one
-    representation of the OU layer.
+    """Forward-only cursor over the z realization attached to a path, or to
+    each of a list of paths that share their grid, window start (t_min) and
+    kmax: the one representation of the OU layer.
 
-    With no `start`, z begins at the path window start with the stationary
-    draw keyed by the path seed alone, so shifted views of one path share
+    With no `start`, each z begins at the window start with the stationary
+    draw keyed by its path's seed alone, so shifted views of one path share
     it; combined with the shift-invariant window start this makes the
     realized z a deterministic function of the underlying path.  `start` =
-    (time, z coefficients) begins it from a given state instead, such as a
-    checkpoint's.  The state is kept as the real coordinates of the table
-    layout, so a row of draws updates it directly.
+    (time, z coefficients, one for all paths or one per path) begins them
+    from a given state instead, such as a checkpoint's.  The state is one
+    flat array of the table layout's real coordinates, path after path.
     """
 
-    def __init__(self, path: WienerPath, chi: float, nu: float,
+    def __init__(self, paths: WienerPath | list[WienerPath], chi: float, nu: float,
                  start: tuple[float, np.ndarray] | None = None):
         if chi < 0 or nu <= 0:
             raise ValueError("need chi >= 0 and nu > 0")
-        self.path = path
+        lone = isinstance(paths, WienerPath)
+        self.paths = [paths] if lone else list(paths)
+        self.path = path = self.paths[0]  # the grid every path shares
+        for name in ("dt_path", "t_origin", "t_min", "basis.kmax"):
+            if len(values := set(map(attrgetter(name), self.paths))) > 1:
+                raise ValueError(f"the paths of one cursor must share {name}, not {values}")
+        shape = (len(self.paths), path.basis.n_half_modes, 2)
+        self._shape = shape[1:] if lone else shape
         if start is None:
-            rng = labeled_generator(path.seed, "ou-init")
-            z0 = ou_stationary_sample(path.spectrum, chi, nu, path.basis, rng)
-            start = (path.t_min, z0.coeffs)
+            start = (path.t_min, [ou_stationary_sample(p.spectrum, chi, nu, p.basis,
+                                                       labeled_generator(p.seed, "ou-init")
+                                                       ).coeffs for p in self.paths])
         t0, z0 = start
-        self._coords = np.ascontiguousarray(z0).view(np.float64).reshape(-1)
+        z0 = np.array(np.broadcast_to(z0, shape), np.complex128, order="C")
+        self._coords = z0.view(np.float64).reshape(-1)
         self._index = path.index_of(t0)
-        mu, sigma = _ou_rates(path.spectrum, chi, nu, path.basis)
-        h = path.dt_path
-        self._decay = np.exp(-mu * h)
-        self._gain = sigma * np.sqrt(-np.expm1(-2.0 * mu * h) / (2.0 * mu))
+        h, mu = path.dt_path, _ou_rates(path.spectrum, chi, nu, path.basis)[0]
+        self._decay = np.tile(np.exp(-mu * h), len(self.paths))
+        # a gain per path and coordinate, each path's own spectrum
+        sigma = np.stack([_ou_rates(p.spectrum, chi, nu, p.basis)[1] for p in self.paths])
+        self._gain = (sigma * np.sqrt(-np.expm1(-2.0 * mu * h) / (2.0 * mu)))[..., None]
 
     @property
     def time(self) -> float:
         return self.path.t_origin + self._index * self.path.dt_path
 
     def advance_to(self, t: float) -> np.ndarray:
-        """z at time t as a read-only complex (n_half_modes, 2) view."""
+        """z at time t as a read-only complex view, (n_half_modes, 2) for a
+        lone path, else (G, n_half_modes, 2)."""
         n1 = self.path.index_of(t)
         if n1 < self._index:
             raise ValueError("the OU layer cannot run backwards in time")
         if n1 > self._index:
-            # decay * coords + gain * row with the same two roundings, on a
-            # copy: a z returned earlier is a view of the old state.  Zero
-            # noise adds rows of +-0.0 to +0.0, so its z stays +0.0
-            steps = self._gain * self.path.normals(self._index, n1 - self._index)
+            # gain * draws in the tables' coordinate-major layout, then per
+            # cell decay * coords + its strided row, each path's two roundings,
+            # on a copy: a z returned earlier is a view of the old state.
+            # Zero noise adds rows of +-0.0 to +0.0, so its z stays +0.0
+            cells = n1 - self._index
+            steps = np.empty((*self._gain.shape[:2], cells))
+            for p, gain, out in zip(self.paths, self._gain, steps):
+                np.multiply(p.normals(self._index, cells).T, gain, out=out)
             coords = self._coords.copy()
-            for row in steps:
+            for row in steps.reshape(-1, cells).T:
                 coords *= self._decay
                 coords += row
             self._coords = coords
             self._index = n1
-        z = self._coords.view(np.complex128).reshape(-1, 2)
+        z = self._coords.view(np.complex128).reshape(self._shape)
         z.setflags(write=False)
         return z
 

@@ -219,7 +219,9 @@ class TestModesAndExitCodes:
                 "params": dict(small, **kw)}, name)
               for kw, name in (({"level": 1e100}, "'params.level'"),
                                ({"nu": 1e-60}, "'params.nu'"),
-                               ({"nu": 1e50}, "'params.nu'"))),
+                               ({"nu": 1e50}, "'params.nu'"),
+                               # eta = 1.22e308 is finite, 2 eta is not
+                               ({"nu": 0.1, "level": 2.43e37}, "'params.nu'"))),
             ({"experiment": "check", "params": {"kmax": 1, "level": 1e100}},
              "'params.level'"),
             # E|z|_H^2 of the stationary OU start is about 8e300 at chi 0: |z|^4

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmnslab import noise as nz
 from gmnslab import spectral as sp
@@ -320,6 +322,82 @@ class TestOUEvolution:
         var_true = 1.0 / (2 * mu)
         se = var_true * math.sqrt(2 * (1 + a * a) / (1 - a * a) / n)
         assert z.var() == pytest.approx(var_true, abs=5 * se)
+
+
+class TestStackedCursor:
+    @settings(max_examples=40, deadline=None)
+    @given(groups=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           given_start=st.booleans(),
+           amplitudes=st.lists(st.sampled_from((0.0, 1.0, 3.0)), min_size=4, max_size=4),
+           cells=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    def test_each_group_is_its_one_path_cursor(self, basis1, groups, seed, given_start,
+                                               amplitudes, cells):
+        # each group's z is bit for bit a one-path cursor's at every advance,
+        # from the stationary start and from a given stack of starts, with and
+        # without noise, each path at its own amplitude; a z returned earlier
+        # is unchanged by later advances
+        paths = [nz.make_path(seed + g, 1 / 64, -0.5, 2.0,
+                              nz.NoiseSpectrum(amplitude=amplitudes[g]), basis1)
+                 for g in range(groups)]
+        start = None
+        if given_start:
+            z0 = np.random.default_rng(seed).standard_normal((groups, basis1.n_half_modes, 4))
+            start = (-0.25, z0.view(np.complex128))
+        stacked = nz.OUCursor(paths, 0.5, 1.5, start=start)
+        ones = [nz.OUCursor(p, 0.5, 1.5, start=start and (start[0], start[1][g]))
+                for g, p in enumerate(paths)]
+        t = stacked.time
+        seen = []
+        for n in cells:
+            t += n * paths[0].dt_path
+            z = stacked.advance_to(t)
+            assert z.shape == (groups, basis1.n_half_modes, 2) and not z.flags.writeable
+            for g, one in enumerate(ones):
+                want = one.advance_to(t)
+                assert np.array_equal(z[g].view(np.float64), want.view(np.float64))
+                assert np.array_equal(np.signbit(z[g].view(np.float64)),
+                                      np.signbit(want.view(np.float64)))
+            seen.append((z, z.copy()))
+        for z, before in seen:
+            assert np.array_equal(z.view(np.float64), before.view(np.float64))
+
+    def test_lone_path_and_list_of_one(self, path):
+        lone = nz.OUCursor(path, 0.5, 1.0).advance_to(1.0)
+        stack = nz.OUCursor([path], 0.5, 1.0).advance_to(1.0)
+        assert lone.shape == (path.basis.n_half_modes, 2) and stack.shape == (1, *lone.shape)
+        assert np.array_equal(stack[0], lone)
+
+    def test_one_start_for_every_path(self, path, basis1, spectrum):
+        other = nz.make_path(315, path.dt_path, 0.0, 8.0, spectrum, basis1)
+        z0 = np.full((basis1.n_half_modes, 2), 0.5 - 1.0j)
+        z = nz.OUCursor([path, other], 0.5, 1.0, start=(0.0, z0)).advance_to(1.0)
+        for g, p in enumerate((path, other)):
+            assert np.array_equal(z[g], nz.OUCursor(p, 0.5, 1.0, start=(0.0, z0)).advance_to(1.0))
+
+    def test_paths_off_the_shared_grid_rejected(self, path, basis1, spectrum):
+        # the window start is t_min; each mismatch is named
+        for other, name in (
+                (nz.make_path(1, 2 * path.dt_path, 0.0, 8.0, spectrum, basis1), "dt_path"),
+                (nz.make_path(1, path.dt_path, -1.0, 8.0, spectrum, basis1), "t_origin"),
+                (nz.shift_path(nz.make_path(1, path.dt_path, 0.0, 8.0, spectrum, basis1), 1.0),
+                 "t_min"),
+                (nz.make_path(1, path.dt_path, 0.0, 8.0, spectrum, sp.build_basis(2)),
+                 "basis.kmax")):
+            with pytest.raises(ValueError, match=f"must share {name}, not"):
+                nz.OUCursor([path, other], 0.5, 1.0)
+
+
+class TestSeeding:
+    def test_philox_is_the_keyed_bit_generator(self):
+        # philox(key, stream) draws the bits of a Philox keyed [key, stream]
+        for key in (0, 1, 2**63 + 5, 2**64 - 1, derive_key(5, "wiener-table")):
+            for stream in (0, 1, 247, 2**64 - 1):
+                want = np.random.Philox(key=np.array([key, stream], dtype=np.uint64))
+                got = philox(key, stream).bit_generator
+                assert repr(got.state) == repr(want.state)
+                assert np.array_equal(got.random_raw(9), want.random_raw(9))
+        gen = np.random.Generator(np.random.Philox(key=np.array([7, 3], dtype=np.uint64)))
+        assert np.array_equal(philox(7, 3).standard_normal(13), gen.standard_normal(13))
 
 
 class TestStationarySampling:
