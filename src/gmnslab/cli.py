@@ -97,7 +97,7 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]
     x = _initial_field(basis, cfg.option("initial"), cfg.seed, "ic")
     path = nz.make_path(cfg.seed, params.dt_path, 0.0, params.t_final,
                         params.noise, basis)
-    traj = it.solve(x, path, params, record_every=cfg.option("record_every"))
+    traj = it.solve(x, path, params)
     manifest_path = os.path.join(out, "path_manifest.json")
     _write_json(manifest_path, path.manifest())
     ckpt_path = os.path.join(out, "checkpoint.json")

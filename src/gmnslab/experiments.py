@@ -379,13 +379,20 @@ def contraction_experiment(
                             params.t_final, params.noise, x1.basis)
 
     x = np.broadcast_to(np.stack([x1.coeffs, x2.coeffs]), (ensemble, 2, *x1.coeffs.shape))
-    sq = []
-    for _, traj in _march_tiles(params, x, member_path, record_every=record_every,
-                                ledger=False):
-        # u1 - u2 = v1 - v2: the z layer cancels for a shared path
-        sq.append(sp.h2_coeffs(traj.v_coeffs[:, :, 0] - traj.v_coeffs[:, :, 1]).T)
+    # |v1 - v2|_H^2 = |u1 - u2|_H^2 (z cancels on a shared path) at the record steps
+    n_steps = round(params.t_final / params.dt)
+    steps = sorted({*range(0, n_steps + 1, record_every), n_steps})
+    rows, sq = [], []
+
+    def observe(k, v, z):
+        if k in steps:
+            rows.append(sp.h2_coeffs(v[:, 0] - v[:, 1]))
+
+    for _ in _march_tiles(params, x, member_path, ledger=False, observe=observe):
+        sq.append(np.array(rows).T)
+        rows.clear()
     sq = np.concatenate(sq)
-    times = traj.record_times
+    times = np.array([k * params.dt for k in steps])
     mean_sq = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / math.sqrt(ensemble)
     envelope = sp.norm_H(x1 - x2) ** 2 * np.exp(-rate * times)
@@ -465,11 +472,10 @@ def pullback_absorption(
     margins = []
     for tm in tms:
         # the families march as one group on the path
-        stack = it.solve(tuple(x_family.values()), [path], params, t0=-tm, t_final=tm,
-                         record_every=1 << 30)
+        stack = it.solve(tuple(x_family.values()), [path], params, t0=-tm, t_final=tm)
         for p, name in enumerate(names):
             traj = stack.member(0, p)
-            radii[name].append(sp.norm_H(traj.u_field(traj.n_records - 1)))
+            radii[name].append(sp.norm_H(traj.v[-1] + traj.z[-1], basis))
             margins.append(it.pullback_inequality_margin(params, traj.ledger))
 
     # absorbing bound kappa11 + kappa12 from the discrete analogues of the
@@ -533,7 +539,7 @@ def solve_nse(x: sp.SpectralField, params: it.SimParams
     p = replace(params, level=math.inf, chi=0.0,
                 noise=replace(params.noise, amplitude=0.0))
     path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p.noise, x.basis)
-    return it.solve(x, path, p, record_every=1), p, path
+    return it.solve(x, path, p), p, path
 
 
 def nse_limit_experiment(
@@ -545,8 +551,11 @@ def nse_limit_experiment(
     with the unmodified one; the active-set measure obeys its a priori bound.
 
     The levels scale with the unmodified run, which marches first; they
-    then march as one (1, L) stack on its zero-noise path, each field's
-    level held by the stack's stepper (the stack's params.level is inf).
+    then march as one (1, L + 1) stack on its zero-noise path, each field's
+    level held by the stack's stepper (the stack's params.level is inf), the
+    last field the unmodified run again at level inf, where F = 1 makes it
+    bit for bit the first march, and each level's |v_level - v_star|_H^2
+    is taken against it at every step, as the stack marches.
 
     i_n is the grid measure of {t: |u(t)|_L4 >= level}; its bound is
     (K_T / level^2)^(4/3) with K_T = max(1, 1/nu) (|x|_H^2 + T |f|_dual^2/nu)
@@ -565,12 +574,19 @@ def nse_limit_experiment(
         sp.norm_H(x) ** 2 + T * params.forcing_dual_norm() ** 2 / params.nu
     )
     # without noise z(0) is +0.0, so each field starts at x bit for bit
-    stepper = it._Stepper(p, level=np.array(levels))
+    stacked = [*levels, math.inf]
+    stepper = it._Stepper(p, level=np.array(stacked))
+    err_sq = []
+
+    def observe(k, v, z):
+        err_sq.append(sp.h2_coeffs(v[0, :-1] - v[0, -1]))
+
     try:
-        stack = it.solve((x,) * len(levels), [path], p, record_every=1, stepper=stepper)
+        stack = it.solve((x,) * len(stacked), [path], p, stepper=stepper, observe=observe)
     except it.InstabilityError as exc:  # the level, not its place in the stack
-        exc.member, exc.message = None, f"cutoff level {levels[exc.field]:.6g}: {exc.message}"
+        exc.member, exc.message = None, f"cutoff level {stacked[exc.field]:.6g}: {exc.message}"
         raise
+    err_sq = np.array(err_sq)
 
     i_ns, bounds, ints, ints_p, errs = [], [], [], [], []
     for i, level in enumerate(levels):
@@ -582,8 +598,7 @@ def nse_limit_experiment(
         one_minus_f = 1.0 - led.cutoff
         ints.append(float(np.trapezoid(one_minus_f, led.t)))
         ints_p.append(float(np.trapezoid(one_minus_f ** 2, led.t)))
-        h2 = sp.h2_coeffs(traj.v_coeffs - star.v_coeffs)
-        errs.append(math.sqrt(float(np.trapezoid(h2, traj.record_times))))
+        errs.append(math.sqrt(float(np.trapezoid(err_sq[:, i], led.t))))
 
     bound_ok = all(i <= b for i, b in zip(i_ns, bounds))
     ints_mono = all(ints[i] >= ints[i + 1] - 1e-12 for i in range(len(ints) - 1))
@@ -677,8 +692,8 @@ def invariant_measure_sampler(
                             p.t_final, p.noise, xs[0].basis)
 
     x = np.stack([xi.coeffs for xi in xs])[:, None]
-    for m0, traj in _march_tiles(p, x, state_path, record_every=1 << 30):
-        for g, name in enumerate(names[m0:m0 + traj.v_coeffs.shape[1]]):
+    for m0, traj in _march_tiles(p, x, state_path):
+        for g, name in enumerate(names[m0:m0 + traj.v.shape[1]]):
             led = traj.member(g, 0).ledger
             keep = led.t >= burn_in - 1e-12
             series = {key: getattr(led, key)[keep] for key in observables}

@@ -22,16 +22,18 @@ There is one solve, `solve_transformed`, and one march of this scheme under
 it; `solve` starts it from a velocity, the entry point of every experiment.
 The march steps a stack (G, P) of fields: G groups, each on its own path,
 and P fields per group that share its z, one OU cursor for all groups.  One
-field is the (1, 1) stack.  The result carries the (G, P) axes after its
-time axis, and `Trajectory.member` gives one field's record.  Each field's
-drift, L4 norm and cutoff factor, and each ledger entry, are computed as if
-it were alone, so a stacked field is bit for bit its single solve.  The
-stepper, built from params alone (its basis and dt) and passed as
-`stepper=`, holds the cutoff level, params.level or one per field (then the
-trajectory's params.level is not the level its fields ran at), and a `work`
-dict for its stack shape, in which each stage of the drift keeps its result,
-so a march allocates them once.  With `ledger=False` a solve keeps only the
-snapshots, for the runs that read nothing else (the contraction ensemble).
+field is the (1, 1) stack.  A solve holds no history: its `Trajectory`
+keeps the start and final states and the ledger, and a caller that reads
+the steps in between passes `observe(k, v, z)`, called at every step
+k = 0..n_steps with the stacked v (G, P, n, 2) and z (G, 1, n, 2), to
+reduce them as the march goes.  Each field's drift, L4 norm and cutoff
+factor, and each ledger entry, are computed as if it were alone, so a
+stacked field is bit for bit its single solve.  The stepper, built from
+params alone (its basis and dt) and passed as `stepper=`, holds the cutoff
+level, params.level or one per field, and a `work` dict for its stack
+shape, in which each stage of the drift keeps its result, so a march
+allocates them once.  With `ledger=False` a solve keeps only the two
+states, for the runs that read nothing else (the contraction ensemble).
 
 The energy ledger records the terms of the energy balance
 
@@ -233,17 +235,15 @@ class EnergyLedger:
 
 @dataclass
 class Trajectory:
-    """Solution record: ledger on every step (None when not kept), field
-    snapshots on a stride.  The snapshots are (n_records, *stack,
-    n_half_modes, 2), stack () for one field and (G, P) for a stacked
-    solve, whose z snapshots are (n_records, G, 1, n_half_modes, 2); the
-    field accessors below read one field's record."""
+    """Solution record: the states at t0 and t_end, and the ledger on every
+    step (None when not kept).  v is (2, *stack, n_half_modes, 2), the start
+    and final v, stack () for one field and (G, P) for a stacked solve,
+    whose z is (2, G, 1, n_half_modes, 2)."""
 
-    params: SimParams
     t0: float
-    record_times: np.ndarray
-    v_coeffs: np.ndarray
-    z_coeffs: np.ndarray
+    t_end: float
+    v: np.ndarray
+    z: np.ndarray
     ledger: EnergyLedger | None
     basis: GalerkinBasis
 
@@ -252,26 +252,11 @@ class Trajectory:
         led = self.ledger and EnergyLedger(**{
             name: col if name == "t" else col[:, g, p]
             for name, col in vars(self.ledger).items()})
-        return replace(self, v_coeffs=self.v_coeffs[:, g, p],
-                       z_coeffs=self.z_coeffs[:, g, 0], ledger=led)
-
-    def v_field(self, i: int) -> SpectralField:
-        return SpectralField(self.basis, self.v_coeffs[i])
-
-    def z_field(self, i: int) -> SpectralField:
-        return SpectralField(self.basis, self.z_coeffs[i])
-
-    def u_field(self, i: int) -> SpectralField:
-        return SpectralField(self.basis, self.v_coeffs[i] + self.z_coeffs[i])
-
-    @property
-    def n_records(self) -> int:
-        return len(self.record_times)
+        return replace(self, v=self.v[:, g, p], z=self.z[:, g, 0], ledger=led)
 
     def final_state(self) -> TrajectoryState:
-        t = float(self.record_times[-1])
-        return TrajectoryState(t, self.v_field(self.n_records - 1),
-                               self.z_field(self.n_records - 1))
+        return TrajectoryState(self.t_end, SpectralField(self.basis, self.v[-1]),
+                               SpectralField(self.basis, self.z[-1]))
 
 
 # ---- stepper kernel -------------------------------------------------------
@@ -405,10 +390,10 @@ def solve_transformed(
     params: SimParams,
     t0: float = 0.0,
     t_final: float | None = None,
-    record_every: int = 1,
     cursor: OUCursor | None = None,
     ledger: bool = True,
     stepper: _Stepper | None = None,
+    observe=None,
 ) -> Trajectory:
     """Integrate the transformed system on [t0, t0 + T].
 
@@ -418,8 +403,9 @@ def solve_transformed(
     axes.  `cursor` is the z layer of the path(s) at or before t0 (default:
     a new one).  Deterministic in (path seeds, params): repeated calls are
     bit-identical.  The ledger is recorded on every solver step unless
-    `ledger` is False; field snapshots every `record_every` steps (the
-    initial and final states are always kept).  `stepper`, built for the same
+    `ledger` is False; of the fields, only the start and final states are
+    kept, and observe(k, v, z), if given, sees the stacked v and z of every
+    step k = 0..n_steps as the march goes.  `stepper`, built for the same
     params, lends the march its work arrays and its cutoff level, which may
     be one per field (default: a new one at params.level).
     """
@@ -435,13 +421,7 @@ def solve_transformed(
         raise ValueError("t_final must be a positive integer multiple of dt")
     stepper = stepper or _Stepper(params)
     cursor = cursor or OUCursor(path, params.chi, params.nu)
-    # snapshot slots: every record_every steps plus the final step
-    rec_idx = sorted({*range(0, n_steps + 1, record_every), n_steps})
-    rec_pos = {k: i for i, k in enumerate(rec_idx)}
-    record_times = np.array([t0 + k * params.dt for k in rec_idx])
     G, P, n = v0.shape[:3]
-    v_snap = np.empty((len(rec_pos), G, P, n, 2), dtype=np.complex128)
-    z_snap = np.empty((len(rec_pos), G, 1, n, 2), dtype=np.complex128)
     if ledger:
         led = {f.name: np.empty((n_steps + 1, G, P)) for f in fields(EnergyLedger)}
         # <B_F, v>, <f, v> and (z, v) per step
@@ -449,9 +429,10 @@ def solve_transformed(
         block, kept = ledger_block((G, P), n), []
 
     for k, v, z, drift in _march(stepper, cursor, v0, t0, n_steps):
-        if k in rec_pos:
-            v_snap[rec_pos[k]] = v
-            z_snap[rec_pos[k]] = z
+        if k == 0:
+            start = v, z
+        if observe is not None:
+            observe(k, v, z)
         if not ledger:
             continue
         # the final time has no step drift to reuse
@@ -474,15 +455,17 @@ def solve_transformed(
         acc[1:] = np.cumsum(0.5 * params.dt * (flux[1:] + flux[:-1]), axis=0)
         led["residual"] = led["v_H2"] - led["v_H2"][0] + acc
         energy = EnergyLedger(**led)
-    traj = Trajectory(params, t0, record_times, v_snap, z_snap, energy, basis)
+    # the loop leaves v and z at the final step
+    traj = Trajectory(t0, t0 + n_steps * params.dt, np.stack((start[0], v)),
+                      np.stack((start[1], z)), energy, basis)
     return traj.member(0, 0) if one else traj
 
 
 def solve(x: SpectralField | tuple[SpectralField, ...] | np.ndarray,
           path: WienerPath | list[WienerPath],
           params: SimParams, t0: float = 0.0, t_final: float | None = None,
-          record_every: int = 1, ledger: bool = True,
-          stepper: _Stepper | None = None) -> Trajectory:
+          ledger: bool = True, stepper: _Stepper | None = None,
+          observe=None) -> Trajectory:
     """solve_transformed from the velocity x at t0, i.e. from v0 = x - z(t0):
     one field along one path, or a stack along each of G paths, x the
     (G, P, n_half_modes, 2) start velocities (v0 of group g, field p is
@@ -493,21 +476,8 @@ def solve(x: SpectralField | tuple[SpectralField, ...] | np.ndarray,
         v0 = SpectralField(x.basis, x.coeffs - z0)
     else:  # a tuple of P fields starts every group
         v0 = (np.stack([xi.coeffs for xi in x]) if isinstance(x, tuple) else x) - z0[:, None]
-    return solve_transformed(v0, path, params, t0, t_final, record_every, cursor,
-                             ledger, stepper)
-
-
-def doss_sussman_recover(traj: Trajectory) -> list[SpectralField]:
-    """u(t) = v(t) + z(t) at the trajectory's record times."""
-    return [traj.u_field(i) for i in range(traj.n_records)]
-
-
-def transform_forward(traj: Trajectory, u_fields: list[SpectralField]) -> list[SpectralField]:
-    """v(t) = u(t) - z(t); inverse of doss_sussman_recover (bit-exact)."""
-    return [
-        SpectralField(traj.basis, u.coeffs - traj.z_coeffs[i])
-        for i, u in enumerate(u_fields)
-    ]
+    return solve_transformed(v0, path, params, t0, t_final, cursor=cursor, ledger=ledger,
+                             stepper=stepper, observe=observe)
 
 
 def cocycle_apply(
@@ -519,49 +489,8 @@ def cocycle_apply(
         raise ValueError("cocycle time must be nonnegative")
     if t == 0.0:
         return x
-    traj = solve(x, path, params, t_final=t,
-                 record_every=max(1, int(round(t / params.dt))))
-    return traj.u_field(traj.n_records - 1)
-
-
-def chi_independence_sup(
-    x: SpectralField,
-    path: WienerPath,
-    chi1: float,
-    chi2: float,
-    params: SimParams,
-) -> float:
-    """sup over solver steps of |u_chi1(t) - u_chi2(t)|_H for the same path.
-
-    The continuum solution maps coincide for any damping shifts, so the
-    measured difference is pure discretization error and decreases at the
-    scheme's order under dt refinement.
-    """
-    trajs = [solve(x, path, replace(params, chi=chi)) for chi in (chi1, chi2)]
-    diff = (trajs[0].v_coeffs + trajs[0].z_coeffs) - (
-        trajs[1].v_coeffs + trajs[1].z_coeffs
-    )
-    return float(np.sqrt(h2_coeffs(diff)).max())
-
-
-def data_continuity_gap(
-    x: SpectralField,
-    x_n: SpectralField,
-    f: SpectralField | None,
-    f_n: SpectralField | None,
-    path: WienerPath,
-    params: SimParams,
-) -> tuple[float, float]:
-    """(sup_t |v_n - v|_H, int |v_n - v|_V^2 dt) for perturbed data.
-
-    Both solves share the path and z realization; the Gronwall structure of
-    the continuity estimate makes the gap shrink with the data perturbation.
-    """
-    base = solve(x, path, replace(params, forcing=f))
-    pert = solve(x_n, path, replace(params, forcing=f_n))
-    diff = pert.v_coeffs - base.v_coeffs
-    int_v2 = float(np.trapezoid(v2_coeffs(base.basis, diff), base.record_times))
-    return float(np.sqrt(h2_coeffs(diff)).max()), int_v2
+    state = solve(x, path, params, t_final=t, ledger=False).final_state()
+    return state.v + state.z
 
 
 # ---- energy inequalities with explicit constants ---------------------------
@@ -614,9 +543,13 @@ def pullback_inequality_margin(params: SimParams, ledger: EnergyLedger) -> float
     """
     t = ledger.t
     rate = params.nu * params.lambda_p
-    w = np.exp(rate * (t - t[0]))
-    weighted = _cumtrapz(dissipation_forcing_density(params, ledger) * w, t)
-    rhs = ledger.v_H2[0] * np.exp(-rate * (t - t[0])) + weighted / w
+    # the integral step by step, I_{k+1} = a I_k + (h/2) (a d_k + d_{k+1})
+    # with a = e^{-rate h}: no weight e^{rate (t-t0)} to overflow
+    h, d = np.diff(t), dissipation_forcing_density(params, ledger).tolist()
+    weighted = [0.0]
+    for a, half, d0, d1 in zip(np.exp(-rate * h).tolist(), (0.5 * h).tolist(), d, d[1:]):
+        weighted.append(a * weighted[-1] + half * (a * d0 + d1))
+    rhs = ledger.v_H2[0] * np.exp(-rate * (t - t[0])) + np.array(weighted)
     return float((ledger.v_H2 - rhs).max())
 
 
@@ -655,11 +588,10 @@ def checkpoint_load(text: str) -> tuple[TrajectoryState, WienerPath, SimParams]:
 
 
 def resume(state: TrajectoryState, path: WienerPath, params: SimParams,
-           t_final: float, record_every: int = 1) -> Trajectory:
+           t_final: float) -> Trajectory:
     """Continue a checkpointed run to t_final, with z starting from the
     state's saved z; bit-identical to an uninterrupted solve over the same
     window."""
     cursor = OUCursor(path, params.chi, params.nu, start=(state.time, state.z.coeffs))
     return solve_transformed(state.v, path, params, t0=state.time,
-                             t_final=t_final - state.time,
-                             record_every=record_every, cursor=cursor)
+                             t_final=t_final - state.time, cursor=cursor)

@@ -8,14 +8,19 @@ earlier layout of the package's own arithmetic, which the current one must
 reproduce bit for bit.  Between them sit compositions of the package's
 kernels that only the tests use: the projected advection B(u, v), the
 field form of B_F, the L2 inner product of two fields, and the cutoff
-lemma's sides, the monotonicity gap and its tolerance of fields.
+lemma's sides, the monotonicity gap and its tolerance of fields; and a
+solve's recording observer, with the walks over whole trajectories on it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from gmnslab.cutoff import (cutoff_advection_coeffs, gap_of_terms, lipschitz_sides,
                             product_bound, tolerance_of_norms)
-from gmnslab.spectral import SpectralField, inner_coeffs, norm_H, norm_L4, norm_V
+from gmnslab.integrate import solve
+from gmnslab.spectral import (SpectralField, h2_coeffs, inner_coeffs, norm_H, norm_L4,
+                              norm_V, v2_coeffs)
 
 VOLUME = (2.0 * np.pi) ** 3
 
@@ -157,6 +162,65 @@ def monotonicity_gap(v1, v2, z, params):
 def gap_tolerance(v1, v2):
     """`tolerance_of_norms` of the fields v1 and v2."""
     return tolerance_of_norms(norm_V(v1), norm_V(v2))
+
+
+# ---- trajectories through a recording observer ----
+
+
+class Recording(list):
+    """`observe` of a solve that keeps (k, v, z) at every step, copies of the
+    stacked v (G, P, n, 2) and z (G, 1, n, 2), the history a solve does not
+    hold; `v` and `z` stack them, and `member(g, p)` gives one field's."""
+
+    def __call__(self, k, v, z):
+        self.append((k, v.copy(), z.copy()))
+
+    v = property(lambda self: np.stack([v for _, v, _ in self]))
+    z = property(lambda self: np.stack([z for _, _, z in self]))
+
+    def member(self, g: int = 0, p: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        return self.v[:, g, p], self.z[:, g, 0]
+
+
+def recorded(solver, *args, **kw):
+    """(trajectory, Recording) of solver(*args, **kw), solve or solve_transformed."""
+    rec = Recording()
+    return solver(*args, observe=rec, **kw), rec
+
+
+def doss_sussman_recover(rec: Recording) -> np.ndarray:
+    """u = v + z at every step of a one-field recording."""
+    return np.add(*rec.member())
+
+
+def transform_forward(rec: Recording, u: np.ndarray) -> np.ndarray:
+    """v = u - z at every step; the inverse of doss_sussman_recover."""
+    return u - rec.member()[1]
+
+
+def chi_independence_sup(x, path, chi1, chi2, params) -> float:
+    """sup over solver steps of |u_chi1(t) - u_chi2(t)|_H for the same path.
+
+    The continuum solution maps coincide for any damping shifts, so the
+    measured difference is pure discretization error and decreases at the
+    scheme's order under dt refinement.
+    """
+    u1, u2 = (doss_sussman_recover(recorded(solve, x, path, replace(params, chi=chi),
+                                            ledger=False)[1]) for chi in (chi1, chi2))
+    return float(np.sqrt(h2_coeffs(u1 - u2)).max())
+
+
+def data_continuity_gap(x, x_n, f, f_n, path, params) -> tuple[float, float]:
+    """(sup_t |v_n - v|_H, int |v_n - v|_V^2 dt) for perturbed data.
+
+    Both solves share the path and z realization; the Gronwall structure of
+    the continuity estimate makes the gap shrink with the data perturbation.
+    """
+    base, base_rec = recorded(solve, x, path, replace(params, forcing=f))
+    _, pert_rec = recorded(solve, x_n, path, replace(params, forcing=f_n), ledger=False)
+    diff = pert_rec.member()[0] - base_rec.member()[0]
+    int_v2 = float(np.trapezoid(v2_coeffs(x.basis, diff), base.ledger.t))
+    return float(np.sqrt(h2_coeffs(diff)).max()), int_v2
 
 
 # ---- polarization contractions with the table in (n, p, c) order ----

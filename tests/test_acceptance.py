@@ -19,6 +19,8 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 from gmnslab.seeding import labeled_generator
 
+from oracles import chi_independence_sup
+
 
 def report(num: int, label: str, passed: bool, detail: str, elapsed: float,
            budget: float) -> None:
@@ -66,7 +68,7 @@ def test_c04_energy_equality_refinement():
     for dt in dts:
         p = it.SimParams(nu=1.0, level=1.0, chi=1.0, dt=dt, t_final=horizon,
                          kmax=2, noise=spec, dt_path=dts[-1])
-        traj = it.solve(x, path, p, record_every=1 << 30)
+        traj = it.solve(x, path, p)
         residuals.append(abs(traj.ledger.residual[-1]))
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     ok = all(3.2 <= r <= 4.8 for r in ratios)
@@ -88,9 +90,9 @@ def test_c05_chi_independence_refinement():
         path = nz.make_path(105, dt, 0.0, horizon, spec, basis)
         p = it.SimParams(nu=1.0, level=1.0, dt=dt, t_final=horizon, kmax=2,
                          noise=spec, dt_path=dt)
-        sups.append(it.chi_independence_sup(x, path, 0.0, 1.0, p))
+        sups.append(chi_independence_sup(x, path, 0.0, 1.0, p))
         if dt == dts[-1]:
-            traj = it.solve(x, path, p, record_every=1 << 30)
+            traj = it.solve(x, path, p)
             u_scale = math.sqrt(float(traj.ledger.u_H2.max()))
     ratios = [sups[i] / sups[i + 1] for i in range(len(sups) - 1)]
     order = float(np.mean(np.log2(ratios)))

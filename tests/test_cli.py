@@ -229,6 +229,8 @@ class TestModesAndExitCodes:
             # (at level inf, which has no eta)
             ({"params": {"kmax": 2, "nu": 1e-300, "chi": 0.0, "level": "inf"}},
              "'params.nu'"),
+            # at nu 1 the amplitude alone drives E|z|_H^2 to inf
+            ({"params": {"noise": {"amplitude": 1e200}}}, "'params.noise.amplitude'"),
             ({"params": {"instability_factor": 1e200}}, "'params.instability_factor'"),
             ({"params": {"nu": "1"}}, "'params.nu'"),
             ({"params": {"dt": "x"}}, "'params.dt'"),
@@ -371,17 +373,11 @@ class TestModesAndExitCodes:
             ("measure", {"options": {"horizon": 1e9}}, "'options.horizon'"),
             ("check", {"options": {"ou_samples": 10**9}}, "'options.ou_samples'"),
         ]
-        # a 0.99 GiB table passes its ceiling, but the snapshots and ledger
-        # of every step, 2.2 GiB, do not (checked first, so that a missing
-        # guard fails here rather than running it); one snapshot in 2^20
-        # steps fits
+        # a 0.99 GiB table passes its ceiling; the run holds no snapshots,
+        # and its ledger (104 B a step) is smaller than its table (416 B a
+        # step at kmax 1), so it passes at record_every 1
         at_ceiling = {"kmax": 1, "dt": 1 / 256, "t_final": 10_000}
-        field = "'params.t_final' = 10000 at options.record_every = 1"
-        with pytest.raises(ConfigError, match=field):
-            resolve_config({"experiment": "simulate", "params": at_ceiling})
-        assert resolve_config({"experiment": "simulate", "params": at_ceiling,
-                               "options": {"record_every": 2**20}})
-        cases.append(("simulate", {"params": at_ceiling}, field))
+        assert resolve_config({"experiment": "simulate", "params": at_ceiling})
         for i, (name, fields, field) in enumerate(cases):
             raw = {"experiment": name, "assertion_mode": "exploratory", **fields}
             bad = write_config(tmp_path, raw, f"{name}-{i}.json")
@@ -469,6 +465,25 @@ class TestModesAndExitCodes:
             summary = json.load(fh, parse_constant=reject)
         assert summary["slope_ok"] is False and summary["passed"] is False
         assert summary["slope_se"] is None
+
+    def test_long_horizon_margins_finite(self, tmp_path):
+        # nu lambda T = 720 > 709.78, where e^{nu lambda (t - t0)} overflows:
+        # the exponentially weighted energy margins stay finite numbers
+        params = {"nu": 4.0, "kmax": 1, "dt": 0.25, "t_final": 180.0}
+        runs = [("simulate", {"params": params}, "pullback_margin"),
+                ("pullback", {"params": params, "options": {"pullback_times": [10.0, 180.0]}},
+                 "max_energy_margin")]
+
+        def reject(literal):
+            raise ValueError(f"non-standard JSON literal {literal}")
+
+        for name, fields, key in runs:
+            raw = {"experiment": name, "assertion_mode": "exploratory", **fields}
+            out = str(tmp_path / name)
+            assert cli.main([name, "--config", write_config(tmp_path, raw, f"{name}.json"),
+                             "--out", out]) == 0
+            with open(os.path.join(out, "summary.json")) as fh:
+                assert math.isfinite(json.load(fh, parse_constant=reject)[key])
 
     def test_instability_exit_code(self, tmp_path):
         raw = {

@@ -15,8 +15,8 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 from gmnslab.seeding import derive_key, labeled_generator
 
-from oracles import (cutoff_lipschitz_sides, cutoff_product_bound, gap_tolerance,
-                     monotonicity_gap)
+from oracles import (Recording, cutoff_lipschitz_sides, cutoff_product_bound,
+                     gap_tolerance, monotonicity_gap, recorded)
 
 
 class TestClosedFormConstants:
@@ -282,9 +282,10 @@ class TestContraction:
         for m in range(7):
             path = nz.make_path(derive_key(4, f"member-{m}"), p.dt_path, 0.0,
                                 p.t_final, p.noise, basis2)
-            a, b = (it.solve(x, path, p, record_every=2) for x in (x1, x2))
+            (a, rec_a), (_, rec_b) = (recorded(it.solve, x, path, p) for x in (x1, x2))
             assert a.ledger.cutoff[0] < 1.0
-            diff = a.v_coeffs - b.v_coeffs
+            # every second step of 16, the final one among them
+            diff = (rec_a.member()[0] - rec_b.member()[0])[::2]
             sq.append((diff.real**2 + diff.imag**2).sum(axis=(1, 2)))
         assert np.array_equal(rep.mean_sq, np.stack(sq).mean(axis=0))
 
@@ -414,9 +415,9 @@ class TestPullback:
         margins = []
         for name, x in fam.items():
             for tm, radius in zip(times, rep.radii[name]):
-                traj = it.solve(x, path, p, t0=-tm, t_final=tm, record_every=1 << 30)
+                traj = it.solve(x, path, p, t0=-tm, t_final=tm)
                 assert (traj.ledger.cutoff[0] < 1.0) == (name == "large")
-                assert radius == sp.norm_H(traj.u_field(traj.n_records - 1))
+                assert radius == sp.norm_H(traj.v[-1] + traj.z[-1], basis2)
                 margins.append(it.pullback_inequality_margin(p, traj.ledger))
         assert rep.extra["max_energy_margin"] == max(margins)
 
@@ -439,17 +440,20 @@ class TestPullback:
 
 
 class TestNseLimit:
-    def test_infinite_level_matches_plain_solver(self, basis2, rng):
+    def test_infinite_level_matches_plain_solver(self, basis2, rng, monkeypatch):
         x = sp.random_field(basis2, rng, norm=2.0)
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=1.0,
                          noise=nz.NoiseSpectrum(amplitude=0.0))
+        star_rec, solve = Recording(), it.solve
+        monkeypatch.setattr(it, "solve", lambda *a, **k: solve(*a, observe=star_rec, **k))
         star = ex.solve_nse(x, p)[0]
-        from dataclasses import replace
+        monkeypatch.undo()
 
         p_inf = replace(p, level=math.inf)
         path = nz.make_path(0, p.dt_path, 0.0, p.t_final, p_inf.noise, basis2)
-        modified = it.solve_transformed(x, path, p_inf, record_every=1)
-        assert np.array_equal(star.v_coeffs, modified.v_coeffs)
+        modified, rec = recorded(it.solve_transformed, x, path, p_inf)
+        assert np.array_equal(star_rec.v, rec.v)
+        assert np.array_equal(star.v, modified.v)
 
     def test_energy_identity_at_galerkin_level(self, basis2, rng):
         x = sp.random_field(basis2, rng, norm=2.0)
@@ -464,7 +468,8 @@ class TestNseLimit:
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=0.5,
                          noise=nz.NoiseSpectrum(amplitude=0.0))
         star = ex.solve_nse(sp.zero_field(basis2), p)[0]
-        assert np.abs(star.v_coeffs).max() == 0.0
+        # |v|_H^2 = 0 on every step
+        assert np.abs(star.v).max() == 0.0 and not star.ledger.v_H2.any()
         # the sweep scales its cutoff levels by the run's L4 norm, here 0
         with pytest.raises(ValueError, match="no L4 scale"):
             ex.nse_limit_experiment(sp.zero_field(basis2), p)
@@ -482,9 +487,10 @@ class TestNseLimit:
 
     def test_stacked_levels_equal_single_solves(self, basis2, monkeypatch):
         # the sweep draws one zero-noise path and makes two solves, the
-        # unmodified run and one (1, L) stack of the levels; each level's
-        # stacked record is, bit for bit, a single solve of x at that level
-        # on a fresh zero-noise path
+        # unmodified run and one (1, L + 1) stack of the levels and the
+        # unmodified run again; each level's stacked record is, bit for bit,
+        # a single solve of x at that level on a fresh zero-noise path, and
+        # the last field's is the unmodified run's
         x = sp.random_field(basis2, labeled_generator(2, "nse-ic"), norm=2.0)
         p = it.SimParams(nu=1.0, level=1.0, chi=0.5, dt=1 / 64, t_final=0.5,
                          noise=nz.NoiseSpectrum(amplitude=0.5))
@@ -495,8 +501,15 @@ class TestNseLimit:
             paths.append(make_path(*a))
             return paths[-1]
 
-        def spy_solve(v0, path, *a, **k):
-            solves.append((path, solve_transformed(v0, path, *a, **k)))
+        def spy_solve(v0, path, *a, observe=None, **k):
+            rec = Recording()
+
+            def both(*step):
+                rec(*step)
+                if observe is not None:
+                    observe(*step)
+
+            solves.append((path, solve_transformed(v0, path, *a, observe=both, **k), rec))
             return solves[-1][1]
 
         monkeypatch.setattr(nz, "make_path", spy_path)
@@ -505,21 +518,24 @@ class TestNseLimit:
         monkeypatch.undo()
         assert len(paths) == 1 and len(solves) == 2
         assert solves[0][0] is paths[0] and solves[1][0] == [paths[0]]
-        stack = solves[1][1]
-        assert stack.v_coeffs.shape[1:3] == (1, 4)
-        for i, level in enumerate(rep.levels):
-            q = replace(p, level=level, chi=0.0, noise=replace(p.noise, amplitude=0.0))
-            path = nz.make_path(0, q.dt_path, 0.0, q.t_final, q.noise, basis2)
-            single = it.solve_transformed(x, path, q, record_every=1)
+        (star, star_rec), (stack, rec) = (s[1:] for s in solves)
+        assert stack.v.shape[1:3] == (1, 5)
+        q = replace(p, chi=0.0, noise=replace(p.noise, amplitude=0.0))
+        path = nz.make_path(0, q.dt_path, 0.0, q.t_final, q.noise, basis2)
+        singles = [recorded(it.solve_transformed, x, path, replace(q, level=level))
+                   for level in rep.levels] + [(star, star_rec)]
+        for i, (single, single_rec) in enumerate(singles):
             member = stack.member(0, i)
-            for got, want in ((member.v_coeffs, single.v_coeffs),
-                              (member.z_coeffs, single.z_coeffs),
-                              *((getattr(member.ledger, n), getattr(single.ledger, n))
-                                for n in ("u_L4", "cutoff", "v_H2", "residual"))):
+            for got, want in zip((member.v, member.z, *rec.member(0, i)),
+                                 (single.v, single.z, *single_rec.member())):
                 assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+            for name, column in vars(single.ledger).items():
+                got = np.ascontiguousarray(getattr(member.ledger, name))
+                assert got.tobytes() == column.tobytes(), name
+        assert stack.t_end == star.t_end
         # the cutoff acts on the smaller levels only
         assert (stack.ledger.cutoff[:, 0, :2] < 1.0).any()
-        assert (stack.ledger.cutoff[:, 0, 3] == 1.0).all()
+        assert (stack.ledger.cutoff[:, 0, 3:] == 1.0).all()
 
     def test_instability_names_the_level(self, basis2, monkeypatch):
         x = sp.random_field(basis2, labeled_generator(2, "nse-ic"), norm=2.0)
@@ -619,7 +635,7 @@ class TestMeasure:
         for idx, (name, x) in enumerate(ics.items()):
             path = nz.make_path(derive_key(5, f"measure-{idx}"), q.dt_path, 0.0,
                                 q.t_final, q.noise, basis1)
-            led = it.solve(x, path, q, record_every=1 << 30).ledger
+            led = it.solve(x, path, q).ledger
             for key in whole.observables:
                 vals = getattr(led, key)[led.t >= burn_in - 1e-12]
                 assert whole.averages[key][name] == float(vals.mean())

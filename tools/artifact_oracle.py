@@ -87,6 +87,11 @@ CONFIGS = [
                         "params": {"kmax": 2, "dt": 1 / 32, "t_final": 0.5, "nu": 4.0,
                                    "level": 0.3, "noise": {"amplitude": 0.5}},
                         "options": {"x1": {"norm": 3.0}}}),
+    # a stride that does not divide the 16 steps: records 0, 3, ..., 15 and
+    # the final step 16
+    ("contract-stride", {"experiment": "contract", "seed": 25, "ensemble": 4,
+                         "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5}),
+                         "options": {"record_every": 3}}),
     ("nse-limit", {"experiment": "nse-limit", "seed": 14,
                    "params": dict(_SMALL, dt=1 / 64)}),
     # the levels march as one (1, 4) stack at kmax 2, where stacking pays;
