@@ -3,6 +3,8 @@
 The resolved configuration round-trips losslessly, every run directory keeps
 the exact copy that produced it, and the pair (config, seed) determines all
 outputs byte-for-byte.  Validation failures carry the offending field name.
+One function, `run_budget`, bounds the bytes a run holds at once and the
+work of contract and check, each against its one ceiling.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .cutoff import CutoffParams
-from .experiments import MEASURE_BATCHES, stability_threshold
+from .experiments import MEASURE_BATCHES, member_bytes, member_tile, stability_threshold
 from .integrate import SimParams
 from .noise import (MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes,
                     stationary_mean_H2)
@@ -20,7 +22,7 @@ from .spectral import KMAX_CEILING
 
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
 
-# Resource guard beside noise.PATH_TABLE_CEILING: the most work a contract
+# The second ceiling of run_budget: the most work a contract
 # or check run may do, counted in grid points (about 0.38 us a point on a
 # 2-core VM, so the ceiling is about an hour).  For contract, one
 # member-step (a solver step of a member's two fields) costs about
@@ -310,33 +312,25 @@ _EXPERIMENT_OPTIONS = {
 }
 
 
-def _path_table(cfg: RunConfig) -> tuple[str, float, float]:
-    """The field(s) that set the size of the largest path table a run draws,
-    their value, and the table's bytes."""
-    p = cfg.params
-    if cfg.experiment == "check":
-        # c06 samples one kmax=1 path of ou_samples + 1 cells
-        n = cfg.option("ou_samples")
-        return "field 'options.ou_samples'", n, path_table_bytes(n + 1, 1)
-    if cfg.experiment == "pullback":
-        # one path over [-max(times), dt]
-        name = "field 'options.pullback_times'"
-        span = max(cfg.option("pullback_times")) + p.dt
-    elif cfg.experiment == "measure":
-        # one path per initial state over [0, burn_in + horizon]
+def _span(cfg: RunConfig) -> tuple[str, float]:
+    """The field(s) that set the span of the paths a run marches on, and the
+    span, which must be whole steps of dt, as integrate.solve_transformed takes."""
+    dt = cfg.params.dt
+    name, span = "field 'params.t_final'", cfg.params.t_final  # paths over [0, t_final]
+    if cfg.experiment == "pullback":  # one path over [-max(times), dt]
+        name, span = "field 'options.pullback_times'", max(cfg.option("pullback_times")) + dt
+    if cfg.experiment == "measure":  # one path per initial state over [0, burn_in + horizon]
         name = "fields 'options.burn_in' + 'options.horizon'"
         span = cfg.option("burn_in") + cfg.option("horizon")
-    else:
-        # the remaining runs draw their paths over [0, t_final]
-        name, span = "field 'params.t_final'", p.t_final
-    return name, span, path_table_bytes(span / p.dt_path, p.kmax)
+    _require(abs(round(span / dt) * dt - span) <= 1e-9 * max(1.0, span),
+             f"{name} = {span} must be a whole number of steps of params.dt = {dt}")
+    return name, span
 
 
-def contract_work(p: SimParams, ensemble: int) -> tuple[int, float]:
-    """Solver steps per solve and the grid points of work of a contract run."""
-    steps = round(p.t_final / p.dt)
+def contract_work(p: SimParams, ensemble: int) -> float:
+    """The grid points of work of a contract run."""
     per_step = ((4 * p.kmax + 1) ** 3 + 1024) * (1 + p.substeps / 256)
-    return steps, ensemble * steps * per_step
+    return ensemble * round(p.t_final / p.dt) * per_step
 
 
 def check_work(cfg: RunConfig) -> dict[str, float]:
@@ -345,6 +339,41 @@ def check_work(cfg: RunConfig) -> dict[str, float]:
     points = (4 * cfg.params.kmax + 1) ** 3
     return {name: cfg.option(name) * (a * points + b)
             for name, (a, b) in _CHECK_CASE_POINTS.items()}
+
+
+def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
+    """Each ceiling a resolved run must fit, as (the field to name, its value,
+    the amount, the ceiling, its unit): the bytes the run holds at once, a
+    tile's worth of members' path tables and ledgers (`member_bytes`), against
+    PATH_TABLE_CEILING, and the work of contract and check against WORK_CEILING."""
+    held, work = "bytes of path tables and ledgers held at once", "grid points of work"
+    if cfg.experiment == "check":
+        # c06 samples one kmax=1 path of ou_samples + 1 cells into a series,
+        # and its variance copies it; the fuzz count with the largest share of
+        # the work is the one to name
+        n, points = cfg.option("ou_samples"), check_work(cfg)
+        name = max(points, key=points.get)
+        return [("field 'options.ou_samples'", n, path_table_bytes(n + 1, 1) + 16 * n,
+                 PATH_TABLE_CEILING, held),
+                (f"field 'options.{name}'", cfg.option(name), sum(points.values()),
+                 WORK_CEILING, work)]
+    name, span = _span(cfg)
+    p = replace(cfg.params, t_final=span)
+    # (fields, members) of the march: a contract member's two fields keep no
+    # ledger; nse-limit's unmodified run keeps its ledger while its levels and
+    # that run again march as one stack, each level's error to it kept per step
+    levels = len(cfg.option("multipliers")) if cfg.experiment == "nse-limit" else 0
+    n_fields, members = {"contract": (2, cfg.ensemble), "nse-limit": (levels + 2, 1),
+                        "measure": (1, len(cfg.option("initial_set"))),
+                        "pullback": (len(cfg.option("families")), 1)}.get(cfg.experiment, (1, 1))
+    member = (member_bytes(p, n_fields, ledger=cfg.experiment != "contract")
+              + 8 * (round(span / p.dt) + 1) * levels)
+    nbytes = min(members, member_tile(p.basis(), 12 * n_fields, member)) * member
+    budget = [(name, span, nbytes, PATH_TABLE_CEILING, held)]
+    if cfg.experiment == "contract":
+        budget.append(("field 'ensemble'", cfg.ensemble, contract_work(p, cfg.ensemble),
+                       WORK_CEILING, work))
+    return budget
 
 
 def _validate_experiment(cfg: RunConfig) -> None:
@@ -374,33 +403,12 @@ def _validate_experiment(cfg: RunConfig) -> None:
         _require(cfg.option("horizon") >= MEASURE_BATCHES * p.dt,
                  f"field 'options.horizon' = {cfg.option('horizon')} must be at least "
                  f"{MEASURE_BATCHES} steps of params.dt = {p.dt}, one per error-bar batch")
-    name, value, nbytes = _path_table(cfg)
-    # the span a run marches (check marches none): whole steps of dt, to the
-    # tolerance of integrate.solve_transformed
-    _require(cfg.experiment == "check"
-             or abs(round(value / p.dt) * p.dt - value) <= 1e-9 * max(1.0, value),
-             f"{name} = {value} must be a whole number of steps of params.dt = {p.dt}")
-    _require(
-        nbytes <= PATH_TABLE_CEILING,
-        f"{name} = {value} needs a path table of {nbytes / 2**30:.3g} GiB, "
-        f"over the ceiling of {PATH_TABLE_CEILING / 2**30:g} GiB",
-    )
     if cfg.experiment == "contract":
         _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
                  "for contract (the standard error needs two members)")
-        steps, work = contract_work(p, cfg.ensemble)
-        _require(work <= WORK_CEILING,
-                 f"field 'ensemble' = {cfg.ensemble} at {steps} steps per solve and "
-                 f"kmax {p.kmax} needs {work:.3g} grid points of work, over the "
-                 f"ceiling of {WORK_CEILING:.3g}")
-    if cfg.experiment == "check":
-        work = check_work(cfg)
-        # the option with the largest share of the work is the one to name
-        name = max(work, key=work.get)
-        _require(sum(work.values()) <= WORK_CEILING,
-                 f"field 'options.{name}' = {cfg.option(name)} at kmax {p.kmax} needs "
-                 f"{work[name]:.3g} grid points of work ({sum(work.values()):.3g} for "
-                 f"the whole check), over the ceiling of {WORK_CEILING:.3g}")
+    for name, value, amount, ceiling, what in run_budget(cfg):
+        _require(amount <= ceiling, f"{name} = {value} at kmax {p.kmax} needs "
+                 f"{amount:.3g} {what}, over the ceiling of {ceiling:.3g}")
     if cfg.experiment in ("contract", "measure") and cfg.strict:
         thr = stability_threshold(p.level, p.lambda_p)
         _require(

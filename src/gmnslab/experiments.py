@@ -222,8 +222,8 @@ def check_ou_stationarity(
     lag = 2.5 / mu
     path = nz.make_path(seed, lag, 0.0, (n_samples + 1) * lag, spectrum, basis)
     cursor = nz.OUCursor(path, chi, nu)
-    series = np.array([cursor.advance_to(i * lag)[0, 0].real
-                       for i in range(1, n_samples + 1)])
+    series = np.fromiter((cursor.advance_to(i * lag)[0, 0].real
+                          for i in range(1, n_samples + 1)), float, n_samples)
     var_emp = float(series.var())
     var_true = 1.0 / (2.0 * mu)
     rho = math.exp(-mu * lag)
@@ -322,13 +322,21 @@ class ContractionReport:
 TILE_GRID_BYTES = 640 * 2**10
 
 
-def member_tile(basis: sp.GalerkinBasis, grids: int, path_steps: int | None = None) -> int:
+def member_bytes(params: it.SimParams, fields: int, ledger: bool = True) -> float:
+    """Bytes one member of a march over [0, params.t_final] holds: its path
+    table, plus the ledger of its fields when the march keeps one."""
+    steps = round(params.t_final / params.dt) + 1
+    ledger_bytes = 8 * steps * fields * it.LEDGER_STEP_FLOATS if ledger else 0
+    return nz.path_table_bytes(params.t_final / params.dt_path, params.kmax) + ledger_bytes
+
+
+def member_tile(basis: sp.GalerkinBasis, grids: int, nbytes: float = 0.0) -> int:
     """Members of `grids` real M^3 grids each per tile: as many as fit in
-    TILE_GRID_BYTES and, marching on paths of path_steps cells, whose path
-    tables fit noise.PATH_TABLE_CEILING together; at least one."""
+    TILE_GRID_BYTES and, holding nbytes each (`member_bytes`), whose bytes
+    fit noise.PATH_TABLE_CEILING together; at least one."""
     tile = TILE_GRID_BYTES // (grids * 8 * basis.grid_size**3)
-    if path_steps is not None:
-        tile = min(tile, nz.PATH_TABLE_CEILING // nz.path_table_bytes(path_steps, basis.kmax))
+    if nbytes:
+        tile = min(tile, nz.PATH_TABLE_CEILING // nbytes)
     return max(1, int(tile))
 
 
@@ -340,7 +348,8 @@ def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
     full tiles and once more for a partial last tile.  An InstabilityError
     names the member, not its place in the tile."""
     basis = params.basis()
-    tile = member_tile(basis, 12 * x.shape[1], path_of(0).steps)
+    P = x.shape[1]
+    tile = member_tile(basis, 12 * P, member_bytes(params, P, solve_kw.get("ledger", True)))
     stepper = it._Stepper(params)
     for m0 in range(0, len(x), tile):
         # each tile's paths are built here and dropped with the tile
@@ -471,11 +480,12 @@ def pullback_absorption(
     radii = {name: [] for name in names}
     margins = []
     for tm in tms:
+        stack = traj = None  # the previous time's ledger goes before this one is made
         # the families march as one group on the path
         stack = it.solve(tuple(x_family.values()), [path], params, t0=-tm, t_final=tm)
         for p, name in enumerate(names):
             traj = stack.member(0, p)
-            radii[name].append(sp.norm_H(traj.v[-1] + traj.z[-1], basis))
+            radii[name].append(sp.norm_H(traj.v + traj.z, basis))
             margins.append(it.pullback_inequality_margin(params, traj.ledger))
 
     # absorbing bound kappa11 + kappa12 from the discrete analogues of the
@@ -576,17 +586,16 @@ def nse_limit_experiment(
     # without noise z(0) is +0.0, so each field starts at x bit for bit
     stacked = [*levels, math.inf]
     stepper = it._Stepper(p, level=np.array(stacked))
-    err_sq = []
+    err_sq = np.empty((round(T / p.dt) + 1, len(levels)))
 
     def observe(k, v, z):
-        err_sq.append(sp.h2_coeffs(v[0, :-1] - v[0, -1]))
+        err_sq[k] = sp.h2_coeffs(v[0, :-1] - v[0, -1])
 
     try:
         stack = it.solve((x,) * len(stacked), [path], p, stepper=stepper, observe=observe)
     except it.InstabilityError as exc:  # the level, not its place in the stack
         exc.member, exc.message = None, f"cutoff level {stacked[exc.field]:.6g}: {exc.message}"
         raise
-    err_sq = np.array(err_sq)
 
     i_ns, bounds, ints, ints_p, errs = [], [], [], [], []
     for i, level in enumerate(levels):
@@ -693,7 +702,7 @@ def invariant_measure_sampler(
 
     x = np.stack([xi.coeffs for xi in xs])[:, None]
     for m0, traj in _march_tiles(p, x, state_path):
-        for g, name in enumerate(names[m0:m0 + traj.v.shape[1]]):
+        for g, name in enumerate(names[m0:m0 + len(traj.v)]):
             led = traj.member(g, 0).ledger
             keep = led.t >= burn_in - 1e-12
             series = {key: getattr(led, key)[keep] for key in observables}

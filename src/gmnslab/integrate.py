@@ -23,7 +23,7 @@ it; `solve` starts it from a velocity, the entry point of every experiment.
 The march steps a stack (G, P) of fields: G groups, each on its own path,
 and P fields per group that share its z, one OU cursor for all groups.  One
 field is the (1, 1) stack.  A solve holds no history: its `Trajectory`
-keeps the start and final states and the ledger, and a caller that reads
+keeps the final state and the ledger, and a caller that reads
 the steps in between passes `observe(k, v, z)`, called at every step
 k = 0..n_steps with the stacked v (G, P, n, 2) and z (G, 1, n, 2), to
 reduce them as the march goes.  Each field's drift, L4 norm and cutoff
@@ -32,8 +32,8 @@ stacked field is bit for bit its single solve.  The stepper, built from
 params alone (its basis and dt) and passed as `stepper=`, holds the cutoff
 level, params.level or one per field, and a `work` dict for its stack
 shape, in which each stage of the drift keeps its result, so a march
-allocates them once.  With `ledger=False` a solve keeps only the two
-states, for the runs that read nothing else (the contraction ensemble).
+allocates them once.  With `ledger=False` a solve keeps only the final
+state, for the runs that read nothing else (the contraction ensemble).
 
 The energy ledger records the terms of the energy balance
 
@@ -226,21 +226,20 @@ class EnergyLedger:
         return float(np.abs(self.residual).max())
 
     def columns(self) -> dict:
-        """One field's series in the interchange column set, a row per step."""
-        return {"t": self.t.tolist(), "H_norm_v": np.sqrt(self.v_H2).tolist(),
-                "V_norm_v": np.sqrt(self.v_V2).tolist(), "L4_norm_u": self.u_L4.tolist(),
-                "F_N": self.cutoff.tolist(), "residual": self.residual.tolist(),
-                "H_norm_u": np.sqrt(self.u_H2).tolist()}
+        """One field's series in the interchange column set, a row per step,
+        as arrays: a list of Python floats would hold four times their bytes."""
+        return {"t": self.t, "H_norm_v": np.sqrt(self.v_H2), "V_norm_v": np.sqrt(self.v_V2),
+                "L4_norm_u": self.u_L4, "F_N": self.cutoff, "residual": self.residual,
+                "H_norm_u": np.sqrt(self.u_H2)}
 
 
 @dataclass
 class Trajectory:
-    """Solution record: the states at t0 and t_end, and the ledger on every
-    step (None when not kept).  v is (2, *stack, n_half_modes, 2), the start
-    and final v, stack () for one field and (G, P) for a stacked solve,
-    whose z is (2, G, 1, n_half_modes, 2)."""
+    """Solution record: the final state at t_end and the ledger on every
+    step (None when not kept).  v is the final v, (*stack, n_half_modes, 2),
+    stack () for one field and (G, P) for a stacked solve, whose z is
+    (G, 1, n_half_modes, 2)."""
 
-    t0: float
     t_end: float
     v: np.ndarray
     z: np.ndarray
@@ -252,11 +251,11 @@ class Trajectory:
         led = self.ledger and EnergyLedger(**{
             name: col if name == "t" else col[:, g, p]
             for name, col in vars(self.ledger).items()})
-        return replace(self, v=self.v[:, g, p], z=self.z[:, g, 0], ledger=led)
+        return replace(self, v=self.v[g, p], z=self.z[g, 0], ledger=led)
 
     def final_state(self) -> TrajectoryState:
-        return TrajectoryState(self.t_end, SpectralField(self.basis, self.v[-1]),
-                               SpectralField(self.basis, self.z[-1]))
+        return TrajectoryState(self.t_end, SpectralField(self.basis, self.v),
+                               SpectralField(self.basis, self.z))
 
 
 # ---- stepper kernel -------------------------------------------------------
@@ -360,6 +359,11 @@ def _march(stepper: _Stepper, cursor: OUCursor, v: np.ndarray, t0: float,
 # 0.29 ms stacked against 0.56 ms one step at a time.
 LEDGER_BLOCK_BYTES = 2**18
 
+# float64 a ledger holds per field and step at its peak: one per column and
+# flux pairing, and four while the residual accumulates (the flux, its running
+# integral and the two temporaries of its trapezoid sum; 17.0 traced at kmax 1)
+LEDGER_STEP_FLOATS = len(fields(EnergyLedger)) + 3 + 4
+
 
 def ledger_block(stack: tuple[int, int], n_half_modes: int) -> int:
     """Steps per ledger block of a (G, P) stack: as many steps' v (G, P),
@@ -403,8 +407,8 @@ def solve_transformed(
     axes.  `cursor` is the z layer of the path(s) at or before t0 (default:
     a new one).  Deterministic in (path seeds, params): repeated calls are
     bit-identical.  The ledger is recorded on every solver step unless
-    `ledger` is False; of the fields, only the start and final states are
-    kept, and observe(k, v, z), if given, sees the stacked v and z of every
+    `ledger` is False; of the fields, only the final state is kept, and
+    observe(k, v, z), if given, sees the stacked v and z of every
     step k = 0..n_steps as the march goes.  `stepper`, built for the same
     params, lends the march its work arrays and its cutoff level, which may
     be one per field (default: a new one at params.level).
@@ -429,8 +433,6 @@ def solve_transformed(
         block, kept = ledger_block((G, P), n), []
 
     for k, v, z, drift in _march(stepper, cursor, v0, t0, n_steps):
-        if k == 0:
-            start = v, z
         if observe is not None:
             observe(k, v, z)
         if not ledger:
@@ -456,8 +458,7 @@ def solve_transformed(
         led["residual"] = led["v_H2"] - led["v_H2"][0] + acc
         energy = EnergyLedger(**led)
     # the loop leaves v and z at the final step
-    traj = Trajectory(t0, t0 + n_steps * params.dt, np.stack((start[0], v)),
-                      np.stack((start[1], z)), energy, basis)
+    traj = Trajectory(t0 + n_steps * params.dt, v, z, energy, basis)
     return traj.member(0, 0) if one else traj
 
 
@@ -544,12 +545,14 @@ def pullback_inequality_margin(params: SimParams, ledger: EnergyLedger) -> float
     t = ledger.t
     rate = params.nu * params.lambda_p
     # the integral step by step, I_{k+1} = a I_k + (h/2) (a d_k + d_{k+1})
-    # with a = e^{-rate h}: no weight e^{rate (t-t0)} to overflow
-    h, d = np.diff(t), dissipation_forcing_density(params, ledger).tolist()
-    weighted = [0.0]
-    for a, half, d0, d1 in zip(np.exp(-rate * h).tolist(), (0.5 * h).tolist(), d, d[1:]):
-        weighted.append(a * weighted[-1] + half * (a * d0 + d1))
-    rhs = ledger.v_H2[0] * np.exp(-rate * (t - t[0])) + np.array(weighted)
+    # with a = e^{-rate h}: no weight e^{rate (t-t0)} to overflow; memoryviews
+    # give the series as Python floats without a list of them
+    h, d = np.diff(t), dissipation_forcing_density(params, ledger)
+    weighted, w = np.zeros_like(t), 0.0
+    for k, a, half, d0, d1 in zip(range(1, len(t)), *map(memoryview, (
+            np.exp(-rate * h), 0.5 * h, d, d[1:]))):
+        w = weighted[k] = a * w + half * (a * d0 + d1)
+    rhs = ledger.v_H2[0] * np.exp(-rate * (t - t[0])) + weighted
     return float((ledger.v_H2 - rhs).max())
 
 

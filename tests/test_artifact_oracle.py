@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gmnslab import spectral as sp
+from gmnslab.config import resolve_config
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "artifact_oracle.py")
 _spec = importlib.util.spec_from_file_location("artifact_oracle", _PATH)
@@ -68,3 +69,11 @@ class TestDivergences:
         assert values == v.view(np.float64).ravel().tolist()
         for text in ("inf", "simulate", "@@@", base64.b64encode(b"\x01" * 9).decode()):
             assert oracle._field_values(text) is None
+
+
+def test_every_config_is_accepted():
+    # a tighter config rule must not retire an oracle config: each passes
+    # resolve_config as the oracle writes it
+    for name, raw in oracle.CONFIGS:
+        cfg = resolve_config(json.loads(json.dumps(dict(raw, assertion_mode="exploratory"))))
+        assert cfg.experiment == raw["experiment"], name

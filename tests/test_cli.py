@@ -364,33 +364,41 @@ class TestModesAndExitCodes:
             assert name in capsys.readouterr().err
 
     def test_path_table_ceiling_exit(self, tmp_path, capsys):
-        # a 1e9 horizon needs a multi-TiB path table: rejected at config
-        # time, before anything is allocated
+        # a 1e9 horizon needs a multi-TiB path table, and this nse-limit a
+        # path table just under 1 GiB but about 4 GiB with the ledgers of
+        # its eight fields: rejected at config time, before anything is
+        # allocated or written
         cases = [(name, {"params": {"t_final": 1e9}}, "'params.t_final'")
                  for name in ("simulate", "contract", "nse-limit")] + [
+            ("nse-limit", {"params": {"kmax": 1, "dt": 1 / 64, "t_final": 40_320}},
+             "'params.t_final'"),
             ("pullback", {"options": {"pullback_times": [1.0, 1e9]}},
              "'options.pullback_times'"),
             ("measure", {"options": {"horizon": 1e9}}, "'options.horizon'"),
             ("check", {"options": {"ou_samples": 10**9}}, "'options.ou_samples'"),
         ]
-        # a 0.99 GiB table passes its ceiling; the run holds no snapshots,
-        # and its ledger (104 B a step) is smaller than its table (416 B a
-        # step at kmax 1), so it passes at record_every 1
+        # a simulate run's 0.99 GiB path table and its ledger (136 B a step
+        # against the table's 416 at kmax 1) are over the ceiling together;
+        # three quarters of the steps fit
         at_ceiling = {"kmax": 1, "dt": 1 / 256, "t_final": 10_000}
-        assert resolve_config({"experiment": "simulate", "params": at_ceiling})
+        with pytest.raises(ConfigError, match="'params.t_final'"):
+            resolve_config({"experiment": "simulate", "params": at_ceiling})
+        assert resolve_config({"experiment": "simulate",
+                               "params": {**at_ceiling, "t_final": 7_500}})
         for i, (name, fields, field) in enumerate(cases):
             raw = {"experiment": name, "assertion_mode": "exploratory", **fields}
             bad = write_config(tmp_path, raw, f"{name}-{i}.json")
             out = str(tmp_path / f"{name}-{i}")
             assert cli.main([name, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
             assert field in capsys.readouterr().err
+            assert not os.path.exists(out)
 
     def test_contract_work_ceiling_exit(self, tmp_path, capsys):
         # 1e8 members x 256 steps is rejected at config time, before any
         # member is marched; c08's 64 x 1,024 sits well inside the ceiling
         c08 = {"experiment": "contract", "ensemble": 64,
                "params": {"nu": 4.0, "t_final": 4.0, "dt": 1 / 256}}
-        assert 16 * contract_work(resolve_config(c08).params, 64)[1] <= WORK_CEILING
+        assert 16 * contract_work(resolve_config(c08).params, 64) <= WORK_CEILING
         raw = {"experiment": "contract", "ensemble": 100_000_000,
                "assertion_mode": "exploratory"}
         bad = write_config(tmp_path, raw)

@@ -276,7 +276,7 @@ class TestContraction:
         x2 = sp.random_field(basis2, labeled_generator(5, "x2"), norm=0.2)
         p = it.SimParams(nu=4.0, level=0.5 * sp.norm_L4(x1), dt=1 / 64, t_final=0.25,
                          noise=nz.NoiseSpectrum(amplitude=1.0))
-        assert ex.member_tile(basis2, 24, 16) == 4
+        assert ex.member_tile(basis2, 24, ex.member_bytes(p, 2, ledger=False)) == 4
         rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2)
         sq = []
         for m in range(7):
@@ -292,10 +292,11 @@ class TestContraction:
     def test_tile_path_tables_stay_under_the_ceiling(self, basis1, monkeypatch):
         # fine paths cap the tile so that the path tables its cursors hold
         # together fit the table ceiling; 27 members fit the grid budget
-        assert ex.member_tile(basis1, 24, 16) == 27
+        assert ex.member_tile(basis1, 24, nz.path_table_bytes(16, 1)) == 27
         table = nz.path_table_bytes(2**18, 1)
-        assert ex.member_tile(basis1, 24, 2**18) == nz.PATH_TABLE_CEILING // table == 9
-        assert ex.member_tile(basis1, 24, 2**21) == 1  # one table is all it may hold
+        assert ex.member_tile(basis1, 24, table) == nz.PATH_TABLE_CEILING // table == 9
+        # one table is all it may hold
+        assert ex.member_tile(basis1, 24, nz.path_table_bytes(2**21, 1)) == 1
         # with room for 2 tables, 5 members march in tiles of 2, 2 and 1,
         # each tile's tables dropped before the next tile draws its own,
         # with the result of the grid-sized tile of 5
@@ -335,7 +336,7 @@ class TestContraction:
                 spectrum = loud
             return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
 
-        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, path_steps: 2)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, nbytes: 2)
         monkeypatch.setattr(ex.nz, "make_path", path_of)
         p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=0.25, kmax=1,
                          noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
@@ -417,7 +418,7 @@ class TestPullback:
             for tm, radius in zip(times, rep.radii[name]):
                 traj = it.solve(x, path, p, t0=-tm, t_final=tm)
                 assert (traj.ledger.cutoff[0] < 1.0) == (name == "large")
-                assert radius == sp.norm_H(traj.v[-1] + traj.z[-1], basis2)
+                assert radius == sp.norm_H(traj.v + traj.z, basis2)
                 margins.append(it.pullback_inequality_margin(p, traj.ledger))
         assert rep.extra["max_energy_margin"] == max(margins)
 
@@ -519,7 +520,7 @@ class TestNseLimit:
         assert len(paths) == 1 and len(solves) == 2
         assert solves[0][0] is paths[0] and solves[1][0] == [paths[0]]
         (star, star_rec), (stack, rec) = (s[1:] for s in solves)
-        assert stack.v.shape[1:3] == (1, 5)
+        assert stack.v.shape[:2] == (1, 5)
         q = replace(p, chi=0.0, noise=replace(p.noise, amplitude=0.0))
         path = nz.make_path(0, q.dt_path, 0.0, q.t_final, q.noise, basis2)
         singles = [recorded(it.solve_transformed, x, path, replace(q, level=level))
@@ -625,13 +626,13 @@ class TestMeasure:
                "big": sp.random_field(basis1, labeled_generator(3, "big"), norm=10.0),
                "mid": sp.random_field(basis1, labeled_generator(3, "mid"), norm=3.0)}
         burn_in, horizon = 1.25, 15.0
-        assert ex.member_tile(basis1, 12, round((burn_in + horizon) * 32)) >= 3
-        whole = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
-        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, path_steps: 2)
-        tiled = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
-        assert tiled.summary() == whole.summary()
         q = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=burn_in + horizon, kmax=1,
                          noise=p.noise)
+        assert ex.member_tile(basis1, 12, ex.member_bytes(q, 1)) >= 3
+        whole = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, nbytes: 2)
+        tiled = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
+        assert tiled.summary() == whole.summary()
         for idx, (name, x) in enumerate(ics.items()):
             path = nz.make_path(derive_key(5, f"measure-{idx}"), q.dt_path, 0.0,
                                 q.t_final, q.noise, basis1)
@@ -639,6 +640,30 @@ class TestMeasure:
             for key in whole.observables:
                 vals = getattr(led, key)[led.t >= burn_in - 1e-12]
                 assert whole.averages[key][name] == float(vals.mean())
+
+    def test_tile_bytes_count_the_ledgers(self, basis1, monkeypatch):
+        # room for two states' path tables but not for their ledgers too:
+        # the two states march in tiles of one, with the series of one tile
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=1.0, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=1.0))
+        ics = {"zero": sp.zero_field(basis1),
+               "big": sp.random_field(basis1, labeled_generator(3, "big"), norm=10.0)}
+        burn_in, horizon = 1.25, 15.0
+        q = replace(p, t_final=burn_in + horizon)
+        table, member = ex.member_bytes(q, 1, ledger=False), ex.member_bytes(q, 1)
+        whole = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
+        monkeypatch.setattr(nz, "PATH_TABLE_CEILING", 2 * table + (member - table))
+        assert (ex.member_tile(basis1, 12, table), ex.member_tile(basis1, 12, member)) == (2, 1)
+        seen, solve = [], it.solve
+
+        def spy(xs, paths, *args, **kw):
+            seen.append(len(paths))
+            return solve(xs, paths, *args, **kw)
+
+        monkeypatch.setattr(it, "solve", spy)
+        tiled = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
+        assert seen == [1, 1]
+        assert tiled.summary() == whole.summary()
 
     @pytest.mark.parametrize("loud", [1, 2])
     def test_instability_names_the_state(self, basis1, monkeypatch, loud):
@@ -651,7 +676,7 @@ class TestMeasure:
                 spectrum = nz.NoiseSpectrum(amplitude=1e12)
             return make_path(seed, dt_path, t_min, t_max, spectrum, basis)
 
-        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, path_steps: 2)
+        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, nbytes: 2)
         monkeypatch.setattr(ex.nz, "make_path", path_of)
         p = it.SimParams(nu=4.0, level=math.inf, dt=1 / 64, t_final=1.0, kmax=1,
                          noise=nz.NoiseSpectrum(amplitude=0.5), instability_factor=10.0)
