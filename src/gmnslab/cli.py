@@ -50,9 +50,11 @@ def _np_default(obj):
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Sorted, indented JSON; a NaN or infinity raises ValueError before the
+    file is opened, so it leaves no file."""
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_np_default, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_np_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _initial_field(basis, spec: dict, seed: int, label: str) -> sp.SpectralField:
@@ -102,7 +104,7 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]
     _write_json(manifest_path, path.manifest())
     ckpt_path = os.path.join(out, "checkpoint.json")
     with open(ckpt_path, "w") as fh:
-        fh.write(it.checkpoint_dump(traj.final_state(), path, params))
+        fh.write(it.checkpoint_dump(traj, path, params))
         fh.write("\n")
     summary = {
         "name": "simulate",

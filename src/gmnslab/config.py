@@ -360,10 +360,10 @@ def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
     name, span = _span(cfg)
     p = replace(cfg.params, t_final=span)
     # (fields, members) of the march: a contract member's two fields keep no
-    # ledger; nse-limit's unmodified run keeps its ledger while its levels and
-    # that run again march as one stack, each level's error to it kept per step
+    # ledger; nse-limit's levels and its unmodified run march as one stack,
+    # each level's error to that run kept per step
     levels = len(cfg.option("multipliers")) if cfg.experiment == "nse-limit" else 0
-    n_fields, members = {"contract": (2, cfg.ensemble), "nse-limit": (levels + 2, 1),
+    n_fields, members = {"contract": (2, cfg.ensemble), "nse-limit": (levels + 1, 1),
                         "measure": (1, len(cfg.option("initial_set"))),
                         "pullback": (len(cfg.option("families")), 1)}.get(cfg.experiment, (1, 1))
     member = (member_bytes(p, n_fields, ledger=cfg.experiment != "contract")

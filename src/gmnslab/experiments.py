@@ -95,21 +95,24 @@ def _tile_work(name: str, kmax: int, size: int) -> dict:
     return {}
 
 
+def _even_tiles(n: int, tile: int) -> list[range]:
+    """range(n) in the fewest tiles of at most `tile`, as even as possible,
+    larger first."""
+    tiles = -(-n // tile)
+    q, r = divmod(n, tiles or 1)
+    return [range(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(tiles)]
+
+
 def _fuzz(name: str, kmax: int, cases: int, seed: int, tile: int, evaluate) -> CheckReport:
-    """A fuzz suite's report, its cases in order in the fewest tiles of at most
-    `tile`, as even as possible, larger first: evaluate(cases, work) draws and
-    evaluates the case indices (a range) of a tile, with the work dict of its
-    size, and gives per case (row id, lhs, rhs, margin, lowest margin,
-    violations, kept) as Python numbers."""
-    rows, violations, worst, tiles = [], 0, math.inf, -(-cases // tile)
-    q, r = divmod(cases, tiles or 1)
-    work = {}
-    for i in range(tiles):
+    """A fuzz suite's report, its cases in order in `_even_tiles` of at most
+    `tile`: evaluate(cases, work) draws and evaluates the case indices (a
+    range) of a tile, with the work dict of its size, and gives per case (row
+    id, lhs, rhs, margin, lowest margin, violations, kept) as Python numbers."""
+    rows, violations, worst, work = [], 0, math.inf, {}
+    for span in _even_tiles(cases, tile):
         if tile > 1:
-            work = _tile_work(name, kmax, q + (i < r))
-        first = i * q + min(i, r)
-        for j, lhs, rhs, margin, low, bad, keep in evaluate(
-                range(first, first + q + (i < r)), work):
+            work = _tile_work(name, kmax, len(span))
+        for j, lhs, rhs, margin, low, bad, keep in evaluate(span, work):
             violations += bad
             worst = min(worst, low)
             if keep:
@@ -164,8 +167,7 @@ def check_trilinear(kmax: int = 2, n_triples: int = 1000, seed: int = 1,
     def tile(cases, work):
         uvw = _draw_fields(basis, [rng] * len(cases), ((0.5, 2.0),) * 3)
         vw = uvw[:, 1:]  # b[:, i, j] = b(u, (v, w)[i], (v, w)[j])
-        b = sp.trilinear_b(np.broadcast_to(uvw[:, :1], vw.shape)[:, :, None], vw[:, :, None],
-                           vw[:, None], basis, work)
+        b = sp.trilinear_b(uvw[:, :1, None], vw[:, :, None], vw[:, None], basis, work)
         for j, ((b_vv, b_vw), (b_wv, _)), (nu, nv, nw) in zip(
                 cases, b.tolist(), sp.norm_V(uvw, basis).tolist()):
             skew, skew_cap = abs(b_vv), tol * nu * nv ** 2
@@ -343,23 +345,23 @@ def member_tile(basis: sp.GalerkinBasis, grids: int, nbytes: float = 0.0) -> int
 def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
     """Yield (first member, stacked solve) for each tile of the members'
     start velocities x, (members, P, n_half_modes, 2): member m marches on
-    path_of(m), in tiles of `member_tile` members, one group each.  Every
-    tile marches on one stepper, whose work dict is allocated once for the
-    full tiles and once more for a partial last tile.  An InstabilityError
-    names the member, not its place in the tile."""
+    path_of(m), in `_even_tiles` of at most `member_tile` members, one group
+    each.  Every tile marches on one stepper, whose work dict is allocated
+    once for the larger tiles and once more for the smaller.  An
+    InstabilityError names the member, not its place in the tile."""
     basis = params.basis()
     P = x.shape[1]
     tile = member_tile(basis, 12 * P, member_bytes(params, P, solve_kw.get("ledger", True)))
     stepper = it._Stepper(params)
-    for m0 in range(0, len(x), tile):
+    for span in _even_tiles(len(x), tile):
         # each tile's paths are built here and dropped with the tile
-        paths = [path_of(m) for m in range(m0, min(len(x), m0 + tile))]
+        paths = [path_of(m) for m in span]
         try:
-            traj = it.solve(x[m0:m0 + tile], paths, params, stepper=stepper, **solve_kw)
+            traj = it.solve(x[span.start:span.stop], paths, params, stepper=stepper, **solve_kw)
         except it.InstabilityError as exc:
-            exc.member = (exc.member or 0) + m0  # a tile of one field names none
+            exc.member = (exc.member or 0) + span.start  # a tile of one field names none
             raise
-        yield m0, traj
+        yield span.start, traj
 
 
 def contraction_experiment(
@@ -560,12 +562,13 @@ def nse_limit_experiment(
     """Deterministic cutoff sweep: as the level grows the modified runs merge
     with the unmodified one; the active-set measure obeys its a priori bound.
 
-    The levels scale with the unmodified run, which marches first; they
-    then march as one (1, L + 1) stack on its zero-noise path, each field's
-    level held by the stack's stepper (the stack's params.level is inf), the
-    last field the unmodified run again at level inf, where F = 1 makes it
-    bit for bit the first march, and each level's |v_level - v_star|_H^2
-    is taken against it at every step, as the stack marches.
+    The levels scale with the unmodified run, which marches first and of
+    which only that scale is kept; they then march as one (1, L + 1) stack
+    on its zero-noise path, each field's level held by the stack's stepper
+    (the stack's params.level is inf), the last field the unmodified run
+    again at level inf, where F = 1 makes it bit for bit the first march,
+    and each level's |v_level - v_star|_H^2 is taken against it at every
+    step, as the stack marches.
 
     i_n is the grid measure of {t: |u(t)|_L4 >= level}; its bound is
     (K_T / level^2)^(4/3) with K_T = max(1, 1/nu) (|x|_H^2 + T |f|_dual^2/nu)
@@ -573,6 +576,7 @@ def nse_limit_experiment(
     """
     star, p, path = solve_nse(x, params)
     l4_scale = float(star.ledger.u_L4.max())
+    del star  # its ledger is not held through the stack's march
     if l4_scale == 0.0:
         raise ValueError(
             "the unmodified run stays at the zero field (zero initial field and "

@@ -52,8 +52,10 @@ of a block are one stacked call each, with the step as one more leading
 axis; each entry is bit for bit its step's own call.  `EnergyLedger.columns`
 gives one field's series to the CSV writer of the command line.
 
-A checkpoint holds (time, v, z); `resume` starts its OU cursor from the
-saved z, so the continued run is bit for bit the uninterrupted one.
+A checkpoint holds a one-field `Trajectory`'s final state (t_end, v, z),
+and loads back as that record without its ledger; `resume` starts its OU
+cursor from the saved z, so the continued run is bit for bit the
+uninterrupted one.
 
 The a priori bound and the pullback energy inequality are checked with the
 explicit constants produced by the Young splits of the corresponding
@@ -192,15 +194,6 @@ class SimParams:
         return SimParams(**kw)
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
-    """Transformed variable and stochastic layer at one instant."""
-
-    time: float
-    v: SpectralField
-    z: SpectralField
-
-
 @dataclass
 class EnergyLedger:
     """Per-step record of the energy balance on the solver grid.
@@ -252,10 +245,6 @@ class Trajectory:
             name: col if name == "t" else col[:, g, p]
             for name, col in vars(self.ledger).items()})
         return replace(self, v=self.v[g, p], z=self.z[g, 0], ledger=led)
-
-    def final_state(self) -> TrajectoryState:
-        return TrajectoryState(self.t_end, SpectralField(self.basis, self.v),
-                               SpectralField(self.basis, self.z))
 
 
 # ---- stepper kernel -------------------------------------------------------
@@ -481,19 +470,6 @@ def solve(x: SpectralField | tuple[SpectralField, ...] | np.ndarray,
                              stepper=stepper, observe=observe)
 
 
-def cocycle_apply(
-    t: float, path: WienerPath, x: SpectralField, params: SimParams
-) -> SpectralField:
-    """Solution map of the random system from time 0: returns u(t) with
-    u = v + z and v solved from x - z(0); the identity at t = 0."""
-    if t < 0:
-        raise ValueError("cocycle time must be nonnegative")
-    if t == 0.0:
-        return x
-    state = solve(x, path, params, t_final=t, ledger=False).final_state()
-    return state.v + state.z
-
-
 # ---- energy inequalities with explicit constants ---------------------------
 
 
@@ -565,36 +541,34 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---- checkpointing ---------------------------------------------------------
 
 
-def checkpoint_dump(state: TrajectoryState, path: WienerPath, params: SimParams) -> str:
-    """JSON checkpoint with exact (bit-preserving) field payloads."""
-    payload = {
-        "format": 1,
-        "params": params.to_dict(),
-        "path": path.manifest(),
-        "time": state.time,
-        "v": base64.b64encode(field_to_bytes(state.v)).decode(),
-        "z": base64.b64encode(field_to_bytes(state.z)).decode(),
-    }
+def checkpoint_dump(traj: Trajectory, path: WienerPath, params: SimParams) -> str:
+    """JSON checkpoint of a one-field solve's final state (t_end, v, z), with
+    exact (bit-preserving) field payloads."""
+    v, z = (base64.b64encode(field_to_bytes(SpectralField(traj.basis, c))).decode()
+            for c in (traj.v, traj.z))
+    payload = {"format": 1, "params": params.to_dict(), "path": path.manifest(),
+               "time": traj.t_end, "v": v, "z": z}
     return json.dumps(payload, sort_keys=True)
 
 
-def checkpoint_load(text: str) -> tuple[TrajectoryState, WienerPath, SimParams]:
+def checkpoint_load(text: str) -> tuple[Trajectory, WienerPath, SimParams]:
+    """The saved final state as a Trajectory without a ledger, its path and
+    params."""
     d = json.loads(text)
     if d.get("format") != 1:
         raise ValueError("unsupported checkpoint format")
     params = SimParams.from_dict(d["params"])
     basis = params.basis()
     path = path_from_manifest(d["path"], basis)
-    v = field_from_bytes(base64.b64decode(d["v"]), basis)
-    z = field_from_bytes(base64.b64decode(d["z"]), basis)
-    return TrajectoryState(d["time"], v, z), path, params
+    v, z = (field_from_bytes(base64.b64decode(d[k]), basis).coeffs for k in "vz")
+    return Trajectory(d["time"], v, z, None, basis), path, params
 
 
-def resume(state: TrajectoryState, path: WienerPath, params: SimParams,
+def resume(start: Trajectory, path: WienerPath, params: SimParams,
            t_final: float) -> Trajectory:
-    """Continue a checkpointed run to t_final, with z starting from the
-    state's saved z; bit-identical to an uninterrupted solve over the same
-    window."""
-    cursor = OUCursor(path, params.chi, params.nu, start=(state.time, state.z.coeffs))
-    return solve_transformed(state.v, path, params, t0=state.time,
-                             t_final=t_final - state.time, cursor=cursor)
+    """Continue a one-field run from its final state to t_final, with z
+    starting from its saved z; bit-identical to an uninterrupted solve over
+    the same window."""
+    cursor = OUCursor(path, params.chi, params.nu, start=(start.t_end, start.z))
+    return solve_transformed(SpectralField(start.basis, start.v), path, params,
+                             t0=start.t_end, t_final=t_final - start.t_end, cursor=cursor)

@@ -9,7 +9,8 @@ reproduce bit for bit.  Between them sit compositions of the package's
 kernels that only the tests use: the projected advection B(u, v), the
 field form of B_F, the L2 inner product of two fields, and the cutoff
 lemma's sides, the monotonicity gap and its tolerance of fields; and a
-solve's recording observer, with the walks over whole trajectories on it.
+solve's recording observer, with the walks over whole trajectories on it,
+and the cocycle map of a solve's final state.
 """
 
 from dataclasses import replace
@@ -196,6 +197,15 @@ def doss_sussman_recover(rec: Recording) -> np.ndarray:
 def transform_forward(rec: Recording, u: np.ndarray) -> np.ndarray:
     """v = u - z at every step; the inverse of doss_sussman_recover."""
     return u - rec.member()[1]
+
+
+def cocycle_apply(t: float, path, x: SpectralField, params) -> SpectralField:
+    """The random system's solution map from time 0: u(t) = v(t) + z(t), v
+    solved from x - z(0); the identity at t = 0."""
+    if t == 0.0:
+        return x
+    traj = solve(x, path, params, t_final=t, ledger=False)
+    return SpectralField(x.basis, traj.v + traj.z)
 
 
 def chi_independence_sup(x, path, chi1, chi2, params) -> float:

@@ -561,6 +561,18 @@ class TestFuzzReport:
         assert lines[1].startswith("0,42,1,2,1")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf)])
+def test_json_refuses_non_finite_numbers(tmp_path, bad):
+    # strict JSON has no NaN or Infinity literals: a summary holding one is
+    # refused before its file is opened
+    out = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._write_json(str(out), {"margin": bad, "passed": True})
+    assert not out.exists()
+    cli._write_json(str(out), {"margin": np.float64(0.5), "passed": True})
+    assert json.loads(out.read_text()) == {"margin": 0.5, "passed": True}
+
+
 def test_fuzz_report_lines_end_in_lf(tmp_path):
     # the same line ending as every other CSV artifact
     path = tmp_path / "fuzz.csv"

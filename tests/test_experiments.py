@@ -325,6 +325,33 @@ class TestContraction:
         assert seen == [(2, 0, 2), (2, 0, 2), (1, 0, 1)]
         assert np.array_equal(got.mean_sq, want.mean_sq)
 
+    def test_members_march_in_even_tiles(self, basis1, monkeypatch):
+        # 10 members at a tile of 9 march as 5 + 5, not 9 + 1 (a lone member
+        # in a stack of its own); each member, its final state and its ledger,
+        # is bit for bit the same in the 9 + 1 split; F < 1 on the first field
+        p = it.SimParams(nu=4.0, level=0.5, dt=1 / 64, t_final=0.25, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.5))
+        rng = labeled_generator(9, "even")
+        x = np.stack([[sp.random_field(basis1, rng, norm=n).coeffs for n in (2.0, 0.5)]
+                      for _ in range(10)])
+        paths = [nz.make_path(derive_key(9, f"member-{m}"), p.dt_path, 0.0, p.t_final,
+                              p.noise, basis1) for m in range(10)]
+        monkeypatch.setattr(ex, "member_tile", lambda basis, grids, nbytes: 9)
+        tiles = list(ex._march_tiles(p, x, paths.__getitem__))
+        assert [(m0, len(traj.v)) for m0, traj in tiles] == [(0, 5), (5, 5)]
+        fixed = [it.solve(x[a:b], paths[a:b], p) for a, b in ((0, 9), (9, 10))]
+        assert fixed[0].ledger.cutoff[:, :, 0].min() < 1.0
+
+        def fields(trajs):
+            return [t.member(g, f) for t in trajs for g in range(len(t.v)) for f in range(2)]
+
+        got, want = fields(traj for _, traj in tiles), fields(fixed)
+        assert len(got) == len(want) == 20
+        for a, b in zip(got, want):
+            assert np.array_equal(a.v, b.v) and np.array_equal(a.z, b.z)
+            for name, col in vars(a.ledger).items():
+                assert np.array_equal(col, getattr(b.ledger, name)), name
+
     def test_instability_names_the_ensemble_member(self, basis1, monkeypatch):
         # member 3 sits second in the second tile of two; its loud path
         # drives it over the ceiling, and the error must name member 3

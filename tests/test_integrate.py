@@ -17,9 +17,9 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
-from oracles import (chi_independence_sup, cutoff_advection, data_continuity_gap,
-                     doss_sussman_recover, inner_H, recorded, Recording,
-                     transform_forward)
+from oracles import (chi_independence_sup, cocycle_apply, cutoff_advection,
+                     data_continuity_gap, doss_sussman_recover, inner_H, recorded,
+                     Recording, transform_forward)
 
 QUIET = nz.NoiseSpectrum(amplitude=0.0)
 NOISY = nz.NoiseSpectrum(s=1.0, amplitude=0.5)
@@ -452,7 +452,7 @@ class TestCocycle:
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=1.0, noise=NOISY)
         path = make_setup(basis2, p)
         x = sp.random_field(basis2, rng)
-        assert it.cocycle_apply(0.0, path, x, p) is x
+        assert cocycle_apply(0.0, path, x, p) is x
 
     def test_composition_property(self, basis2, rng):
         # the discrete flow inherits the exact shift covariance of z, so the
@@ -462,9 +462,9 @@ class TestCocycle:
                          noise=NOISY)
         path = make_setup(basis2, p, seed=23)
         x = sp.random_field(basis2, rng)
-        direct = it.cocycle_apply(s + t, path, x, p)
-        y = it.cocycle_apply(s, path, x, p)
-        comp = it.cocycle_apply(t, nz.shift_path(path, s), y, p)
+        direct = cocycle_apply(s + t, path, x, p)
+        y = cocycle_apply(s, path, x, p)
+        comp = cocycle_apply(t, nz.shift_path(path, s), y, p)
         scale = max(1.0, sp.norm_H(direct))
         assert sp.norm_H(comp - direct) <= 1e-11 * scale
 
@@ -472,7 +472,7 @@ class TestCocycle:
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 64, t_final=1.0, noise=QUIET)
         path = make_setup(basis2, p)
         x = sp.random_field(basis2, rng)
-        norms = [sp.norm_H(it.cocycle_apply(tt, path, x, p)) for tt in (0.25, 0.5, 1.0)]
+        norms = [sp.norm_H(cocycle_apply(tt, path, x, p)) for tt in (0.25, 0.5, 1.0)]
         assert norms[0] > norms[1] > norms[2]
 
 
@@ -566,9 +566,11 @@ class TestCheckpoint:
         full = it.solve(x, path, p)
 
         half = it.solve(x, path, p, t_final=0.5)
-        blob = it.checkpoint_dump(half.final_state(), path, p)
-        state, path2, p2 = it.checkpoint_load(blob)
-        resumed = it.resume(state, path2, p2, t_final=1.0)
+        blob = it.checkpoint_dump(half, path, p)
+        start, path2, p2 = it.checkpoint_load(blob)
+        assert start.t_end == half.t_end and start.ledger is None
+        assert np.array_equal(start.v, half.v) and np.array_equal(start.z, half.z)
+        resumed = it.resume(start, path2, p2, t_final=1.0)
         assert resumed.t_end == full.t_end == 1.0
         assert np.array_equal(resumed.v, full.v)
         assert np.array_equal(resumed.z, full.z)
@@ -580,15 +582,15 @@ class TestCheckpoint:
         x = sp.random_field(basis2, rng)
         full = it.solve(x, path, p)
         half = it.solve(x, path, p, t_final=0.5)
-        blob = json.loads(it.checkpoint_dump(half.final_state(), path, p))
+        blob = json.loads(it.checkpoint_dump(half, path, p))
         z = sp.field_from_bytes(base64.b64decode(blob["z"]), basis2).coeffs.copy()
         z[0, 0] += 0.25
         blob["z"] = base64.b64encode(sp.field_to_bytes(sp.SpectralField(basis2, z))).decode()
-        state, path2, p2 = it.checkpoint_load(json.dumps(blob))
-        assert np.array_equal(state.z.coeffs, z)
+        start, path2, p2 = it.checkpoint_load(json.dumps(blob))
+        assert np.array_equal(start.z, z)
         rec = Recording()
         monkeypatch.setattr(it, "solve_transformed", partial(it.solve_transformed, observe=rec))
-        resumed = it.resume(state, path2, p2, t_final=1.0)
+        resumed = it.resume(start, path2, p2, t_final=1.0)
         assert np.array_equal(rec.member()[1][0], z)
         assert not np.array_equal(resumed.z, full.z)
 
