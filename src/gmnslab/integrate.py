@@ -18,20 +18,20 @@ z is advanced by its exact transition through every path cell inside the
 step, so the realized z trajectory is independent of the solver step size;
 only the v-integration error refines.
 
-There is one solve, `solve_transformed`, and one march of this scheme under
-it; `solve` starts it from a velocity, the entry point of every experiment.
-The march steps a stack (G, P) of fields: G groups, each on its own path,
-and P fields per group that share its z, one OU cursor for all groups.  One
-field is the (1, 1) stack.  A solve holds no history: its `Trajectory`
-keeps the final state and the ledger, and a caller that reads
-the steps in between passes `observe(k, v, z)`, called at every step
-k = 0..n_steps with the stacked v (G, P, n, 2) and z (G, 1, n, 2), to
-reduce them as the march goes.  Each field's drift, L4 norm and cutoff
-factor, and each ledger entry, are computed as if it were alone, so a
-stacked field is bit for bit its single solve.  The stepper, built from
-params alone (its basis and dt) and passed as `stepper=`, holds the cutoff
-level, params.level or one per field, and a `work` dict for its stack
-shape, in which each stage of the drift keeps its result, so a march
+There is one solve, `solve_transformed`: one loop steps this scheme, and
+observes and records each step.  `solve` starts it from a velocity, the
+entry point of every experiment.  The loop steps a stack (G, P) of fields:
+G groups, each on its own path, and P fields per group that share its z,
+one OU cursor for all groups.  One field is the (1, 1) stack.  A solve
+holds no history: its `Trajectory` keeps the final state and the ledger,
+and a caller that reads the steps in between passes `observe(k, v, z)`,
+called at every step k = 0..n_steps with the stacked v (G, P, n, 2) and
+z (G, 1, n, 2), to reduce them as the loop goes.  Each field's drift, L4
+norm and cutoff factor, and each ledger entry, are computed as if it were
+alone, so a stacked field is bit for bit its single solve.  The stepper,
+built from params alone (its basis and dt) and passed as `stepper=`, holds
+the cutoff level, params.level or one per field, and a `work` dict for its
+stack shape, in which each stage of the drift keeps its result, so a solve
 allocates them once.  With `ledger=False` a solve keeps only the final
 state, for the runs that read nothing else (the contraction ensemble).
 
@@ -46,7 +46,7 @@ diagnostic and decreases at second order under step refinement.  Its
 columns per step are t, |v|_H^2, |v|_V^2, |u|_L4, the cutoff factor F,
 |z|_H^2, |z|_L4, |u|_H^2, |u|_V^2 and the residual; the three pairings of
 the flux are summed into the residual and not kept.  |u|_L4 and F come from
-each step's drift.  The march's v, z and B_F arrays are kept for a block of
+each step's drift.  The loop's v, z and B_F arrays are kept for a block of
 steps (see `ledger_block`), and the norms (|z|_L4 among them) and pairings
 of a block are one stacked call each, with the step as one more leading
 axis; each entry is bit for bit its step's own call.  `EnergyLedger.columns`
@@ -296,47 +296,6 @@ class _Stepper:
         return a + self.hphi2 * (g_a - g_n)
 
 
-def _march(stepper: _Stepper, cursor: OUCursor, v: np.ndarray, t0: float,
-           n_steps: int):
-    """The ETD2 march of a stack v (G, P, n_half_modes, 2): G groups of P
-    fields, group g on the z of the cursor's path g.
-
-    Yields (k, v, z, drift) at t0 + k*dt for k = 0..n_steps, with z of shape
-    (G, 1, n_half_modes, 2) and drift = stepper.drift(v, z) with one entry
-    per field, or None at the final time, where no step needs it.  Raises
-    InstabilityError as soon as one field's |v|_H crosses its own ceiling,
-    instability_factor * max(1, |v0|_H).
-    """
-    params = stepper.params
-
-    z_shape = (len(v), 1, *v.shape[2:])  # from (n, 2) or (G, n, 2)
-
-    def z_at(t):
-        return cursor.advance_to(t).reshape(z_shape)
-
-    z = z_at(t0)
-    # non-finite input is a data error, not a step-size blow-up
-    for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
-        if not np.isfinite(c).all():
-            raise ValueError(f"{name} is not finite")
-    ceiling = params.instability_factor * np.maximum(1.0, np.sqrt(h2_coeffs(v)))
-    for k in range(n_steps):
-        drift = stepper.drift(v, z)
-        yield k, v, z, drift
-        z_next = z_at(t0 + (k + 1) * params.dt)
-        v = stepper.advance(v, drift[0], z_next)
-        z = z_next
-        # NaN fails the comparison too
-        within = h2_coeffs(v) <= ceiling**2
-        if not within.all():
-            g, p = np.unravel_index(np.argmin(within), within.shape)
-            where = (int(g), int(p)) if within.size > 1 else (None, 0)
-            raise InstabilityError(
-                f"|v|_H exceeded {ceiling[g, p]:.3g} at t={t0 + (k + 1) * params.dt}; "
-                f"dt={params.dt} is too large for this configuration", *where)
-    yield n_steps, v, z, None
-
-
 # ---- public operations ----------------------------------------------------
 
 
@@ -345,7 +304,9 @@ def _march(stepper: _Stepper, cursor: OUCursor, v: np.ndarray, t0: float,
 # kmax 3 a single field keeps 15 steps per block, and the norms and
 # pairings of 129 steps took 2.9 ms in blocks against 7.1 ms one step at a
 # time (2-core VM, 1 BLAS thread), and |z|_L4 of one block's 15 steps took
-# 0.29 ms stacked against 0.56 ms one step at a time.
+# 0.29 ms stacked against 0.56 ms one step at a time.  Each flush's stacked
+# |z|_L4 synthesis also allocates its transform stages, about 2.6 MB at
+# kmax 1 (ten times the block), and frees them after the flush.
 LEDGER_BLOCK_BYTES = 2**18
 
 # float64 a ledger holds per field and step at its peak: one per column and
@@ -388,7 +349,7 @@ def solve_transformed(
     stepper: _Stepper | None = None,
     observe=None,
 ) -> Trajectory:
-    """Integrate the transformed system on [t0, t0 + T].
+    """Integrate the transformed system on [t0, t0 + T] with the ETD2 loop.
 
     v0 is one field, marched along `path`, and the result is its record.
     Or v0 is a stack (G, P, n_half_modes, 2) of coefficients on params'
@@ -400,7 +361,10 @@ def solve_transformed(
     observe(k, v, z), if given, sees the stacked v and z of every
     step k = 0..n_steps as the march goes.  `stepper`, built for the same
     params, lends the march its work arrays and its cutoff level, which may
-    be one per field (default: a new one at params.level).
+    be one per field (default: a new one at params.level).  Raises
+    ValueError if v0 or z(t0) is not finite, and InstabilityError as soon as
+    one field's |v|_H crosses its own ceiling, instability_factor *
+    max(1, |v0|_H).
     """
     one = isinstance(v0, SpectralField)
     if one:
@@ -415,28 +379,46 @@ def solve_transformed(
     stepper = stepper or _Stepper(params)
     cursor = cursor or OUCursor(path, params.chi, params.nu)
     G, P, n = v0.shape[:3]
+    v, z = v0, cursor.advance_to(t0).reshape(G, 1, n, 2)
+    # non-finite input is a data error, not a step-size blow-up
+    for name, c in (("initial field v0", v), (f"OU layer z({t0})", z)):
+        if not np.isfinite(c).all():
+            raise ValueError(f"{name} is not finite")
+    ceiling = params.instability_factor * np.maximum(1.0, np.sqrt(h2_coeffs(v)))
     if ledger:
-        led = {f.name: np.empty((n_steps + 1, G, P)) for f in fields(EnergyLedger)}
+        # every column but t and residual, which are built at the end
+        led = {f.name: np.empty((n_steps + 1, G, P)) for f in fields(EnergyLedger)[1:-1]}
         # <B_F, v>, <f, v> and (z, v) per step
         pairings = np.empty((3, n_steps + 1, G, P))
         block, kept = ledger_block((G, P), n), []
-
-    for k, v, z, drift in _march(stepper, cursor, v0, t0, n_steps):
+    for k in range(n_steps + 1):
         if observe is not None:
             observe(k, v, z)
-        if not ledger:
-            continue
-        # the final time has no step drift to reuse
-        _, bf, led["u_L4"][k], led["cutoff"][k] = drift or stepper.drift(v, z)
-        # the march yields new arrays each step, so keeping them copies nothing
-        kept.append((v, z, bf))
-        if len(kept) == block or k == n_steps:
-            _ledger_rows(led, pairings, k + 1 - len(kept), kept, basis, stepper.f_coeffs)
-            kept = []
+        # the final step needs its drift only for the ledger row
+        if ledger or k < n_steps:
+            drift = stepper.drift(v, z)
+        if ledger:
+            _, bf, led["u_L4"][k], led["cutoff"][k] = drift
+            # each step's v and z are new arrays, so keeping them copies nothing
+            kept.append((v, z, bf))
+            if len(kept) == block or k == n_steps:
+                _ledger_rows(led, pairings, k + 1 - len(kept), kept, basis, stepper.f_coeffs)
+                kept = []
+        if k == n_steps:
+            break
+        z_next = cursor.advance_to(t0 + (k + 1) * params.dt).reshape(G, 1, n, 2)
+        v, z = stepper.advance(v, drift[0], z_next), z_next
+        # NaN fails the comparison too
+        within = h2_coeffs(v) <= ceiling**2
+        if not within.all():
+            g, p = np.unravel_index(np.argmin(within), within.shape)
+            where = (int(g), int(p)) if within.size > 1 else (None, 0)
+            raise InstabilityError(
+                f"|v|_H exceeded {ceiling[g, p]:.3g} at t={t0 + (k + 1) * params.dt}; "
+                f"dt={params.dt} is too large for this configuration", *where)
 
     energy = None
     if ledger:
-        led["t"] = t0 + np.arange(n_steps + 1) * params.dt
         # energy flux 2nu|v|_V^2 + 2<B_F, v> - 2<f, v> - 2chi(z, v), and its
         # trapezoidal integral accumulated step by step
         bf_v, f_v, z_v = pairings
@@ -444,9 +426,8 @@ def solve_transformed(
                 - 2.0 * params.chi * z_v)
         acc = np.zeros_like(flux)
         acc[1:] = np.cumsum(0.5 * params.dt * (flux[1:] + flux[:-1]), axis=0)
-        led["residual"] = led["v_H2"] - led["v_H2"][0] + acc
-        energy = EnergyLedger(**led)
-    # the loop leaves v and z at the final step
+        energy = EnergyLedger(t=t0 + np.arange(n_steps + 1) * params.dt,
+                              residual=led["v_H2"] - led["v_H2"][0] + acc, **led)
     traj = Trajectory(t0 + n_steps * params.dt, v, z, energy, basis)
     return traj.member(0, 0) if one else traj
 

@@ -332,17 +332,20 @@ class TestStackContract:
 
 
 class TestLedgerBlocks:
-    @pytest.mark.parametrize("kmax, stack", [(3, None), (2, (2, 3))])
-    def test_columns_equal_each_steps_own_kernels(self, kmax, stack):
+    @pytest.mark.parametrize("kmax, stack, whole", [(3, None, False), (2, (2, 3), False),
+                                                    (3, None, True)],
+                             ids=["3-None", "2-stack1", "3-None-whole"])
+    def test_columns_equal_each_steps_own_kernels(self, kmax, stack, whole):
         # the ledger is kept in blocks: this run crosses two block
-        # boundaries and ends on a partial block, and every column equals the
-        # per-step kernels on its own snapshots, bit for bit; the cutoff acts
-        # on some steps (|x|_L4 starts above the level)
+        # boundaries and ends on a partial block, or (whole) its rows fill
+        # exactly two blocks, and every column equals the per-step kernels on
+        # its own snapshots, bit for bit; the cutoff acts on some steps
+        # (|x|_L4 starts above the level)
         basis = sp.build_basis(kmax)
         rng = np.random.default_rng(40 + kmax)
         G, P = stack or (1, 1)
         block = it.ledger_block((G, P), basis.n_half_modes)
-        n_steps = 2 * block + block // 2 + 1
+        n_steps = 2 * block - 1 if whole else 2 * block + block // 2 + 1
         dt = 1 / 64
         p = it.SimParams(nu=1.0, level=0.8, chi=1.0, dt=dt, dt_path=dt / 4,
                          t_final=n_steps * dt, kmax=kmax, noise=NOISY,
@@ -356,7 +359,8 @@ class TestLedgerBlocks:
             traj, rec = recorded(it.solve, xs, paths, p)
             got = vars(traj.ledger)
         vs, zs = rec.v, rec.z
-        assert n_steps % block and n_steps > 2 * block and len(vs) == n_steps + 1
+        assert len(vs) == n_steps + 1
+        assert (n_steps + 1) % block == 0 if whole else n_steps % block and n_steps > 2 * block
         assert (got["cutoff"] < 1.0).any()
         stepper = it._Stepper(p)
         want = {name: np.empty((n_steps + 1, G, P)) for name in got if name != "t"}

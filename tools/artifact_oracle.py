@@ -73,6 +73,10 @@ CONFIGS = [
     ("simulate-substeps", {"experiment": "simulate", "seed": 19,
                            "params": {"kmax": 2, "dt": 1 / 64, "dt_path": 1 / 2048,
                                       "t_final": 1.5, "noise": {"amplitude": 0.5}}}),
+    # 88 steps' rows at kmax 2: the ledger ends on a whole second block of 44
+    ("simulate-whole-blocks", {"experiment": "simulate", "seed": 26,
+                               "params": {"kmax": 2, "dt": 1 / 64, "t_final": 87 / 64,
+                                          "noise": {"amplitude": 0.5}}}),
     ("simulate-forcing", {"experiment": "simulate", "seed": 22,
                           "params": dict(_SMALL, forcing=_FORCING,
                                          noise={"amplitude": 0.5})}),
@@ -256,14 +260,14 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(out, ref_out)
             again = run(os.path.join(REPO, "src"), raw["experiment"], config, out)
             changed = re.search(r"changed: (\[.*\])", again.stderr)
-            print(f"{name:20s} reference exit {first.returncode}, "
+            print(f"{name:21s} reference exit {first.returncode}, "
                   f"re-run exit {again.returncode}"
                   + (f", changed: {changed.group(1)}" if changed else ""))
             for artifact in ast.literal_eval(changed.group(1)) if changed else []:
                 if artifact.endswith((".csv", ".json")):
                     moved = divergences(os.path.join(ref_out, artifact),
                                         os.path.join(out, artifact))
-                    print(f"{'':20s}   {artifact}: " + _describe(moved))
+                    print(f"{'':21s}   {artifact}: " + _describe(moved))
             for proc in (first, again):
                 if proc.returncode not in (0, EXIT_DIVERGENCE):
                     print(proc.stderr.strip(), file=sys.stderr)
