@@ -75,12 +75,14 @@ class CheckReport:
 
 def _draw_fields(basis: sp.GalerkinBasis, rngs: list, spans: tuple) -> np.ndarray:
     """(len(rngs), len(spans), n, 2) coefficients, from each generator in turn
-    a field per span as random_field(basis, rng, norm=rng.uniform(*span))."""
+    a field per span as random_field(basis, rng, norm=rng.uniform(*span)), the
+    norm drawn as lo + (hi - lo) * rng.random(), numpy's own formula for
+    uniform: its bits without the call's argument handling."""
     normals = np.empty((len(rngs), len(spans), 2, basis.n_half_modes, 2))
     norms = np.empty(normals.shape[:2])
     for i, rng in enumerate(rngs):
-        for j, span in enumerate(spans):
-            norms[i, j] = rng.uniform(*span)
+        for j, (lo, hi) in enumerate(spans):
+            norms[i, j] = lo + (hi - lo) * rng.random()
             rng.standard_normal(out=normals[i, j])
     return sp.random_coeffs(basis, normals, norm=norms)
 
@@ -138,8 +140,9 @@ def check_cutoff_lemma(kmax: int = 2, n_pairs: int = 10_000, seed: int = 0,
         bounds = np.empty((len(cases), 4))
         for i in range(len(cases)):
             rng.standard_normal(out=normals[i])
-            # scalar draws: the stream of one (lo, hi) array draw, but faster
-            bounds[i] = [rng.uniform(*b) for b in ((0.05, 0.95), (1.05, 8.0)) * 2]
+            # scalar draws with the bits of rng.uniform(lo, hi) (see _draw_fields)
+            bounds[i] = [lo + (hi - lo) * rng.random()
+                         for lo, hi in ((0.05, 0.95), (1.05, 8.0)) * 2]
         bounds *= level
         pick = np.array([(0, 2), (1, 3), (0, 3), (1, 2)])[np.remainder(cases, 4)]  # branches
         target = np.take_along_axis(bounds, pick, 1)

@@ -31,6 +31,7 @@ statistically.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -234,10 +235,11 @@ def _fill_rows(table: np.ndarray, key: int, threads: int) -> None:
     def fill(first: int) -> None:
         try:
             gen, state = philox(key), philox_state(key)
+            bitgen, normal, stream = gen.bit_generator, gen.standard_normal, state["state"]["key"]
             for alpha in range(first, len(table), threads):
-                state["state"]["key"][1] = alpha
-                gen.bit_generator.state = state
-                gen.standard_normal(out=table[alpha])
+                stream[1] = alpha
+                bitgen.state = state
+                normal(out=table[alpha])
         except Exception as exc:  # a row left undrawn: raised by the caller
             errors.append(exc)
 
@@ -307,11 +309,14 @@ def shift_path(path: WienerPath, shift_s: float) -> WienerPath:
 # ---- Ornstein-Uhlenbeck layer ---------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _ou_rates(spectrum: NoiseSpectrum, chi: float, nu: float, basis: GalerkinBasis):
     """Per-coordinate damping mu = nu*|k|^2 + chi and noise amplitude sigma,
-    in the path table's flat layout, shape (4 * n_half_modes,) each."""
+    read-only, in the path table's flat layout, shape (4 * n_half_modes,) each."""
     lam = basis.eigenvalues.astype(np.float64)
-    return np.repeat(nu * lam + chi, 4), np.repeat(spectrum.mode_amplitudes(basis), 4)
+    mu, sigma = np.repeat(nu * lam + chi, 4), np.repeat(spectrum.mode_amplitudes(basis), 4)
+    mu.flags.writeable = sigma.flags.writeable = False
+    return mu, sigma
 
 
 def stationary_std(spectrum: NoiseSpectrum, chi: float, nu: float, basis: GalerkinBasis):

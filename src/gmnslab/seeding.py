@@ -23,10 +23,14 @@ def derive_key(seed: int, label: str) -> int:
 
 
 @functools.cache
-def _fixed_seed() -> np.random.SeedSequence:
-    """The seed `philox` re-keys from (Philox(key=...) would draw one from OS
-    entropy), made on first use: importing does not import numpy.random."""
-    return np.random.SeedSequence(0)
+def _fixed_seed():
+    """The all-zero seed `philox` re-keys from: Philox(key=...) would draw one
+    from OS entropy, and SeedSequence(0) hash a state the re-keying overwrites.
+    Made on first use, so importing does not import numpy.random."""
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+    return ZeroSeed()
 
 
 def philox_state(key: int, stream: int = 0) -> dict:
@@ -39,8 +43,8 @@ def philox_state(key: int, stream: int = 0) -> dict:
 
 def philox(key: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (key, stream); streams are independent.
-    Its bits are those of np.random.Philox(key=[key, stream]), re-keyed from
-    a fixed seed."""
+    Its bits are those of np.random.Philox(key=[key, stream]): built from the
+    zero seed, then given the whole state of `philox_state`."""
     bitgen = np.random.Philox(_fixed_seed())
     bitgen.state = philox_state(key, stream)
     return np.random.Generator(bitgen)

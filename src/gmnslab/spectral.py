@@ -378,18 +378,25 @@ def zero_field(basis: GalerkinBasis) -> SpectralField:
     return SpectralField(basis, np.zeros((basis.n_half_modes, 2), dtype=np.complex128))
 
 
+@functools.lru_cache(maxsize=16)
+def _amplitudes(basis: GalerkinBasis, decay: float) -> np.ndarray:
+    """The read-only column |k|^-decay of random_coeffs, one per (kmax, decay)."""
+    amp = (basis.eigenvalues.astype(np.float64) ** (-decay / 2.0))[:, None]
+    amp.setflags(write=False)
+    return amp
+
+
 def random_coeffs(basis: GalerkinBasis, normals: np.ndarray, decay: float = 2.0,
                   norm=1.0) -> np.ndarray:
     """Random fields' coefficients, amplitude |k|^-decay per mode, from normal
     draws (..., 2, n, 2) of their cos then sin coordinates; |u|_H = norm
     exactly (a number or an array over the stack) unless norm is None."""
-    amp = basis.eigenvalues.astype(np.float64) ** (-decay / 2.0)
-    coeffs = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) * amp[:, None]
+    coeffs = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) * _amplitudes(basis, decay)
     if norm is not None:
         h = np.sqrt(h2_coeffs(coeffs))
         if np.any(h == 0.0):
             raise ValueError("degenerate random draw")
-        coeffs *= np.expand_dims(norm / h, (-2, -1))
+        coeffs *= (norm / h)[..., None, None]
     return coeffs
 
 

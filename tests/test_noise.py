@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gmnslab import noise as nz
 from gmnslab import spectral as sp
-from gmnslab.seeding import derive_key, philox
+from gmnslab.seeding import derive_key, labeled_generator, philox
 
 from oracles import ou_moments
 
@@ -398,6 +398,22 @@ class TestSeeding:
                 assert np.array_equal(got.random_raw(9), want.random_raw(9))
         gen = np.random.Generator(np.random.Philox(key=np.array([7, 3], dtype=np.uint64)))
         assert np.array_equal(philox(7, 3).standard_normal(13), gen.standard_normal(13))
+
+    # the fuzz suites' spans, then any lo <= hi whose width is finite
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), label=st.text(max_size=12),
+           span=st.sampled_from([(0.05, 0.95), (1.05, 8.0), (0.5, 2.0), (0.2, 3.0), (0.0, 2.0)])
+           | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2
+                      ).map(sorted).filter(lambda s: math.isfinite(s[1] - s[0])))
+    def test_uniform_is_low_plus_width_times_random(self, seed, label, span):
+        # the suites draw lo + (hi - lo) * rng.random() for rng.uniform(lo, hi):
+        # the same bits, and the same words of the stream consumed
+        lo, hi = span
+        want, got = labeled_generator(seed, label), labeled_generator(seed, label)
+        drawn = np.array([want.uniform(lo, hi) for _ in range(7)])
+        assert np.array([lo + (hi - lo) * got.random() for _ in range(7)]).tobytes() \
+            == drawn.tobytes()
+        assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
 
 
 class TestStationarySampling:

@@ -408,3 +408,19 @@ class TestImmutability:
         assert w is not u
         assert np.array_equal(u.coeffs + v.coeffs, w.coeffs)
         assert np.array_equal((2.0 * u).coeffs, 2.0 * u.coeffs)
+
+
+class TestRandomCoeffs:
+    def test_cached_amplitudes_give_the_uncached_formula(self, rng):
+        # two decays on one basis, one decay on two bases; a stack and a field
+        for kmax, decay in ((2, 2.0), (2, 3.5), (1, 2.0)):
+            basis = sp.build_basis(kmax)
+            amp = basis.eigenvalues.astype(np.float64) ** (-decay / 2.0)
+            for shape, norm in (((3,), rng.uniform(0.5, 2.0, 3)), ((), 1.5)):
+                normals = rng.standard_normal((*shape, 2, basis.n_half_modes, 2))
+                want = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) * amp[:, None]
+                want *= np.expand_dims(norm / np.sqrt(sp.h2_coeffs(want)), (-2, -1))
+                for _ in range(2):  # the second call reads the cached column
+                    got = sp.random_coeffs(basis, normals, decay, norm)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not sp._amplitudes(basis, decay).flags.writeable

@@ -8,7 +8,9 @@ the pairs alternate which side runs first.  Writes `BENCH_<W>.json` with
 each pair's end-to-end metrics (those BENCHMARK.json lists), the median and
 interquartile range of each side, the change of the tree's median against
 the reference's, the pairs in which the tree was better, and the
-environment line of the tree's runs.
+environment line of the tree's runs.  Each pair also records each side's
+core use: the run's CPU seconds, wall seconds and their ratio, which tells
+a run whose threads shared the cores from one that had a single core.
 
     python tools/bench_ab.py --workload check [--pairs 10] [--seconds 10] [--seed 1] \
         [--rev HEAD]
@@ -22,20 +24,28 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 from artifact_oracle import REPO, export
 
 
-def run(root: str, workload: str, seconds: float, seed: int) -> tuple[dict, dict]:
-    """(metrics, environment) of one perfbench run of the checkout at root."""
+def run(root: str, workload: str, seconds: float, seed: int) -> tuple[dict, dict, dict]:
+    """(metrics, environment, core use) of one perfbench run of the checkout at
+    root.  Core use is the run's CPU seconds (user and system, its threads
+    summed), its wall seconds and their ratio: about 1 for a run that had one
+    core, well above 1 for one whose threads ran on several at once."""
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
          "--seconds", str(seconds), "--seed", str(seed)],
         cwd=root, capture_output=True, text=True)
+    wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"bench_ab: run in {root} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -43,7 +53,8 @@ def run(root: str, workload: str, seconds: float, seed: int) -> tuple[dict, dict
     if not result["correct"]:
         sys.exit(f"bench_ab: run in {root} is not correct: {lines[-2]}")
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, json.loads(lines[0])["environment"]
+    return (metrics, json.loads(lines[0])["environment"],
+            {"cpu_s": cpu, "wall_s": wall, "cpu_per_wall": cpu / wall})
 
 
 def spread(values: list[float]) -> dict:
@@ -74,10 +85,11 @@ def main(argv: list[str] | None = None) -> int:
         export(args.rev, tmp)
         for i in range(args.pairs):
             sides = ("reference", "tree") if i % 2 == 0 else ("tree", "reference")
-            pair = {"seed": args.seed + i, "first": sides[0]}
+            pair = {"seed": args.seed + i, "first": sides[0], "core_use": {}}
             for side in sides:
-                pair[side], env = run(tmp if side == "reference" else REPO,
-                                      args.workload, args.seconds, args.seed + i)
+                pair[side], env, pair["core_use"][side] = run(
+                    tmp if side == "reference" else REPO, args.workload, args.seconds,
+                    args.seed + i)
                 if side == "tree":
                     environment = env
             pairs.append(pair)
