@@ -22,6 +22,13 @@ from .spectral import KMAX_CEILING
 
 EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
 
+# The largest chi * dt a run may take.  z decorrelates within
+# 1/(nu |k|^2 + chi) <= 1/chi, and the stepper's trapezoid of chi z needs a
+# step shorter than that.  u does not depend on chi, yet on one kmax-1 path
+# (dt 1/64, t_final 2) |u|_H departs from its chi-0 value by 0.25% at
+# chi * dt = 1/4, 1.0% at 1/2 and 14% at 2.
+CHI_DT_CEILING = 0.25
+
 # The second ceiling of run_budget: the most work a contract
 # or check run may do, counted in grid points (about 0.38 us a point on a
 # 2-core VM, so the ceiling is about an hour).  For contract, one
@@ -213,6 +220,9 @@ def resolve_config(raw: dict) -> RunConfig:
         params = SimParams.from_dict(pd)
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
+    _require(params.chi * params.dt <= CHI_DT_CEILING,
+             f"field 'params.chi' = {params.chi!r} gives chi * dt = "
+             f"{params.chi * params.dt:.3g} at dt = {params.dt!r}, above {CHI_DT_CEILING}")
     # eta = 7^7 level^8 / (2^13 nu^7) of a finite level in Python floats (a
     # power raises OverflowError, nu^7 may underflow to 0); a finite level^8
     # keeps the dissipation estimates' level^2 and the lemma's |u|^4 finite,

@@ -345,12 +345,13 @@ def member_tile(basis: sp.GalerkinBasis, grids: int, nbytes: float = 0.0) -> int
     return max(1, int(tile))
 
 
-def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
+def _march_tiles(params: it.SimParams, x: np.ndarray, seed: int, label: str, **solve_kw):
     """Yield (first member, stacked solve) for each tile of the members'
     start velocities x, (members, P, n_half_modes, 2): member m marches on
-    path_of(m), in `_even_tiles` of at most `member_tile` members, one group
-    each.  Every tile marches on one stepper, whose work dict is allocated
-    once for the larger tiles and once more for the smaller.  An
+    its own path over [0, params.t_final], keyed derive_key(seed,
+    f"{label}-{m}"), in `_even_tiles` of at most `member_tile` members, one
+    group each.  Every tile marches on one stepper, whose work dict is
+    allocated once for the larger tiles and once more for the smaller.  An
     InstabilityError names the member, not its place in the tile."""
     basis = params.basis()
     P = x.shape[1]
@@ -358,7 +359,8 @@ def _march_tiles(params: it.SimParams, x: np.ndarray, path_of, **solve_kw):
     stepper = it._Stepper(params)
     for span in _even_tiles(len(x), tile):
         # each tile's paths are built here and dropped with the tile
-        paths = [path_of(m) for m in span]
+        paths = [nz.make_path(derive_key(seed, f"{label}-{m}"), params.dt_path, 0.0,
+                              params.t_final, params.noise, basis) for m in span]
         try:
             traj = it.solve(x[span.start:span.stop], paths, params, stepper=stepper, **solve_kw)
         except it.InstabilityError as exc:
@@ -388,21 +390,17 @@ def contraction_experiment(
         raise ValueError(f"ensemble={ensemble}: the standard error needs >= 2 members")
     rate = contraction_rate(params.nu, params.level, params.lambda_p)
 
-    def member_path(m):
-        return nz.make_path(derive_key(seed, f"member-{m}"), params.dt_path, 0.0,
-                            params.t_final, params.noise, x1.basis)
-
     x = np.broadcast_to(np.stack([x1.coeffs, x2.coeffs]), (ensemble, 2, *x1.coeffs.shape))
     # |v1 - v2|_H^2 = |u1 - u2|_H^2 (z cancels on a shared path) at the record steps
     n_steps = round(params.t_final / params.dt)
     steps = sorted({*range(0, n_steps + 1, record_every), n_steps})
-    rows, sq = [], []
+    recorded, rows, sq = set(steps), [], []
 
     def observe(k, v, z):
-        if k in steps:
+        if k in recorded:
             rows.append(sp.h2_coeffs(v[:, 0] - v[:, 1]))
 
-    for _ in _march_tiles(params, x, member_path, ledger=False, observe=observe):
+    for _ in _march_tiles(params, x, seed, "member", ledger=False, observe=observe):
         sq.append(np.array(rows).T)
         rows.clear()
     sq = np.concatenate(sq)
@@ -701,14 +699,9 @@ def invariant_measure_sampler(
     stderrs = {k: {} for k in observables}
     taus = {}
     p = replace(params, t_final=burn_in + horizon)
-    names, xs = list(initial_set), list(initial_set.values())
-
-    def state_path(idx):
-        return nz.make_path(derive_key(seed, f"measure-{idx}"), p.dt_path, 0.0,
-                            p.t_final, p.noise, xs[0].basis)
-
-    x = np.stack([xi.coeffs for xi in xs])[:, None]
-    for m0, traj in _march_tiles(p, x, state_path):
+    names = list(initial_set)
+    x = np.stack([xi.coeffs for xi in initial_set.values()])[:, None]
+    for m0, traj in _march_tiles(p, x, seed, "measure"):
         for g, name in enumerate(names[m0:m0 + len(traj.v)]):
             led = traj.member(g, 0).ledger
             keep = led.t >= burn_in - 1e-12

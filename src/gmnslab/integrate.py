@@ -52,10 +52,11 @@ of a block are one stacked call each, with the step as one more leading
 axis; each entry is bit for bit its step's own call.  `EnergyLedger.columns`
 gives one field's series to the CSV writer of the command line.
 
-A checkpoint holds a one-field `Trajectory`'s final state (t_end, v, z),
-and loads back as that record without its ledger; `resume` starts its OU
-cursor from the saved z, so the continued run is bit for bit the
-uninterrupted one.
+A checkpoint holds a one-field `Trajectory`'s final state (t_end, v, z)
+with its params and path manifest: a complete state, from which a run
+continued with its OU cursor started at the saved z is bit for bit the
+uninterrupted one.  The package writes it; `tests/oracles.py` reads it back
+and continues the run.
 
 The a priori bound and the pullback energy inequality are checked with the
 explicit constants produced by the Young splits of the corresponding
@@ -74,7 +75,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .cutoff import cutoff_advection_coeffs
-from .noise import NoiseSpectrum, OUCursor, WienerPath, path_from_manifest
+from .noise import NoiseSpectrum, OUCursor, WienerPath
 from .spectral import (
     GalerkinBasis,
     SpectralField,
@@ -530,26 +531,3 @@ def checkpoint_dump(traj: Trajectory, path: WienerPath, params: SimParams) -> st
     payload = {"format": 1, "params": params.to_dict(), "path": path.manifest(),
                "time": traj.t_end, "v": v, "z": z}
     return json.dumps(payload, sort_keys=True)
-
-
-def checkpoint_load(text: str) -> tuple[Trajectory, WienerPath, SimParams]:
-    """The saved final state as a Trajectory without a ledger, its path and
-    params."""
-    d = json.loads(text)
-    if d.get("format") != 1:
-        raise ValueError("unsupported checkpoint format")
-    params = SimParams.from_dict(d["params"])
-    basis = params.basis()
-    path = path_from_manifest(d["path"], basis)
-    v, z = (field_from_bytes(base64.b64decode(d[k]), basis).coeffs for k in "vz")
-    return Trajectory(d["time"], v, z, None, basis), path, params
-
-
-def resume(start: Trajectory, path: WienerPath, params: SimParams,
-           t_final: float) -> Trajectory:
-    """Continue a one-field run from its final state to t_final, with z
-    starting from its saved z; bit-identical to an uninterrupted solve over
-    the same window."""
-    cursor = OUCursor(path, params.chi, params.nu, start=(start.t_end, start.z))
-    return solve_transformed(SpectralField(start.basis, start.v), path, params,
-                             t0=start.t_end, t_final=t_final - start.t_end, cursor=cursor)

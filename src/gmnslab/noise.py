@@ -41,7 +41,7 @@ from operator import attrgetter
 import numpy as np
 
 from .seeding import derive_key, labeled_generator, philox, philox_state
-from .spectral import GalerkinBasis, SpectralField, build_basis
+from .spectral import GalerkinBasis, SpectralField
 
 # gamma-radonifying regularity floor for the noise spectrum (see NoiseSpectrum).
 MIN_REGULARITY = 0.75
@@ -269,19 +269,6 @@ def make_path(
         raise ValueError("need finite t_min < t_max")
     steps = int(math.ceil(round((t_max - t_min) / dt_path, 9)))
     return WienerPath(seed, dt_path, t_min, steps, spectrum, basis)
-
-
-def path_from_manifest(manifest: dict, basis: GalerkinBasis | None = None) -> WienerPath:
-    spec = NoiseSpectrum(**manifest["spectrum"])
-    if basis is None:
-        basis = build_basis(manifest["kmax"])
-    dt_path = manifest["dt_path"]
-    offset = manifest.get("offset", 0)
-    steps = int(round((manifest["t_max"] - manifest["t_min"]) / dt_path))
-    t_origin = manifest["t_min"] + offset * dt_path
-    return WienerPath(
-        manifest["seed"], dt_path, t_origin, steps, spec, basis, offset
-    )
 
 
 def shift_path(path: WienerPath, shift_s: float) -> WienerPath:

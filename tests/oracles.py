@@ -8,20 +8,27 @@ earlier layout of the package's own arithmetic, which the current one must
 reproduce bit for bit.  Between them sit compositions of the package's
 kernels that only the tests use: the projected advection B(u, v), the
 field form of B_F, the L2 inner product of two fields, and the cutoff
-lemma's sides, the monotonicity gap and its tolerance of fields; and a
-solve's recording observer, with the walks over whole trajectories on it,
-and the cocycle map of a solve's final state.
+lemma's sides, the monotonicity gap and its tolerance of fields; a solve's
+recording observer, with the walks over whole trajectories on it, and the
+cocycle map of a solve's final state; the forcing density of the
+dissipation estimates as the paper's Young splits state it; and the reader
+of a checkpoint, which continues the saved run to show that the file holds
+a complete state.
 """
 
+import base64
+import json
 from dataclasses import replace
 
 import numpy as np
 
+from gmnslab import integrate as it
 from gmnslab.cutoff import (cutoff_advection_coeffs, gap_of_terms, lipschitz_sides,
                             product_bound, tolerance_of_norms)
-from gmnslab.integrate import solve
-from gmnslab.spectral import (SpectralField, h2_coeffs, inner_coeffs, norm_H, norm_L4,
-                              norm_V, v2_coeffs)
+from gmnslab.integrate import SimParams, Trajectory, solve
+from gmnslab.noise import NoiseSpectrum, OUCursor, WienerPath
+from gmnslab.spectral import (SpectralField, field_from_bytes, h2_coeffs, inner_coeffs,
+                              norm_H, norm_L4, norm_V, v2_coeffs)
 
 VOLUME = (2.0 * np.pi) ** 3
 
@@ -231,6 +238,61 @@ def data_continuity_gap(x, x_n, f, f_n, path, params) -> tuple[float, float]:
     diff = pert_rec.member()[0] - base_rec.member()[0]
     int_v2 = float(np.trapezoid(v2_coeffs(x.basis, diff), base.ledger.t))
     return float(np.sqrt(h2_coeffs(diff)).max()), int_v2
+
+
+# ---- the dissipation estimates ----
+
+
+def dissipation_density_reference(params, ledger) -> np.ndarray:
+    """The forcing density of the a priori and pullback estimates per step,
+    from the Young splits of d/dt |v|^2:
+
+        (2/nu) N^2 |z|_L4^2 + (4 chi^2/(nu lam)) |z|_H^2 + (4/nu) |f|_V'^2,
+
+    with no cutoff term at level inf (the advection pairing cancels) and
+    |f|_V'^2 = sum |f_k|^2 / |k|^2 summed mode by mode."""
+    nu, lam, chi, level = params.nu, params.lambda_p, params.chi, params.level
+    f_dual2 = 0.0
+    if params.forcing is not None:
+        for k, c in zip(params.forcing.basis.modes, params.forcing.coeffs):
+            f_dual2 += float((np.abs(c) ** 2).sum()) / float(k @ k)
+    cutoff = 0.0 if np.isinf(level) else (2.0 / nu) * level**2
+    return (cutoff * ledger.z_L4**2 + (4.0 * chi**2 / (nu * lam)) * ledger.z_H2
+            + (4.0 / nu) * f_dual2)
+
+
+# ---- the checkpoint read back ----
+
+
+def path_from_manifest(manifest: dict, basis) -> WienerPath:
+    """The path (or shifted view) that `WienerPath.manifest` describes."""
+    dt_path, offset = manifest["dt_path"], manifest.get("offset", 0)
+    steps = int(round((manifest["t_max"] - manifest["t_min"]) / dt_path))
+    return WienerPath(manifest["seed"], dt_path, manifest["t_min"] + offset * dt_path, steps,
+                      NoiseSpectrum(**manifest["spectrum"]), basis, offset)
+
+
+def checkpoint_load(text: str) -> tuple:
+    """(final state as a Trajectory without a ledger, path, params) of an
+    `integrate.checkpoint_dump` text."""
+    d = json.loads(text)
+    if d.get("format") != 1:
+        raise ValueError("unsupported checkpoint format")
+    params = SimParams.from_dict(d["params"])
+    basis = params.basis()
+    v, z = (field_from_bytes(base64.b64decode(d[k]), basis).coeffs for k in "vz")
+    return (Trajectory(d["time"], v, z, None, basis), path_from_manifest(d["path"], basis),
+            params)
+
+
+def resume(start, path, params, t_final: float):
+    """Continue a one-field run from its final state to t_final, z starting
+    from the saved z; bit-identical to an uninterrupted solve over the same
+    window.  It calls `it.solve_transformed` through the module, so a test
+    may wrap that."""
+    cursor = OUCursor(path, params.chi, params.nu, start=(start.t_end, start.z))
+    return it.solve_transformed(SpectralField(start.basis, start.v), path, params,
+                                t0=start.t_end, t_final=t_final - start.t_end, cursor=cursor)
 
 
 # ---- polarization contractions with the table in (n, p, c) order ----

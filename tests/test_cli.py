@@ -232,6 +232,8 @@ class TestModesAndExitCodes:
             # at nu 1 the amplitude alone drives E|z|_H^2 to inf
             ({"params": {"noise": {"amplitude": 1e200}}}, "'params.noise.amplitude'"),
             ({"params": {"instability_factor": 1e200}}, "'params.instability_factor'"),
+            # the stepper's trapezoid of chi z needs chi * dt <= 1/4; here it is 1/2
+            ({"params": {"chi": 16.0, "dt": 1 / 32}}, "'params.chi'"),
             ({"params": {"nu": "1"}}, "'params.nu'"),
             ({"params": {"dt": "x"}}, "'params.dt'"),
             ({"params": {"dt_path": 0}}, "dt_path"),

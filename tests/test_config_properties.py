@@ -38,7 +38,8 @@ def valid_configs(draw):
     rough = draw(st.booleans())
     params = {
         "nu": nu, "level": level, "lambda_p": lambda_p, "dt": dt,
-        "chi": draw(st.floats(0.0, 10.0)),
+        # chi * dt <= 2 / 8, the config's ceiling
+        "chi": draw(st.floats(0.0, 2.0)),
         "t_final": dt * draw(st.integers(1, 1024)),
         "kmax": draw(st.integers(1, 8)),
         "instability_factor": draw(st.floats(1.0, 1e9)),

@@ -337,7 +337,7 @@ class TestContraction:
         paths = [nz.make_path(derive_key(9, f"member-{m}"), p.dt_path, 0.0, p.t_final,
                               p.noise, basis1) for m in range(10)]
         monkeypatch.setattr(ex, "member_tile", lambda basis, grids, nbytes: 9)
-        tiles = list(ex._march_tiles(p, x, paths.__getitem__))
+        tiles = list(ex._march_tiles(p, x, 9, "member"))
         assert [(m0, len(traj.v)) for m0, traj in tiles] == [(0, 5), (5, 5)]
         fixed = [it.solve(x[a:b], paths[a:b], p) for a, b in ((0, 9), (9, 10))]
         assert fixed[0].ledger.cutoff[:, :, 0].min() < 1.0
@@ -392,7 +392,8 @@ class TestInstabilityNames:
         # without noise, forcing or cutoff a zero field stays zero and every
         # large one crosses its ceiling on the same step: the error names the
         # first of them in C order, in a solve of the whole stack and, through
-        # the tile loop, as a member of the ensemble (the tile offset added)
+        # the tile loop, as a member of the ensemble (the tile offset added),
+        # where each member has its own keyed path, as silent as the shared one
         bad, tile = case
         p, basis = self.P, sp.build_basis(1)
         big = sp.random_field(basis, labeled_generator(0, "big"), norm=100.0)
@@ -404,7 +405,7 @@ class TestInstabilityNames:
         assert (err.value.member, err.value.field) == (g if bad.size > 1 else None, f)
         with (mock.patch.object(ex, "member_tile", lambda basis, grids, path_steps: tile),
               pytest.raises(it.InstabilityError) as err):
-            list(ex._march_tiles(p, x, lambda m: path, ledger=False))
+            list(ex._march_tiles(p, x, 0, "member", ledger=False))
         assert (err.value.member, err.value.field) == (g, f)
 
 

@@ -17,9 +17,10 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 
 from conftest import single_mode_field
-from oracles import (chi_independence_sup, cocycle_apply, cutoff_advection,
-                     data_continuity_gap, doss_sussman_recover, inner_H, recorded,
-                     Recording, transform_forward)
+from oracles import (checkpoint_load, chi_independence_sup, cocycle_apply, cutoff_advection,
+                     data_continuity_gap, dissipation_density_reference,
+                     doss_sussman_recover, inner_H, recorded, Recording, resume,
+                     transform_forward)
 
 QUIET = nz.NoiseSpectrum(amplitude=0.0)
 NOISY = nz.NoiseSpectrum(s=1.0, amplitude=0.5)
@@ -553,6 +554,15 @@ class TestEnergyInequalities:
         margin = it.apriori_margin(p, traj.ledger)
         assert math.isfinite(margin)  # logged, not asserted: bound is loose
 
+    def test_density_is_the_young_splits(self, basis2, rng):
+        # forcing, noise, a finite level and chi > 0: every term of the
+        # density is live, each against the paper's constant
+        p, traj = self._run(basis2, rng)
+        led = traj.ledger
+        assert led.z_L4.min() > 0.0 and p.forcing_dual_norm() > 0.0
+        got = it.dissipation_forcing_density(p, led)
+        np.testing.assert_allclose(got, dissipation_density_reference(p, led), rtol=1e-12)
+
     def test_pullback_inequality_asserted(self, basis2, rng):
         for chi in (0.0, 1.0):
             p, traj = self._run(basis2, rng, chi=chi)
@@ -571,10 +581,10 @@ class TestCheckpoint:
 
         half = it.solve(x, path, p, t_final=0.5)
         blob = it.checkpoint_dump(half, path, p)
-        start, path2, p2 = it.checkpoint_load(blob)
+        start, path2, p2 = checkpoint_load(blob)
         assert start.t_end == half.t_end and start.ledger is None
         assert np.array_equal(start.v, half.v) and np.array_equal(start.z, half.z)
-        resumed = it.resume(start, path2, p2, t_final=1.0)
+        resumed = resume(start, path2, p2, t_final=1.0)
         assert resumed.t_end == full.t_end == 1.0
         assert np.array_equal(resumed.v, full.v)
         assert np.array_equal(resumed.z, full.z)
@@ -590,11 +600,11 @@ class TestCheckpoint:
         z = sp.field_from_bytes(base64.b64decode(blob["z"]), basis2).coeffs.copy()
         z[0, 0] += 0.25
         blob["z"] = base64.b64encode(sp.field_to_bytes(sp.SpectralField(basis2, z))).decode()
-        start, path2, p2 = it.checkpoint_load(json.dumps(blob))
+        start, path2, p2 = checkpoint_load(json.dumps(blob))
         assert np.array_equal(start.z, z)
         rec = Recording()
         monkeypatch.setattr(it, "solve_transformed", partial(it.solve_transformed, observe=rec))
-        resumed = it.resume(start, path2, p2, t_final=1.0)
+        resumed = resume(start, path2, p2, t_final=1.0)
         assert np.array_equal(rec.member()[1][0], z)
         assert not np.array_equal(resumed.z, full.z)
 

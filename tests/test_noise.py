@@ -12,7 +12,7 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 from gmnslab.seeding import derive_key, labeled_generator, philox
 
-from oracles import ou_moments
+from oracles import ou_moments, path_from_manifest
 
 
 @pytest.fixture(scope="module")
@@ -201,13 +201,13 @@ class TestShiftMap:
 
 class TestManifest:
     def test_round_trip(self, path, basis1):
-        again = nz.path_from_manifest(json.loads(json.dumps(path.manifest())), basis1)
+        again = path_from_manifest(json.loads(json.dumps(path.manifest())), basis1)
         assert np.array_equal(again.normals(0, path.steps), path.normals(0, path.steps))
         assert again.t_min == path.t_min and again.t_max == path.t_max
 
     def test_round_trip_of_shifted_view(self, path, basis1):
         sh = nz.shift_path(path, 2.0)
-        again = nz.path_from_manifest(sh.manifest(), basis1)
+        again = path_from_manifest(sh.manifest(), basis1)
         assert again.t_min == sh.t_min
         n0 = sh.index_of(sh.t_min)
         assert np.array_equal(again.normals(n0, 16), sh.normals(n0, 16))
