@@ -58,12 +58,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _initial_field(basis, spec: dict, seed: int, label: str) -> sp.SpectralField:
-    """The field of an initial-field spec (validated by the config)."""
-    if spec.get("kind", "random") == "zero":
+    """The field of an initial-field spec (validated by the config); the keys
+    it leaves out take random_field's defaults."""
+    if spec.get("kind") == "zero":
         return sp.zero_field(basis)
     rng = labeled_generator(seed, spec.get("label", label))
-    return sp.random_field(basis, rng, decay=spec.get("decay", 2.0),
-                           norm=spec.get("norm", 1.0))
+    return sp.random_field(basis, rng, **{k: spec[k] for k in ("decay", "norm") if k in spec})
 
 
 # ---- experiment runners -----------------------------------------------------

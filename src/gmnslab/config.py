@@ -3,8 +3,10 @@
 The resolved configuration round-trips losslessly, every run directory keeps
 the exact copy that produced it, and the pair (config, seed) determines all
 outputs byte-for-byte.  Validation failures carry the offending field name.
-One function, `run_budget`, bounds the bytes a run holds at once and the
-work of contract and check, each against its one ceiling.
+Each command's options, with their defaults and rules, are declared once, in
+`_OPTIONS`, and a command reads only its own.  One function, `run_budget`,
+bounds the bytes a run holds at once and the work of contract and check, each
+against its one ceiling.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .integrate import SimParams
 from .noise import (MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes,
                     stationary_mean_H2)
 from .spectral import KMAX_CEILING
-
-EXPERIMENTS = ("check", "simulate", "contract", "pullback", "nse-limit", "measure")
 
 # The largest chi * dt a run may take.  z decorrelates within
 # 1/(nu |k|^2 + chi) <= 1/chi, and the stepper's trapezoid of chi z needs a
@@ -85,25 +85,14 @@ class RunConfig:
         return self.assertion_mode == "strict"
 
     def option(self, name: str):
-        """options[name], or its default: the sizes of the `check` suites, the
-        snapshot stride, the initial-field specs, the tolerances, and the
-        horizon options, whose defaults scale with the relaxation time
-        1/(nu*lambda_p).  The runners and the config-time checks both read
-        them here."""
-        rate = self.params.nu * self.params.lambda_p
-        defaults = {"pullback_times": [m / rate for m in (1, 2, 4, 8, 16, 32)],
-                    "burn_in": 5.0 / rate, "horizon": 200.0 / rate,
-                    "cutoff_pairs": 10_000, "trilinear_triples": 1000,
-                    "monotonicity_triples": 1000, "ou_samples": 100_000,
-                    "ou_chi": 1.0, "shift_pairs": 100,
-                    "record_every": 4 if self.experiment == "contract" else 1,
-                    "initial": {"norm": 2.0} if self.experiment == "nse-limit" else {},
-                    "x1": {"norm": 1.0}, "x2": {"norm": 0.5},
-                    "families": {"small": {"norm": 1.0}, "large": {"norm": 100.0}},
-                    "family_tol": 1e-6,
-                    "initial_set": {"zero": {"kind": "zero"}, "big": {"norm": 10.0}},
-                    "multipliers": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]}
-        return self.options.get(name, defaults[name])
+        """options[name], or its default in `_OPTIONS`, where a default that
+        scales with the relaxation time 1/(nu*lambda_p) is a function of
+        nu*lambda_p; KeyError for an option the command does not read.  The
+        runners and the config-time checks both read them here."""
+        default = _OPTIONS[self.experiment][name][0]
+        if name in self.options:
+            return self.options[name]
+        return default(self.params.nu * self.params.lambda_p) if callable(default) else default
 
     def to_dict(self) -> dict:
         return {
@@ -131,8 +120,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, float) or _is_int(x)
+def _finite(x) -> bool:
+    """A finite number that is not a bool."""
+    return (isinstance(x, float) or _is_int(x)) and -math.inf < x < math.inf
 
 
 class _NonFinite(str):
@@ -175,8 +165,7 @@ def resolve_config(raw: dict) -> RunConfig:
 
     raw_params = raw.get("params", {})
     _require(isinstance(raw_params, dict), "field 'params' must be an object")
-    pd = dict(PARAM_DEFAULTS)
-    pd["noise"] = dict(PARAM_DEFAULTS["noise"])
+    pd = dict(PARAM_DEFAULTS, noise=dict(PARAM_DEFAULTS["noise"]))
     if experiment in ("contract", "measure") and "nu" not in raw_params:
         # default viscosity above the stability threshold of the default
         # cutoff level, so the strict variants of these experiments run
@@ -197,9 +186,8 @@ def resolve_config(raw: dict) -> RunConfig:
     noise = pd["noise"]
     for name, value in [(k, pd[k]) for k in _NUMERIC_PARAMS] + [
             (f"noise.{k}", noise[k]) for k in ("s", "amplitude", "delta")]:
-        ok = _is_number(value) and (-math.inf < value < math.inf
-                                    or (name, value) == ("level", math.inf))
-        _require(ok or (name, value) in (("level", "inf"), ("dt_path", None)),
+        _require(_finite(value) or (name, value) in (("level", math.inf), ("level", "inf"),
+                                                     ("dt_path", None)),
                  f"field 'params.{name}' must be a finite number"
                  + (' or "inf"' if name == "level" else "") + f", got {value!r}")
     # the smallest Stokes eigenvalue is |k|^2 = 1 at k = (0, 0, 1) for every kmax
@@ -262,19 +250,16 @@ def resolve_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def _finite(x) -> bool:
-    """A finite number that is not a bool."""
-    return _is_number(x) and -math.inf < x < math.inf
+# an initial-field spec (see cli._initial_field): an object whose every key is one
+# of these and passes its check; spectral.random_field defaults the keys left out
+_SPEC_KEYS = {"kind": lambda k: k in ("random", "zero"), "decay": _finite,
+              "norm": lambda n: n is None or _finite(n) and n > 0,
+              "label": lambda s: isinstance(s, str)}
 
 
 def _is_field_spec(spec) -> bool:
-    """An initial-field spec (see cli._initial_field)."""
-    if not isinstance(spec, dict) or set(spec) - {"kind", "norm", "decay", "label"}:
-        return False
-    norm, decay = spec.get("norm", 1.0), spec.get("decay", 2.0)
-    return (spec.get("kind", "random") in ("random", "zero")
-            and (norm is None or _finite(norm) and norm > 0)
-            and _finite(decay) and isinstance(spec.get("label", ""), str))
+    return isinstance(spec, dict) and all(k in _SPEC_KEYS and _SPEC_KEYS[k](v)
+                                          for k, v in spec.items())
 
 
 def _positive_list(xs) -> bool:
@@ -285,41 +270,47 @@ _FIELD_SPEC = ('an initial-field spec: an object with kind "random" or "zero", '
                "norm a finite number > 0 or null, decay a finite number, label a "
                "string and no other key")
 
-# option -> (validator, what it must be)
-_OPTION_RULES = {
-    **{name: (lambda n: _is_int(n) and n >= 1, "an integer >= 1")
-       for name in ("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
-                    "shift_pairs", "record_every")},
-    # a variance needs two samples
-    "ou_samples": (lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
-    **{name: (lambda x: _finite(x) and x >= 0, "a finite number >= 0")
-       for name in ("ou_chi", "burn_in", "family_tol")},
-    "horizon": (lambda x: _finite(x) and x > 0, "a finite number > 0"),
-    # the sweep compares each level's run with the next larger level's
-    "multipliers": (lambda xs: _positive_list(xs)
-                    and all(a < b for a, b in zip(xs, xs[1:])),
-                    "a strictly increasing non-empty list of finite numbers > 0"),
+# (validator, what it must be) of the rules more than one option follows
+_COUNT = (lambda n: _is_int(n) and n >= 1, "an integer >= 1")
+_NON_NEGATIVE = (lambda x: _finite(x) and x >= 0, "a finite number >= 0")
+_SPEC = (_is_field_spec, _FIELD_SPEC)
+_SPECS = (lambda d: isinstance(d, dict) and d and all(map(_is_field_spec, d.values())),
+          f"a non-empty object whose every entry is {_FIELD_SPEC}")
+
+# command -> option -> (default, (validator, what it must be)): the options
+# each command reads, in the order they are checked; a callable default is a
+# function of the relaxation rate nu * lambda_p.  simulate's record_every
+# reads nothing (a solve keeps no snapshots) but stays while the benchmark's
+# config sets it
+_OPTIONS = {
+    "check": {"cutoff_pairs": (10_000, _COUNT), "trilinear_triples": (1000, _COUNT),
+              "monotonicity_triples": (1000, _COUNT), "shift_pairs": (100, _COUNT),
+              # a variance needs two samples
+              "ou_samples": (100_000, (lambda n: _is_int(n) and n >= 2, "an integer >= 2")),
+              "ou_chi": (1.0, _NON_NEGATIVE)},
+    "simulate": {"record_every": (1, _COUNT), "initial": ({}, _SPEC)},
+    "contract": {"record_every": (4, _COUNT), "x1": ({"norm": 1.0}, _SPEC),
+                 "x2": ({"norm": 0.5}, _SPEC)},
     # the decay check compares each time's term with the next larger time's
-    "pullback_times": (lambda xs: _positive_list(xs) and len(set(xs)) == len(xs),
-                       "a non-empty list of distinct finite numbers > 0"),
-    **{name: (_is_field_spec, _FIELD_SPEC) for name in ("initial", "x1", "x2")},
-    **{name: (lambda d: isinstance(d, dict) and d
-              and all(map(_is_field_spec, d.values())),
-              f"a non-empty object whose every entry is {_FIELD_SPEC}")
-       for name in ("families", "initial_set")},
+    "pullback": {"pullback_times": (lambda rate: [m / rate for m in (1, 2, 4, 8, 16, 32)],
+                                    (lambda xs: _positive_list(xs) and len(set(xs)) == len(xs),
+                                     "a non-empty list of distinct finite numbers > 0")),
+                 "families": ({"small": {"norm": 1.0}, "large": {"norm": 100.0}}, _SPECS),
+                 "family_tol": (1e-6, _NON_NEGATIVE)},
+    # the sweep compares each level's run with the next larger level's
+    "nse-limit": {"initial": ({"norm": 2.0}, _SPEC),
+                  "multipliers": ([0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+                                  (lambda xs: _positive_list(xs)
+                                   and all(a < b for a, b in zip(xs, xs[1:])),
+                                   "a strictly increasing non-empty list of finite "
+                                   "numbers > 0"))},
+    "measure": {"burn_in": (lambda rate: 5.0 / rate, _NON_NEGATIVE),
+                "horizon": (lambda rate: 200.0 / rate,
+                            (lambda x: _finite(x) and x > 0, "a finite number > 0")),
+                "initial_set": ({"zero": {"kind": "zero"}, "big": {"norm": 10.0}}, _SPECS)},
 }
 
-# the options each experiment reads; simulate's record_every reads nothing (a
-# solve keeps no snapshots) but stays while the benchmark's config sets it
-_EXPERIMENT_OPTIONS = {
-    "check": ("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
-              "shift_pairs", "ou_samples", "ou_chi"),
-    "simulate": ("record_every", "initial"),
-    "contract": ("record_every", "x1", "x2"),
-    "pullback": ("pullback_times", "families", "family_tol"),
-    "nse-limit": ("initial", "multipliers"),
-    "measure": ("burn_in", "horizon", "initial_set"),
-}
+EXPERIMENTS = tuple(_OPTIONS)
 
 
 def _span(cfg: RunConfig) -> tuple[str, float]:
@@ -372,11 +363,13 @@ def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
     # (fields, members) of the march: a contract member's two fields keep no
     # ledger; nse-limit's levels and its unmodified run march as one stack,
     # each level's error to that run kept per step
-    levels = len(cfg.option("multipliers")) if cfg.experiment == "nse-limit" else 0
-    n_fields, members = {"contract": (2, cfg.ensemble), "nse-limit": (levels + 1, 1),
-                        "measure": (1, len(cfg.option("initial_set"))),
-                        "pullback": (len(cfg.option("families")), 1)}.get(cfg.experiment, (1, 1))
-    member = (member_bytes(p, n_fields, ledger=cfg.experiment != "contract")
+    exp = cfg.experiment
+    levels = len(cfg.option("multipliers")) if exp == "nse-limit" else 0
+    n_fields = (2 if exp == "contract" else levels + 1 if exp == "nse-limit"
+                else len(cfg.option("families")) if exp == "pullback" else 1)
+    members = (cfg.ensemble if exp == "contract"
+               else len(cfg.option("initial_set")) if exp == "measure" else 1)
+    member = (member_bytes(p, n_fields, ledger=exp != "contract")
               + 8 * (round(span / p.dt) + 1) * levels)
     nbytes = min(members, member_tile(p.basis(), 12 * n_fields, member)) * member
     budget = [(name, span, nbytes, PATH_TABLE_CEILING, held)]
@@ -388,12 +381,11 @@ def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
 
 def _validate_experiment(cfg: RunConfig) -> None:
     p = cfg.params
-    read = _EXPERIMENT_OPTIONS[cfg.experiment]
+    row = _OPTIONS[cfg.experiment]
     for option in sorted(cfg.options):
-        _require(option in read, f"field 'options.{option}' is not an option of "
-                 f"'{cfg.experiment}', which reads {list(read)}")
-    for option in read:
-        valid, what = _OPTION_RULES[option]
+        _require(option in row, f"field 'options.{option}' is not an option of "
+                 f"'{cfg.experiment}', which reads {list(row)}")
+    for option, (_, (valid, what)) in row.items():
         value = cfg.option(option)
         _require(valid(value), f"field 'options.{option}' must be {what}, got {value!r}")
     if cfg.experiment == "nse-limit":

@@ -11,7 +11,9 @@ field form of B_F, the L2 inner product of two fields, and the cutoff
 lemma's sides, the monotonicity gap and its tolerance of fields; a solve's
 recording observer, with the walks over whole trajectories on it, and the
 cocycle map of a solve's final state; the forcing density of the
-dissipation estimates as the paper's Young splits state it; and the reader
+dissipation estimates as the paper's Young splits state it, with the i_n
+bound of the large-cutoff limit and the absorbing radius of pullback
+absorption built from the same estimates; and the reader
 of a checkpoint, which continues the saved run to show that the file holds
 a complete state.
 """
@@ -26,7 +28,7 @@ from gmnslab import integrate as it
 from gmnslab.cutoff import (cutoff_advection_coeffs, gap_of_terms, lipschitz_sides,
                             product_bound, tolerance_of_norms)
 from gmnslab.integrate import SimParams, Trajectory, solve
-from gmnslab.noise import NoiseSpectrum, OUCursor, WienerPath
+from gmnslab.noise import NoiseSpectrum, OUCursor, WienerPath, make_path
 from gmnslab.spectral import (SpectralField, field_from_bytes, h2_coeffs, inner_coeffs,
                               norm_H, norm_L4, norm_V, v2_coeffs)
 
@@ -252,13 +254,43 @@ def dissipation_density_reference(params, ledger) -> np.ndarray:
     with no cutoff term at level inf (the advection pairing cancels) and
     |f|_V'^2 = sum |f_k|^2 / |k|^2 summed mode by mode."""
     nu, lam, chi, level = params.nu, params.lambda_p, params.chi, params.level
+    cutoff = 0.0 if np.isinf(level) else (2.0 / nu) * level**2
+    return (cutoff * ledger.z_L4**2 + (4.0 * chi**2 / (nu * lam)) * ledger.z_H2
+            + (4.0 / nu) * forcing_dual2(params))
+
+
+def forcing_dual2(params) -> float:
+    """|f|_V'^2 = sum |f_k|^2 / |k|^2 of the forcing, summed mode by mode."""
     f_dual2 = 0.0
     if params.forcing is not None:
         for k, c in zip(params.forcing.basis.modes, params.forcing.coeffs):
             f_dual2 += float((np.abs(c) ** 2).sum()) / float(k @ k)
-    cutoff = 0.0 if np.isinf(level) else (2.0 / nu) * level**2
-    return (cutoff * ledger.z_L4**2 + (4.0 * chi**2 / (nu * lam)) * ledger.z_H2
-            + (4.0 / nu) * f_dual2)
+    return f_dual2
+
+
+def nse_limit_bound_reference(x, params, level: float) -> float:
+    """The large-cutoff limit's bound on the measure of {t: |u(t)|_L4 >= level}
+    over [0, T]: (K_T / level^2)^{4/3} with the a priori constant
+    K_T = max(1, 1/nu) (|x|_H^2 + T |f|_V'^2 / nu)."""
+    nu = params.nu
+    k_t = max(1.0, 1.0 / nu) * (norm_H(x) ** 2 + params.t_final * forcing_dual2(params) / nu)
+    return (k_t / level**2) ** (4.0 / 3.0)
+
+
+def absorbing_bound_reference(params, times, x, seed: int) -> float:
+    """The pullback absorbing radius kappa11 + kappa12 of the window
+    [-max(times), 0], re-solved from x on the pullback path: with rate
+    nu lam and the density above,
+
+        kappa11^2 = 2 + 2 max_t e^{rate t} |z(t)|_H^2 + int e^{rate t} density dt,
+        kappa12 = |z(0)|_H."""
+    t_far = max(times)
+    path = make_path(seed, params.dt_path, -t_far, params.dt, params.noise, x.basis)
+    led = solve(x, path, params, t0=-t_far, t_final=t_far).ledger
+    w = np.exp(params.nu * params.lambda_p * led.t)
+    kappa11_sq = (2.0 + 2.0 * float((led.z_H2 * w).max())
+                  + float(np.trapezoid(dissipation_density_reference(params, led) * w, led.t)))
+    return float(np.sqrt(kappa11_sq) + np.sqrt(led.z_H2[-1]))
 
 
 # ---- the checkpoint read back ----

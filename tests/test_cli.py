@@ -11,9 +11,10 @@ import pytest
 import gmnslab
 from gmnslab import cli
 from gmnslab import spectral as sp
-from gmnslab.config import (WORK_CEILING, ConfigError, contract_work, read_config,
-                            resolve_config)
+from gmnslab.config import (_OPTIONS, EXPERIMENTS, WORK_CEILING, ConfigError,
+                            contract_work, read_config, resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
+from gmnslab.seeding import labeled_generator
 
 
 SMALL_SIM = {
@@ -551,6 +552,54 @@ class TestExperimentDefaults:
             assert cfg.params.nu > stability_threshold(cfg.params.level,
                                                        cfg.params.lambda_p)
         assert resolve_config({"experiment": "simulate"}).params.nu == 1.0
+
+    # every option each command reads, with its default at nu = 2, where the
+    # relaxation rate nu lambda_p is 2
+    DEFAULTS = {
+        "check": {"cutoff_pairs": 10_000, "trilinear_triples": 1000,
+                  "monotonicity_triples": 1000, "shift_pairs": 100, "ou_samples": 100_000,
+                  "ou_chi": 1.0},
+        "simulate": {"record_every": 1, "initial": {}},
+        "contract": {"record_every": 4, "x1": {"norm": 1.0}, "x2": {"norm": 0.5}},
+        "pullback": {"pullback_times": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+                     "families": {"small": {"norm": 1.0}, "large": {"norm": 100.0}},
+                     "family_tol": 1e-6},
+        "nse-limit": {"initial": {"norm": 2.0}, "multipliers": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]},
+        "measure": {"burn_in": 2.5, "horizon": 100.0,
+                    "initial_set": {"zero": {"kind": "zero"}, "big": {"norm": 10.0}}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEFAULTS))
+    def test_each_command_reads_its_own_defaults(self, name):
+        cfg = resolve_config({"experiment": name, "assertion_mode": "exploratory",
+                              "params": {"nu": 2.0}})
+        assert set(_OPTIONS[name]) == set(self.DEFAULTS[name])
+        for option, default in self.DEFAULTS[name].items():
+            assert cfg.option(option) == default, option
+        # an option of another command is no option of this one
+        for option in {o for row in self.DEFAULTS.values() for o in row} - set(_OPTIONS[name]):
+            with pytest.raises(KeyError):
+                cfg.option(option)
+
+    def test_every_command_has_a_runner(self):
+        assert set(cli._RUNNERS) == set(EXPERIMENTS)
+
+
+class TestInitialField:
+    # a spec passes random_field only the keys it sets; the others take
+    # random_field's defaults, and its label keys the generator
+    @pytest.mark.parametrize("spec, kw", [
+        ({}, {}), ({"norm": 3.0}, {"norm": 3.0}),
+        ({"kind": "random", "decay": 1.5, "norm": None}, {"decay": 1.5, "norm": None}),
+        ({"label": "other", "decay": -1.0}, {"decay": -1.0})])
+    def test_spec_keys_are_random_field_arguments(self, basis1, spec, kw):
+        got = cli._initial_field(basis1, spec, 5, "ic")
+        want = sp.random_field(basis1, labeled_generator(5, spec.get("label", "ic")), **kw)
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_zero_kind_is_the_zero_field(self, basis1):
+        got = cli._initial_field(basis1, {"kind": "zero", "norm": 3.0}, 5, "ic")
+        assert not got.coeffs.any()
 
 
 class TestFuzzReport:

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmnslab.config import (_CHECK_CASE_POINTS, _EXPERIMENT_OPTIONS, _OPTION_RULES,
-                            EXPERIMENTS, WORK_CEILING, ConfigError, check_work,
-                            resolve_config)
+from gmnslab.config import (_CHECK_CASE_POINTS, _OPTIONS, EXPERIMENTS, WORK_CEILING,
+                            ConfigError, check_work, resolve_config)
 from gmnslab.experiments import stability_threshold
+
+# every option of every command
+OPTIONS = {name for row in _OPTIONS.values() for name in row}
 
 SCALARS = ("nu", "level", "chi", "lambda_p", "dt", "t_final", "dt_path",
            "instability_factor", "noise.s", "noise.amplitude", "noise.delta")
@@ -115,10 +117,10 @@ def test_valid_config_round_trips(raw):
 @settings(max_examples=60, deadline=None)
 @given(raw=valid_configs(), data=st.data())
 def test_unread_option_rejected_naming_field(raw, data):
-    read = _EXPERIMENT_OPTIONS[raw["experiment"]]
+    read = _OPTIONS[raw["experiment"]]
     name = data.draw(st.one_of(
-        st.sampled_from(sorted(set(_OPTION_RULES) - set(read))),
-        st.text(min_size=1, max_size=8).filter(lambda s: s not in _OPTION_RULES)),
+        st.sampled_from(sorted(OPTIONS - set(read))),
+        st.text(min_size=1, max_size=8).filter(lambda s: s not in OPTIONS)),
         label="option")
     with pytest.raises(ConfigError) as err:
         resolve_config(dict(raw, options=dict(raw["options"], **{name: 1})))
@@ -308,4 +310,4 @@ def test_check_work_ceiling_naming_field(name, kmax, data):
 
 def test_every_option_rule_has_a_property():
     covered = set(BAD_OPTIONS) | {"initial", "multipliers"}
-    assert covered == set(_OPTION_RULES)
+    assert covered == OPTIONS

@@ -194,6 +194,11 @@ class TestMonotonicityGap:
             want = 0.5 * params.nu * sp.norm_V(v1) ** 2 + params.eta * sp.norm_H(v1) ** 2
             assert gap == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("nv1, nv2", [(0.0, 0.0), (0.3, 2.0), (17.0, 5.5), (1e3, 1e-3)])
+    def test_tolerance_is_pinned(self, nv1, nv2):
+        # the rounding allowance of the gap, 1e-10 (1 + |v1|_V^2 + |v2|_V^2)
+        assert co.tolerance_of_norms(nv1, nv2) == 1e-10 * (1.0 + nv1**2 + nv2**2)
+
     def test_random_triples_nonnegative(self, basis2, rng):
         params = co.CutoffParams(1.0, 1.0)
         assert params.eta == pytest.approx(100.5301513671875)

@@ -15,8 +15,9 @@ from gmnslab import noise as nz
 from gmnslab import spectral as sp
 from gmnslab.seeding import derive_key, labeled_generator
 
-from oracles import (Recording, cutoff_lipschitz_sides, cutoff_product_bound,
-                     gap_tolerance, monotonicity_gap, recorded)
+from oracles import (Recording, absorbing_bound_reference, cutoff_lipschitz_sides,
+                     cutoff_product_bound, gap_tolerance, monotonicity_gap,
+                     nse_limit_bound_reference, recorded)
 
 
 class TestClosedFormConstants:
@@ -67,6 +68,19 @@ class TestCheckSuites:
         rep = ex.check_ou_stationarity(seed=8, n_samples=20_000, mc_fields=2000)
         assert rep.passed
         assert rep.extra["var_analytic"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("chi", [0.0, 1.0, 100.0])
+    def test_stationary_draws_stack_the_single_samples(self, basis1, chi):
+        # the stacked draws of c06's Monte Carlo are, bit for bit, the
+        # squared norms of one stationary sample at a time, and leave the
+        # generator where those samples leave it
+        spectrum = nz.NoiseSpectrum()
+        one, stack = labeled_generator(106, "ou-mc"), labeled_generator(106, "ou-mc")
+        want = [sp.norm_H(nz.ou_stationary_sample(spectrum, chi, 1.0, basis1, one)) ** 2
+                for _ in range(300)]
+        got = ex._stationary_h2(spectrum, chi, 1.0, basis1, stack, 300)
+        assert got.tolist() == want
+        assert one.random(4).tolist() == stack.random(4).tolist()
 
     def test_shift_covariance_small(self):
         rep = ex.check_shift_covariance(seed=9, n_pairs=25)
@@ -460,6 +474,19 @@ class TestPullback:
         assert math.isfinite(rep.absorbing_bound)
         assert rep.extra["within_bound"] and rep.passed
 
+    @pytest.mark.parametrize("level", [1.0, math.inf])
+    def test_absorbing_bound_is_the_far_windows(self, basis1, rng, level):
+        # kappa11 + kappa12 of the window [-max(times), 0], from one family
+        # re-solved over it; z, and so the bound, is every family's
+        p = it.SimParams(nu=1.0, level=level, dt=1 / 32, t_final=1.0, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.5))
+        fam = {"small": sp.random_field(basis1, rng, norm=1.0),
+               "large": sp.random_field(basis1, rng, norm=10.0)}
+        times = [0.5, 1.0, 2.0]
+        rep = ex.pullback_absorption(p, times, fam, seed=9)
+        want = absorbing_bound_reference(p, times, fam["small"], seed=9)
+        assert rep.absorbing_bound == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_every_time_must_be_a_multiple_of_dt(self, basis2, rng):
         # the largest time is on the grid; 0.3 is not
         p = it.SimParams(nu=1.0, level=1.0, dt=1 / 32, t_final=1.0)
@@ -513,6 +540,18 @@ class TestNseLimit:
         assert all(i <= b for i, b in zip(rep.i_n, rep.i_n_bound))
         # small cutoff levels are genuinely active in this configuration
         assert rep.i_n[0] > 0.0 and rep.int_one_minus_f[0] > 0.0
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_i_n_bound_is_the_a_priori_bound(self, basis1, rng, forced):
+        # (K_T / level^2)^{4/3} at every level, with the forcing's T |f|_V'^2
+        # term in K_T when there is one
+        x = sp.random_field(basis1, rng, norm=2.0)
+        p = it.SimParams(nu=0.5, level=1.0, dt=1 / 64, t_final=0.5, kmax=1,
+                         forcing=sp.random_field(basis1, rng, norm=0.5) if forced else None,
+                         noise=nz.NoiseSpectrum(amplitude=0.0))
+        rep = ex.nse_limit_experiment(x, p, multipliers=(0.25, 1.0, 4.0))
+        want = [nse_limit_bound_reference(x, p, level) for level in rep.levels]
+        assert rep.i_n_bound == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_stacked_levels_equal_single_solves(self, basis2, monkeypatch):
         # the sweep draws one zero-noise path and makes two solves, the

@@ -111,6 +111,9 @@ CONFIGS = [
     ("pullback-zero-noise", {"experiment": "pullback", "seed": 24,
                              "params": dict(_SMALL, noise={"amplitude": 0.0}),
                              "options": {"pullback_times": [0.5, 1.0, 2.0]}}),
+    # no options: the times default to m / (nu lambda_p), m = 1, 2, ..., 32
+    ("pullback-defaults", {"experiment": "pullback", "seed": 27,
+                           "params": {"kmax": 1, "dt": 1 / 32, "noise": {"amplitude": 0.5}}}),
     ("measure", {"experiment": "measure", "seed": 16,
                  "params": dict(_SMALL, nu=4.0, noise={"amplitude": 0.5}),
                  "options": {"burn_in": 0.5, "horizon": 20.0}}),
@@ -121,6 +124,10 @@ CONFIGS = [
                                    "initial_set": {"zero": {"kind": "zero"},
                                                    "big": {"norm": 10.0},
                                                    "mid": {"norm": 3.0}}}}),
+    # no options: burn-in 5 / (nu lambda_p) = 1.25 and horizon 200 / (nu lambda_p) = 50
+    ("measure-defaults", {"experiment": "measure", "seed": 28,
+                          "params": {"kmax": 1, "dt": 1 / 32, "nu": 4.0,
+                                     "noise": {"amplitude": 0.5}}}),
     ("check", {"experiment": "check", "seed": 17, "params": {"kmax": 1},
                "options": {"cutoff_pairs": 200, "trilinear_triples": 40,
                            "monotonicity_triples": 10, "ou_samples": 5000,
