@@ -49,10 +49,17 @@ def _np_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
+class NonFiniteJSON(ValueError):
+    """A NaN or infinity, which strict JSON refuses; a run that computes one exits 4."""
+
+
 def _write_json(path: str, payload: dict) -> None:
-    """Sorted, indented JSON; a NaN or infinity raises ValueError before the
-    file is opened, so it leaves no file."""
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_np_default, allow_nan=False)
+    """Sorted, indented JSON; a NaN or infinity raises NonFiniteJSON before
+    the file is opened, so it leaves no file."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, default=_np_default, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteJSON(f"{os.path.basename(path)}: {exc}") from exc
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -195,7 +202,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> int:
         summary_path = os.path.join(out, "summary.json")
         _write_json(summary_path, summary)
         artifacts = [cfg_path, summary_path] + artifacts
-    except it.InstabilityError as exc:
+    except (it.InstabilityError, NonFiniteJSON) as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
     except ex.HorizonError as exc:

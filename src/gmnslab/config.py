@@ -3,7 +3,11 @@
 The resolved configuration round-trips losslessly, every run directory keeps
 the exact copy that produced it, and the pair (config, seed) determines all
 outputs byte-for-byte.  Validation failures carry the offending field name.
-Each command's options, with their defaults and rules, are declared once, in
+Each params rule is declared once, beside its field in `integrate.SimParams`
+or `noise.NoiseSpectrum`, whose message this module passes through; it adds
+only what JSON brings (unknown keys, object shapes, the forcing as base64
+text) and the ceilings of chi * dt, eta, E|z|_H^2 and the instability.  Each
+command's options, with their defaults and rules, are declared once, in
 `_OPTIONS`, and a command reads only its own.  One function, `run_budget`,
 bounds the bytes a run holds at once and the work of contract and check, each
 against its one ceiling.
@@ -18,9 +22,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from .cutoff import CutoffParams
 from .experiments import MEASURE_BATCHES, member_bytes, member_tile, stability_threshold
 from .integrate import SimParams
-from .noise import (MIN_REGULARITY, PATH_TABLE_CEILING, NoiseSpectrum, path_table_bytes,
+from .noise import (PATH_TABLE_CEILING, NoiseSpectrum, _finite, _is_int, path_table_bytes,
                     stationary_mean_H2)
-from .spectral import KMAX_CEILING
 
 # The largest chi * dt a run may take.  z decorrelates within
 # 1/(nu |k|^2 + chi) <= 1/chi, and the stepper's trapezoid of chi z needs a
@@ -58,12 +61,6 @@ PARAM_DEFAULTS = {
     **{f.name: f.default for f in fields(SimParams) if f.default is not MISSING},
     "noise": asdict(NoiseSpectrum()),
 }
-
-
-# params fields that must be finite numbers ("inf" is also legal for level,
-# null for dt_path)
-_NUMERIC_PARAMS = ("nu", "level", "chi", "lambda_p", "dt", "t_final", "dt_path",
-                   "instability_factor")
 
 
 class ConfigError(ValueError):
@@ -113,16 +110,6 @@ class RunConfig:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool (bool subclasses int in Python)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _finite(x) -> bool:
-    """A finite number that is not a bool."""
-    return (isinstance(x, float) or _is_int(x)) and -math.inf < x < math.inf
 
 
 class _NonFinite(str):
@@ -180,34 +167,12 @@ def resolve_config(raw: dict) -> RunConfig:
         else:
             pd[key] = value
 
-    _require(_is_int(pd["kmax"]) and 1 <= pd["kmax"] <= KMAX_CEILING,
-             f"field 'params.kmax' must be an integer in [1, {KMAX_CEILING}], "
-             f"got {pd['kmax']!r}")
-    noise = pd["noise"]
-    for name, value in [(k, pd[k]) for k in _NUMERIC_PARAMS] + [
-            (f"noise.{k}", noise[k]) for k in ("s", "amplitude", "delta")]:
-        _require(_finite(value) or (name, value) in (("level", math.inf), ("level", "inf"),
-                                                     ("dt_path", None)),
-                 f"field 'params.{name}' must be a finite number"
-                 + (' or "inf"' if name == "level" else "") + f", got {value!r}")
-    # the smallest Stokes eigenvalue is |k|^2 = 1 at k = (0, 0, 1) for every kmax
-    _require(pd["lambda_p"] == 1.0,
-             "field 'params.lambda_p' must equal the Poincare constant 1.0 of the "
-             f"basis, got {pd['lambda_p']!r}")
-    _require(isinstance(noise["allow_rough"], bool), "field 'params.noise.allow_rough' "
-             f"must be true or false, got {noise['allow_rough']!r}")
     _require(pd["forcing"] is None or isinstance(pd["forcing"], str),
              f"field 'params.forcing' must be null or base64 text, got {pd['forcing']!r}")
-    if noise["s"] <= MIN_REGULARITY and not noise["allow_rough"]:
-        raise ConfigError(
-            f"field 'params.noise.s' = {noise['s']} violates the regularity "
-            f"requirement s > {MIN_REGULARITY}; set params.noise.allow_rough "
-            "to override at finite truncation"
-        )
     try:
         params = SimParams.from_dict(pd)
     except ValueError as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     _require(params.chi * params.dt <= CHI_DT_CEILING,
              f"field 'params.chi' = {params.chi!r} gives chi * dt = "
              f"{params.chi * params.dt:.3g} at dt = {params.dt!r}, above {CHI_DT_CEILING}")
@@ -323,7 +288,8 @@ def _span(cfg: RunConfig) -> tuple[str, float]:
     if cfg.experiment == "measure":  # one path per initial state over [0, burn_in + horizon]
         name = "fields 'options.burn_in' + 'options.horizon'"
         span = cfg.option("burn_in") + cfg.option("horizon")
-    _require(abs(round(span / dt) * dt - span) <= 1e-9 * max(1.0, span),
+    steps = span / dt
+    _require(math.isfinite(steps) and abs(round(steps) * dt - span) <= 1e-9 * max(1.0, span),
              f"{name} = {span} must be a whole number of steps of params.dt = {dt}")
     return name, span
 
@@ -398,7 +364,8 @@ def _validate_experiment(cfg: RunConfig) -> None:
     if cfg.experiment == "pullback":
         # the tolerance of experiments.pullback_absorption
         times = cfg.option("pullback_times")
-        _require(all(abs(round(t / p.dt) * p.dt - t) <= 1e-9 for t in times),
+        _require(all(math.isfinite(t / p.dt) and abs(round(t / p.dt) * p.dt - t) <= 1e-9
+                     for t in times),
                  f"field 'options.pullback_times' must hold multiples of "
                  f"params.dt = {p.dt}, got {times!r}")
     if cfg.experiment == "measure":

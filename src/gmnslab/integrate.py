@@ -58,6 +58,9 @@ continued with its OU cursor started at the saved z is bit for bit the
 uninterrupted one.  The package writes it; `tests/oracles.py` reads it back
 and continues the run.
 
+`SimParams` declares each parameter's rule beside its field and refuses a
+bad value with "field 'params.<name>' must be <what>, got <value!r>".
+
 The a priori bound and the pullback energy inequality are checked with the
 explicit constants produced by the Young splits of the corresponding
 estimates (see `dissipation_forcing_density`), not with guessed generic
@@ -75,8 +78,10 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .cutoff import cutoff_advection_coeffs
-from .noise import NoiseSpectrum, OUCursor, WienerPath
+from .noise import (NON_NEGATIVE, POSITIVE, NoiseSpectrum, OUCursor, WienerPath, _finite,
+                    _is_int, check_rules, rule)
 from .spectral import (
+    KMAX_CEILING,
     GalerkinBasis,
     SpectralField,
     build_basis,
@@ -112,60 +117,48 @@ class SimParams:
     truncated Navier-Stokes).  lambda_p is the Poincare constant and must
     equal the smallest Stokes eigenvalue of the basis (1 on this box).
     Solver steps must be integer multiples of dt_path so that path shifts
-    and z-realizations are exact.
+    and z-realizations are exact.  Each field declares its rule, which the
+    constructor checks in field order (`noise.check_rules`): a value one
+    refuses raises ValueError "field 'params.<name>' must be <what>, got
+    <value!r>".  t_final >= dt names t_final, dt a whole multiple of
+    dt_path names dt_path, and a forcing off kmax names forcing.
     """
 
-    nu: float
-    level: float
-    chi: float = 0.0
-    lambda_p: float = 1.0
-    forcing: SpectralField | None = None
-    dt: float = 1.0 / 256
-    t_final: float = 1.0
-    kmax: int = 2
+    nu: float = rule(*POSITIVE)
+    level: float = rule(lambda x, p: x == math.inf or _finite(x) and x > 0,
+                        "a finite number > 0, or inf for no cutoff")
+    chi: float = rule(*NON_NEGATIVE, default=0.0)
+    # |k|^2 = 1 at k = (0, 0, 1) for every kmax
+    lambda_p: float = rule(lambda x, p: _finite(x) and x == 1.0,
+                           "the Poincare constant 1.0 of the basis", default=1.0)
+    forcing: SpectralField | None = rule(
+        lambda f, p: f is None or isinstance(f, SpectralField)
+        and f.basis.kmax == p.kmax and bool(np.isfinite(f.coeffs).all()),
+        "null or a finite field on kmax {p.kmax!r}", default=None)
+    dt: float = rule(*POSITIVE, default=1.0 / 256)
+    t_final: float = rule(lambda x, p: _finite(x) and x >= p.dt,
+                          "a finite number >= dt = {p.dt!r}", default=1.0)
+    kmax: int = rule(lambda k, p: _is_int(k) and 1 <= k <= KMAX_CEILING,
+                     f"an integer in [1, {KMAX_CEILING}]", default=2)
     noise: NoiseSpectrum = field(default_factory=NoiseSpectrum)
-    dt_path: float | None = None
-    instability_factor: float = 1e6
+    # None takes dt; m = dt / dt_path must be a whole number >= 1 (to 1e-9)
+    dt_path: float | None = rule(
+        lambda x, p: _finite(x) and x > 0 and math.isfinite(m := p.dt / x)
+        and abs(m - round(m)) <= 1e-9 and round(m) >= 1,
+        "a finite number > 0 that divides dt = {p.dt!r} a whole number of times", default=None)
+    instability_factor: float = rule(*POSITIVE, default=1e6)
 
     def __post_init__(self):
-        # NaN fails every test; level = inf means no cutoff
-        for name, ok in (("nu", self.nu > 0 and math.isfinite(self.nu)),
-                         ("level", self.level > 0),
-                         ("chi", self.chi >= 0 and math.isfinite(self.chi)),
-                         ("instability_factor", self.instability_factor > 0
-                          and math.isfinite(self.instability_factor))):
-            if not ok:
-                raise ValueError(f"{name}={getattr(self, name)} is invalid: need finite "
-                                 "nu > 0, level > 0 (inf: no cutoff), finite chi >= 0, "
-                                 "finite instability_factor > 0")
-        if not (self.dt > 0 and math.isfinite(self.t_final) and self.t_final >= self.dt):
-            raise ValueError("need dt > 0 and finite t_final >= dt")
         if self.dt_path is None:
             object.__setattr__(self, "dt_path", self.dt)
-        if not (self.dt_path > 0 and math.isfinite(self.dt_path)):
-            raise ValueError(f"dt_path={self.dt_path} is invalid: need finite dt_path > 0")
-        m = self.dt / self.dt_path
-        if abs(m - round(m)) > 1e-9 or round(m) < 1:
-            raise ValueError(
-                f"dt={self.dt} must be a positive integer multiple of dt_path={self.dt_path}"
-            )
-        f = self.forcing
-        if f is not None and (f.basis.kmax != self.kmax or not np.isfinite(f.coeffs).all()):
-            raise ValueError(f"params.forcing must be a finite field on kmax={self.kmax} "
-                             f"(it has kmax {f.basis.kmax})")
+        check_rules(self, "params")
 
     @property
     def substeps(self) -> int:
         return int(round(self.dt / self.dt_path))
 
     def basis(self) -> GalerkinBasis:
-        b = build_basis(self.kmax)
-        if b.poincare_constant != self.lambda_p:
-            raise ValueError(
-                f"lambda_p={self.lambda_p} must equal the smallest Stokes eigenvalue "
-                f"{b.poincare_constant}"
-            )
-        return b
+        return build_basis(self.kmax)
 
     def forcing_dual_norm(self) -> float:
         return 0.0 if self.forcing is None else norm_dual(self.forcing)
@@ -181,18 +174,23 @@ class SimParams:
 
     @staticmethod
     def from_dict(d: dict) -> "SimParams":
-        """Inverse of to_dict; an omitted key takes the field's default."""
+        """Inverse of to_dict; an omitted key takes the field's default.  The
+        forcing is decoded on the basis of kmax once every other field's rule
+        has held."""
         kw = {f.name: d[f.name] for f in fields(SimParams) if f.name in d}
         if kw.get("level") == "inf":
             kw["level"] = math.inf
-        if kw.get("forcing") is not None:
-            try:
-                kw["forcing"] = field_from_bytes(base64.b64decode(kw["forcing"]),
-                                                 build_basis(kw.get("kmax", SimParams.kmax)))
-            except (ValueError, struct.error) as exc:
-                raise ValueError(f"params.forcing is not a field payload: {exc}") from exc
         kw["noise"] = NoiseSpectrum(**kw.get("noise", {}))
-        return SimParams(**kw)
+        text = kw.pop("forcing", None)
+        p = SimParams(**kw)
+        if text is None:
+            return p
+        try:
+            forcing = field_from_bytes(base64.b64decode(text), p.basis())
+        except (ValueError, struct.error) as exc:
+            raise ValueError(f"field 'params.forcing' must be base64 text of a field "
+                             f"payload on kmax {p.kmax}, got one that is not: {exc}") from exc
+        return replace(p, forcing=forcing)
 
 
 @dataclass

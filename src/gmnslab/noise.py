@@ -26,7 +26,9 @@ law (per-mode variance sigma^2 / (2*mu)) at the start of the path window,
 which replaces an infinite burn-in.  Under the index relabeling of the shift
 map that start is invariant, which makes the shift covariance
 z(shifted path)(t) = z(path)(t+s) hold bit-exactly rather than
-statistically.
+statistically.  `NoiseSpectrum` declares each field's rule beside it (`rule`;
+`check_rules` checks them, for `integrate.SimParams` too) and refuses a bad
+value with "field 'params.noise.<name>' must be <what>, got <value!r>".
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -65,6 +67,37 @@ def path_table_bytes(steps: float, kmax: int) -> float:
     return 8 * steps * 2 * ((2 * kmax + 1) ** 3 - 1)
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (bool subclasses int in Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    """A finite number that is not a bool."""
+    return (isinstance(x, float) or _is_int(x)) and -math.inf < x < math.inf
+
+
+def rule(valid, what: str, **kw):
+    """A dataclass field with its rule: valid(value, obj), and `what` (obj as p)."""
+    return field(metadata={"rule": (valid, what)}, **kw)
+
+
+def check_rules(obj, prefix: str) -> None:
+    """Check obj's field rules in field order; ValueError at the first refusal."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            valid, what = f.metadata["rule"]
+            value = getattr(obj, f.name)
+            if not valid(value, obj):
+                raise ValueError(f"field '{prefix}.{f.name}' must be "
+                                 f"{what.format(p=obj)}, got {value!r}")
+
+
+# (validator, what it must be) of the rules several parameters follow
+POSITIVE = (lambda x, p: _finite(x) and x > 0, "a finite number > 0")
+NON_NEGATIVE = (lambda x, p: _finite(x) and x >= 0, "a finite number >= 0")
+
+
 @dataclass(frozen=True)
 class NoiseSpectrum:
     """Per-mode noise amplitudes sigma_k = amplitude * |k|^(-2s).
@@ -77,23 +110,17 @@ class NoiseSpectrum:
     delta < 1/2 < s at construction; it plays no computational role here.
     """
 
-    s: float = 1.0
-    amplitude: float = 1.0
-    delta: float = 0.25
-    allow_rough: bool = False
+    s: float = rule(lambda x, p: _finite(x) and (x > MIN_REGULARITY or p.allow_rough),
+                    f"a finite number > {MIN_REGULARITY} (any finite number with "
+                    "allow_rough true)", default=1.0)
+    amplitude: float = rule(*NON_NEGATIVE, default=1.0)
+    delta: float = rule(lambda x, p: _finite(x) and 0 < x < 0.5 and x < p.s,
+                        "a finite number in (0, 1/2) below s = {p.s!r}", default=0.25)
+    allow_rough: bool = rule(lambda x, p: isinstance(x, bool), "true or false",
+                             default=False)
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("noise amplitude must be nonnegative")
-        if self.s <= MIN_REGULARITY and not self.allow_rough:
-            raise ValueError(
-                f"regularity s={self.s} requires s > {MIN_REGULARITY}"
-                " (pass allow_rough=True to override at finite truncation)"
-            )
-        if not 0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
-        if self.delta >= self.s:
-            raise ValueError("compatibility requires delta < s")
+        check_rules(self, "params.noise")
 
     def mode_amplitudes(self, basis: GalerkinBasis) -> np.ndarray:
         """sigma per half-space mode, shape (n_half_modes,)."""

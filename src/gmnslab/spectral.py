@@ -316,7 +316,7 @@ class SpectralField:
     """
 
     basis: GalerkinBasis
-    coeffs: np.ndarray
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)

@@ -187,10 +187,18 @@ class TestRegistry:
 
 
 class TestModesAndExitCodes:
+    def test_non_finite_summary_is_an_instability(self, tmp_path, monkeypatch, capsys):
+        # strict JSON refuses a NaN: the run exits 4, naming the file, and
+        # writes no summary and no registry record
+        monkeypatch.setattr(cli.it, "apriori_margin", lambda params, ledger: math.nan)
+        out = tmp_path / "a"
+        argv = ["simulate", "--config", write_config(tmp_path, SMALL_SIM), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_INSTABILITY
+        assert "summary.json" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not (out / "registry.jsonl").exists()
+
     def test_config_error_exit(self, tmp_path, capsys):
-        bad = write_config(tmp_path, {"experiment": "simulate",
-                                      "params": {"noise": {"s": 0.2}}})
-        assert cli.main(["simulate", "--config", bad]) == cli.EXIT_CONFIG
         # forcing payloads of a kmax-1 run: one serialized at kmax 2, one with
         # a NaN coefficient (not an instability), and two that do not decode
         small = {"kmax": 1, "dt": 1 / 32, "t_final": 0.25}
@@ -237,12 +245,26 @@ class TestModesAndExitCodes:
             ({"params": {"chi": 16.0, "dt": 1 / 32}}, "'params.chi'"),
             ({"params": {"nu": "1"}}, "'params.nu'"),
             ({"params": {"dt": "x"}}, "'params.dt'"),
-            ({"params": {"dt_path": 0}}, "dt_path"),
+            ({"params": {"dt_path": 0}}, "'params.dt_path'"),
+            # dt / dt_path is inf: refused, not an OverflowError
+            ({"params": {"dt_path": 1e-320}}, "'params.dt_path'"),
+            ({"params": {"dt": 1 / 32, "dt_path": 3 / 128}}, "'params.dt_path'"),
+            ({"params": {"dt": -1}}, "'params.dt'"),
+            ({"params": {"dt": 0}}, "'params.dt'"),
+            ({"params": {"t_final": 0}}, "'params.t_final'"),
+            ({"params": {"dt": 1 / 32, "t_final": 1 / 64}}, "'params.t_final'"),
+            ({"params": {"noise": {"s": 0.2}}}, "'params.noise.s'"),
+            ({"params": {"noise": {"delta": 0.6}}}, "'params.noise.delta'"),
+            ({"params": {"noise": {"delta": 0}}}, "'params.noise.delta'"),
+            ({"params": {"noise": {"amplitude": -1}}}, "'params.noise.amplitude'"),
+            # delta < s binds once allow_rough lets s fall below 1/2
+            ({"params": {"noise": {"s": 0.4, "delta": 0.45, "allow_rough": True}}},
+             "'params.noise.delta'"),
             ({"params": []}, "'params'"),
             ({"params": {"noise": []}}, "'params.noise'"),
             ({"params": {"lambda_p": -1}}, "'params.lambda_p'"),
             ({"params": {"lambda_p": 2.0}}, "'params.lambda_p'"),
-            *(({"params": dict(small, forcing=f)}, "params.forcing") for f in forcing),
+            *(({"params": dict(small, forcing=f)}, "'params.forcing'") for f in forcing),
             # only a JSON boolean overrides the regularity rule
             ({"params": {"noise": {"s": 0.5, "allow_rough": "false"}}},
              "'params.noise.allow_rough'"),
@@ -268,6 +290,10 @@ class TestModesAndExitCodes:
             # the default horizons 5/nu + 200/nu are off the default dt grid at nu = 3
             ({"experiment": "measure", "params": {"nu": 3.0}},
              "'options.burn_in' + 'options.horizon'"),
+            # a subnormal dt puts inf steps in a span: refused, not an OverflowError
+            ({"params": {"dt": 1e-320}}, "'params.t_final'"),
+            ({"experiment": "pullback", "params": {"dt": 1e-320}},
+             "'options.pullback_times'"),
             # and the runs over [0, t_final] march t_final in whole steps too
             ({"params": {"dt": 1 / 32, "t_final": 0.3}}, "'params.t_final'"),
             ({"experiment": "nse-limit", "params": {"dt": 1 / 32, "t_final": 0.3}},
@@ -348,8 +374,8 @@ class TestModesAndExitCodes:
             ({"options": {"recrd_every": 4}}, "'options.recrd_every'"),
             ({"options": {"multipliers": [1.0]}}, "'options.multipliers'"),
             # the instability ceiling is instability_factor * max(1, |v0|_H)
-            ({"params": {"instability_factor": 0}}, "instability_factor"),
-            ({"params": {"instability_factor": -1}}, "instability_factor"),
+            ({"params": {"instability_factor": 0}}, "'params.instability_factor'"),
+            ({"params": {"instability_factor": -1}}, "'params.instability_factor'"),
             # the command line's overrides (after the config's fields) are
             # config fields and pass the same rules
             ({"experiment": "contract", "assertion_mode": "exploratory",

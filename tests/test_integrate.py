@@ -60,9 +60,32 @@ class TestSimParams:
         assert it.SimParams(nu=1.0, level=math.inf).level == math.inf
 
     def test_poincare_constant_checked(self):
-        p = it.SimParams(nu=1.0, level=1.0, lambda_p=2.0)
-        with pytest.raises(ValueError):
-            p.basis()
+        # the smallest Stokes eigenvalue of every basis is 1
+        with pytest.raises(ValueError, match="'params.lambda_p'"):
+            it.SimParams(nu=1.0, level=1.0, lambda_p=2.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_p", math.nan), ("nu", True), ("kmax", 2.0), ("kmax", 9), ("dt", 0.0),
+        ("t_final", 1 / 512), ("dt_path", 3 / 1024), ("dt_path", 1e-320),
+        ("instability_factor", math.inf), ("level", -math.inf)])
+    def test_direct_callers_get_the_config_rules(self, field, value):
+        # the rules live on SimParams itself, so a direct caller meets each
+        # one the config does, named as the config names it
+        with pytest.raises(ValueError, match=f"^field 'params.{field}' must be "):
+            it.SimParams(**{"nu": 1.0, "level": 1.0, field: value})
+
+    def test_forcing_on_another_kmax_rejected(self, basis2, rng):
+        f = sp.random_field(basis2, rng)
+        assert it.SimParams(nu=1.0, level=1.0, forcing=f).forcing is f
+        with pytest.raises(ValueError, match="^field 'params.forcing' must be "):
+            it.SimParams(nu=1.0, level=1.0, forcing=f, kmax=1)
+
+    @pytest.mark.parametrize("kmax", [9, 2.0, "2"])
+    def test_from_dict_checks_kmax_before_the_forcing(self, basis2, rng, kmax):
+        # a bad kmax is named before a basis is built for the forcing
+        d = it.SimParams(nu=1.0, level=1.0, forcing=sp.random_field(basis2, rng)).to_dict()
+        with pytest.raises(ValueError, match="^field 'params.kmax' must be "):
+            it.SimParams.from_dict(dict(d, kmax=kmax))
 
     def test_dict_round_trip(self, basis2, rng):
         f = sp.random_field(basis2, rng, norm=0.3)

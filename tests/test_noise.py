@@ -40,6 +40,22 @@ class TestSpectrum:
         # delta < 1/2 < s compatible
         nz.NoiseSpectrum(s=0.76, delta=0.49)
 
+    @pytest.mark.parametrize("field", ["amplitude", "s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^field 'params.noise.{field}' must be "):
+            nz.NoiseSpectrum(**{field: value})
+        with pytest.raises(ValueError, match=f"^field 'params.noise.{field}' must be "):
+            nz.NoiseSpectrum(**{field: value, "allow_rough": True})
+
+    @pytest.mark.parametrize("kw, field", [
+        ({"s": 0.5}, "s"), ({"amplitude": -1.0}, "amplitude"), ({"delta": 0.6}, "delta"),
+        ({"delta": 0.0}, "delta"), ({"s": 0.4, "delta": 0.45, "allow_rough": True}, "delta"),
+        ({"allow_rough": 1}, "allow_rough")])
+    def test_each_rule_names_its_field(self, kw, field):
+        with pytest.raises(ValueError, match=f"^field 'params.noise.{field}' must be "):
+            nz.NoiseSpectrum(**kw)
+
     def test_amplitudes_positive_decreasing(self, basis2):
         spec = nz.NoiseSpectrum(s=1.0)
         amp = spec.mode_amplitudes(basis2)

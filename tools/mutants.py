@@ -59,6 +59,12 @@ MUTANTS = [
     ("monotonicity: the gap tolerance 1e-10 as 1e-6", "src/gmnslab/cutoff.py",
      "return 1e-10 * (1.0 + nv1**2 + nv2**2)",
      "return 1e-6 * (1.0 + nv1**2 + nv2**2)"),
+    ("params: SimParams' dt > 0 as dt >= 0", "src/gmnslab/integrate.py",
+     "dt: float = rule(*POSITIVE, default=1.0 / 256)",
+     "dt: float = rule(lambda x, p: _finite(x) and x >= 0, POSITIVE[1], default=1.0 / 256)"),
+    ("params: NoiseSpectrum's delta bound 1/2 as 1", "src/gmnslab/noise.py",
+     "_finite(x) and 0 < x < 0.5 and x < p.s",
+     "_finite(x) and 0 < x < 1.0 and x < p.s"),
 ]
 
 COPIED = ("src", "tests", "tools", "pyproject.toml")
