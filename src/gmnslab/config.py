@@ -3,27 +3,30 @@
 The resolved configuration round-trips losslessly, every run directory keeps
 the exact copy that produced it, and the pair (config, seed) determines all
 outputs byte-for-byte.  Validation failures carry the offending field name.
-Each params rule is declared once, beside its field in `integrate.SimParams`
-or `noise.NoiseSpectrum`, whose message this module passes through; it adds
-only what JSON brings (unknown keys, object shapes, the forcing as base64
-text) and the ceilings of chi * dt, eta, E|z|_H^2 and the instability.  Each
-command's options, with their defaults and rules, are declared once, in
-`_OPTIONS`, and a command reads only its own.  One function, `run_budget`,
-bounds the bytes a run holds at once and the work of contract and check, each
-against its one ceiling.
+Every field declares its default and its rule once, beside it: the top-level
+fields in `RunConfig`, the params in `integrate.SimParams` and
+`noise.NoiseSpectrum`, each command's options in `_OPTIONS` (a command reads
+only its own).  A rule is (validator(value, ctx), what), and one function,
+`noise.check`, refuses a bad value as "field '<name>' must be <what>, got
+<value!r>", where `what` may name ctx's fields.  Beside the rules this
+module checks only what JSON brings (unknown keys, object shapes, the
+forcing as base64 text), the ceilings of chi * dt, eta, E|z|_H^2 and the
+instability, the command rules that read the ensemble or the mode, and, in
+`run_budget`, the bytes a run holds at once and the work of contract and
+check, each against its one ceiling.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .cutoff import CutoffParams
 from .experiments import MEASURE_BATCHES, member_bytes, member_tile, stability_threshold
 from .integrate import SimParams
-from .noise import (PATH_TABLE_CEILING, NoiseSpectrum, _finite, _is_int, path_table_bytes,
-                    stationary_mean_H2)
+from .noise import (NON_NEGATIVE, PATH_TABLE_CEILING, NoiseSpectrum, _finite, _is_int, check,
+                    check_rules, path_table_bytes, rule, stationary_mean_H2)
 
 # The largest chi * dt a run may take.  z decorrelates within
 # 1/(nu |k|^2 + chi) <= 1/chi, and the stepper's trapezoid of chi z needs a
@@ -54,28 +57,113 @@ _CHECK_CASE_POINTS = {
     "shift_pairs": (0.0, 2600),
 }
 
-# SimParams's own defaults (dt_path stays None: the config keeps it unresolved)
-# plus the two it leaves to its caller
-PARAM_DEFAULTS = {
-    "nu": 1.0, "level": 1.0,
-    **{f.name: f.default for f in fields(SimParams) if f.default is not MISSING},
-    "noise": asdict(NoiseSpectrum()),
-}
-
-
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+# an initial-field spec (see cli._initial_field): an object whose every key is one
+# of these and passes its check; spectral.random_field defaults the keys left out
+_SPEC_KEYS = {"kind": lambda k: k in ("random", "zero"), "decay": _finite,
+              "norm": lambda n: n is None or _finite(n) and n > 0,
+              "label": lambda s: isinstance(s, str)}
+
+
+def _is_field_spec(spec) -> bool:
+    return isinstance(spec, dict) and all(k in _SPEC_KEYS and _SPEC_KEYS[k](v)
+                                          for k, v in spec.items())
+
+
+def _positive_list(xs) -> bool:
+    return isinstance(xs, list) and bool(xs) and all(_finite(x) and x > 0 for x in xs)
+
+
+_FIELD_SPEC = ('an initial-field spec: an object with kind "random" or "zero", '
+               "norm a finite number > 0 or null, decay a finite number, label a "
+               "string and no other key")
+
+# (validator(value, cfg), what it must be) of the rules more than one option follows
+_COUNT = (lambda n, p: _is_int(n) and n >= 1, "an integer >= 1")
+_SPEC = (lambda s, p: _is_field_spec(s), _FIELD_SPEC)
+_SPECS = (lambda d, p: isinstance(d, dict) and d and all(map(_is_field_spec, d.values())),
+          f"a non-empty object whose every entry is {_FIELD_SPEC}")
+
+# command -> option -> (default, (validator(value, cfg), what it must be)):
+# the options each command reads, in the order they are checked, where
+# `what` may name the run's fields as p; a callable default is a function of
+# the relaxation rate nu * lambda_p.  simulate's record_every reads nothing
+# (a solve keeps no snapshots) but stays while the benchmark's config sets it
+_OPTIONS = {
+    "check": {"cutoff_pairs": (10_000, _COUNT), "trilinear_triples": (1000, _COUNT),
+              "monotonicity_triples": (1000, _COUNT), "shift_pairs": (100, _COUNT),
+              # a variance needs two samples
+              "ou_samples": (100_000, (lambda n, p: _is_int(n) and n >= 2, "an integer >= 2")),
+              "ou_chi": (1.0, NON_NEGATIVE)},
+    "simulate": {"record_every": (1, _COUNT), "initial": ({}, _SPEC)},
+    "contract": {"record_every": (4, _COUNT), "x1": ({"norm": 1.0}, _SPEC),
+                 "x2": ({"norm": 0.5}, _SPEC)},
+    # the decay check compares each time's term with the next larger time's;
+    # each time is whole steps of dt to the tolerance of
+    # experiments.pullback_absorption
+    "pullback": {"pullback_times": (
+                     lambda rate: [m / rate for m in (1, 2, 4, 8, 16, 32)],
+                     (lambda xs, p: _positive_list(xs) and len(set(xs)) == len(xs)
+                      and all(math.isfinite(t / p.params.dt)
+                              and abs(round(t / p.params.dt) * p.params.dt - t) <= 1e-9
+                              for t in xs),
+                      "a non-empty list of distinct finite numbers > 0, each a multiple "
+                      "of params.dt = {p.params.dt!r}")),
+                 "families": ({"small": {"norm": 1.0}, "large": {"norm": 100.0}}, _SPECS),
+                 "family_tol": (1e-6, NON_NEGATIVE)},
+    # the sweep compares each level's run with the next larger level's; the
+    # unmodified run from a zero field without forcing stays at 0, and so
+    # would the cutoff levels, which scale with its L4 norm
+    "nse-limit": {"initial": ({"norm": 2.0},
+                              (lambda s, p: _is_field_spec(s) and (
+                                  s.get("kind") != "zero" or p.params.forcing is not None),
+                               f"{_FIELD_SPEC}, and not the zero field while "
+                               "params.forcing is null")),
+                  "multipliers": ([0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+                                  (lambda xs, p: _positive_list(xs)
+                                   and all(a < b for a, b in zip(xs, xs[1:])),
+                                   "a strictly increasing non-empty list of finite "
+                                   "numbers > 0"))},
+    # measure's horizon holds one step per batch of its error bars
+    "measure": {"burn_in": (lambda rate: 5.0 / rate, NON_NEGATIVE),
+                "horizon": (lambda rate: 200.0 / rate,
+                            (lambda x, p: _finite(x) and x >= MEASURE_BATCHES * p.params.dt,
+                             f"a finite number of at least {MEASURE_BATCHES} steps of "
+                             "params.dt = {p.params.dt!r}")),
+                "initial_set": ({"zero": {"kind": "zero"}, "big": {"norm": 10.0}}, _SPECS)},
+}
+
+EXPERIMENTS = tuple(_OPTIONS)
+
+
 @dataclass
 class RunConfig:
-    experiment: str
-    seed: int = 0
-    ensemble: int = 64
-    assertion_mode: str = "strict"
-    out: str | None = None
+    """A run: each top-level field declares its default and its rule, which
+    the constructor checks in field order (`noise.check_rules`); params,
+    which holds its own rules, is set once these hold."""
+
+    experiment: str = rule(lambda x, p: x in EXPERIMENTS, f"one of {EXPERIMENTS}",
+                           default=None)
+    seed: int = rule(lambda x, p: _is_int(x) and 0 <= x < 2**64,
+                     "a 64-bit unsigned integer", default=0)
+    ensemble: int = rule(_COUNT[0], "a positive integer", default=64)
+    assertion_mode: str = rule(lambda x, p: x in ("strict", "exploratory"),
+                               "'strict' or 'exploratory'", default="strict")
+    out: str | None = rule(lambda x, p: x is None or isinstance(x, str), "null or a string",
+                           default=None)
     params: SimParams = None
-    options: dict = field(default_factory=dict)
+    options: dict = rule(lambda x, p: isinstance(x, dict), "an object", default_factory=dict)
+
+    def __post_init__(self):
+        check_rules(self)
 
     @property
     def strict(self) -> bool:
@@ -107,11 +195,6 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
 class _NonFinite(str):
     """What JSON parsing leaves in place of a NaN/Infinity/-Infinity literal."""
 
@@ -128,51 +211,42 @@ def _reject_non_finite(node, where: str = "") -> None:
 
 
 def resolve_config(raw: dict) -> RunConfig:
-    """Fill defaults, cross-validate, and build the typed configuration.  The
-    one check of a run: the command line's overrides are set on `raw` first,
-    and the experiments do not repeat its rules."""
-    unknown = set(raw) - {
-        "experiment", "seed", "ensemble", "assertion_mode", "out", "params", "options",
-    }
+    """Check the top-level fields, build the params and check the command's
+    options and the run's ceilings.  The one check of a run: the command
+    line's overrides are set on `raw` first, and the experiments do not
+    repeat its rules."""
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     _require(not unknown, f"unknown top-level field(s): {sorted(unknown)}")
-    experiment = raw.get("experiment")
-    _require(
-        experiment in EXPERIMENTS,
-        f"field 'experiment' must be one of {EXPERIMENTS}, got {experiment!r}",
-    )
-    seed = raw.get("seed", 0)
-    _require(_is_int(seed) and 0 <= seed < 2**64,
-             f"field 'seed' must be a 64-bit unsigned integer, got {seed!r}")
-    ensemble = raw.get("ensemble", 64)
-    _require(_is_int(ensemble) and ensemble >= 1,
-             f"field 'ensemble' must be a positive integer, got {ensemble!r}")
-    mode = raw.get("assertion_mode", "strict")
-    _require(mode in ("strict", "exploratory"),
-             f"field 'assertion_mode' must be 'strict' or 'exploratory', got {mode!r}")
+    try:
+        cfg = RunConfig(**{k: v for k, v in raw.items() if k != "params"})
+        cfg.params = _resolve_params(raw.get("params", {}), cfg.experiment)
+        _validate_experiment(cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a field's rule refused its value
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
-    raw_params = raw.get("params", {})
-    _require(isinstance(raw_params, dict), "field 'params' must be an object")
-    pd = dict(PARAM_DEFAULTS, noise=dict(PARAM_DEFAULTS["noise"]))
-    if experiment in ("contract", "measure") and "nu" not in raw_params:
-        # default viscosity above the stability threshold of the default
-        # cutoff level, so the strict variants of these experiments run
-        pd["nu"] = 4.0
-    for key, value in raw_params.items():
-        _require(key in pd, f"unknown field 'params.{key}'")
+
+def _resolve_params(raw: dict, experiment: str) -> SimParams:
+    """The params of a raw params object, with the two defaults SimParams
+    leaves to its caller, checked against the run's ceilings."""
+    _require(isinstance(raw, dict), "field 'params' must be an object")
+    names = {f.name for f in fields(SimParams)}
+    noise_names = {f.name for f in fields(NoiseSpectrum)}
+    for key, value in raw.items():
+        _require(key in names, f"unknown field 'params.{key}'")
         if key == "noise":
             _require(isinstance(value, dict), "field 'params.noise' must be an object")
-            for nk, nv in value.items():
-                _require(nk in pd["noise"], f"unknown field 'params.noise.{nk}'")
-                pd["noise"][nk] = nv
-        else:
-            pd[key] = value
-
-    _require(pd["forcing"] is None or isinstance(pd["forcing"], str),
-             f"field 'params.forcing' must be null or base64 text, got {pd['forcing']!r}")
-    try:
-        params = SimParams.from_dict(pd)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            for nk in value:
+                _require(nk in noise_names, f"unknown field 'params.noise.{nk}'")
+    forcing = raw.get("forcing")
+    _require(forcing is None or isinstance(forcing, str),
+             f"field 'params.forcing' must be null or base64 text, got {forcing!r}")
+    # the default viscosity of contract and measure is above the stability
+    # threshold of the default cutoff level, so their strict variants run
+    params = SimParams.from_dict(
+        {"nu": 4.0 if experiment in ("contract", "measure") else 1.0, "level": 1.0, **raw})
     _require(params.chi * params.dt <= CHI_DT_CEILING,
              f"field 'params.chi' = {params.chi!r} gives chi * dt = "
              f"{params.chi * params.dt:.3g} at dt = {params.dt!r}, above {CHI_DT_CEILING}")
@@ -203,79 +277,7 @@ def resolve_config(raw: dict) -> RunConfig:
     f = params.instability_factor
     _require(math.isfinite(f * f * max(1.0, h2)), "field 'params.instability_factor' "
              f"= {f!r} gives an instability ceiling that overflows once squared")
-
-    options = raw.get("options", {})
-    _require(isinstance(options, dict), "field 'options' must be an object")
-
-    cfg = RunConfig(
-        experiment=experiment, seed=seed, ensemble=ensemble, assertion_mode=mode,
-        out=raw.get("out"), params=params, options=options,
-    )
-    _validate_experiment(cfg)
-    return cfg
-
-
-# an initial-field spec (see cli._initial_field): an object whose every key is one
-# of these and passes its check; spectral.random_field defaults the keys left out
-_SPEC_KEYS = {"kind": lambda k: k in ("random", "zero"), "decay": _finite,
-              "norm": lambda n: n is None or _finite(n) and n > 0,
-              "label": lambda s: isinstance(s, str)}
-
-
-def _is_field_spec(spec) -> bool:
-    return isinstance(spec, dict) and all(k in _SPEC_KEYS and _SPEC_KEYS[k](v)
-                                          for k, v in spec.items())
-
-
-def _positive_list(xs) -> bool:
-    return isinstance(xs, list) and bool(xs) and all(_finite(x) and x > 0 for x in xs)
-
-
-_FIELD_SPEC = ('an initial-field spec: an object with kind "random" or "zero", '
-               "norm a finite number > 0 or null, decay a finite number, label a "
-               "string and no other key")
-
-# (validator, what it must be) of the rules more than one option follows
-_COUNT = (lambda n: _is_int(n) and n >= 1, "an integer >= 1")
-_NON_NEGATIVE = (lambda x: _finite(x) and x >= 0, "a finite number >= 0")
-_SPEC = (_is_field_spec, _FIELD_SPEC)
-_SPECS = (lambda d: isinstance(d, dict) and d and all(map(_is_field_spec, d.values())),
-          f"a non-empty object whose every entry is {_FIELD_SPEC}")
-
-# command -> option -> (default, (validator, what it must be)): the options
-# each command reads, in the order they are checked; a callable default is a
-# function of the relaxation rate nu * lambda_p.  simulate's record_every
-# reads nothing (a solve keeps no snapshots) but stays while the benchmark's
-# config sets it
-_OPTIONS = {
-    "check": {"cutoff_pairs": (10_000, _COUNT), "trilinear_triples": (1000, _COUNT),
-              "monotonicity_triples": (1000, _COUNT), "shift_pairs": (100, _COUNT),
-              # a variance needs two samples
-              "ou_samples": (100_000, (lambda n: _is_int(n) and n >= 2, "an integer >= 2")),
-              "ou_chi": (1.0, _NON_NEGATIVE)},
-    "simulate": {"record_every": (1, _COUNT), "initial": ({}, _SPEC)},
-    "contract": {"record_every": (4, _COUNT), "x1": ({"norm": 1.0}, _SPEC),
-                 "x2": ({"norm": 0.5}, _SPEC)},
-    # the decay check compares each time's term with the next larger time's
-    "pullback": {"pullback_times": (lambda rate: [m / rate for m in (1, 2, 4, 8, 16, 32)],
-                                    (lambda xs: _positive_list(xs) and len(set(xs)) == len(xs),
-                                     "a non-empty list of distinct finite numbers > 0")),
-                 "families": ({"small": {"norm": 1.0}, "large": {"norm": 100.0}}, _SPECS),
-                 "family_tol": (1e-6, _NON_NEGATIVE)},
-    # the sweep compares each level's run with the next larger level's
-    "nse-limit": {"initial": ({"norm": 2.0}, _SPEC),
-                  "multipliers": ([0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
-                                  (lambda xs: _positive_list(xs)
-                                   and all(a < b for a, b in zip(xs, xs[1:])),
-                                   "a strictly increasing non-empty list of finite "
-                                   "numbers > 0"))},
-    "measure": {"burn_in": (lambda rate: 5.0 / rate, _NON_NEGATIVE),
-                "horizon": (lambda rate: 200.0 / rate,
-                            (lambda x: _finite(x) and x > 0, "a finite number > 0")),
-                "initial_set": ({"zero": {"kind": "zero"}, "big": {"norm": 10.0}}, _SPECS)},
-}
-
-EXPERIMENTS = tuple(_OPTIONS)
+    return params
 
 
 def _span(cfg: RunConfig) -> tuple[str, float]:
@@ -352,26 +354,7 @@ def _validate_experiment(cfg: RunConfig) -> None:
         _require(option in row, f"field 'options.{option}' is not an option of "
                  f"'{cfg.experiment}', which reads {list(row)}")
     for option, (_, (valid, what)) in row.items():
-        value = cfg.option(option)
-        _require(valid(value), f"field 'options.{option}' must be {what}, got {value!r}")
-    if cfg.experiment == "nse-limit":
-        # the unmodified run from a zero field without forcing stays at 0,
-        # and so would the cutoff levels, which scale with its L4 norm
-        _require(cfg.option("initial").get("kind") != "zero" or p.forcing is not None,
-                 "field 'options.initial' must not be the zero field for nse-limit "
-                 "while params.forcing is null: the cutoff levels scale with the "
-                 "L4 norm of the unmodified run, which stays 0")
-    if cfg.experiment == "pullback":
-        # the tolerance of experiments.pullback_absorption
-        times = cfg.option("pullback_times")
-        _require(all(math.isfinite(t / p.dt) and abs(round(t / p.dt) * p.dt - t) <= 1e-9
-                     for t in times),
-                 f"field 'options.pullback_times' must hold multiples of "
-                 f"params.dt = {p.dt}, got {times!r}")
-    if cfg.experiment == "measure":
-        _require(cfg.option("horizon") >= MEASURE_BATCHES * p.dt,
-                 f"field 'options.horizon' = {cfg.option('horizon')} must be at least "
-                 f"{MEASURE_BATCHES} steps of params.dt = {p.dt}, one per error-bar batch")
+        check(f"options.{option}", cfg.option(option), cfg, valid, what)
     if cfg.experiment == "contract":
         _require(cfg.ensemble >= 2, f"field 'ensemble' = {cfg.ensemble} must be >= 2 "
                  "for contract (the standard error needs two members)")

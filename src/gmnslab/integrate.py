@@ -121,7 +121,8 @@ class SimParams:
     constructor checks in field order (`noise.check_rules`): a value one
     refuses raises ValueError "field 'params.<name>' must be <what>, got
     <value!r>".  t_final >= dt names t_final, dt a whole multiple of
-    dt_path names dt_path, and a forcing off kmax names forcing.
+    dt_path names dt_path, and a forcing off kmax names forcing (after
+    kmax's own rule).
     """
 
     nu: float = rule(*POSITIVE)
@@ -131,15 +132,15 @@ class SimParams:
     # |k|^2 = 1 at k = (0, 0, 1) for every kmax
     lambda_p: float = rule(lambda x, p: _finite(x) and x == 1.0,
                            "the Poincare constant 1.0 of the basis", default=1.0)
-    forcing: SpectralField | None = rule(
-        lambda f, p: f is None or isinstance(f, SpectralField)
-        and f.basis.kmax == p.kmax and bool(np.isfinite(f.coeffs).all()),
-        "null or a finite field on kmax {p.kmax!r}", default=None)
     dt: float = rule(*POSITIVE, default=1.0 / 256)
     t_final: float = rule(lambda x, p: _finite(x) and x >= p.dt,
                           "a finite number >= dt = {p.dt!r}", default=1.0)
     kmax: int = rule(lambda k, p: _is_int(k) and 1 <= k <= KMAX_CEILING,
                      f"an integer in [1, {KMAX_CEILING}]", default=2)
+    forcing: SpectralField | None = rule(
+        lambda f, p: f is None or isinstance(f, SpectralField)
+        and f.basis.kmax == p.kmax and bool(np.isfinite(f.coeffs).all()),
+        "null or a finite field on kmax {p.kmax!r}", default=None)
     noise: NoiseSpectrum = field(default_factory=NoiseSpectrum)
     # None takes dt; m = dt / dt_path must be a whole number >= 1 (to 1e-9)
     dt_path: float | None = rule(
@@ -151,7 +152,7 @@ class SimParams:
     def __post_init__(self):
         if self.dt_path is None:
             object.__setattr__(self, "dt_path", self.dt)
-        check_rules(self, "params")
+        check_rules(self, "params.")
 
     @property
     def substeps(self) -> int:

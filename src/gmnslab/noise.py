@@ -26,9 +26,11 @@ law (per-mode variance sigma^2 / (2*mu)) at the start of the path window,
 which replaces an infinite burn-in.  Under the index relabeling of the shift
 map that start is invariant, which makes the shift covariance
 z(shifted path)(t) = z(path)(t+s) hold bit-exactly rather than
-statistically.  `NoiseSpectrum` declares each field's rule beside it (`rule`;
-`check_rules` checks them, for `integrate.SimParams` too) and refuses a bad
-value with "field 'params.noise.<name>' must be <what>, got <value!r>".
+statistically.  `NoiseSpectrum` declares each field's rule beside it
+(`rule`), as `integrate.SimParams` and `config.RunConfig` do, and
+`check_rules` checks them in field order through `check`, the one refusal
+of every config rule (the option table of `config` calls it too): "field
+'<name>' must be <what>, got <value!r>".
 """
 
 from __future__ import annotations
@@ -82,15 +84,19 @@ def rule(valid, what: str, **kw):
     return field(metadata={"rule": (valid, what)}, **kw)
 
 
-def check_rules(obj, prefix: str) -> None:
-    """Check obj's field rules in field order; ValueError at the first refusal."""
+def check(name: str, value, ctx, valid, what: str) -> None:
+    """The one refusal of a bad value: unless valid(value, ctx), ValueError
+    "field '<name>' must be <what>, got <value!r>", where `what` may name
+    ctx's fields as p."""
+    if not valid(value, ctx):
+        raise ValueError(f"field '{name}' must be {what.format(p=ctx)}, got {value!r}")
+
+
+def check_rules(obj, prefix: str = "") -> None:
+    """Check obj's field rules in field order, each field named prefix + its name."""
     for f in fields(obj):
         if "rule" in f.metadata:
-            valid, what = f.metadata["rule"]
-            value = getattr(obj, f.name)
-            if not valid(value, obj):
-                raise ValueError(f"field '{prefix}.{f.name}' must be "
-                                 f"{what.format(p=obj)}, got {value!r}")
+            check(prefix + f.name, getattr(obj, f.name), obj, *f.metadata["rule"])
 
 
 # (validator, what it must be) of the rules several parameters follow
@@ -120,7 +126,7 @@ class NoiseSpectrum:
                              default=False)
 
     def __post_init__(self):
-        check_rules(self, "params.noise")
+        check_rules(self, "params.noise.")
 
     def mode_amplitudes(self, basis: GalerkinBasis) -> np.ndarray:
         """sigma per half-space mode, shape (n_half_modes,)."""
@@ -341,8 +347,10 @@ def stationary_std(spectrum: NoiseSpectrum, chi: float, nu: float, basis: Galerk
 
 def stationary_mean_H2(spectrum: NoiseSpectrum, chi: float, nu: float, basis: GalerkinBasis) -> float:
     """Closed-form E|z|_H^2 = sum over (modes, polarizations) of
-    sigma_k^2 / (2 (nu |k|^2 + chi)); the sum runs over the full lattice."""
-    return float((stationary_std(spectrum, chi, nu, basis) ** 2).sum())
+    sigma_k^2 / (2 (nu |k|^2 + chi)); the sum runs over the full lattice.  A
+    sum past the float range (nu subnormal, say) reads inf, with no warning."""
+    with np.errstate(over="ignore"):
+        return float((stationary_std(spectrum, chi, nu, basis) ** 2).sum())
 
 
 def ou_stationary_sample(

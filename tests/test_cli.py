@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,34 @@ class TestModesAndExitCodes:
         assert "summary.json" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
         assert not (out / "registry.jsonl").exists()
+
+    @pytest.mark.parametrize("out", [5, True, ["a"]])
+    def test_bad_out_exits_before_any_directory(self, tmp_path, monkeypatch, capsys, out):
+        # out is null (runs/<experiment>) or a path; anything else exits 2
+        # naming it, and no run directory is made
+        monkeypatch.chdir(tmp_path)
+        bad = write_config(tmp_path, dict(SMALL_SIM, out=out))
+        assert cli.main(["simulate", "--config", bad]) == cli.EXIT_CONFIG
+        assert "field 'out'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+        for good_out, made in ((None, "runs/simulate"), ("mine", "mine")):
+            good = write_config(tmp_path, dict(SMALL_SIM, out=good_out), "good.json")
+            assert cli.main(["simulate", "--config", good]) == cli.EXIT_OK
+            assert (tmp_path / made / "summary.json").exists()
+
+    def test_subnormal_nu_exits_2_with_errors_raised(self, tmp_path, capsys):
+        # E|z|_H^2 at nu 1e-320 overflows to inf, which the config refuses
+        # naming params.nu, with no warning and no FloatingPointError
+        raw = {"experiment": "measure", "params": {
+            "kmax": 1, "dt": 1 / 32, "t_final": 0.25, "nu": 1e-320, "level": "inf",
+            "noise": {"amplitude": 9}}}
+        argv = ["measure", "--config", write_config(tmp_path, raw),
+                "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "field 'params.nu'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_exit(self, tmp_path, capsys):
         # forcing payloads of a kmax-1 run: one serialized at kmax 2, one with

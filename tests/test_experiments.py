@@ -303,6 +303,23 @@ class TestContraction:
             sq.append((diff.real**2 + diff.imag**2).sum(axis=(1, 2)))
         assert np.array_equal(rep.mean_sq, np.stack(sq).mean(axis=0))
 
+    def test_slope_slower_than_the_rate_fails(self, basis1, monkeypatch):
+        # a claimed rate 25% faster than the fitted decay: the slope check
+        # fails, since 3 slope_se is under the 20% of the rate that the
+        # allowance max(3 slope_se, 5% of the rate) must stay below
+        x1 = sp.random_field(basis1, labeled_generator(1, "x1"), norm=1.0)
+        x2 = sp.random_field(basis1, labeled_generator(1, "x2"), norm=0.5)
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 64, t_final=1.0, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=1.0))
+        rep = ex.contraction_experiment(p, x1, x2, ensemble=4, seed=2)
+        assert rep.extra["slope_ok"]
+        rate = -1.25 * rep.fitted_slope
+        assert 3.0 * rep.extra["slope_se"] < 0.2 * rate
+        monkeypatch.setattr(ex, "contraction_rate", lambda nu, level, lambda_p: rate)
+        claimed = ex.contraction_experiment(p, x1, x2, ensemble=4, seed=2)
+        assert claimed.fitted_slope == rep.fitted_slope
+        assert not claimed.extra["slope_ok"] and not claimed.passed
+
     def test_tile_path_tables_stay_under_the_ceiling(self, basis1, monkeypatch):
         # fine paths cap the tile so that the path tables its cursors hold
         # together fit the table ceiling; 27 members fit the grid budget
@@ -683,6 +700,33 @@ class TestMeasure:
         rep = ex.invariant_measure_sampler(p, {"a": zero, "b": zero}, burn_in=0.0,
                                            horizon=20 / 32)
         assert np.isfinite([rep.stderrs[k]["a"] for k in rep.observables]).all()
+
+    def test_states_four_combined_se_apart_fail(self, basis1, monkeypatch):
+        # the second state's |u|_H^2 series shifted away from the first's by
+        # 4 combined standard errors: their averages then differ by more
+        # than the 3 se mixing band, and the run fails
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=1.0, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=1.0))
+        ics = {"zero": sp.zero_field(basis1),
+               "big": sp.random_field(basis1, labeled_generator(3, "big"), norm=10.0)}
+        rep = ex.invariant_measure_sampler(p, ics, burn_in=1.25, horizon=15.0, seed=5)
+        assert rep.passed
+        avg, se = rep.averages["u_H2"], rep.stderrs["u_H2"]
+        shift = math.copysign(4.0 * math.hypot(se["zero"], se["big"]),
+                              avg["big"] - avg["zero"])
+        march = ex._march_tiles
+
+        def shifted(*args, **kw):
+            for m0, traj in march(*args, **kw):
+                if m0 <= 1 < m0 + len(traj.v):
+                    traj.ledger.u_H2[:, 1 - m0, 0] += shift
+                yield m0, traj
+
+        monkeypatch.setattr(ex, "_march_tiles", shifted)
+        moved = ex.invariant_measure_sampler(p, ics, burn_in=1.25, horizon=15.0, seed=5)
+        assert moved.averages["u_H2"]["big"] == pytest.approx(avg["big"] + shift)
+        assert moved.stderrs["u_H2"]["big"] == pytest.approx(se["big"])
+        assert not moved.passed
 
     def test_tiles_equal_state_solves(self, basis1, monkeypatch):
         # three states in one tile, and in tiles of 2 and 1: each state's

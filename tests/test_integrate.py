@@ -79,6 +79,9 @@ class TestSimParams:
         assert it.SimParams(nu=1.0, level=1.0, forcing=f).forcing is f
         with pytest.raises(ValueError, match="^field 'params.forcing' must be "):
             it.SimParams(nu=1.0, level=1.0, forcing=f, kmax=1)
+        # the forcing's rule reads kmax, so kmax's own rule comes first
+        with pytest.raises(ValueError, match="^field 'params.kmax' must be "):
+            it.SimParams(nu=1.0, level=1.0, forcing=f, kmax="x")
 
     @pytest.mark.parametrize("kmax", [9, 2.0, "2"])
     def test_from_dict_checks_kmax_before_the_forcing(self, basis2, rng, kmax):

@@ -65,6 +65,16 @@ MUTANTS = [
     ("params: NoiseSpectrum's delta bound 1/2 as 1", "src/gmnslab/noise.py",
      "_finite(x) and 0 < x < 0.5 and x < p.s",
      "_finite(x) and 0 < x < 1.0 and x < p.s"),
+    ("options: pullback_times off the dt grid accepted", "src/gmnslab/config.py",
+     "and all(math.isfinite(t / p.params.dt)",
+     "and all(True or math.isfinite(t / p.params.dt)"),
+    ("options: measure's horizon of 20 steps as 1", "src/gmnslab/config.py",
+     "x >= MEASURE_BATCHES * p.params.dt",
+     "x >= 1 * p.params.dt"),
+    ("options: nse-limit's zero initial field accepted without forcing",
+     "src/gmnslab/config.py",
+     's.get("kind") != "zero" or p.params.forcing is not None',
+     'True or p.params.forcing is not None'),
 ]
 
 COPIED = ("src", "tests", "tools", "pyproject.toml")
