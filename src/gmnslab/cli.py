@@ -153,8 +153,12 @@ def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]
 def _run_nse_limit(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
     basis = cfg.params.basis()
     x = _initial_field(basis, cfg.option("initial"), cfg.seed, "nse-ic")
-    rep = ex.nse_limit_experiment(x, cfg.params,
-                                  multipliers=tuple(cfg.option("multipliers")))
+    try:
+        rep = ex.nse_limit_experiment(x, cfg.params,
+                                      multipliers=tuple(cfg.option("multipliers")))
+    except ex.ScaleError as exc:  # the config rules refuse only an exact zero
+        raise ConfigError(f"field 'options.initial' = {cfg.option('initial')!r} gives "
+                          f"{exc}") from exc
     return rep.summary(), rep.passed, {"nse_limit.csv": rep.columns()}, []
 
 
@@ -182,9 +186,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> int:
+def run_experiment(cfg: RunConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
-    out = out_dir or cfg.out or f"runs/{cfg.experiment}"
+    out = cfg.out or f"runs/{cfg.experiment}"
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -202,6 +206,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> int:
         summary_path = os.path.join(out, "summary.json")
         _write_json(summary_path, summary)
         artifacts = [cfg_path, summary_path] + artifacts
+    except ConfigError as exc:  # a run that finds its config unusable writes no summary
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (it.InstabilityError, NonFiniteJSON) as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
@@ -259,6 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         # the overrides are config fields: resolve_config checks them as such
         if args.seed is not None:
             raw["seed"] = args.seed
+        if args.out is not None:
+            raw["out"] = args.out
         if args.strict or args.exploratory:
             raw["assertion_mode"] = "strict" if args.strict else "exploratory"
         cfg = resolve_config(raw)
@@ -271,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    return run_experiment(cfg, args.out)
+    return run_experiment(cfg)
 
 
 if __name__ == "__main__":

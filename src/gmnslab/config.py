@@ -12,8 +12,8 @@ only its own).  A rule is (validator(value, ctx), what), and one function,
 module checks only what JSON brings (unknown keys, object shapes, the
 forcing as base64 text), the ceilings of chi * dt, eta, E|z|_H^2 and the
 instability, the command rules that read the ensemble or the mode, and, in
-`run_budget`, the bytes a run holds at once and the work of contract and
-check, each against its one ceiling.
+`run_budget`, the bytes a run holds at once and the work of contract, measure
+and check, each against its one ceiling.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .experiments import MEASURE_BATCHES, member_bytes, member_tile, stability_t
 from .integrate import SimParams
 from .noise import (NON_NEGATIVE, PATH_TABLE_CEILING, NoiseSpectrum, _finite, _is_int, check,
                     check_rules, path_table_bytes, rule, stationary_mean_H2)
+from .spectral import SCRATCH_GRIDS
 
 # The largest chi * dt a run may take.  z decorrelates within
 # 1/(nu |k|^2 + chi) <= 1/chi, and the stepper's trapezoid of chi z needs a
@@ -35,8 +36,8 @@ from .noise import (NON_NEGATIVE, PATH_TABLE_CEILING, NoiseSpectrum, _finite, _i
 # chi * dt = 1/4, 1.0% at 1/2 and 14% at 2.
 CHI_DT_CEILING = 0.25
 
-# The second ceiling of run_budget: the most work a contract
-# or check run may do, counted in grid points (about 0.38 us a point on a
+# The second ceiling of run_budget: the most work a contract, measure or
+# check run may do, counted in grid points (about 0.38 us a point on a
 # 2-core VM, so the ceiling is about an hour).  For contract, one
 # member-step (a solver step of a member's two fields) costs about
 # grid_size^3 + 1024 points, the 1024 being the fixed cost of its calls, and
@@ -44,6 +45,13 @@ CHI_DT_CEILING = 0.25
 # kmax 1-8).  Acceptance criterion c08 does 64 x 1,024 member-steps of
 # 1,760 points, 2^26.8.  For check, see _CHECK_CASE_POINTS.
 WORK_CEILING = 2**33
+
+# Grid points of work per member-step of a march, (a, b) in
+# (a * grid_size^3 + b) * (1 + path cells per step / 256): a contract member's
+# two fields (above), and a measure state's one field with its ledger, a line
+# through its time over contract's, timed side by side at kmax 1 and 3: 0.90
+# and 0.64 of contract's points (2-core VM, 1 BLAS thread).
+STEP_POINTS = {"contract": (1.0, 1024), "measure": (0.5, 980)}
 
 # Grid points of work per case of each fuzz suite of check, (a, b) in
 # a * grid_size^3 + b: a line through the cost per case measured at kmax 1
@@ -120,13 +128,14 @@ _OPTIONS = {
                  "families": ({"small": {"norm": 1.0}, "large": {"norm": 100.0}}, _SPECS),
                  "family_tol": (1e-6, NON_NEGATIVE)},
     # the sweep compares each level's run with the next larger level's; the
-    # unmodified run from a zero field without forcing stays at 0, and so
-    # would the cutoff levels, which scale with its L4 norm
+    # unmodified run from a zero field without forcing (or with a zero one)
+    # stays at 0, and so would the cutoff levels, which scale with its L4 norm
     "nse-limit": {"initial": ({"norm": 2.0},
                               (lambda s, p: _is_field_spec(s) and (
-                                  s.get("kind") != "zero" or p.params.forcing is not None),
+                                  s.get("kind") != "zero" or p.params.forcing is not None
+                                  and p.params.forcing.coeffs.any()),
                                f"{_FIELD_SPEC}, and not the zero field while "
-                               "params.forcing is null")),
+                               "params.forcing is null or zero")),
                   "multipliers": ([0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
                                   (lambda xs, p: _positive_list(xs)
                                    and all(a < b for a, b in zip(xs, xs[1:])),
@@ -296,10 +305,11 @@ def _span(cfg: RunConfig) -> tuple[str, float]:
     return name, span
 
 
-def contract_work(p: SimParams, ensemble: int) -> float:
-    """The grid points of work of a contract run."""
-    per_step = ((4 * p.kmax + 1) ** 3 + 1024) * (1 + p.substeps / 256)
-    return ensemble * round(p.t_final / p.dt) * per_step
+def march_work(p: SimParams, experiment: str, members: int) -> float:
+    """The grid points of work of a contract or measure march of `members`."""
+    a, b = STEP_POINTS[experiment]
+    per_step = (a * (4 * p.kmax + 1) ** 3 + b) * (1 + p.substeps / 256)
+    return members * round(p.t_final / p.dt) * per_step
 
 
 def check_work(cfg: RunConfig) -> dict[str, float]:
@@ -313,9 +323,11 @@ def check_work(cfg: RunConfig) -> dict[str, float]:
 def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
     """Each ceiling a resolved run must fit, as (the field to name, its value,
     the amount, the ceiling, its unit): the bytes the run holds at once, a
-    tile's worth of members' path tables and ledgers (`member_bytes`), against
-    PATH_TABLE_CEILING, and the work of contract and check against WORK_CEILING."""
-    held, work = "bytes of path tables and ledgers held at once", "grid points of work"
+    tile's worth of members' path tables and ledgers (`member_bytes`) and of
+    their fields' B_F scratch, against PATH_TABLE_CEILING, and the work of
+    contract, measure and check against WORK_CEILING."""
+    held = "bytes of path tables, ledgers and B_F scratch held at once"
+    work = "grid points of work"
     if cfg.experiment == "check":
         # c06 samples one kmax=1 path of ou_samples + 1 cells into a series,
         # and its variance copies it; the fuzz count with the largest share of
@@ -339,11 +351,19 @@ def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
                else len(cfg.option("initial_set")) if exp == "measure" else 1)
     member = (member_bytes(p, n_fields, ledger=exp != "contract")
               + 8 * (round(span / p.dt) + 1) * levels)
-    nbytes = min(members, member_tile(p.basis(), 12 * n_fields, member)) * member
-    budget = [(name, span, nbytes, PATH_TABLE_CEILING, held)]
-    if cfg.experiment == "contract":
-        budget.append(("field 'ensemble'", cfg.ensemble, contract_work(p, cfg.ensemble),
-                       WORK_CEILING, work))
+    # member_tile's floor of one member leaves the scratch of a member of many
+    # fields unbounded by TILE_GRID_BYTES; where it is the most a member
+    # holds, the option that sets the fields is the one to name
+    scratch = n_fields * SCRATCH_GRIDS[p.kmax - 1] * 8 * (4 * p.kmax + 1) ** 3
+    nbytes = min(members, member_tile(p.basis(), 12 * n_fields, member)) * (member + scratch)
+    many = {"nse-limit": "multipliers", "pullback": "families"}.get(exp)
+    value = span
+    if many and scratch > member:
+        name, value = f"field 'options.{many}'", f"{len(cfg.option(many))} entries"
+    budget = [(name, value, nbytes, PATH_TABLE_CEILING, held)]
+    if exp in STEP_POINTS:
+        budget.append(("field 'ensemble'" if exp == "contract" else "field 'options.initial_set'",
+                       members, march_work(p, exp, members), WORK_CEILING, work))
     return budget
 
 

@@ -12,12 +12,12 @@ solve as the contraction members are.  Every experiment is deterministic in
 The fuzz suites run their cases in tiles (see `_fuzz`): one stacked call
 per quantity of a tile, then one pass over Python floats, through the
 cutoff module's float formulas, for every per-case scalar, so that each
-case is bit for bit its single-field evaluation.
+case is bit for bit its single-field evaluation.  A tile's transform stages,
+like a solve's, live in a work dict of `spectral.stack_work`, the one cache.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -87,16 +87,6 @@ def _draw_fields(basis: sp.GalerkinBasis, rngs: list, spans: tuple) -> np.ndarra
     return sp.random_coeffs(basis, normals, norm=norms)
 
 
-@functools.lru_cache(maxsize=4)
-def _tile_work(name: str, kmax: int, size: int) -> dict:
-    """The work dict of a suite's tiles of `size` cases at kmax, kept past the
-    call (the four latest), so that a suite called again reuses its transform
-    stages instead of allocating and faulting them in afresh.  Only tiles of
-    several cases keep one, as their grids fit TILE_GRID_BYTES; a single case
-    may not, and its stages go with the call."""
-    return {}
-
-
 def _even_tiles(n: int, tile: int) -> list[range]:
     """range(n) in the fewest tiles of at most `tile`, as even as possible,
     larger first."""
@@ -105,15 +95,16 @@ def _even_tiles(n: int, tile: int) -> list[range]:
     return [range(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(tiles)]
 
 
-def _fuzz(name: str, kmax: int, cases: int, seed: int, tile: int, evaluate) -> CheckReport:
-    """A fuzz suite's report, its cases in order in `_even_tiles` of at most
-    `tile`: evaluate(cases, work) draws and evaluates the case indices (a
-    range) of a tile, with the work dict of its size, and gives per case (row
-    id, lhs, rhs, margin, lowest margin, violations, kept) as Python numbers."""
-    rows, violations, worst, work = [], 0, math.inf, {}
-    for span in _even_tiles(cases, tile):
-        if tile > 1:
-            work = _tile_work(name, kmax, len(span))
+def _fuzz(name: str, basis: sp.GalerkinBasis, cases: int, seed: int, grids: int,
+          evaluate) -> CheckReport:
+    """A fuzz suite's report, its cases in order in `_even_tiles` of
+    `member_tile` cases of `grids` grids (one tile if 0): evaluate(cases, work)
+    draws and evaluates the case indices (a range) of a tile, with one work
+    dict of its size a call at least, and gives per case (row id, lhs, rhs,
+    margin, lowest margin, violations, kept) as Python numbers."""
+    rows, violations, worst, works = [], 0, math.inf, {}
+    for span in _even_tiles(cases, member_tile(basis, grids) if grids else max(1, cases)):
+        work = works.setdefault(len(span), sp.stack_work(name, basis, (len(span),), grids))
         for j, lhs, rhs, margin, low, bad, keep in evaluate(span, work):
             violations += bad
             worst = min(worst, low)
@@ -157,7 +148,7 @@ def check_cutoff_lemma(kmax: int = 2, n_pairs: int = 10_000, seed: int = 0,
             yield (j, lhs, rhs, margin, min(margin, level - prod),
                    (not 0.0 <= prod <= level) + over, over or j < 512)
 
-    return _fuzz("cutoff_lemma", kmax, n_pairs, seed, member_tile(basis, 5 * 3), tile)
+    return _fuzz("cutoff_lemma", basis, n_pairs, seed, 5 * 3, tile)
 
 
 def check_trilinear(kmax: int = 2, n_triples: int = 1000, seed: int = 1,
@@ -177,8 +168,7 @@ def check_trilinear(kmax: int = 2, n_triples: int = 1000, seed: int = 1,
             margin = min(skew_cap - skew, tol * nu * nv * nw - abs(b_vw + b_wv))
             yield j, skew, skew_cap, margin, margin, margin < 0, margin < 0 or j < 512
 
-    return _fuzz("trilinear_identities", kmax, n_triples, seed,
-                 member_tile(basis, 2 * 12 + 2 * 3), tile)
+    return _fuzz("trilinear_identities", basis, n_triples, seed, 2 * 12 + 2 * 3, tile)
 
 
 def check_monotonicity(kmax: int = 2, n_triples: int = 1000, seed: int = 2,
@@ -207,8 +197,7 @@ def check_monotonicity(kmax: int = 2, n_triples: int = 1000, seed: int = 2,
             yield (j + 1, gap, -tol, gap + tol, gap + tol, gap < -tol,
                    gap < -tol or j % n_triples < 64)
 
-    return _fuzz("monotonicity_gap", kmax, len(rngs) * n_triples, seed,
-                 member_tile(basis, 2 * 12), tile)
+    return _fuzz("monotonicity_gap", basis, len(rngs) * n_triples, seed, 2 * 12, tile)
 
 
 def _stationary_h2(spectrum: nz.NoiseSpectrum, chi: float, nu: float,
@@ -292,7 +281,7 @@ def check_shift_covariance(
             diff = float(np.abs(lhs.coeffs - rhs.coeffs).max())
             yield case, diff, tol, tol - diff, tol - diff, diff > tol, True
 
-    return _fuzz("shift_covariance", kmax, n_pairs, seed, max(1, n_pairs), pairs)
+    return _fuzz("shift_covariance", basis, n_pairs, seed, 0, pairs)
 
 
 # ---- exponential contraction ------------------------------------------------
@@ -319,16 +308,6 @@ class ContractionReport:
                 "stderr": self.stderr.tolist(), "envelope": self.envelope.tolist()}
 
 
-# Byte budget of one tile's stacked grids and Jacobians (12 real M^3 grids per
-# field, 3 without its Jacobian; a contraction member has 2 fields, a measure
-# state 1): members march, and fuzz cases run, in tiles of as many as fit, at
-# least one.  Measured per-member B_F cost of the contraction against the
-# stack size (CHANGES.md): it falls down to 8 fields at kmax 2 (560 KB of
-# grids, so 4 members per tile), keeps falling to 16 and more at kmax 1 (27
-# per tile) and is flat at kmax 3 (1 per tile).
-TILE_GRID_BYTES = 640 * 2**10
-
-
 def member_bytes(params: it.SimParams, fields: int, ledger: bool = True) -> float:
     """Bytes one member of a march over [0, params.t_final] holds: its path
     table, plus the ledger of its fields when the march keeps one."""
@@ -339,9 +318,9 @@ def member_bytes(params: it.SimParams, fields: int, ledger: bool = True) -> floa
 
 def member_tile(basis: sp.GalerkinBasis, grids: int, nbytes: float = 0.0) -> int:
     """Members of `grids` real M^3 grids each per tile: as many as fit in
-    TILE_GRID_BYTES and, holding nbytes each (`member_bytes`), whose bytes
-    fit noise.PATH_TABLE_CEILING together; at least one."""
-    tile = TILE_GRID_BYTES // (grids * 8 * basis.grid_size**3)
+    spectral.TILE_GRID_BYTES and, holding nbytes each (`member_bytes`), whose
+    bytes fit noise.PATH_TABLE_CEILING together; at least one."""
+    tile = sp.TILE_GRID_BYTES // (grids * 8 * basis.grid_size**3)
     if nbytes:
         tile = min(tile, nz.PATH_TABLE_CEILING // nbytes)
     return max(1, int(tile))
@@ -352,19 +331,19 @@ def _march_tiles(params: it.SimParams, x: np.ndarray, seed: int, label: str, **s
     start velocities x, (members, P, n_half_modes, 2): member m marches on
     its own path over [0, params.t_final], keyed derive_key(seed,
     f"{label}-{m}"), in `_even_tiles` of at most `member_tile` members, one
-    group each.  Every tile marches on one stepper, whose work dict is
-    allocated once for the larger tiles and once more for the smaller.  An
-    InstabilityError names the member, not its place in the tile."""
+    group each.  The tiles of one size share one kept work dict when their
+    grids fit TILE_GRID_BYTES, as any tile of several members does
+    (`spectral.stack_work`).  An InstabilityError names the member, not its
+    place in the tile."""
     basis = params.basis()
     P = x.shape[1]
     tile = member_tile(basis, 12 * P, member_bytes(params, P, solve_kw.get("ledger", True)))
-    stepper = it._Stepper(params)
     for span in _even_tiles(len(x), tile):
         # each tile's paths are built here and dropped with the tile
         paths = [nz.make_path(derive_key(seed, f"{label}-{m}"), params.dt_path, 0.0,
                               params.t_final, params.noise, basis) for m in span]
         try:
-            traj = it.solve(x[span.start:span.stop], paths, params, stepper=stepper, **solve_kw)
+            traj = it.solve(x[span.start:span.stop], paths, params, **solve_kw)
         except it.InstabilityError as exc:
             exc.member = (exc.member or 0) + span.start  # a tile of one field names none
             raise
@@ -486,8 +465,9 @@ def pullback_absorption(
     margins = []
     for tm in tms:
         stack = traj = None  # the previous time's ledger goes before this one is made
-        # the families march as one group on the path
-        stack = it.solve(tuple(x_family.values()), [path], params, t0=-tm, t_final=tm)
+        # the families march as one group on the path, over tm's whole steps
+        window = replace(params, t_final=round(tm / params.dt) * params.dt)
+        stack = it.solve(tuple(x_family.values()), [path], window, t0=-tm)
         for p, name in enumerate(names):
             traj = stack.member(0, p)
             radii[name].append(sp.norm_H(traj.v + traj.z, basis))
@@ -541,6 +521,10 @@ class NseLimitReport:
                 "int_one_minus_f": self.int_one_minus_f, "l2_err": self.l2_err}
 
 
+class ScaleError(ValueError):
+    """Raised when the unmodified run's largest |u|_L4 is 0, which no level scales with."""
+
+
 def solve_nse(x: sp.SpectralField, params: it.SimParams
               ) -> tuple[it.Trajectory, it.SimParams, nz.WienerPath]:
     """(trajectory, params, zero-noise path) of the unmodified truncated
@@ -561,8 +545,8 @@ def nse_limit_experiment(
 
     The levels scale with the unmodified run, which marches first and of
     which only that scale is kept; they then march as one (1, L + 1) stack
-    on its zero-noise path, each field's level held by the stack's stepper
-    (the stack's params.level is inf), the last field the unmodified run
+    on its zero-noise path, each field at its own `level=` (the stack's
+    params.level is inf), the last field the unmodified run
     again at level inf, where F = 1 makes it bit for bit the first march,
     and each level's |v_level - v_star|_H^2 is taken against it at every
     step, as the stack marches.
@@ -575,10 +559,8 @@ def nse_limit_experiment(
     l4_scale = float(star.ledger.u_L4.max())
     del star  # its ledger is not held through the stack's march
     if l4_scale == 0.0:
-        raise ValueError(
-            "the unmodified run stays at the zero field (zero initial field and "
-            "no forcing), so there is no L4 scale to set the cutoff levels by"
-        )
+        raise ScaleError("an unmodified run whose largest |u|_L4 is 0 (its |u|^4 is 0 "
+                         "in floats), so there is no L4 scale to set the cutoff levels by")
     levels = [m * l4_scale for m in multipliers]
     T = params.t_final
     k_t = max(1.0, 1.0 / params.nu) * (
@@ -586,14 +568,14 @@ def nse_limit_experiment(
     )
     # without noise z(0) is +0.0, so each field starts at x bit for bit
     stacked = [*levels, math.inf]
-    stepper = it._Stepper(p, level=np.array(stacked))
     err_sq = np.empty((round(T / p.dt) + 1, len(levels)))
 
     def observe(k, v, z):
         err_sq[k] = sp.h2_coeffs(v[0, :-1] - v[0, -1])
 
     try:
-        stack = it.solve((x,) * len(stacked), [path], p, stepper=stepper, observe=observe)
+        stack = it.solve((x,) * len(stacked), [path], p, level=np.array(stacked),
+                         observe=observe)
     except it.InstabilityError as exc:  # the level, not its place in the stack
         exc.member, exc.message = None, f"cutoff level {stacked[exc.field]:.6g}: {exc.message}"
         raise

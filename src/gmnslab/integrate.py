@@ -28,12 +28,12 @@ and a caller that reads the steps in between passes `observe(k, v, z)`,
 called at every step k = 0..n_steps with the stacked v (G, P, n, 2) and
 z (G, 1, n, 2), to reduce them as the loop goes.  Each field's drift, L4
 norm and cutoff factor, and each ledger entry, are computed as if it were
-alone, so a stacked field is bit for bit its single solve.  The stepper,
-built from params alone (its basis and dt) and passed as `stepper=`, holds
-the cutoff level, params.level or one per field, and a `work` dict for its
-stack shape, in which each stage of the drift keeps its result, so a solve
-allocates them once.  With `ledger=False` a solve keeps only the final
-state, for the runs that read nothing else (the contraction ensemble).
+alone, so a stacked field is bit for bit its single solve.  A solve spans
+params.t_final, and its one override is `level=`, a cutoff level per field.
+The drift's stages keep their results in the work dict of its stack shape
+(`spectral.stack_work`), allocated once.  With `ledger=False` a solve keeps
+only the final state, for the runs that read nothing else (the contraction
+ensemble).
 
 The energy ledger records the terms of the energy balance
 
@@ -90,6 +90,7 @@ from .spectral import (
     h2_coeffs,
     inner_coeffs,
     norm_dual,
+    stack_work,
     v2_coeffs,
 )
 
@@ -280,9 +281,8 @@ class _Stepper:
         """G(v, z) = -B_F(v+z) + chi*z + f, plus ledger quantities; v and z
         may be stacks of fields (leading axes) that broadcast together."""
         w = v + z
-        if w.shape[:-2] != self._lead:
-            # a march keeps one stack shape; a new shape starts a new set
-            self._lead, self._work = w.shape[:-2], {}
+        if w.shape[:-2] != self._lead:  # a march keeps one stack shape
+            self._lead, self._work = w.shape[:-2], stack_work("drift", self.basis, w.shape[:-2])
         bf, l4, fac = cutoff_advection_coeffs(self.basis, w, self.level, self._work)
         g = -bf
         if self.params.chi != 0.0:
@@ -343,13 +343,12 @@ def solve_transformed(
     path: WienerPath | list[WienerPath],
     params: SimParams,
     t0: float = 0.0,
-    t_final: float | None = None,
     cursor: OUCursor | None = None,
     ledger: bool = True,
-    stepper: _Stepper | None = None,
+    level=None,
     observe=None,
 ) -> Trajectory:
-    """Integrate the transformed system on [t0, t0 + T] with the ETD2 loop.
+    """Integrate the transformed system on [t0, t0 + params.t_final] by ETD2.
 
     v0 is one field, marched along `path`, and the result is its record.
     Or v0 is a stack (G, P, n_half_modes, 2) of coefficients on params'
@@ -359,12 +358,11 @@ def solve_transformed(
     bit-identical.  The ledger is recorded on every solver step unless
     `ledger` is False; of the fields, only the final state is kept, and
     observe(k, v, z), if given, sees the stacked v and z of every
-    step k = 0..n_steps as the march goes.  `stepper`, built for the same
-    params, lends the march its work arrays and its cutoff level, which may
-    be one per field (default: a new one at params.level).  Raises
-    ValueError if v0 or z(t0) is not finite, and InstabilityError as soon as
-    one field's |v|_H crosses its own ceiling, instability_factor *
-    max(1, |v0|_H).
+    step k = 0..n_steps as the march goes.  `level`, an array that broadcasts
+    to the stack's (G, P), gives each field its own cutoff level (default
+    params.level).  Raises ValueError if v0 or z(t0) is not finite, and
+    InstabilityError as soon as one field's |v|_H crosses its own ceiling,
+    instability_factor * max(1, |v0|_H).
     """
     one = isinstance(v0, SpectralField)
     if one:
@@ -372,11 +370,10 @@ def solve_transformed(
             raise ValueError("initial data basis does not match params.kmax")
         v0 = v0.coeffs[None, None]
     basis = params.basis()
-    horizon = params.t_final if t_final is None else t_final
-    n_steps = int(round(horizon / params.dt))
-    if abs(n_steps * params.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
+    n_steps = int(round(params.t_final / params.dt))
+    if abs(n_steps * params.dt - params.t_final) > 1e-9 * max(1.0, params.t_final):
         raise ValueError("t_final must be a positive integer multiple of dt")
-    stepper = stepper or _Stepper(params)
+    stepper = _Stepper(params, level)
     cursor = cursor or OUCursor(path, params.chi, params.nu)
     G, P, n = v0.shape[:3]
     v, z = v0, cursor.advance_to(t0).reshape(G, 1, n, 2)
@@ -434,8 +431,7 @@ def solve_transformed(
 
 def solve(x: SpectralField | tuple[SpectralField, ...] | np.ndarray,
           path: WienerPath | list[WienerPath],
-          params: SimParams, t0: float = 0.0, t_final: float | None = None,
-          ledger: bool = True, stepper: _Stepper | None = None,
+          params: SimParams, t0: float = 0.0, ledger: bool = True, level=None,
           observe=None) -> Trajectory:
     """solve_transformed from the velocity x at t0, i.e. from v0 = x - z(t0):
     one field along one path, or a stack along each of G paths, x the
@@ -447,8 +443,8 @@ def solve(x: SpectralField | tuple[SpectralField, ...] | np.ndarray,
         v0 = SpectralField(x.basis, x.coeffs - z0)
     else:  # a tuple of P fields starts every group
         v0 = (np.stack([xi.coeffs for xi in x]) if isinstance(x, tuple) else x) - z0[:, None]
-    return solve_transformed(v0, path, params, t0, t_final, cursor=cursor, ledger=ledger,
-                             stepper=stepper, observe=observe)
+    return solve_transformed(v0, path, params, t0, cursor=cursor, ledger=ledger, level=level,
+                             observe=observe)
 
 
 # ---- energy inequalities with explicit constants ---------------------------

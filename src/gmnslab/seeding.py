@@ -50,5 +50,5 @@ def philox(key: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def labeled_generator(seed: int, label: str, stream: int = 0) -> np.random.Generator:
-    return philox(derive_key(seed, label), stream)
+def labeled_generator(seed: int, label: str) -> np.random.Generator:
+    return philox(derive_key(seed, label))

@@ -56,7 +56,7 @@ arithmetic; every caller shares it, so all of its arrays are read-only.  The
 stages of a transform keep their results (and a synthesis its products, as
 views of them) in a caller-held `work` dict, made on first use, so a caller
 that transforms one stack shape over and over (the stepper) allocates them
-once; without a dict each call makes its own.
+once; without a dict each call makes its own, and `stack_work` caches them.
 
 Coefficient-side operations on a stack keep the mode axis innermost, so
 each runs as a few long loops rather than many of length 2 or 3: the one
@@ -372,6 +372,38 @@ def build_basis(kmax: int) -> GalerkinBasis:
 
 
 _basis = functools.cache(GalerkinBasis)
+
+
+# Byte budget of one tile's stacked grids and Jacobians (12 real M^3 grids per
+# field, 3 without its Jacobian; a contraction member has 2 fields, a measure
+# state 1): members march, and fuzz cases run, in tiles of as many as fit, at
+# least one.  Measured per-member B_F cost of the contraction against the
+# stack size (CHANGES.md): it falls down to 8 fields at kmax 2 (560 KB of
+# grids, so 4 members per tile), keeps falling to 16 and more at kmax 1 (27
+# per tile) and is flat at kmax 3 (1 per tile).
+TILE_GRID_BYTES = 640 * 2**10
+
+
+# Real M^3 grids of scratch per field that one B_F call on a new work dict
+# holds at its peak, by kmax 1-8 (`cutoff.cutoff_advection_coeffs` traced with
+# tracemalloc, the most over stacks (1, 1), (1, 2), and to kmax 6 (4, 2) and
+# (1, 8), rounded up): fixed costs weigh most at kmax 1, and the stages a work
+# dict keeps are 95-98% of it.  A tile's 12 grids a field count a third of it.
+SCRATCH_GRIDS = (50, 39, 37, 36, 35, 35, 34, 34)
+
+_kept_work = functools.lru_cache(maxsize=8)(lambda name, kmax, shape: {})
+
+
+def stack_work(name: str, basis: GalerkinBasis, shape: tuple, grids: int = 12) -> dict:
+    """The work dict of `name`'s stack of `shape`, `grids` real M^3 grids an
+    entry (12 a field with its Jacobian, as the tiles are sized): kept past
+    the call, the eight latest, when the stack's grids fit TILE_GRID_BYTES,
+    else new.  A kept dict serves one call at a time, as the next of its
+    shape overwrites it: nothing in the package interleaves two solves, or
+    two suite tiles, of one name and shape."""
+    if math.prod(shape) * grids * 8 * basis.grid_size**3 > TILE_GRID_BYTES:
+        return {}
+    return _kept_work(name, basis.kmax, tuple(shape))
 
 
 def zero_field(basis: GalerkinBasis) -> SpectralField:

@@ -213,7 +213,7 @@ def cocycle_apply(t: float, path, x: SpectralField, params) -> SpectralField:
     solved from x - z(0); the identity at t = 0."""
     if t == 0.0:
         return x
-    traj = solve(x, path, params, t_final=t, ledger=False)
+    traj = solve(x, path, replace(params, t_final=t), ledger=False)
     return SpectralField(x.basis, traj.v + traj.z)
 
 
@@ -286,7 +286,7 @@ def absorbing_bound_reference(params, times, x, seed: int) -> float:
         kappa12 = |z(0)|_H."""
     t_far = max(times)
     path = make_path(seed, params.dt_path, -t_far, params.dt, params.noise, x.basis)
-    led = solve(x, path, params, t0=-t_far, t_final=t_far).ledger
+    led = solve(x, path, replace(params, t_final=t_far), t0=-t_far).ledger
     w = np.exp(params.nu * params.lambda_p * led.t)
     kappa11_sq = (2.0 + 2.0 * float((led.z_H2 * w).max())
                   + float(np.trapezoid(dissipation_density_reference(params, led) * w, led.t)))
@@ -323,8 +323,9 @@ def resume(start, path, params, t_final: float):
     window.  It calls `it.solve_transformed` through the module, so a test
     may wrap that."""
     cursor = OUCursor(path, params.chi, params.nu, start=(start.t_end, start.z))
-    return it.solve_transformed(SpectralField(start.basis, start.v), path, params,
-                                t0=start.t_end, t_final=t_final - start.t_end, cursor=cursor)
+    return it.solve_transformed(SpectralField(start.basis, start.v), path,
+                                replace(params, t_final=t_final - start.t_end),
+                                t0=start.t_end, cursor=cursor)
 
 
 # ---- polarization contractions with the table in (n, p, c) order ----

@@ -13,7 +13,7 @@ import gmnslab
 from gmnslab import cli
 from gmnslab import spectral as sp
 from gmnslab.config import (_OPTIONS, EXPERIMENTS, WORK_CEILING, ConfigError,
-                            contract_work, read_config, resolve_config)
+                            march_work, read_config, resolve_config)
 from gmnslab.registry import DivergenceError, load_records, register_run
 from gmnslab.seeding import labeled_generator
 
@@ -226,6 +226,70 @@ class TestModesAndExitCodes:
             assert cli.main(argv) == cli.EXIT_CONFIG
         assert "field 'params.nu'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_out_flag_overrides_the_files_out(self, tmp_path, monkeypatch):
+        # --out is a config override, as --seed is: it takes precedence over
+        # the file's out, and the config hash, which excludes out, is the same
+        monkeypatch.chdir(tmp_path)
+        cfg_file = write_config(tmp_path, dict(SMALL_SIM, out="from-file"))
+        assert cli.main(["simulate", "--config", cfg_file, "--out", "from-flag"]) == cli.EXIT_OK
+        assert not (tmp_path / "from-file").exists()
+        assert cli.main(["simulate", "--config", cfg_file]) == cli.EXIT_OK
+        (flag,), (file,) = (load_records(str(tmp_path / d)) for d in ("from-flag", "from-file"))
+        assert flag.config_hash == file.config_hash
+
+    def test_nse_limit_without_an_l4_scale_exits_2(self, tmp_path, capsys):
+        # a zero initial field with a forcing whose coefficients are all 0.0
+        # is refused at the boundary, before any directory exists; a field of
+        # norm 1e-90, whose |u|^4 underflows in the L4 quadrature, is refused
+        # once the unmodified run finds its largest |u|_L4 is 0, with no
+        # summary and no registry record (1e-80 runs)
+        zero = base64.b64encode(sp.field_to_bytes(sp.zero_field(sp.build_basis(1)))).decode()
+        params = {"kmax": 1, "dt": 1 / 32, "t_final": 0.25}
+        cases = [({**params, "forcing": zero}, {"kind": "zero"}, "must be"),
+                 (params, {"norm": 1e-90}, "largest |u|_L4 is 0")]
+        for i, (p, initial, says) in enumerate(cases):
+            raw = {"experiment": "nse-limit", "params": p, "options": {"initial": initial}}
+            out = tmp_path / f"o{i}"
+            argv = ["nse-limit", "--config", write_config(tmp_path, raw, f"c{i}.json"),
+                    "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "field 'options.initial'" in err and says in err
+            assert not out.exists() if i == 0 else sorted(os.listdir(out)) == ["config.json"]
+        raw = {"experiment": "nse-limit", "params": params,
+               "options": {"initial": {"norm": 1e-80}}}
+        argv = ["nse-limit", "--config", write_config(tmp_path, raw, "ok.json"),
+                "--out", str(tmp_path / "ok")]
+        assert cli.main(argv) == cli.EXIT_OK
+
+    def test_budget_counts_the_scratch_of_many_fields(self):
+        # one member of 20,000 fields holds about 4.5 GB of B_F scratch at
+        # kmax 2, over the ceiling, though its ledgers and errors fit; the
+        # option that sets the fields is named
+        p = {"kmax": 2, "dt": 1 / 32, "t_final": 0.25}
+        families = {f"f{i}": {"norm": 1.0} for i in range(20_000)}
+        multipliers = [1.0 + i for i in range(20_000)]
+        for name, option, many, few in (
+                ("pullback", "families", families, dict(list(families.items())[:2_000])),
+                ("nse-limit", "multipliers", multipliers, multipliers[:2_000])):
+            times = {"pullback_times": [0.5, 1.0]} if name == "pullback" else {}
+            raw = {"experiment": name, "params": p, "options": {**times, option: many}}
+            with pytest.raises(ConfigError, match=f"'options.{option}' = 20000 entries"):
+                resolve_config(raw)
+            raw["options"][option] = few
+            assert resolve_config(raw)
+
+    def test_measure_work_ceiling_names_initial_set(self):
+        # at the defaults (kmax 2, dt 1/256, 13,120 steps a state) 5,000
+        # states are about 8.8e10 grid points of work; 400 fit
+        def measure(states):
+            return {"experiment": "measure",
+                    "options": {"initial_set": {f"s{i}": {"norm": 1.0} for i in range(states)}}}
+
+        with pytest.raises(ConfigError, match="field 'options.initial_set' = 5000"):
+            resolve_config(measure(5_000))
+        assert len(resolve_config(measure(400)).option("initial_set")) == 400
 
     def test_config_error_exit(self, tmp_path, capsys):
         # forcing payloads of a kmax-1 run: one serialized at kmax 2, one with
@@ -456,7 +520,7 @@ class TestModesAndExitCodes:
         # member is marched; c08's 64 x 1,024 sits well inside the ceiling
         c08 = {"experiment": "contract", "ensemble": 64,
                "params": {"nu": 4.0, "t_final": 4.0, "dt": 1 / 256}}
-        assert 16 * contract_work(resolve_config(c08).params, 64) <= WORK_CEILING
+        assert 16 * march_work(resolve_config(c08).params, "contract", 64) <= WORK_CEILING
         raw = {"experiment": "contract", "ensemble": 100_000_000,
                "assertion_mode": "exploratory"}
         bad = write_config(tmp_path, raw)

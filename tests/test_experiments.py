@@ -232,19 +232,39 @@ class TestTileWork:
     def test_repeated_suite_calls_reuse_their_stages(self):
         # a suite called again, after another suite and another kmax ran,
         # writes into the stage arrays of its first call and reports the same;
-        # tiles of one case keep no stages past the call
+        # a tile whose grids exceed TILE_GRID_BYTES (one kmax-4 monotonicity
+        # case, 24 grids of 17^3) keeps no stages past the call
         runs = [lambda: ex.check_monotonicity(2, 1, 5),
                 lambda: ex.check_trilinear(2, 4, 5), lambda: ex.check_cutoff_lemma(1, 3, 5)]
         first = [(r.rows, r.summary()) for r in (run() for run in runs)]
-        work = ex._tile_work("monotonicity_gap", 2, 3)
+        work = sp.stack_work("monotonicity_gap", sp.build_basis(2), (3,), 24)
         stages = {name: id(a) for name, a in work.items() if isinstance(a, np.ndarray)}
         assert stages
         again = [(r.rows, r.summary()) for r in (run() for run in runs)]
         assert {name: id(work[name]) for name in stages} == stages
         assert repr(again) == repr(first)
-        misses = ex._tile_work.cache_info().misses
-        assert ex.check_monotonicity(3, 1, 5, (1.0,), (1.0,)).passed
-        assert ex._tile_work.cache_info().misses == misses
+        misses = sp._kept_work.cache_info().misses
+        assert ex.check_monotonicity(4, 1, 5, (1.0,), (1.0,)).passed
+        assert sp._kept_work.cache_info().misses == misses
+
+    def test_solves_of_one_shape_share_the_drift_stages(self, basis1):
+        # the tiles of a march, and a later solve of the same stack shape,
+        # write into one kept work dict and give the bits of a fresh one
+        p = it.SimParams(nu=4.0, level=0.5, dt=1 / 32, t_final=0.25, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.5))
+        rng = labeled_generator(3, "share")
+        x = np.stack([[sp.random_field(basis1, rng, norm=2.0).coeffs] for _ in range(4)])
+        paths = [nz.make_path(m, p.dt_path, 0.0, p.t_final, p.noise, basis1) for m in range(2)]
+        sp._kept_work.cache_clear()
+        fresh = [it.solve(x[a:a + 2], paths, p) for a in (0, 2)]
+        work = sp.stack_work("drift", basis1, (2, 1))
+        stages = {name: id(a) for name, a in work.items() if isinstance(a, np.ndarray)}
+        assert stages
+        again = it.solve(x[:2], paths, p)
+        assert {name: id(work[name]) for name in stages} == stages
+        assert np.array_equal(again.v, fresh[0].v)
+        assert all(np.array_equal(col, getattr(fresh[0].ledger, name))
+                   for name, col in vars(again.ledger).items())
 
 
 class TestContraction:
@@ -475,7 +495,7 @@ class TestPullback:
         margins = []
         for name, x in fam.items():
             for tm, radius in zip(times, rep.radii[name]):
-                traj = it.solve(x, path, p, t0=-tm, t_final=tm)
+                traj = it.solve(x, path, replace(p, t_final=tm), t0=-tm)
                 assert (traj.ledger.cutoff[0] < 1.0) == (name == "large")
                 assert radius == sp.norm_H(traj.v + traj.z, basis2)
                 margins.append(it.pullback_inequality_margin(p, traj.ledger))

@@ -337,10 +337,9 @@ class TestStackContract:
         # a field's record does not depend on the stack it marches in: its
         # states at every step, final state and ledger columns are
         # its own solve's, bit for bit, whatever the ledger block of the
-        # stack, and at its own level when the stepper holds one level per field
+        # stack, and at its own level when the solve is given one level per field
         xs, paths, p, t0, ledger, levels = case
-        stack, rec = recorded(it.solve, xs, paths, p, t0=t0, ledger=ledger,
-                              stepper=it._Stepper(p, level=levels))
+        stack, rec = recorded(it.solve, xs, paths, p, t0=t0, ledger=ledger, level=levels)
         for g, path in enumerate(paths):
             for i, x in enumerate(xs):
                 own = p if levels is None else replace(p, level=float(levels[i]))
@@ -605,7 +604,7 @@ class TestCheckpoint:
         x = sp.random_field(basis2, rng)
         full = it.solve(x, path, p)
 
-        half = it.solve(x, path, p, t_final=0.5)
+        half = it.solve(x, path, replace(p, t_final=0.5))
         blob = it.checkpoint_dump(half, path, p)
         start, path2, p2 = checkpoint_load(blob)
         assert start.t_end == half.t_end and start.ledger is None
@@ -621,7 +620,7 @@ class TestCheckpoint:
         path = make_setup(basis2, p, seed=41)
         x = sp.random_field(basis2, rng)
         full = it.solve(x, path, p)
-        half = it.solve(x, path, p, t_final=0.5)
+        half = it.solve(x, path, replace(p, t_final=0.5))
         blob = json.loads(it.checkpoint_dump(half, path, p))
         z = sp.field_from_bytes(base64.b64decode(blob["z"]), basis2).coeffs.copy()
         z[0, 0] += 0.25

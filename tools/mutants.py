@@ -75,6 +75,15 @@ MUTANTS = [
      "src/gmnslab/config.py",
      's.get("kind") != "zero" or p.params.forcing is not None',
      'True or p.params.forcing is not None'),
+    ("options: nse-limit's all-zero forcing taken as a forcing", "src/gmnslab/config.py",
+     "is not None\n                                  and p.params.forcing.coeffs.any()",
+     "is not None"),
+    ("run budget: a tile's B_F scratch not counted", "src/gmnslab/config.py",
+     "* (member + scratch)",
+     "* member"),
+    ("run budget: measure's work line dropped", "src/gmnslab/config.py",
+     "if exp in STEP_POINTS:",
+     'if exp == "contract":'),
 ]
 
 COPIED = ("src", "tests", "tools", "pyproject.toml")
