@@ -126,27 +126,22 @@ def _run_simulate(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]
 
 
 def _run_contract(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
-    params = cfg.params
-    basis = params.basis()
+    basis = cfg.params.basis()
     x1 = _initial_field(basis, cfg.option("x1"), cfg.seed, "x1")
     x2 = _initial_field(basis, cfg.option("x2"), cfg.seed, "x2")
-    rep = ex.contraction_experiment(params, x1, x2, ensemble=cfg.ensemble, seed=cfg.seed,
+    rep = ex.contraction_experiment(cfg.params, x1, x2, ensemble=cfg.ensemble, seed=cfg.seed,
                                     record_every=cfg.option("record_every"))
     return rep.summary(), rep.passed, {"contraction.csv": rep.columns()}, []
 
 
 def _run_pullback(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
-    params = cfg.params
-    basis = params.basis()
-    times = cfg.option("pullback_times")
+    basis = cfg.params.basis()
     family = {
         name: _initial_field(basis, spec, cfg.seed, f"pullback-{name}")
         for name, spec in cfg.option("families").items()
     }
-    rep = ex.pullback_absorption(
-        params, times, family, seed=cfg.seed,
-        family_tol=cfg.option("family_tol"),
-    )
+    rep = ex.pullback_absorption(cfg.params, cfg.option("pullback_times"), family,
+                                 seed=cfg.seed, family_tol=cfg.option("family_tol"))
     return rep.summary(), rep.passed, {"pullback.csv": rep.columns()}, []
 
 
@@ -163,14 +158,13 @@ def _run_nse_limit(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str
 
 
 def _run_measure(cfg: RunConfig, out: str) -> tuple[dict, bool, dict, list[str]]:
-    params = cfg.params
-    basis = params.basis()
+    basis = cfg.params.basis()
     burn_in, horizon = cfg.option("burn_in"), cfg.option("horizon")
     ics = {
         name: _initial_field(basis, spec, cfg.seed, f"measure-{name}")
         for name, spec in cfg.option("initial_set").items()
     }
-    rep = ex.invariant_measure_sampler(params, ics, burn_in=burn_in, horizon=horizon,
+    rep = ex.invariant_measure_sampler(cfg.params, ics, burn_in=burn_in, horizon=horizon,
                                        seed=cfg.seed)
     return rep.summary(), rep.passed, {"measure.csv": rep.columns()}, []
 

@@ -12,8 +12,8 @@ only its own).  A rule is (validator(value, ctx), what), and one function,
 module checks only what JSON brings (unknown keys, object shapes, the
 forcing as base64 text), the ceilings of chi * dt, eta, E|z|_H^2 and the
 instability, the command rules that read the ensemble or the mode, and, in
-`run_budget`, the bytes a run holds at once and the work of contract, measure
-and check, each against its one ceiling.
+`run_budget`, the bytes a run holds at once and the seconds of contract,
+measure and check, each against its one ceiling.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
+from . import cost
 from .cutoff import CutoffParams
 from .experiments import MEASURE_BATCHES, member_bytes, member_tile, stability_threshold
 from .integrate import SimParams
 from .noise import (NON_NEGATIVE, PATH_TABLE_CEILING, NoiseSpectrum, _finite, _is_int, check,
                     check_rules, path_table_bytes, rule, stationary_mean_H2)
-from .spectral import SCRATCH_GRIDS
 
 # The largest chi * dt a run may take.  z decorrelates within
 # 1/(nu |k|^2 + chi) <= 1/chi, and the stepper's trapezoid of chi z needs a
@@ -36,34 +36,8 @@ from .spectral import SCRATCH_GRIDS
 # chi * dt = 1/4, 1.0% at 1/2 and 14% at 2.
 CHI_DT_CEILING = 0.25
 
-# The second ceiling of run_budget: the most work a contract, measure or
-# check run may do, counted in grid points (about 0.38 us a point on a
-# 2-core VM, so the ceiling is about an hour).  For contract, one
-# member-step (a solver step of a member's two fields) costs about
-# grid_size^3 + 1024 points, the 1024 being the fixed cost of its calls, and
-# 1/256 of that again for each path cell its cursor crosses (measured at
-# kmax 1-8).  Acceptance criterion c08 does 64 x 1,024 member-steps of
-# 1,760 points, 2^26.8.  For check, see _CHECK_CASE_POINTS.
-WORK_CEILING = 2**33
-
-# Grid points of work per member-step of a march, (a, b) in
-# (a * grid_size^3 + b) * (1 + path cells per step / 256): a contract member's
-# two fields (above), and a measure state's one field with its ledger, a line
-# through its time over contract's, timed side by side at kmax 1 and 3: 0.90
-# and 0.64 of contract's points (2-core VM, 1 BLAS thread).
-STEP_POINTS = {"contract": (1.0, 1024), "measure": (0.5, 980)}
-
-# Grid points of work per case of each fuzz suite of check, (a, b) in
-# a * grid_size^3 + b: a line through the cost per case measured at kmax 1
-# and 8, within 40% of it at kmax 3-6.  A monotonicity triple is 9 cases,
-# one per (nu, level) point; the shift pairs run at kmax 1.  The defaults
-# do about 2^28 points at kmax 8.
-_CHECK_CASE_POINTS = {
-    "cutoff_pairs": (0.21, 50),
-    "trilinear_triples": (0.45, 40),
-    "monotonicity_triples": (3.7, 420),
-    "shift_pairs": (0.0, 2600),
-}
+# The most seconds a contract, measure or check run may take (`cost`): an hour.
+WORK_CEILING = 3600.0
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -305,38 +279,26 @@ def _span(cfg: RunConfig) -> tuple[str, float]:
     return name, span
 
 
-def march_work(p: SimParams, experiment: str, members: int) -> float:
-    """The grid points of work of a contract or measure march of `members`."""
-    a, b = STEP_POINTS[experiment]
-    per_step = (a * (4 * p.kmax + 1) ** 3 + b) * (1 + p.substeps / 256)
-    return members * round(p.t_final / p.dt) * per_step
-
-
-def check_work(cfg: RunConfig) -> dict[str, float]:
-    """Grid points of work of each counted fuzz suite of a check run, by
-    the option that sets its size."""
-    points = (4 * cfg.params.kmax + 1) ** 3
-    return {name: cfg.option(name) * (a * points + b)
-            for name, (a, b) in _CHECK_CASE_POINTS.items()}
-
-
 def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
     """Each ceiling a resolved run must fit, as (the field to name, its value,
-    the amount, the ceiling, its unit): the bytes the run holds at once, a
-    tile's worth of members' path tables and ledgers (`member_bytes`) and of
-    their fields' B_F scratch, against PATH_TABLE_CEILING, and the work of
-    contract, measure and check against WORK_CEILING."""
-    held = "bytes of path tables, ledgers and B_F scratch held at once"
-    work = "grid points of work"
+    the amount, the ceiling, its unit), from the one resource model (`cost`):
+    the bytes the run holds at once against PATH_TABLE_CEILING, and the
+    seconds of contract, measure and check against WORK_CEILING."""
+    held, work = "bytes of path tables, ledgers and B_F scratch held at once", "seconds of work"
+    k, s = cfg.params.kmax, cost.seconds(cfg.params.kmax)
     if cfg.experiment == "check":
-        # c06 samples one kmax=1 path of ou_samples + 1 cells into a series,
-        # and its variance copies it; the fuzz count with the largest share of
-        # the work is the one to name
-        n, points = cfg.option("ou_samples"), check_work(cfg)
-        name = max(points, key=points.get)
-        return [("field 'options.ou_samples'", n, path_table_bytes(n + 1, 1) + 16 * n,
-                 PATH_TABLE_CEILING, held),
-                (f"field 'options.{name}'", cfg.option(name), sum(points.values()),
+        # c06's kmax=1 path of ou_samples + 1 cells, its series and the copy
+        # its variance takes, its Monte Carlo stack (the draws, their scaled
+        # copy and squares) and the fuzz suites' kept tiles; the count with
+        # the largest share of the seconds is named
+        n, basis = cfg.option("ou_samples"), cfg.params.basis()
+        secs = {o: cfg.option(o) * s[o] for o in (*cost.FUZZ_FIELDS, "shift_pairs", "ou_samples")}
+        name = max(secs, key=secs.get)
+        nbytes = (path_table_bytes(n + 1, 1) + 16 * n + 3 * path_table_bytes(cost.OU_MC_FIELDS, 1)
+                  + sum(member_tile(basis, w) * w * cost.field_bytes(k)
+                        for w in cost.FUZZ_FIELDS.values()))
+        return [("field 'options.ou_samples'", n, nbytes, PATH_TABLE_CEILING, held),
+                (f"field 'options.{name}'", cfg.option(name), sum(secs.values()),
                  WORK_CEILING, work)]
     name, span = _span(cfg)
     p = replace(cfg.params, t_final=span)
@@ -349,21 +311,25 @@ def run_budget(cfg: RunConfig) -> list[tuple[str, float, float, float, str]]:
                 else len(cfg.option("families")) if exp == "pullback" else 1)
     members = (cfg.ensemble if exp == "contract"
                else len(cfg.option("initial_set")) if exp == "measure" else 1)
-    member = (member_bytes(p, n_fields, ledger=exp != "contract")
-              + 8 * (round(span / p.dt) + 1) * levels)
-    # member_tile's floor of one member leaves the scratch of a member of many
-    # fields unbounded by TILE_GRID_BYTES; where it is the most a member
-    # holds, the option that sets the fields is the one to name
-    scratch = n_fields * SCRATCH_GRIDS[p.kmax - 1] * 8 * (4 * p.kmax + 1) ** 3
-    nbytes = min(members, member_tile(p.basis(), 12 * n_fields, member)) * (member + scratch)
+    steps, ledger = round(span / p.dt), exp != "contract"
+    member = member_bytes(p, n_fields, ledger) + 8 * (steps + 1) * levels
+    tile = min(members, member_tile(p.basis(), n_fields, member))
+    # a tile's members and their fields, and one block of the OU cursor's
+    # draws; a tile's floor of one member leaves a member of many fields
+    # unbounded by TILE_BYTES, and where they are the most it holds, the
+    # option that sets them is the one to name
+    scratch = n_fields * cost.field_bytes(k)
     many = {"nse-limit": "multipliers", "pullback": "families"}.get(exp)
     value = span
     if many and scratch > member:
         name, value = f"field 'options.{many}'", f"{len(cfg.option(many))} entries"
-    budget = [(name, value, nbytes, PATH_TABLE_CEILING, held)]
-    if exp in STEP_POINTS:
+    budget = [(name, value, tile * (member + scratch) + cost.TILE_BYTES, PATH_TABLE_CEILING,
+               held)]
+    if exp in ("contract", "measure"):  # each step of each of the even tiles
+        secs = steps * (-(-members // tile) * s["call"] + members * (
+            n_fields * (s["field"] + ledger * s["row"]) + p.substeps * s["cell"]))
         budget.append(("field 'ensemble'" if exp == "contract" else "field 'options.initial_set'",
-                       members, march_work(p, exp, members), WORK_CEILING, work))
+                       members, secs, WORK_CEILING, work))
     return budget
 
 

@@ -27,6 +27,7 @@ from . import cutoff as co
 from . import integrate as it
 from . import noise as nz
 from . import spectral as sp
+from .cost import FUZZ_FIELDS, OU_MC_FIELDS, TILE_BYTES, field_bytes
 from .seeding import derive_key, labeled_generator
 
 
@@ -95,17 +96,19 @@ def _even_tiles(n: int, tile: int) -> list[range]:
     return [range(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(tiles)]
 
 
-def _fuzz(name: str, basis: sp.GalerkinBasis, cases: int, seed: int, grids: int,
+def _fuzz(name: str, basis: sp.GalerkinBasis, cases: int, seed: int, option: str,
           evaluate) -> CheckReport:
     """A fuzz suite's report, its cases in order in `_even_tiles` of
-    `member_tile` cases of `grids` grids (one tile if 0): evaluate(cases, work)
-    draws and evaluates the case indices (a range) of a tile, with one work
-    dict of its size a call at least, and gives per case (row id, lhs, rhs,
-    margin, lowest margin, violations, kept) as Python numbers."""
-    rows, violations, worst, works = [], 0, math.inf, {}
-    for span in _even_tiles(cases, member_tile(basis, grids) if grids else max(1, cases)):
-        work = works.setdefault(len(span), sp.stack_work(name, basis, (len(span),), grids))
-        for j, lhs, rhs, margin, low, bad, keep in evaluate(span, work):
+    `member_tile` cases of FUZZ_FIELDS[option] fields (else one tile, and no
+    work dict): evaluate(cases, work) draws and evaluates the case indices
+    (a range) of a tile, with one work dict of its size a call at least, and
+    gives per case (row id, lhs, rhs, margin, lowest margin, violations,
+    kept) as Python numbers."""
+    rows, violations, worst, works, fields = [], 0, math.inf, {}, FUZZ_FIELDS.get(option)
+    for span in _even_tiles(cases, member_tile(basis, fields) if fields else max(1, cases)):
+        if fields:
+            works.setdefault(len(span), sp.stack_work(name, basis, (len(span),), fields))
+        for j, lhs, rhs, margin, low, bad, keep in evaluate(span, works.get(len(span))):
             violations += bad
             worst = min(worst, low)
             if keep:
@@ -148,7 +151,7 @@ def check_cutoff_lemma(kmax: int = 2, n_pairs: int = 10_000, seed: int = 0,
             yield (j, lhs, rhs, margin, min(margin, level - prod),
                    (not 0.0 <= prod <= level) + over, over or j < 512)
 
-    return _fuzz("cutoff_lemma", basis, n_pairs, seed, 5 * 3, tile)
+    return _fuzz("cutoff_lemma", basis, n_pairs, seed, "cutoff_pairs", tile)
 
 
 def check_trilinear(kmax: int = 2, n_triples: int = 1000, seed: int = 1,
@@ -168,7 +171,7 @@ def check_trilinear(kmax: int = 2, n_triples: int = 1000, seed: int = 1,
             margin = min(skew_cap - skew, tol * nu * nv * nw - abs(b_vw + b_wv))
             yield j, skew, skew_cap, margin, margin, margin < 0, margin < 0 or j < 512
 
-    return _fuzz("trilinear_identities", basis, n_triples, seed, 2 * 12 + 2 * 3, tile)
+    return _fuzz("trilinear_identities", basis, n_triples, seed, "trilinear_triples", tile)
 
 
 def check_monotonicity(kmax: int = 2, n_triples: int = 1000, seed: int = 2,
@@ -197,7 +200,8 @@ def check_monotonicity(kmax: int = 2, n_triples: int = 1000, seed: int = 2,
             yield (j + 1, gap, -tol, gap + tol, gap + tol, gap < -tol,
                    gap < -tol or j % n_triples < 64)
 
-    return _fuzz("monotonicity_gap", basis, len(rngs) * n_triples, seed, 2 * 12, tile)
+    return _fuzz("monotonicity_gap", basis, len(rngs) * n_triples, seed, "monotonicity_triples",
+                 tile)
 
 
 def _stationary_h2(spectrum: nz.NoiseSpectrum, chi: float, nu: float,
@@ -213,7 +217,7 @@ def _stationary_h2(spectrum: nz.NoiseSpectrum, chi: float, nu: float,
 
 def check_ou_stationarity(
     seed: int = 3, n_samples: int = 100_000, nu: float = 1.0, chi: float = 1.0,
-    mc_fields: int = 10_000, chis: tuple = (0.0, 1.0, 10.0, 100.0),
+    mc_fields: int = OU_MC_FIELDS, chis: tuple = (0.0, 1.0, 10.0, 100.0),
 ) -> CheckReport:
     """Exact-transition stationarity: per-mode variance against
     sigma^2/(2*mu) over a long single-coordinate run, Monte Carlo
@@ -281,7 +285,7 @@ def check_shift_covariance(
             diff = float(np.abs(lhs.coeffs - rhs.coeffs).max())
             yield case, diff, tol, tol - diff, tol - diff, diff > tol, True
 
-    return _fuzz("shift_covariance", basis, n_pairs, seed, 0, pairs)
+    return _fuzz("shift_covariance", basis, n_pairs, seed, "shift_pairs", pairs)
 
 
 # ---- exponential contraction ------------------------------------------------
@@ -316,11 +320,10 @@ def member_bytes(params: it.SimParams, fields: int, ledger: bool = True) -> floa
     return nz.path_table_bytes(params.t_final / params.dt_path, params.kmax) + ledger_bytes
 
 
-def member_tile(basis: sp.GalerkinBasis, grids: int, nbytes: float = 0.0) -> int:
-    """Members of `grids` real M^3 grids each per tile: as many as fit in
-    spectral.TILE_GRID_BYTES and, holding nbytes each (`member_bytes`), whose
-    bytes fit noise.PATH_TABLE_CEILING together; at least one."""
-    tile = sp.TILE_GRID_BYTES // (grids * 8 * basis.grid_size**3)
+def member_tile(basis: sp.GalerkinBasis, fields: float, nbytes: float = 0.0) -> int:
+    """Members of `fields` fields a tile: as many as fit TILE_BYTES and whose
+    nbytes each (`member_bytes`) fit noise.PATH_TABLE_CEILING; at least one."""
+    tile = TILE_BYTES // (fields * field_bytes(basis.kmax))
     if nbytes:
         tile = min(tile, nz.PATH_TABLE_CEILING // nbytes)
     return max(1, int(tile))
@@ -331,13 +334,13 @@ def _march_tiles(params: it.SimParams, x: np.ndarray, seed: int, label: str, **s
     start velocities x, (members, P, n_half_modes, 2): member m marches on
     its own path over [0, params.t_final], keyed derive_key(seed,
     f"{label}-{m}"), in `_even_tiles` of at most `member_tile` members, one
-    group each.  The tiles of one size share one kept work dict when their
-    grids fit TILE_GRID_BYTES, as any tile of several members does
-    (`spectral.stack_work`).  An InstabilityError names the member, not its
-    place in the tile."""
+    group each.  The tiles of one size share one work dict (`stack_work`),
+    held for the run where a tile is one member too large to keep.  An
+    InstabilityError names the member, not its place in the tile."""
     basis = params.basis()
     P = x.shape[1]
-    tile = member_tile(basis, 12 * P, member_bytes(params, P, solve_kw.get("ledger", True)))
+    tile = member_tile(basis, P, member_bytes(params, P, solve_kw.get("ledger", True)))
+    held = sp.stack_work("drift", basis, (1, P)) if tile == 1 else None
     for span in _even_tiles(len(x), tile):
         # each tile's paths are built here and dropped with the tile
         paths = [nz.make_path(derive_key(seed, f"{label}-{m}"), params.dt_path, 0.0,

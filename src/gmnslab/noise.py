@@ -44,6 +44,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .cost import TILE_BYTES
 from .seeding import derive_key, labeled_generator, philox, philox_state
 from .spectral import GalerkinBasis, SpectralField
 
@@ -420,18 +421,19 @@ class OUCursor:
         if n1 < self._index:
             raise ValueError("the OU layer cannot run backwards in time")
         if n1 > self._index:
-            # gain * draws in the tables' coordinate-major layout, then per
-            # cell decay * coords + its strided row, each path's two roundings,
-            # on a copy: a z returned earlier is a view of the old state.
-            # Zero noise adds rows of +-0.0 to +0.0, so its z stays +0.0
-            cells = n1 - self._index
-            steps = np.empty((*self._gain.shape[:2], cells))
-            for p, gain, out in zip(self.paths, self._gain, steps):
-                np.multiply(p.normals(self._index, cells).T, gain, out=out)
-            coords = self._coords.copy()
-            for row in steps.reshape(-1, cells).T:
-                coords *= self._decay
-                coords += row
+            # gain * draws in the tables' coordinate-major layout, in blocks of
+            # TILE_BYTES, then per cell decay * coords + its strided row, each
+            # path's two roundings, on a copy: a z returned earlier is a view of
+            # the old state.  Zero noise adds +-0.0 to +0.0, so z stays +0.0
+            coords, block = self._coords.copy(), max(1, TILE_BYTES // (8 * self._gain.size))
+            for n in range(self._index, n1, block):
+                cells = min(block, n1 - n)
+                steps = np.empty((*self._gain.shape[:2], cells))
+                for p, gain, out in zip(self.paths, self._gain, steps):
+                    np.multiply(p.normals(n, cells).T, gain, out=out)
+                for row in steps.reshape(-1, cells).T:
+                    coords *= self._decay
+                    coords += row
             self._coords = coords
             self._index = n1
         z = self._coords.view(np.complex128).reshape(self._shape)

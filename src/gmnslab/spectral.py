@@ -83,9 +83,12 @@ import functools
 import math
 import operator
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .cost import TILE_BYTES, field_bytes
 
 # Resource guard: a desk-scale build never needs more than this.
 KMAX_CEILING = 8
@@ -374,36 +377,24 @@ def build_basis(kmax: int) -> GalerkinBasis:
 _basis = functools.cache(GalerkinBasis)
 
 
-# Byte budget of one tile's stacked grids and Jacobians (12 real M^3 grids per
-# field, 3 without its Jacobian; a contraction member has 2 fields, a measure
-# state 1): members march, and fuzz cases run, in tiles of as many as fit, at
-# least one.  Measured per-member B_F cost of the contraction against the
-# stack size (CHANGES.md): it falls down to 8 fields at kmax 2 (560 KB of
-# grids, so 4 members per tile), keeps falling to 16 and more at kmax 1 (27
-# per tile) and is flat at kmax 3 (1 per tile).
-TILE_GRID_BYTES = 640 * 2**10
+class _Work(dict):
+    """A work dict, which a weak reference can name."""
 
-
-# Real M^3 grids of scratch per field that one B_F call on a new work dict
-# holds at its peak, by kmax 1-8 (`cutoff.cutoff_advection_coeffs` traced with
-# tracemalloc, the most over stacks (1, 1), (1, 2), and to kmax 6 (4, 2) and
-# (1, 8), rounded up): fixed costs weigh most at kmax 1, and the stages a work
-# dict keeps are 95-98% of it.  A tile's 12 grids a field count a third of it.
-SCRATCH_GRIDS = (50, 39, 37, 36, 35, 35, 34, 34)
 
 _kept_work = functools.lru_cache(maxsize=8)(lambda name, kmax, shape: {})
+_held_work = weakref.WeakValueDictionary()
 
 
-def stack_work(name: str, basis: GalerkinBasis, shape: tuple, grids: int = 12) -> dict:
-    """The work dict of `name`'s stack of `shape`, `grids` real M^3 grids an
-    entry (12 a field with its Jacobian, as the tiles are sized): kept past
-    the call, the eight latest, when the stack's grids fit TILE_GRID_BYTES,
-    else new.  A kept dict serves one call at a time, as the next of its
-    shape overwrites it: nothing in the package interleaves two solves, or
-    two suite tiles, of one name and shape."""
-    if math.prod(shape) * grids * 8 * basis.grid_size**3 > TILE_GRID_BYTES:
-        return {}
-    return _kept_work(name, basis.kmax, tuple(shape))
+def stack_work(name: str, basis: GalerkinBasis, shape: tuple, fields: float = 1.0) -> dict:
+    """The work dict of `name`'s stack of `shape`, of `fields` fields an entry
+    (`cost`): the eight latest kept past their call if the stack fits
+    TILE_BYTES, else the one a caller holds (a march's, for its tiles of one
+    member) or a new one.  Nothing in the package interleaves two solves, or
+    two suite tiles, of one name and shape, so a dict serves one at a time."""
+    key = (name, basis.kmax, tuple(shape))
+    if math.prod(shape) * fields * field_bytes(basis.kmax) <= TILE_BYTES:
+        return _kept_work(*key)
+    return _held_work.setdefault(key, _Work())
 
 
 def zero_field(basis: GalerkinBasis) -> SpectralField:

@@ -363,3 +363,16 @@ def ou_moments(z0: float, sigma: float, mu: float, t: float) -> tuple[float, flo
     mean = z0 * np.exp(-mu * t)
     var = sigma**2 / (2.0 * mu) * (1.0 - np.exp(-2.0 * mu * t))
     return mean, var
+
+
+# Wall seconds of acceptance criteria c01, c03, c08 and c10 in one tier-1
+# run (pytest --durations, 2-core VM, before cost.TABLE was fitted), each
+# with the config that runs the same work through the command line: c01 and
+# c03 as a check's suite counts, c08 and c10 as contract and measure runs
+ACCEPTANCE_SECONDS = {
+    "c01": (0.82, {"cutoff_pairs": 10_000}),
+    "c03": (1.18, {"monotonicity_triples": 1000}),
+    "c08": (12.11, {"experiment": "contract", "ensemble": 64,
+                    "params": {"nu": 4.0, "dt": 1 / 256, "t_final": 4.0}}),
+    "c10": (2.09, {"experiment": "measure", "params": {"nu": 4.0, "dt": 1 / 128}}),
+}

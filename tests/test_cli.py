@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 import gmnslab
 from gmnslab import cli
 from gmnslab import spectral as sp
-from gmnslab.config import (_OPTIONS, EXPERIMENTS, WORK_CEILING, ConfigError,
-                            march_work, read_config, resolve_config)
+from gmnslab.config import (_OPTIONS, EXPERIMENTS, WORK_CEILING, ConfigError, read_config,
+                            resolve_config, run_budget)
 from gmnslab.registry import DivergenceError, load_records, register_run
 from gmnslab.seeding import labeled_generator
 
@@ -280,6 +281,36 @@ class TestModesAndExitCodes:
             raw["options"][option] = few
             assert resolve_config(raw)
 
+    def test_budget_bounds_the_traced_peak(self, tmp_path):
+        # one run of each command that the budget counts at 40 MB or more
+        # (fine path cells at kmax 2 make the bytes cheap to march, and c06's
+        # 50,000 samples and Monte Carlo stack make check's): the tracemalloc peak of the
+        # whole run stays within 10% over the bytes counted.  Below about
+        # 20 MB the 2-3 MB of fixed costs weigh too much to tell
+        fine = {"kmax": 2, "dt": 1 / 32, "t_final": 0.25, "dt_path": 1 / 81_920}
+        ones = dict.fromkeys(("cutoff_pairs", "trilinear_triples", "monotonicity_triples",
+                              "shift_pairs"), 1) | {"ou_samples": 50_000}
+        runs = {"simulate": {"params": fine},
+                "contract": {"ensemble": 4, "params": {**fine, "dt_path": 1 / 20_480}},
+                "pullback": {"params": fine, "options": {"pullback_times": [0.125, 0.25]}},
+                "nse-limit": {"params": fine},
+                "measure": {"params": {**fine, "dt_path": 1 / 16_384},
+                            "options": {"burn_in": 0.0, "horizon": 0.625}},
+                "check": {"params": {"kmax": 1}, "options": ones}}
+        for name, fields in runs.items():
+            raw = {"experiment": name, "assertion_mode": "exploratory", **fields}
+            counted = run_budget(resolve_config(raw))[0][2]
+            argv = [name, "--config", write_config(tmp_path, raw, f"{name}.json"),
+                    "--out", str(tmp_path / name)]
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code in (cli.EXIT_OK, cli.EXIT_HORIZON) and counted >= 40e6, name
+            assert peak <= 1.1 * counted, (name, peak / counted)
+
     def test_measure_work_ceiling_names_initial_set(self):
         # at the defaults (kmax 2, dt 1/256, 13,120 steps a state) 5,000
         # states are about 8.8e10 grid points of work; 400 fit
@@ -520,7 +551,7 @@ class TestModesAndExitCodes:
         # member is marched; c08's 64 x 1,024 sits well inside the ceiling
         c08 = {"experiment": "contract", "ensemble": 64,
                "params": {"nu": 4.0, "t_final": 4.0, "dt": 1 / 256}}
-        assert 16 * march_work(resolve_config(c08).params, "contract", 64) <= WORK_CEILING
+        assert 16 * run_budget(resolve_config(c08))[-1][2] <= WORK_CEILING
         raw = {"experiment": "contract", "ensemble": 100_000_000,
                "assertion_mode": "exploratory"}
         bad = write_config(tmp_path, raw)
@@ -551,9 +582,9 @@ class TestModesAndExitCodes:
                     "params": {"nu": 4.0, "t_final": t_final, "dt": dt, "kmax": kmax,
                                "dt_path": dt / cells}}
 
-        assert resolve_config(contract(256)).ensemble == 256
+        assert resolve_config(contract(512)).ensemble == 512
         assert resolve_config(contract(2**15, t_final=1 / 256)).ensemble == 2**15
-        for raw in (contract(256, kmax=8), contract(2**15, cells=2**16, t_final=1 / 256)):
+        for raw in (contract(512, kmax=8), contract(2**15, cells=2**16, t_final=1 / 256)):
             with pytest.raises(ConfigError, match="field 'ensemble'"):
                 resolve_config(raw)
 

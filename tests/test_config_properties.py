@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmnslab.config import (_CHECK_CASE_POINTS, _OPTIONS, EXPERIMENTS, WORK_CEILING,
-                            ConfigError, check_work, resolve_config)
+from gmnslab import cost
+from gmnslab.config import (_OPTIONS, EXPERIMENTS, WORK_CEILING, ConfigError, resolve_config,
+                            run_budget)
 from gmnslab.experiments import stability_threshold
+from oracles import ACCEPTANCE_SECONDS
 
 # every option of every command
 OPTIONS = {name for row in _OPTIONS.values() for name in row}
@@ -300,19 +302,30 @@ def test_marched_span_on_the_step_grid_naming_fields(exp, burn, steps, off, data
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(_CHECK_CASE_POINTS)), kmax=st.integers(1, 8),
-       data=st.data())
+@given(name=st.sampled_from(sorted({*cost.FUZZ_FIELDS, "shift_pairs"})),
+       kmax=st.integers(1, 8), data=st.data())
 def test_check_work_ceiling_naming_field(name, kmax, data):
-    # a fuzz count whose own work is over the ceiling is rejected naming its
-    # field; the defaults at every kmax stay under it
+    # a fuzz count whose own seconds are over the ceiling is rejected naming
+    # its field; the defaults at every kmax stay under it
     raw = {"experiment": "check", "params": {"kmax": kmax}}
-    cfg = resolve_config(raw)
-    assert sum(check_work(cfg).values()) <= WORK_CEILING
-    per_case = check_work(cfg)[name] / cfg.option(name)
+    assert run_budget(resolve_config(raw))[-1][2] <= WORK_CEILING
+    per_case = cost.seconds(kmax)[name]
     over = data.draw(st.integers(int(WORK_CEILING / per_case) + 1, 10**12), label=name)
     with pytest.raises(ConfigError) as err:
         resolve_config({**raw, "options": {name: over}})
     assert f"'options.{name}'" in str(err.value)
+
+
+def test_seconds_follow_the_timed_acceptance_runs():
+    # the model's seconds of c01, c03, c08 and c10 lie within [0.7, 1.4] of
+    # their timed runs, so a table off by a factor of 2 either way fails
+    for name, (measured, raw) in ACCEPTANCE_SECONDS.items():
+        if "experiment" in raw:
+            predicted = run_budget(resolve_config(raw))[-1][2]
+        else:
+            (option, count), = raw.items()
+            predicted = count * cost.seconds(2)[option]
+        assert 0.7 <= measured / predicted <= 1.4, (name, measured / predicted)
 
 
 def test_every_option_rule_has_a_property():

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmnslab import cost
 from gmnslab import cutoff as co
 from gmnslab import experiments as ex
 from gmnslab import integrate as it
@@ -232,12 +234,12 @@ class TestTileWork:
     def test_repeated_suite_calls_reuse_their_stages(self):
         # a suite called again, after another suite and another kmax ran,
         # writes into the stage arrays of its first call and reports the same;
-        # a tile whose grids exceed TILE_GRID_BYTES (one kmax-4 monotonicity
-        # case, 24 grids of 17^3) keeps no stages past the call
+        # a tile whose bytes exceed cost.TILE_BYTES (one kmax-4 monotonicity
+        # case, 2 fields of 36 grids of 17^3) keeps no stages past the call
         runs = [lambda: ex.check_monotonicity(2, 1, 5),
                 lambda: ex.check_trilinear(2, 4, 5), lambda: ex.check_cutoff_lemma(1, 3, 5)]
         first = [(r.rows, r.summary()) for r in (run() for run in runs)]
-        work = sp.stack_work("monotonicity_gap", sp.build_basis(2), (3,), 24)
+        work = sp.stack_work("monotonicity_gap", sp.build_basis(2), (3,), 2.0)
         stages = {name: id(a) for name, a in work.items() if isinstance(a, np.ndarray)}
         assert stages
         again = [(r.rows, r.summary()) for r in (run() for run in runs)]
@@ -265,6 +267,40 @@ class TestTileWork:
         assert np.array_equal(again.v, fresh[0].v)
         assert all(np.array_equal(col, getattr(fresh[0].ledger, name))
                    for name, col in vars(again.ledger).items())
+
+
+class TestResourceModel:
+    def test_tiles_at_kmax_2_and_3(self):
+        # members a tile of contract (two fields each) and measure (one), and
+        # cases a tile of the cutoff-lemma, trilinear and monotonicity suites
+        for kmax, tiles in ((2, (4, 9, 7, 3, 4)), (3, (1, 3, 2, 1, 1))):
+            basis = sp.build_basis(kmax)
+            assert tuple(ex.member_tile(basis, fields) for fields in (
+                2, 1, *cost.FUZZ_FIELDS.values())) == tiles
+        # and a single kmax-3 field's work dict is kept past its call
+        basis3, hits = sp.build_basis(3), sp._kept_work.cache_info().hits
+        for _ in range(2):
+            sp.stack_work("drift", basis3, (1, 1))
+        assert sp._kept_work.cache_info().hits > hits
+
+    def test_one_member_tiles_share_the_marchs_dict(self, monkeypatch):
+        # at kmax 4 a contract member's two fields exceed cost.TILE_BYTES, so
+        # members march one a tile: every tile's B_F calls write into one
+        # work dict, which goes with the run
+        assert ex.member_tile(sp.build_basis(4), 2) == 1
+        refs, same, advect = [], [], it.cutoff_advection_coeffs
+
+        def spy(basis, w, level, work):
+            # weak references only: the spy must not keep a dict alive
+            same.append(bool(refs) and refs[-1]() is work)
+            refs.append(weakref.ref(work))
+            return advect(basis, w, level, work)
+
+        monkeypatch.setattr(it, "cutoff_advection_coeffs", spy)
+        p = it.SimParams(nu=4.0, level=1.0, dt=1 / 256, t_final=1 / 256, kmax=4)
+        x = sp.random_field(p.basis(), labeled_generator(2, "x"))
+        ex.contraction_experiment(p, x, sp.zero_field(p.basis()), ensemble=3, seed=2)
+        assert same == [False] + [True] * 5 and refs[0]() is None
 
 
 class TestContraction:
@@ -310,7 +346,7 @@ class TestContraction:
         x2 = sp.random_field(basis2, labeled_generator(5, "x2"), norm=0.2)
         p = it.SimParams(nu=4.0, level=0.5 * sp.norm_L4(x1), dt=1 / 64, t_final=0.25,
                          noise=nz.NoiseSpectrum(amplitude=1.0))
-        assert ex.member_tile(basis2, 24, ex.member_bytes(p, 2, ledger=False)) == 4
+        assert ex.member_tile(basis2, 2, ex.member_bytes(p, 2, ledger=False)) == 4
         rep = ex.contraction_experiment(p, x1, x2, ensemble=7, seed=4, record_every=2)
         sq = []
         for m in range(7):
@@ -342,12 +378,12 @@ class TestContraction:
 
     def test_tile_path_tables_stay_under_the_ceiling(self, basis1, monkeypatch):
         # fine paths cap the tile so that the path tables its cursors hold
-        # together fit the table ceiling; 27 members fit the grid budget
-        assert ex.member_tile(basis1, 24, nz.path_table_bytes(16, 1)) == 27
+        # together fit the table ceiling; 20 members fit the tile budget
+        assert ex.member_tile(basis1, 2, nz.path_table_bytes(16, 1)) == 20
         table = nz.path_table_bytes(2**18, 1)
-        assert ex.member_tile(basis1, 24, table) == nz.PATH_TABLE_CEILING // table == 9
+        assert ex.member_tile(basis1, 2, table) == nz.PATH_TABLE_CEILING // table == 9
         # one table is all it may hold
-        assert ex.member_tile(basis1, 24, nz.path_table_bytes(2**21, 1)) == 1
+        assert ex.member_tile(basis1, 2, nz.path_table_bytes(2**21, 1)) == 1
         # with room for 2 tables, 5 members march in tiles of 2, 2 and 1,
         # each tile's tables dropped before the next tile draws its own,
         # with the result of the grid-sized tile of 5
@@ -481,6 +517,19 @@ class TestPullback:
         assert rep.passed
         assert rep.family_gap <= 1e-6
         assert rep.extra["within_bound"]
+
+    def test_family_gap_over_its_tolerance_fails(self, basis1):
+        # families that have not merged within 1e-6 pass under a tolerance
+        # above their gap and fail under a tenth of it, all else the same
+        p = it.SimParams(nu=1.0, level=1.0, dt=1 / 32, kmax=1,
+                         noise=nz.NoiseSpectrum(amplitude=0.5))
+        fam = {"small": sp.random_field(basis1, labeled_generator(4, "s"), norm=1.0),
+               "large": sp.random_field(basis1, labeled_generator(4, "l"), norm=10.0)}
+        rep = ex.pullback_absorption(p, [2.0, 4.0], fam, seed=4, family_tol=1.0)
+        assert rep.passed and 1e-6 < rep.family_gap < 1.0
+        tight = ex.pullback_absorption(p, [2.0, 4.0], fam, seed=4,
+                                       family_tol=rep.family_gap / 10)
+        assert tight.family_gap == rep.family_gap and not tight.passed
 
     def test_families_equal_their_single_solves(self, basis2, rng):
         # the families of each time march as one group; F < 1 on the large
@@ -759,7 +808,7 @@ class TestMeasure:
         burn_in, horizon = 1.25, 15.0
         q = it.SimParams(nu=4.0, level=1.0, dt=1 / 32, t_final=burn_in + horizon, kmax=1,
                          noise=p.noise)
-        assert ex.member_tile(basis1, 12, ex.member_bytes(q, 1)) >= 3
+        assert ex.member_tile(basis1, 1, ex.member_bytes(q, 1)) >= 3
         whole = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
         monkeypatch.setattr(ex, "member_tile", lambda basis, grids, nbytes: 2)
         tiled = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
@@ -784,7 +833,7 @@ class TestMeasure:
         table, member = ex.member_bytes(q, 1, ledger=False), ex.member_bytes(q, 1)
         whole = ex.invariant_measure_sampler(p, ics, burn_in, horizon, seed=5)
         monkeypatch.setattr(nz, "PATH_TABLE_CEILING", 2 * table + (member - table))
-        assert (ex.member_tile(basis1, 12, table), ex.member_tile(basis1, 12, member)) == (2, 1)
+        assert (ex.member_tile(basis1, 1, table), ex.member_tile(basis1, 1, member)) == (2, 1)
         seen, solve = [], it.solve
 
         def spy(xs, paths, *args, **kw):

@@ -79,11 +79,21 @@ MUTANTS = [
      "is not None\n                                  and p.params.forcing.coeffs.any()",
      "is not None"),
     ("run budget: a tile's B_F scratch not counted", "src/gmnslab/config.py",
-     "* (member + scratch)",
-     "* member"),
-    ("run budget: measure's work line dropped", "src/gmnslab/config.py",
-     "if exp in STEP_POINTS:",
+     "tile * (member + scratch)",
+     "tile * member"),
+    ("run budget: measure's seconds line dropped", "src/gmnslab/config.py",
+     'if exp in ("contract", "measure"):',
      'if exp == "contract":'),
+    ("resource model: the tiles at 12 grids a field, the budget at the table's",
+     "src/gmnslab/experiments.py",
+     "tile = TILE_BYTES // (fields * field_bytes(basis.kmax))",
+     "tile = TILE_BYTES // (fields * 12 * 8 * basis.grid_size**3)"),
+    ("resource model: the seconds table halved", "src/gmnslab/cost.py",
+     "(1e-6 * u for u in us)",
+     "(0.5e-6 * u for u in us)"),
+    ("pullback absorption: the family gap tolerance x1000", "src/gmnslab/experiments.py",
+     "passed = gap <= family_tol and",
+     "passed = gap <= 1e3 * family_tol and"),
 ]
 
 COPIED = ("src", "tests", "tools", "pyproject.toml")
